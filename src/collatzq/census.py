@@ -7,35 +7,50 @@ member list.  Membership is decided by the exact test only; the prefilter
 may skip words it certifies, never admit any, so results are identical with
 it on or off.
 
-Work splits into (beta_1, alpha_1) prefix blocks.  Blocks are independent,
-dispatched to a process pool, and merged in prefix order, so the worker
-count never changes output bytes.  Checkpoints record the completed block
-cursor plus partial state; resuming reproduces the uninterrupted result
-bit for bit.
+Work splits into (beta_1, alpha_1) prefix blocks.  A block is walked depth
+first on raw integers: the prefix product is carried as four ints plus its
+determinant 2^(sum alpha) 3^(sum beta) and multiplied by one R per beta
+step and by S^alpha from a list of powers built per block, so words that
+share a prefix share its product.  A leaf computes only the trace and
+tests the discriminant tr^2 - 4 det: residues mod 64, 63, 65 and 11 reject
+most non-squares (Cohen, Alg. 1.7.3), then ``isqrt`` and the parity test
+decide exactly.  Only a hit becomes a ``Word``, evaluated again by
+``word_eval`` and ``integer_eigenvalues``, which build its member.  The
+prefilter is a running minimum of the exponents along the walk.
+
+Blocks are independent, dispatched to a process pool in contiguous runs,
+and merged in prefix order, so the worker count never changes output bytes.
+Checkpoints record the completed block cursor plus partial state; resuming
+reproduces the uninterrupted result bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import EigenPair, Mat2, integer_eigenvalues
+from .core import EigenPair, Mat2, integer_eigenvalues, is_perfect_square
 from .errors import BudgetExceededError, CorruptCheckpointError
-from .spectral import NkCertificate, compute_nk, prefilter_excludes
+from .spectral import NkCertificate, compute_nk
+from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
     DEFAULT_GENERATORS,
     GeneratorPair,
     Word,
-    enumerate_lambda,
-    enumerate_lambda_block,
+    enumerate_lambda_block,  # noqa: F401  (traced here by perfbench/spans.py)
     lambda_count,
     lambda_prefixes,
+    r_power,
+    s_power,
     word_eval,
     word_eval_general,
 )
@@ -73,30 +88,159 @@ def _sampled_mode(sample_size: int, seed: int) -> str:
     return f"sampled(size={sample_size};seed={seed})"
 
 
-def _test_word(
-    w: Word, cert: NkCertificate | None, members: list[OmegaMember]
-) -> None:
-    if cert is not None and prefilter_excludes(w, cert):
-        return
-    m = word_eval(w)
+# ---------------------------------------------------------------------------
+# Raw-integer leaf test and depth-first block walk
+# ---------------------------------------------------------------------------
+
+
+def _square_residues(m: int) -> bytes:
+    """Byte r is 1 iff r is a square mod m."""
+    table = bytearray(m)
+    for s in range(m):
+        table[s * s % m] = 1
+    return bytes(table)
+
+
+_SQ64 = _square_residues(64)
+_SQ63 = _square_residues(63)
+_SQ65 = _square_residues(65)
+_SQ11 = _square_residues(11)
+
+
+def _may_be_square(n: int) -> bool:
+    """False only for n that is not a perfect square (residues mod 64, 63, 65, 11)."""
+    if not _SQ64[n & 63]:
+        return False
+    r = n % 45045  # 63 * 65 * 11
+    return bool(_SQ63[r % 63] and _SQ65[r % 65] and _SQ11[r % 11])
+
+
+def _eigen_hit(tr: int, disc: int) -> bool:
+    """The test of ``integer_eigenvalues`` from the trace and disc = tr^2 - 4 det."""
+    if not _may_be_square(disc):
+        return False
+    square, s = is_perfect_square(disc)
+    return square and (tr - s) % 2 == 0
+
+
+# A generator is a function n -> G^n as a Mat2, in closed form.
+PowerFn = Callable[[int], Mat2]
+
+
+def _block_size(k: int, M: int) -> int:
+    """Words in one (beta_1, alpha_1) block of the (k, M) box."""
+    return 1 if k == 1 else M ** (2 * k - 3) * (M + 1)
+
+
+def _walk_block(
+    left: PowerFn, right: PowerFn, k: int, M: int, b1: int, a1: int, n: int, limit: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Depth-first walk of the (b1, a1) block of the (k, M) box.
+
+    Words are left^b1 right^a1 ... left^bk right^ak, walked in lexicographic
+    order of the exponent tuple; the walk stops after ``limit`` words.  A
+    word whose exponents all exceed ``n`` is walked but not tested.  Returns
+    the number of words walked and the exponent tuples of the hits, in order.
+    """
+    if limit < 1:
+        return 0, []
+    p = left(b1) * right(a1)
+    if k == 1:
+        tr = p.trace()
+        hit = min(b1, a1) <= n and _eigen_hit(tr, tr * tr - 4 * p.det())
+        return 1, [(b1, a1)] if hit else []
+    step = left(1)
+    la, lb, lc, ld = step.entries()
+    l_det = step.det()
+    # right^a and its determinant for a = 0..M: a leaf is x * right^a for its
+    # prefix x, so its trace is four products
+    powers = []
+    for a in range(M + 1):
+        q = right(a)
+        powers.append((q.a, q.b, q.c, q.d, q.det()))
+    hits: list[tuple[int, ...]] = []
+    remaining = limit
+    sq64 = _SQ64
+
+    def walk(xa, xb, xc, xd, det, low, prefix, depth) -> None:
+        # x = the prefix product, one more factor of left per b
+        nonlocal remaining
+        for b in range(1, M + 1):
+            xa, xb, xc, xd = (
+                xa * la + xb * lc, xa * lb + xb * ld, xc * la + xd * lc, xc * lb + xd * ld
+            )
+            det *= l_det
+            if depth < k:
+                for a in range(1, M + 1):
+                    qa, qb, qc, qd, q_det = powers[a]
+                    walk(
+                        xa * qa + xb * qc, xa * qb + xb * qd, xc * qa + xd * qc, xc * qb + xd * qd,
+                        det * q_det, min(low, b, a), prefix + (b, a), depth + 1,
+                    )
+                    if remaining <= 0:
+                        return
+                continue
+            # last pair: a runs over 0..M; the leaves are tested on the trace alone
+            row = min(M + 1, remaining)
+            tested = row if min(low, b) <= n else min(row, n + 1)
+            det4 = 4 * det
+            for a in range(tested):
+                qa, qb, qc, qd, q_det = powers[a]
+                tr = xa * qa + xb * qc + xc * qb + xd * qd
+                disc = tr * tr - det4 * q_det
+                # the mod 64 residue, inline, turns away most leaves before any call
+                if sq64[disc & 63] and _eigen_hit(tr, disc):
+                    hits.append(prefix + (b, a))
+            remaining -= row
+            if remaining <= 0:
+                return
+
+    walk(p.a, p.b, p.c, p.d, p.det(), min(b1, a1), (b1, a1), 2)
+    return limit - remaining, hits
+
+
+def _word(exponents: tuple[int, ...]) -> Word:
+    return Word(exponents[0::2], exponents[1::2])
+
+
+def _member(w: Word, m: Mat2) -> OmegaMember:
+    """The member for a leaf hit; the oracle must agree that it is one."""
     eig = integer_eigenvalues(m)
-    if eig is not None:
-        members.append(OmegaMember(w, m, eig))
+    if eig is None:
+        raise AssertionError(f"leaf test admitted {w}, integer_eigenvalues rejects {m}")
+    return OmegaMember(w, m, eig)
 
 
 def _census_block(task: tuple[int, int, int, int, NkCertificate | None]):
     k, M, beta1, alpha1, cert = task
-    tested = 0
-    members: list[OmegaMember] = []
-    for w in enumerate_lambda_block(k, M, beta1, alpha1):
-        tested += 1
-        _test_word(w, cert, members)
+    # no exponent exceeds M, so n = M never skips a word
+    n = M if cert is None else cert.n
+    tested, hits = _walk_block(r_power, s_power, k, M, beta1, alpha1, n, _block_size(k, M))
+    members = []
+    for exponents in hits:
+        w = _word(exponents)
+        members.append(_member(w, word_eval(w)))
     return tested, members
 
 
-def _chunks(seq: list, size: int) -> Iterable[list]:
+def _census_run(task: tuple[int, int, list[tuple[int, int]], NkCertificate | None]):
+    """Consecutive blocks in one pool task, so dispatch costs are paid per run."""
+    k, M, blocks, cert = task
+    return [_census_block((k, M, b1, a1, cert)) for b1, a1 in blocks]
+
+
+def _runs(seq: list, workers: int) -> Iterable[list]:
+    """Contiguous slices, two per worker: few enough that dispatch stays cheap
+    next to blocks of raw-integer work, enough to even out block costs."""
+    size = max(1, -(-len(seq) // (2 * workers)))
     for i in range(0, len(seq), size):
         yield seq[i : i + size]
+
+
+def _pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
+    if workers <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 ProgressFn = Callable[[int, int, list[OmegaMember]], None]
@@ -120,9 +264,33 @@ def census(
     is called after every merged block with (blocks_done, tested, members) so
     the caller can persist state.
     """
+    _check_budget(k, M, budget)
+    with _pool(workers) as pool:
+        return _census(
+            k, M, use_prefilter, pool, workers,
+            start_block, initial_tested, initial_members, progress,
+        )
+
+
+def _check_budget(k: int, M: int, budget: int) -> None:
     total = lambda_count(k, M)
     if total > budget:
         raise BudgetExceededError(f"|box(k={k}, M={M})| = {total} exceeds budget {budget}")
+
+
+def _census(
+    k: int,
+    M: int,
+    use_prefilter: bool,
+    pool: Executor | None,
+    workers: int,
+    start_block: int,
+    initial_tested: int,
+    initial_members: Iterable[OmegaMember],
+    progress: ProgressFn | None,
+) -> DensityRow:
+    """``census`` on a pool the caller owns (None: in this process)."""
+    total = lambda_count(k, M)
     cert = compute_nk(k) if use_prefilter else None
     blocks = lambda_prefixes(k, M)
     tested = initial_tested
@@ -139,14 +307,13 @@ def census(
                 progress(done, tested, members)
 
     todo = blocks[start_block:]
-    if workers <= 1:
+    if pool is None:
         for b1, a1 in todo:
             advance([_census_block((k, M, b1, a1, cert))])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in _chunks(todo, max(workers * 4, 1)):
-                tasks = [(k, M, b1, a1, cert) for b1, a1 in chunk]
-                advance(list(pool.map(_census_block, tasks)))
+        tasks = [(k, M, run, cert) for run in _runs(todo, workers)]
+        for results in pool.map(_census_run, tasks):
+            advance(results)
 
     if tested != total:
         raise AssertionError(f"enumerated {tested} words, closed form says {total}")
@@ -176,15 +343,28 @@ def census_sampled(
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     cert = compute_nk(k) if use_prefilter else None
+    n = M if cert is None else cert.n
     rng = random.Random(seed)
     members: list[OmegaMember] = []
     for _ in range(sample_size):
-        betas = []
-        alphas = []
+        exponents = []
         for i in range(k):
-            betas.append(rng.randint(0, M) if i == 0 else rng.randint(1, M))
-            alphas.append(rng.randint(1, M) if i < k - 1 else rng.randint(0, M))
-        _test_word(Word(tuple(betas), tuple(alphas)), cert, members)
+            exponents.append(rng.randint(0, M) if i == 0 else rng.randint(1, M))
+            exponents.append(rng.randint(1, M) if i < k - 1 else rng.randint(0, M))
+        if min(exponents) > n:
+            continue
+        xa, xb, xc, xd, det = 1, 0, 0, 1, 1
+        for beta, alpha in zip(exponents[0::2], exponents[1::2]):
+            # x * R^beta * S^alpha, with R^beta = [p, (p-1)/2; 0, 1], S^alpha = [1, 0; q-1, q]
+            p, q = 3**beta, 1 << alpha
+            h = (p - 1) // 2
+            xa, xb, xc, xd = xa * p, xa * h + xb, xc * p, xc * h + xd
+            xa, xb, xc, xd = xa + xb * (q - 1), xb * q, xc + xd * (q - 1), xd * q
+            det *= p * q
+        tr = xa + xd
+        if _eigen_hit(tr, tr * tr - 4 * det):
+            w = _word(tuple(exponents))
+            members.append(_member(w, word_eval(w)))
     return DensityRow(
         k=k,
         M=M,
@@ -252,52 +432,49 @@ def density_sweep(
         if on_row is not None:
             on_row(row)
 
-    for M in range(m_lo, m_hi + 1):
-        if M in done_ms:
-            continue
-        start_block, tested0, members0 = 0, 0, []
-        if resume_m == M:
-            start_block, tested0, members0 = resume_cursor, resume_tested, resume_members
+    with _pool(workers) as pool:  # one pool serves every M
+        for M in range(m_lo, m_hi + 1):
+            if M in done_ms:
+                continue
+            start_block, tested0, members0 = 0, 0, []
+            if resume_m == M:
+                start_block, tested0 = resume_cursor, resume_tested
+                members0 = resume_members
 
-        progress: ProgressFn | None = None
-        if checkpoint_path:
+            progress: ProgressFn | None = None
+            if checkpoint_path:
 
-            def progress(blocks_done: int, tested: int, members: list[OmegaMember], _m=M) -> None:
+                def progress(
+                    blocks_done: int, tested: int, members: list[OmegaMember], _m=M
+                ) -> None:
+                    save_checkpoint(
+                        checkpoint_path,
+                        params=params,
+                        rows=rows,
+                        active_m=_m,
+                        cursor=blocks_done,
+                        tested=tested,
+                        members=members,
+                    )
+
+            _check_budget(k, M, budget)
+            row = _census(
+                k, M, use_prefilter, pool, workers, start_block, tested0, members0, progress
+            )
+            row = dataclasses.replace(row, density_bound=theorem_density_bound(k, M, cert.n))
+            rows.append(row)
+            if checkpoint_path:
                 save_checkpoint(
                     checkpoint_path,
                     params=params,
                     rows=rows,
-                    active_m=_m,
-                    cursor=blocks_done,
-                    tested=tested,
-                    members=members,
+                    active_m=None,
+                    cursor=0,
+                    tested=0,
+                    members=[],
                 )
-
-        row = census(
-            k,
-            M,
-            use_prefilter,
-            workers=workers,
-            budget=budget,
-            start_block=start_block,
-            initial_tested=tested0,
-            initial_members=members0,
-            progress=progress,
-        )
-        row = dataclasses.replace(row, density_bound=theorem_density_bound(k, M, cert.n))
-        rows.append(row)
-        if checkpoint_path:
-            save_checkpoint(
-                checkpoint_path,
-                params=params,
-                rows=rows,
-                active_m=None,
-                cursor=0,
-                tested=0,
-                members=[],
-            )
-        if on_row is not None:
-            on_row(row)
+            if on_row is not None:
+                on_row(row)
     return rows
 
 
@@ -314,11 +491,6 @@ class SearchResult:
     generators: GeneratorPair
 
 
-def _is_pure_power(w: Word) -> bool:
-    """Pure generator powers (and the identity): at most one nonzero block kind."""
-    return w.sum_betas() == 0 or w.sum_alphas() == 0
-
-
 def search_counterexamples(
     k: int,
     exp_max: int,
@@ -331,22 +503,30 @@ def search_counterexamples(
     default pair B = S and A = R).  Pure powers are excluded; for the default
     generators any member refutes the only-pure-powers conjecture.  Budget
     exhaustion returns partial results with complete=False.
+
+    Each (b1, a1) block is walked like a census block.  Only one-block words
+    can be pure powers (interior exponents are >= 1), so they are skipped
+    as whole blocks.
     """
+    g = generators
     members: list[OmegaMember] = []
     tested = 0
     complete = True
     for j in range(1, k + 1):
-        for w in enumerate_lambda(j, exp_max):
-            if _is_pure_power(w):
+        size = _block_size(j, exp_max)
+        for b1, a1 in lambda_prefixes(j, exp_max):
+            if j == 1 and (b1 == 0 or a1 == 0):
                 continue
-            if tested >= budget:
+            walked, hits = _walk_block(
+                g.b_power, g.a_power, j, exp_max, b1, a1, exp_max, budget - tested
+            )
+            tested += walked
+            for exponents in hits:
+                w = _word(exponents)
+                members.append(_member(w, word_eval_general(w, g)))
+            if walked < size:
                 complete = False
                 break
-            tested += 1
-            m = word_eval_general(w, generators)
-            eig = integer_eigenvalues(m)
-            if eig is not None:
-                members.append(OmegaMember(w, m, eig))
         if not complete:
             break
     return SearchResult(tuple(members), tested, complete, generators)
@@ -438,9 +618,17 @@ def save_checkpoint(
         "members": [_member_to_json(m) for m in members],
     }
     payload["sha256"] = _payload_hash(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    # a complete temp file replaces the old one, so a crash mid-write leaves
+    # the previous checkpoint intact
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> dict:

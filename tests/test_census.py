@@ -195,6 +195,46 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(tmp_path / "absent.json"))
 
+    def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck.json")
+        fresh = density_sweep(2, (1, 4))
+        real_dump = json.dump
+        saves = []
+
+        class Crash(RuntimeError):
+            pass
+
+        def dump_then_crash(obj, fh, *args, **kwargs):
+            saves.append(obj["cursor"])
+            if len(saves) == 30:  # inside the M=4 census
+                fh.write(json.dumps(obj)[:100])  # a torn, partial file
+                raise Crash
+            real_dump(obj, fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_then_crash)
+        with pytest.raises(Crash):
+            density_sweep(2, (1, 4), checkpoint_path=path)
+        monkeypatch.setattr(json, "dump", real_dump)
+
+        state = load_checkpoint(path)  # the last complete save, intact
+        assert state["active_m"] == 4 and state["cursor"] == saves[-2]
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]  # no temp file left
+        resumed = density_sweep(2, (1, 4), checkpoint_path=path, resume=True)
+        assert resumed == fresh
+
+    def test_pool_checkpoints_every_block_in_order(self, tmp_path):
+        serial_path, pooled_path = tmp_path / "serial.json", tmp_path / "pooled.json"
+        serial = density_sweep(2, (1, 5), checkpoint_path=str(serial_path))
+        pooled = density_sweep(2, (1, 5), workers=2, checkpoint_path=str(pooled_path))
+        assert pooled == serial
+        assert pooled_path.read_bytes() == serial_path.read_bytes()
+
+        calls = {1: [], 2: []}
+        for workers, seen in calls.items():
+            census(2, 5, workers=workers, progress=lambda d, t, m, seen=seen: seen.append((d, t)))
+        assert calls[2] == calls[1]
+        assert [d for d, _ in calls[2]] == list(range(1, 31))
+
 
 class TestSearch:
     def test_defaults_empty_k2(self):

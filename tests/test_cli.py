@@ -187,6 +187,17 @@ class TestDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    def test_density_csv_and_checkpoint_bytes_threads_1_and_2(self, capsys, tmp_path):
+        files = []
+        for threads in ("1", "2"):
+            csv, state = tmp_path / f"t{threads}.csv", tmp_path / f"t{threads}.json"
+            code, _, _ = run_cli(capsys, "density", "--k", "2", "--m-range", "1..7",
+                                 "--threads", threads, "--out", str(csv),
+                                 "--checkpoint", str(state))
+            assert code == 0
+            files.append((csv.read_bytes(), state.read_bytes()))
+        assert files[0] == files[1]
+
     def test_same_seed_same_bytes(self, capsys):
         a = run_cli(capsys, "verify", "--suite", "trace", "--k", "3",
                     "--samples", "40", "--seed", "11")
