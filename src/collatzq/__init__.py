@@ -2,8 +2,9 @@
 
 Everything is exact: reduced rationals, arbitrary-precision integers, and
 integer square roots; no floating point anywhere.  Sweep hot loops run on
-int64 kernels (numba with a numpy fallback) whose overflowing rows are
-redone in big-int arithmetic, so the fast path never changes results.
+int64 numpy kernels: theta rows that could overflow are redone in big-int
+arithmetic, and phi takes one Euclid division per continued-fraction run,
+so the fast path never changes results.
 """
 
 from ._version import VERSION as __version__

@@ -1,9 +1,11 @@
 """Command-line front end binding the library into runnable experiments.
 
 Exit codes: 0 success; 1 when a run surfaces a property-violation finding
-(a counterexample word, a nonterminating orbit, verify failures); 2 on
-usage errors.  Logs and findings commentary go to stderr; structured
-output (CSV/JSONL/JSON) goes to stdout or --out.
+(a counterexample word, a nonterminating theta orbit, verify failures); 2 on
+usage errors, including a phi orbit whose exact stopping time exceeds
+--max-steps.  A reader that closes stdout early ends the run quietly with 0.
+Logs and findings commentary go to stderr; structured output
+(CSV/JSONL/JSON) goes to stdout or --out.
 """
 
 from __future__ import annotations
@@ -153,6 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_orbit(args) -> int:
+    if args.map == dynamics.PHI:
+        # phi provably terminates: a cap below its stopping time is a usage
+        # error, never a finding
+        stopping_time = sum(dynamics.phi_runs(args.value.numerator, args.value.denominator))
+        if stopping_time > args.max_steps:
+            print(
+                f"error: the phi orbit of {reports.frac_str(args.value)} reaches 0 in "
+                f"exactly {stopping_time} steps, above --max-steps {args.max_steps}",
+                file=sys.stderr,
+            )
+            return 2
     rec = dynamics.orbit(args.value, args.map, args.max_steps)
     if args.emit == "points":
         for x in rec.points:
@@ -366,7 +379,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`... | head`): end quietly, and send the
+        # interpreter's final flush of the unwritten rest to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except CollatzqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

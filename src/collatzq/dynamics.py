@@ -13,10 +13,15 @@ orbits provably terminate; for theta termination is the open question the
 sweep harness probes.
 
 Orbits over `Fraction` are the reference path.  Sweeps run on raw reduced
-(p, q) integer pairs: one step changes gcd structure only by a factor of 3
-(theta, upper branch) or 2 (lower branch), so reduction is two divisibility
-tests, and int64 kernels (see `kernels`) handle the bulk with any overflowing
-row redone here in big-int arithmetic.
+(p, q) integer pairs: one theta step changes gcd structure only by a factor
+of 3 (upper branch) or 2 (lower branch), so reduction is two divisibility
+tests, and the int64 numpy kernels (see `kernels`) handle the bulk with any
+overflowing theta row redone here in big-int arithmetic.  A phi orbit is the
+Stern-Brocot descent of p/q: its branch runs F^a0 G^a1 ... are the
+continued-fraction partial quotients, so phi stopping times, words and
+replays are computed one Euclid division per run (`phi_runs`,
+`replay_runs_pq`); the stepwise `orbit_pq` / `replay_word_pq` stay as the
+reference forms.
 """
 
 from __future__ import annotations
@@ -217,6 +222,45 @@ def replay_word_pq(word: list[Letter]) -> tuple[int, int]:
     return p, q
 
 
+def phi_runs(p: int, q: int) -> list[int]:
+    """Run-length phi word of reduced p/q >= 0: [a0, a1, ...] for F^a0 G^a1 ...
+
+    Even positions are F runs and odd positions G runs; a0 is 0 when p < q,
+    and the list always ends with the F run that reaches 0.  One division
+    per run: from p >= q, phi takes p // q F steps to (p mod q)/q; from
+    0 < p < q it takes (q-1) // p G steps to p/(q - n*p), which is q mod p
+    except for p = 1.  These are the continued-fraction partial quotients
+    of p/q with the last one split as (a_n - 1, 1) when it is a G run.
+    Expanded, the runs are `orbit_pq(p, q, PHI, ...)`'s branch list, and
+    their sum is the stopping time.
+    """
+    runs = [p // q]
+    p %= q
+    while p:
+        n = (q - 1) // p
+        q -= n * p
+        runs.append(n)
+        n = p // q
+        p -= n * q
+        runs.append(n)
+    return runs
+
+
+def replay_runs_pq(runs: list[int]) -> tuple[int, int]:
+    """Replay a run-length phi word from 0, exactly, as a reduced pair.
+
+    F^n maps p/q to (p + n*q)/q and G^n maps it to p/(q + n*p); both stay
+    reduced, so no gcd is taken.
+    """
+    p, q = 0, 1
+    for i in range(len(runs) - 1, -1, -1):
+        if i & 1:
+            q += runs[i] * p
+        else:
+            p += runs[i] * q
+    return p, q
+
+
 # ---------------------------------------------------------------------------
 # SL2 completion and Stern-Brocot factorization
 # ---------------------------------------------------------------------------
@@ -283,6 +327,20 @@ def reduced_fractions(height_bound: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
+def reduced_fraction_arrays(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """`reduced_fractions(height_bound)` as int64 arrays (ps, qs), same order.
+
+    Every (p, s) with 0 <= p < s <= bound in (s, p) order, kept where
+    gcd(p, s) = gcd(p, s - p) = 1.
+    """
+    sums = np.arange(1, height_bound + 1, dtype=np.int64)
+    s = np.repeat(sums, sums)
+    p = np.arange(s.size, dtype=np.int64) - np.repeat(sums * (sums - 1) // 2, sums)
+    keep = np.gcd(p, s) == 1
+    p = p[keep]
+    return p, s[keep] - p
+
+
 @dataclass(frozen=True)
 class SweepReport:
     height_bound: int
@@ -306,30 +364,27 @@ class PhiSweepReport:
 
 
 def _theta_sweep_arrays(
-    height_bound: int, step_cap: int, backend: str | None = None
-) -> tuple[list[tuple[int, int]], list[int], list[bool]]:
-    """Per-start (steps, terminated) for all reduced p/q up to the height.
+    height_bound: int, step_cap: int
+) -> tuple[list[int], list[int], list[int], list[bool]]:
+    """Per-start (p, q, steps, terminated) for all reduced p/q up to the height.
 
     The int64 kernel does the bulk; rows it flags as overflowing are redone
     exactly, so results never depend on the kernel's word size.
     """
-    starts = list(reduced_fractions(height_bound))
-    ps = np.array([p for p, _ in starts], dtype=np.int64)
-    qs = np.array([q for _, q in starts], dtype=np.int64)
-    steps_arr, flags = kernels.theta_sweep(ps, qs, step_cap, backend=backend)
+    ps, qs = reduced_fraction_arrays(height_bound)
+    steps_arr, flags = kernels.theta_sweep(ps, qs, step_cap)
+    p_list: list[int] = ps.tolist()
+    q_list: list[int] = qs.tolist()
     steps: list[int] = steps_arr.tolist()
-    flag_list: list[int] = flags.tolist()
-    terminated = [f == kernels.FLAG_DONE for f in flag_list]
-    for i, f in enumerate(flag_list):
-        if f == kernels.FLAG_OVERFLOW:  # exact redo in big-int arithmetic
-            st, term, _ = orbit_pq(starts[i][0], starts[i][1], THETA, step_cap)
-            steps[i] = st
-            terminated[i] = term
-    return starts, steps, terminated
+    terminated = (flags == kernels.FLAG_DONE).tolist()
+    for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
+        # exact redo in big-int arithmetic
+        steps[i], terminated[i], _ = orbit_pq(p_list[i], q_list[i], THETA, step_cap)
+    return p_list, q_list, steps, terminated
 
 
 def theta_sweep_full(
-    height_bound: int, step_cap: int = DEFAULT_STEP_CAP, backend: str | None = None
+    height_bound: int, step_cap: int = DEFAULT_STEP_CAP
 ) -> tuple[SweepReport, list[tuple[int, int, int, bool]]]:
     """Report plus per-start (p, q, stopping_time, terminated) rows, one pass.
 
@@ -338,12 +393,12 @@ def theta_sweep_full(
     """
     if height_bound < 2 or step_cap < 1:
         raise ValueError("need height_bound >= 2 and step_cap >= 1")
-    starts, steps, terminated = _theta_sweep_arrays(height_bound, step_cap, backend)
+    p_list, q_list, steps, terminated = _theta_sweep_arrays(height_bound, step_cap)
     rows: list[tuple[int, int, int, bool]] = []
     max_stop = -1
     argmax = Fraction(0)
     nonterminated: list[Fraction] = []
-    for (p, q), st, term in zip(starts, steps, terminated):
+    for p, q, st, term in zip(p_list, q_list, steps, terminated):
         rows.append((p, q, st if term else -1, term))
         if not term:
             nonterminated.append(Fraction(p, q))
@@ -353,7 +408,7 @@ def theta_sweep_full(
     report = SweepReport(
         height_bound=height_bound,
         step_cap=step_cap,
-        total_tested=len(starts),
+        total_tested=len(rows),
         all_terminated=not nonterminated,
         max_stopping_time=max_stop,
         argmax=argmax,
@@ -362,38 +417,33 @@ def theta_sweep_full(
     return report, rows
 
 
-def conjecture1_sweep(
-    height_bound: int, step_cap: int = DEFAULT_STEP_CAP, backend: str | None = None
-) -> SweepReport:
+def conjecture1_sweep(height_bound: int, step_cap: int = DEFAULT_STEP_CAP) -> SweepReport:
     """theta-orbit census over every reduced p/q with p + q <= height_bound."""
-    return theta_sweep_full(height_bound, step_cap, backend)[0]
+    return theta_sweep_full(height_bound, step_cap)[0]
 
 
-def phi_monotonicity_sweep(height_bound: int, backend: str | None = None) -> PhiSweepReport:
-    """Check non-increase of p+q and termination within p+q steps for phi."""
+def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
+    """Check strict decrease of p+q and termination within p+q steps for phi."""
     if height_bound < 2:
         raise ValueError("need height_bound >= 2")
-    starts = list(reduced_fractions(height_bound))
-    ps = np.array([p for p, _ in starts], dtype=np.int64)
-    qs = np.array([q for _, q in starts], dtype=np.int64)
-    steps_arr, flags = kernels.phi_sweep(ps, qs, backend=backend)
-    violations: list[Fraction] = []
-    max_stop = -1
-    argmax = Fraction(0)
-    for (p, q), st, f in zip(starts, steps_arr.tolist(), flags.tolist()):
-        if f != kernels.FLAG_DONE:
-            violations.append(Fraction(p, q))
-        elif st > max_stop:
-            max_stop = st
-            argmax = Fraction(p, q)
+    ps, qs = reduced_fraction_arrays(height_bound)
+    steps, flags = kernels.phi_sweep(ps, qs)
+    done = flags == kernels.FLAG_DONE
+    violations = tuple(
+        Fraction(int(ps[i]), int(qs[i])) for i in np.flatnonzero(~done).tolist()
+    )
+    # argmax takes the first maximum: the least (p+q, p) among ties
+    done_steps = np.where(done, steps, -1)
+    i = int(np.argmax(done_steps))
+    max_stop = int(done_steps[i])
     return PhiSweepReport(
         height_bound=height_bound,
-        total_tested=len(starts),
+        total_tested=int(ps.size),
         all_monotone=not violations,
         all_within_height=not violations,
         max_stopping_time=max_stop,
-        argmax=argmax,
-        violations=tuple(violations),
+        argmax=Fraction(int(ps[i]), int(qs[i])) if max_stop >= 0 else Fraction(0),
+        violations=violations,
     )
 
 
@@ -404,17 +454,23 @@ def verify_word_recovery(
 
     Returns (orbits checked, starts whose replay failed or that never
     terminated under the cap).  Runs on integer pairs for speed; arithmetic
-    is still exact.
+    is still exact.  theta words are recovered step by step; phi words run
+    length by run length (`phi_runs`), one division per run.
     """
     checked = 0
     failures: list[Fraction] = []
     for p, q in reduced_fractions(height_bound):
-        _, term, branches = orbit_pq(p, q, map_name, step_cap, record=True)
+        if map_name == THETA:
+            _, term, branches = orbit_pq(p, q, THETA, step_cap, record=True)
+            replayed = replay_word_pq(branches) if term else None
+        else:
+            runs = phi_runs(p, q)
+            term = sum(runs) <= step_cap
+            replayed = replay_runs_pq(runs) if term else None
         if not term:
             failures.append(Fraction(p, q))
             continue
         checked += 1
-        assert branches is not None
-        if replay_word_pq(branches) != (p, q):
+        if replayed != (p, q):
             failures.append(Fraction(p, q))
     return checked, failures

@@ -1,126 +1,40 @@
-"""int64 sweep kernels: numba-jitted fast path with a pure-numpy fallback.
+"""int64 numpy sweep kernels.
 
-The sweep inner loops run on raw reduced (p, q) pairs in int64.  The numba
-path is a per-row while loop; the numpy path advances all active rows one
-step per wave with masked arithmetic.  Both implement the identical step
-rule as `dynamics.theta_step_pq` / `dynamics.phi_step_pq` and return the
-same arrays, so the backend never changes results.
+The sweep inner loops run on raw reduced (p, q) pairs in int64, all rows at
+once in vectorized waves over the rows still active.
 
-Exactness: a theta orbit can grow, so any row whose values approach the
-int64 range is flagged FLAG_OVERFLOW instead of stepped; callers redo those
-rows in big-int arithmetic.  phi rows never grow (p+q is non-increasing).
+theta advances one step per wave with the same step rule as
+`dynamics.theta_step_pq`.  A theta orbit can grow, so any row whose values
+approach the int64 range is flagged FLAG_OVERFLOW instead of stepped;
+callers redo those rows in big-int arithmetic.
 
-Backend selection: the COLLATZQ_KERNELS environment variable ("numba" or
-"numpy") pins the default; unset, numba is used when importable.  Every
-entry point also takes an explicit ``backend=`` override.
+phi advances one branch run per wave.  Under phi a reduced p/q descends the
+Stern-Brocot tree: its orbit is a run of F steps (x -> x-1) then a run of G
+steps (x -> x/(1-x)), alternating, and the run lengths are the
+continued-fraction partial quotients of p/q.  One `np.divmod` per wave takes
+a whole run, so a row needs about as many waves as its continued fraction
+has terms, not p+q steps, and its stopping time is the quotient sum.  phi
+rows never grow, so they cannot overflow.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 FLAG_DONE = 0  # reached 0
 FLAG_CAP = 1  # step cap exhausted without terminating
 FLAG_OVERFLOW = 2  # values left the int64-safe range; redo exactly
-FLAG_VIOLATION = 3  # phi: exceeded its provable step bound (never expected)
+FLAG_VIOLATION = 3  # phi: a run failed to lower p+q, or steps exceeded p+q
 
 # 3*q and 2*p must stay below 2^63; one shared conservative guard
 INT64_GUARD = (2**63 - 1) // 3
 
-_ENV_VAR = "COLLATZQ_KERNELS"
-_env_choice = os.environ.get(_ENV_VAR, "").strip().lower()
 
-_NUMBA_OK = False
-if _env_choice != "numpy":
-    try:
-        from numba import njit
-
-        _NUMBA_OK = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        if _env_choice == "numba":
-            raise
-
-
-def default_backend() -> str:
-    return "numba" if _NUMBA_OK else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _NUMBA_OK else ("numpy",)
-
-
-def _theta_sweep_py(ps, qs, cap):
-    n = ps.shape[0]
-    steps = np.zeros(n, dtype=np.int64)
-    flags = np.zeros(n, dtype=np.int64)
-    for idx in range(n):
-        p = ps[idx]
-        q = qs[idx]
-        st = 0
-        while p != 0:
-            if st >= cap:
-                flags[idx] = 1  # FLAG_CAP
-                break
-            if p > INT64_GUARD or q > INT64_GUARD:
-                flags[idx] = 2  # FLAG_OVERFLOW
-                break
-            if p >= q:
-                p2 = p - q
-                if p2 == 0:
-                    p, q = 0, 1
-                elif p2 % 3 == 0:
-                    p = p2 // 3
-                else:
-                    p, q = p2, 3 * q
-            else:
-                q2 = q - p
-                if q2 % 2 == 0:
-                    q = q2 // 2
-                else:
-                    p, q = 2 * p, q2
-            st += 1
-        steps[idx] = st
-    return steps, flags
-
-
-def _phi_sweep_py(ps, qs):
-    n = ps.shape[0]
-    steps = np.zeros(n, dtype=np.int64)
-    flags = np.zeros(n, dtype=np.int64)
-    for idx in range(n):
-        p = ps[idx]
-        q = qs[idx]
-        bound = p + q
-        st = 0
-        while p != 0:
-            if st >= bound:
-                flags[idx] = 3  # FLAG_VIOLATION: provably impossible
-                break
-            s_old = p + q
-            if p >= q:
-                p -= q
-            else:
-                q -= p
-            if p + q > s_old:
-                flags[idx] = 3
-                break
-            st += 1
-        steps[idx] = st
-    return steps, flags
-
-
-if _NUMBA_OK:
-    _theta_sweep_numba = njit(cache=True)(_theta_sweep_py)
-    _phi_sweep_numba = njit(cache=True)(_phi_sweep_py)
-
-
-def _theta_sweep_numpy(ps: np.ndarray, qs: np.ndarray, cap: int):
-    """Wave-stepped vectorized theta sweep; identical semantics to the loop."""
-    n = ps.shape[0]
-    p = ps.astype(np.int64, copy=True)
-    q = qs.astype(np.int64, copy=True)
+def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row theta stopping times.  Returns (steps, flags) int64 arrays."""
+    p = np.array(ps, dtype=np.int64)
+    q = np.array(qs, dtype=np.int64)
+    n = p.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
@@ -165,71 +79,38 @@ def _theta_sweep_numpy(ps: np.ndarray, qs: np.ndarray, cap: int):
     return steps, flags
 
 
-def _phi_sweep_numpy(ps: np.ndarray, qs: np.ndarray):
-    n = ps.shape[0]
-    p = ps.astype(np.int64, copy=True)
-    q = qs.astype(np.int64, copy=True)
-    bounds = p + q
+def phi_sweep(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row phi stopping times with the monotonicity/termination check.
+
+    Rows are reduced p/q with p >= 0, q >= 1 and p + q < 2^63.  Returns
+    (steps, flags) int64 arrays; steps equal the stepwise orbit's.
+
+    Each wave is one Euclid division on the orbit point's unordered pair
+    (x, y) = (max(p, q), min(p, q)), so x + y is the point's p+q: the
+    quotient is the length of the next branch run, and (y, x mod y) is the
+    point the run ends at.  The last wave, on (k, 1), also covers the final
+    F step when the point is 1/k (a G run of k-1 steps, then F).  A row is
+    flagged FLAG_VIOLATION if a wave takes no step or fails to strictly
+    lower p+q, or if its steps exceed p+q.
+    """
+    p = np.asarray(ps, dtype=np.int64)
+    q = np.asarray(qs, dtype=np.int64)
+    n = p.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    while active.size:
-        pa = p[active]
-        done = pa == 0
-        if done.any():
-            active = active[~done]
-            if not active.size:
-                break
-            pa = p[active]
-        qa = q[active]
-        exceeded = steps[active] >= bounds[active]
-        if exceeded.any():
-            flags[active[exceeded]] = FLAG_VIOLATION
-            active = active[~exceeded]
-            if not active.size:
-                break
-            pa, qa = p[active], q[active]
-        s_old = pa + qa
-        ge = pa >= qa
-        p2 = np.where(ge, pa - qa, pa)
-        q2 = np.where(ge, qa, qa - pa)
-        grew = p2 + q2 > s_old
-        if grew.any():  # impossible in exact arithmetic; keep the check honest
-            flags[active[grew]] = FLAG_VIOLATION
-        p[active] = p2
-        q[active] = q2
-        steps[active] += 1
-        if grew.any():
-            active = active[~grew]
+    rows = np.flatnonzero(p != 0)
+    x = np.maximum(p[rows], q[rows])
+    y = np.minimum(p[rows], q[rows])
+    while rows.size:
+        quot, rem = np.divmod(x, y)
+        steps[rows] += quot
+        # the next pair (y, rem) has the lower sum iff rem < x.  A wave that
+        # passes this check lowers a positive sum, so the loop terminates.
+        bad = (quot < 1) | (rem >= x)
+        if bad.any():
+            flags[rows[bad]] = FLAG_VIOLATION
+            rem[bad] = 0  # end the flagged rows here
+        live = np.flatnonzero(rem)
+        rows, x, y = rows[live], y[live], rem[live]
+    flags[steps > p + q] = FLAG_VIOLATION
     return steps, flags
-
-
-def _resolve(backend: str | None) -> str:
-    b = backend or default_backend()
-    if b == "numba" and not _NUMBA_OK:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    if b not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {b!r}")
-    return b
-
-
-def theta_sweep(
-    ps: np.ndarray, qs: np.ndarray, cap: int, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row theta stopping times.  Returns (steps, flags) int64 arrays."""
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    qs = np.ascontiguousarray(qs, dtype=np.int64)
-    if _resolve(backend) == "numba":
-        return _theta_sweep_numba(ps, qs, cap)
-    return _theta_sweep_numpy(ps, qs, cap)
-
-
-def phi_sweep(
-    ps: np.ndarray, qs: np.ndarray, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row phi stopping times with the monotonicity/termination check."""
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    qs = np.ascontiguousarray(qs, dtype=np.int64)
-    if _resolve(backend) == "numba":
-        return _phi_sweep_numba(ps, qs)
-    return _phi_sweep_numpy(ps, qs)

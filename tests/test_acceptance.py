@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from collatzq import (
@@ -28,6 +29,7 @@ from collatzq import (
     enumerate_lambda,
     nk_conditions,
     nk_product_value,
+    orbit,
     phi_monotonicity_sweep,
     prefilter_excludes,
     rational_fixed_points,
@@ -38,7 +40,8 @@ from collatzq import (
     verify_word_recovery,
     word_eval,
 )
-from collatzq.dynamics import PHI, THETA
+from collatzq.dynamics import PHI, THETA, reduced_fractions
+from collatzq.kernels import phi_sweep
 from collatzq.verify import random_word
 
 
@@ -147,9 +150,17 @@ def test_criterion_06_phi_monotonicity():
     with Timer() as t:
         rep = phi_monotonicity_sweep(1000)
         ok = rep.all_monotone and rep.all_within_height and not rep.violations
+        # the kernel takes whole runs per division; the stepwise Fraction
+        # orbit checks every single step (MonotonicityError if p+q grows)
+        starts = list(reduced_fractions(60))
+        kernel_steps, _ = phi_sweep(np.array([p for p, _ in starts]),
+                                    np.array([q for _, q in starts]))
+        stepwise = [orbit(Fraction(p, q), PHI, p + q).stopping_time for p, q in starts]
+        ok = ok and stepwise == kernel_steps.tolist()
     announce(6, ok, t.elapsed, 60,
              f"p+q non-increasing and termination within p+q steps for all "
-             f"{rep.total_tested} starts with p+q <= 1000")
+             f"{rep.total_tested} starts with p+q <= 1000; stepwise orbits agree "
+             f"on all {len(stepwise)} starts with p+q <= 60")
 
 
 def test_criterion_07_word_recovery_round_trip():

@@ -39,6 +39,32 @@ class TestOrbit:
         assert code == 1
         assert "no termination" in err
 
+    def test_phi_cap_below_stopping_time_exit_2(self, capsys):
+        # phi provably terminates, so a short cap is a usage error, not a finding
+        code, out, err = run_cli(capsys, "orbit", "--value", "20000", "--map", "phi")
+        assert code == 2 and out == ""
+        assert "exactly 20000 steps" in err and "--max-steps 10000" in err
+        code, _, err = run_cli(capsys, "orbit", "--value", "3/5", "--map", "phi",
+                               "--max-steps", "3")
+        assert code == 2 and "exactly 4 steps" in err
+        code, out, _ = run_cli(capsys, "orbit", "--value", "3/5", "--map", "phi",
+                               "--max-steps", "4")
+        assert code == 0 and out.splitlines() == ["3/5", "3/2", "1/2", "1", "0"]
+
+    def test_reader_closing_early_exits_quietly(self):
+        # the output is far larger than a pipe buffer, so the writer meets EPIPE
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "collatzq", "orbit", "--map", "phi",
+             "--value", "50000", "--max-steps", "50000", "--emit", "points"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "50000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
+
 
 class TestSweep:
     def test_summary_json(self, capsys):

@@ -25,7 +25,6 @@ from collatzq import (
     verify_word_recovery,
 )
 from collatzq.dynamics import PHI, THETA, orbit_pq, replay_word_pq
-from collatzq.kernels import available_backends
 from collatzq.errors import (
     NegativeInputError,
     NotCoprimeError,
@@ -266,9 +265,8 @@ class TestSweeps:
             steps, term, _ = orbit_pq(p, q, PHI, p + q)
             assert term and steps <= p + q - 1
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_backends_match_exact(self, backend):
-        rep = conjecture1_sweep(50, 10_000, backend=backend)
+    def test_theta_sweep_matches_exact(self):
+        rep = conjecture1_sweep(50, 10_000)
         assert rep.all_terminated
         for p, q in [(3, 47), (7, 20), (1, 49)]:
             steps, term, _ = orbit_pq(p, q, THETA, 10_000)

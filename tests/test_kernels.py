@@ -1,7 +1,6 @@
-"""int64 kernels: backend agreement, flags, and the big-int escape hatch."""
+"""int64 kernels: agreement with exact orbits, flags, and the big-int escape hatch."""
 
 import numpy as np
-import pytest
 
 from collatzq import reduced_fractions
 from collatzq.dynamics import PHI, THETA, orbit_pq
@@ -9,14 +8,11 @@ from collatzq.kernels import (
     FLAG_CAP,
     FLAG_DONE,
     FLAG_OVERFLOW,
+    FLAG_VIOLATION,
     INT64_GUARD,
-    available_backends,
-    default_backend,
     phi_sweep,
     theta_sweep,
 )
-
-BACKENDS = available_backends()
 
 
 def start_arrays(height):
@@ -26,57 +22,44 @@ def start_arrays(height):
     return pairs, ps, qs
 
 
-def test_default_backend_is_available():
-    assert default_backend() in BACKENDS
-    assert "numpy" in BACKENDS
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_theta_matches_exact_orbits(backend):
+def test_theta_matches_exact_orbits():
     pairs, ps, qs = start_arrays(80)
-    steps, flags = theta_sweep(ps, qs, 10_000, backend=backend)
+    steps, flags = theta_sweep(ps, qs, 10_000)
     assert set(flags.tolist()) == {FLAG_DONE}
     for (p, q), st in zip(pairs, steps.tolist()):
         assert orbit_pq(p, q, THETA, 10_000)[0] == st
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_phi_matches_exact_orbits(backend):
+def test_phi_matches_exact_orbits():
     pairs, ps, qs = start_arrays(150)
-    steps, flags = phi_sweep(ps, qs, backend=backend)
+    steps, flags = phi_sweep(ps, qs)
     assert set(flags.tolist()) == {FLAG_DONE}
     for (p, q), st in zip(pairs, steps.tolist()):
         exact_steps, term, _ = orbit_pq(p, q, PHI, p + q + 1)
         assert term and exact_steps == st
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba unavailable")
-def test_backends_bitwise_identical():
-    _, ps, qs = start_arrays(200)
-    s1, f1 = theta_sweep(ps, qs, 10_000, backend="numba")
-    s2, f2 = theta_sweep(ps, qs, 10_000, backend="numpy")
-    assert np.array_equal(s1, s2) and np.array_equal(f1, f2)
-    s1, f1 = phi_sweep(ps, qs, backend="numba")
-    s2, f2 = phi_sweep(ps, qs, backend="numpy")
-    assert np.array_equal(s1, s2) and np.array_equal(f1, f2)
+def test_phi_violation_flag():
+    # -1/1 is outside phi's domain: its first run cannot lower p+q
+    steps, flags = phi_sweep(np.array([-1, 3], dtype=np.int64), np.array([1, 2], dtype=np.int64))
+    assert flags.tolist() == [FLAG_VIOLATION, FLAG_DONE]
+    assert steps[1] == 3
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cap_flag(backend):
+def test_cap_flag():
     ps = np.array([5], dtype=np.int64)
     qs = np.array([1], dtype=np.int64)
-    steps, flags = theta_sweep(ps, qs, 2, backend=backend)
+    steps, flags = theta_sweep(ps, qs, 2)
     assert flags[0] == FLAG_CAP
     assert steps[0] == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_overflow_flag_and_bigint_redo(backend):
+def test_overflow_flag_and_bigint_redo():
     # q beyond the guard must be flagged, never wrapped
     big = INT64_GUARD + 1
     ps = np.array([1, 2], dtype=np.int64)
     qs = np.array([big, 1], dtype=np.int64)
-    steps, flags = theta_sweep(ps, qs, 100, backend=backend)
+    steps, flags = theta_sweep(ps, qs, 100)
     assert flags[0] == FLAG_OVERFLOW and steps[0] == 0
     assert flags[1] == FLAG_DONE
     # the exact path handles the same start without any size limit
@@ -84,11 +67,10 @@ def test_overflow_flag_and_bigint_redo(backend):
     assert term and st > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zero_start(backend):
+def test_zero_start():
     ps = np.array([0], dtype=np.int64)
     qs = np.array([1], dtype=np.int64)
-    steps, flags = theta_sweep(ps, qs, 10, backend=backend)
+    steps, flags = theta_sweep(ps, qs, 10)
     assert steps[0] == 0 and flags[0] == FLAG_DONE
-    steps, flags = phi_sweep(ps, qs, backend=backend)
+    steps, flags = phi_sweep(ps, qs)
     assert steps[0] == 0 and flags[0] == FLAG_DONE

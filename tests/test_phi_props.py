@@ -1,0 +1,131 @@
+"""Property tests: phi on continued fractions against the stepwise orbit.
+
+The fast paths are the divmod sweep kernel, the run-length word and its
+replay, phi word recovery and the array sweep starts.  Their oracles are
+``orbit_pq(..., PHI)``, ``replay_word_pq`` and ``reduced_fractions``.  Pairs
+with small quotient sums are built from drawn continued fractions, so the
+stepwise oracle stays cheap however large p and q are.  A fixed
+derandomized profile keeps these fast and repeatable.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from collatzq import phi_monotonicity_sweep, verify_word_recovery
+from collatzq.dynamics import (
+    PHI,
+    Letter,
+    orbit_pq,
+    phi_runs,
+    reduced_fraction_arrays,
+    reduced_fractions,
+    replay_runs_pq,
+    replay_word_pq,
+)
+from collatzq.kernels import FLAG_DONE, phi_sweep
+
+PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+LIMIT = 2**62
+
+
+@st.composite
+def cf_pairs(draw):
+    """(p, q, quotient sum) of p/q = [a0; a1, ..., an] with p + q < 2^62."""
+    quotients = [draw(st.integers(0, 40))] + draw(st.lists(st.integers(1, 40), max_size=12))
+    p, q = 1, 0  # convergent recurrence, folded from the last quotient
+    for a in reversed(quotients):
+        p, q = a * p + q, p
+    assume(p + q < LIMIT)
+    return p, q, sum(quotients)
+
+
+@st.composite
+def big_pairs(draw):
+    """Reduced (p, q) with 0 <= p, 1 <= q and p, q below 2^62."""
+    p = draw(st.integers(0, LIMIT - 1))
+    q = draw(st.integers(1, LIMIT - 1))
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def expand(runs):
+    return [(Letter.G if i % 2 else Letter.F) for i, n in enumerate(runs) for _ in range(n)]
+
+
+@PROPS
+@given(st.lists(cf_pairs(), min_size=1, max_size=20))
+def test_divmod_kernel_matches_stepwise_orbit(pairs):
+    ps = np.array([p for p, _, _ in pairs], dtype=np.int64)
+    qs = np.array([q for _, q, _ in pairs], dtype=np.int64)
+    steps, flags = phi_sweep(ps, qs)
+    assert flags.tolist() == [FLAG_DONE] * len(pairs)
+    for (p, q, total), st_ in zip(pairs, steps.tolist()):
+        exact, term, _ = orbit_pq(p, q, PHI, total + 1)
+        assert term and exact == st_ == total
+
+
+@PROPS
+@given(st.lists(big_pairs(), min_size=1, max_size=20))
+def test_divmod_kernel_matches_quotient_sum_up_to_2_62(pairs):
+    ps = np.array([p for p, _ in pairs], dtype=np.int64)
+    qs = np.array([q for _, q in pairs], dtype=np.int64)
+    steps, flags = phi_sweep(ps, qs)
+    assert flags.tolist() == [FLAG_DONE] * len(pairs)
+    assert steps.tolist() == [sum(phi_runs(p, q)) for p, q in pairs]
+
+
+@PROPS
+@given(cf_pairs())
+def test_run_length_word_expands_to_stepwise_word(pair):
+    p, q, total = pair
+    runs = phi_runs(p, q)
+    _, term, branches = orbit_pq(p, q, PHI, total + 1, record=True)
+    assert term and expand(runs) == branches
+    assert len(runs) % 2 == 1 and all(n >= 1 for n in runs[1:])
+    assert replay_runs_pq(runs) == replay_word_pq(branches) == (p, q)
+
+
+@PROPS
+@given(big_pairs())
+def test_run_length_replay_round_trip_up_to_2_62(pair):
+    p, q = pair
+    runs = phi_runs(p, q)
+    assert replay_runs_pq(runs) == (p, q)
+    # every run but a leading F^0 is nonempty, and an F run reaches 0
+    assert len(runs) % 2 == 1 and all(n >= 1 for n in runs[1:])
+
+
+@PROPS
+@given(st.integers(2, 60), st.integers(0, 70))
+def test_phi_recovery_fails_exactly_the_starts_over_the_cap(height, cap):
+    checked, failures = verify_word_recovery(height, PHI, cap)
+    over = [Fraction(p, q) for p, q in reduced_fractions(height)
+            if not orbit_pq(p, q, PHI, cap)[1]]
+    assert failures == over
+    assert checked + len(over) == sum(1 for _ in reduced_fractions(height))
+
+
+@PROPS
+@given(st.integers(0, 200))
+def test_array_starts_match_reduced_fractions(height):
+    ps, qs = reduced_fraction_arrays(height)
+    assert ps.dtype == qs.dtype == np.int64
+    assert list(zip(ps.tolist(), qs.tolist())) == list(reduced_fractions(height))
+
+
+@PROPS
+@given(st.integers(2, 80))
+def test_phi_report_matches_stepwise_first_maximum(height):
+    rep = phi_monotonicity_sweep(height)
+    best, argmax = -1, Fraction(0)
+    for p, q in reduced_fractions(height):
+        steps, term, _ = orbit_pq(p, q, PHI, p + q)
+        assert term
+        if steps > best:
+            best, argmax = steps, Fraction(p, q)
+    assert (rep.max_stopping_time, rep.argmax) == (best, argmax)
+    assert rep.violations == () and rep.total_tested == sum(1 for _ in reduced_fractions(height))
