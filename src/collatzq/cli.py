@@ -357,8 +357,8 @@ def _cmd_fixed_point(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    word = dynamics.sl2_factor(args.matrix)
-    print("".join(l.value for l in word))
+    # Letter is a str enum, so each member joins as its one-character value
+    print("".join(dynamics.sl2_factor(args.matrix)))
     return 0
 
 

@@ -16,12 +16,14 @@ Orbits over `Fraction` are the reference path.  Sweeps run on raw reduced
 (p, q) integer pairs: one theta step changes gcd structure only by a factor
 of 3 (upper branch) or 2 (lower branch), so reduction is two divisibility
 tests, and the int64 numpy kernels (see `kernels`) handle the bulk with any
-overflowing theta row redone here in big-int arithmetic.  A phi orbit is the
-Stern-Brocot descent of p/q: its branch runs F^a0 G^a1 ... are the
+overflowing theta row redone here in big-int arithmetic.  Both sweep
+reports are array code over the kernel's (steps, flags): one first-maximum
+helper gives the longest orbit and the starts that failed.  A phi orbit is
+the Stern-Brocot descent of p/q: its branch runs F^a0 G^a1 ... are the
 continued-fraction partial quotients, so phi stopping times, words and
-replays are computed one Euclid division per run (`phi_runs`,
-`replay_runs_pq`); the stepwise `orbit_pq` / `replay_word_pq` stay as the
-reference forms.
+replays, and the F/G factorization of SL2 matrices, are computed one Euclid
+division per run (`phi_runs`, `replay_runs_pq`, `sl2_factor`); the stepwise
+`orbit_pq` / `replay_word_pq` stay as the reference forms.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     NotCoprimeError,
     NotFactorableError,
     NotTerminatedError,
+    SizeLimitError,
 )
 
 THETA = "theta"
@@ -268,6 +271,9 @@ def replay_runs_pq(runs: list[int]) -> tuple[int, int]:
 F_MAT = Mat2(1, 1, 0, 1)
 G_MAT = Mat2(1, 0, 1, 1)
 
+# longest word sl2_factor builds: a word is one list entry per letter
+MAX_FACTOR_LETTERS = 10_000_000
+
 
 def complete_to_sl2(b: int, d: int) -> Mat2:
     """Minimal nonnegative [a, b; c, d] with a*d - b*c = 1 for coprime b, d >= 1."""
@@ -286,22 +292,26 @@ def complete_to_sl2(b: int, d: int) -> Mat2:
 def sl2_factor(m: Mat2) -> list[Letter]:
     """Unique F/G word multiplying out to a nonnegative determinant-one matrix.
 
-    Greedy subtractive Euclid: peel F = [1,1;0,1] while the top row dominates,
-    else G = [1,0;1,1].  Entry sums strictly decrease, so this terminates.
+    A word's product sends 0 to the ratio of its right column, and G fixes
+    0, so the word of [a, b; c, d] is the phi word of b/d (`phi_runs`, one
+    division per run) followed by G^x.  The phi word ends in F, so its
+    product U is the minimal completion `complete_to_sl2(b, d)` (the identity
+    when b = 0), and U times G^x = [U.a + x*b, b; U.c + x*d, d] gives
+    x = (c - U.c) / d.  A word longer than MAX_FACTOR_LETTERS raises
+    SizeLimitError before any letter is built.
     """
     if min(m.entries()) < 0 or m.det() != 1:
         raise NotFactorableError(f"{m} is not a nonnegative SL2 matrix")
+    uc = complete_to_sl2(m.b, m.d).c if m.b else 0
+    runs = phi_runs(m.b, m.d) + [(m.c - uc) // m.d]
+    letters = sum(runs)
+    if letters > MAX_FACTOR_LETTERS:
+        raise SizeLimitError(
+            f"{m} factors into {letters} letters, over the limit {MAX_FACTOR_LETTERS}"
+        )
     word: list[Letter] = []
-    a, b, c, d = m.entries()
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if a >= c and b >= d:
-            word.append(Letter.F)
-            a, b = a - c, b - d
-        elif c >= a and d >= b:
-            word.append(Letter.G)
-            c, d = c - a, d - b
-        else:  # cannot happen for nonnegative det-1 input
-            raise NotFactorableError(f"{m} stuck at [{a},{b};{c},{d}]")
+    for i, n in enumerate(runs):
+        word += [Letter.G if i & 1 else Letter.F] * n
     return word
 
 
@@ -356,31 +366,26 @@ class SweepReport:
 class PhiSweepReport:
     height_bound: int
     total_tested: int
-    all_monotone: bool
-    all_within_height: bool  # every orbit reached 0 in at most p+q steps
+    all_monotone: bool  # every orbit lowered p+q each run and reached 0 in at most p+q steps
     max_stopping_time: int
     argmax: Fraction
     violations: tuple[Fraction, ...]
 
 
-def _theta_sweep_arrays(
-    height_bound: int, step_cap: int
-) -> tuple[list[int], list[int], list[int], list[bool]]:
-    """Per-start (p, q, steps, terminated) for all reduced p/q up to the height.
+def _first_maximum(
+    ps: np.ndarray, qs: np.ndarray, steps: np.ndarray, ok: np.ndarray
+) -> tuple[int, Fraction, tuple[Fraction, ...]]:
+    """(max steps over the ok rows, its first row as p/q, the other rows as p/q).
 
-    The int64 kernel does the bulk; rows it flags as overflowing are redone
-    exactly, so results never depend on the kernel's word size.
+    The first maximum is the least (p+q, p) among ties in sweep order.  With
+    no ok row the maximum is -1 and the argmax 0.
     """
-    ps, qs = reduced_fraction_arrays(height_bound)
-    steps_arr, flags = kernels.theta_sweep(ps, qs, step_cap)
-    p_list: list[int] = ps.tolist()
-    q_list: list[int] = qs.tolist()
-    steps: list[int] = steps_arr.tolist()
-    terminated = (flags == kernels.FLAG_DONE).tolist()
-    for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
-        # exact redo in big-int arithmetic
-        steps[i], terminated[i], _ = orbit_pq(p_list[i], q_list[i], THETA, step_cap)
-    return p_list, q_list, steps, terminated
+    ok_steps = np.where(ok, steps, -1)
+    i = int(np.argmax(ok_steps))
+    best = int(ok_steps[i])
+    argmax = Fraction(int(ps[i]), int(qs[i])) if best >= 0 else Fraction(0)
+    misses = tuple(map(Fraction, ps[~ok].tolist(), qs[~ok].tolist()))
+    return best, argmax, misses
 
 
 def theta_sweep_full(
@@ -390,30 +395,30 @@ def theta_sweep_full(
 
     A nonterminated start (under the cap) is a candidate counterexample and
     lands in the report rather than raising; its row carries stopping_time -1.
+    The int64 kernel does the bulk; rows it flags as overflowing are redone
+    exactly, so results never depend on the kernel's word size.
     """
     if height_bound < 2 or step_cap < 1:
         raise ValueError("need height_bound >= 2 and step_cap >= 1")
-    p_list, q_list, steps, terminated = _theta_sweep_arrays(height_bound, step_cap)
-    rows: list[tuple[int, int, int, bool]] = []
-    max_stop = -1
-    argmax = Fraction(0)
-    nonterminated: list[Fraction] = []
-    for p, q, st, term in zip(p_list, q_list, steps, terminated):
-        rows.append((p, q, st if term else -1, term))
-        if not term:
-            nonterminated.append(Fraction(p, q))
-        elif st > max_stop:
-            max_stop = st
-            argmax = Fraction(p, q)
+    ps, qs = reduced_fraction_arrays(height_bound)
+    steps, flags = kernels.theta_sweep(ps, qs, step_cap)
+    for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
+        steps[i], term, _ = orbit_pq(int(ps[i]), int(qs[i]), THETA, step_cap)
+        flags[i] = kernels.FLAG_DONE if term else kernels.FLAG_CAP
+    terminated = flags == kernels.FLAG_DONE
+    max_stop, argmax, nonterminated = _first_maximum(ps, qs, steps, terminated)
     report = SweepReport(
         height_bound=height_bound,
         step_cap=step_cap,
-        total_tested=len(rows),
+        total_tested=int(ps.size),
         all_terminated=not nonterminated,
         max_stopping_time=max_stop,
         argmax=argmax,
-        nonterminated=tuple(nonterminated),
+        nonterminated=nonterminated,
     )
+    rows = list(zip(
+        ps.tolist(), qs.tolist(), np.where(terminated, steps, -1).tolist(), terminated.tolist()
+    ))
     return report, rows
 
 
@@ -428,21 +433,13 @@ def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
         raise ValueError("need height_bound >= 2")
     ps, qs = reduced_fraction_arrays(height_bound)
     steps, flags = kernels.phi_sweep(ps, qs)
-    done = flags == kernels.FLAG_DONE
-    violations = tuple(
-        Fraction(int(ps[i]), int(qs[i])) for i in np.flatnonzero(~done).tolist()
-    )
-    # argmax takes the first maximum: the least (p+q, p) among ties
-    done_steps = np.where(done, steps, -1)
-    i = int(np.argmax(done_steps))
-    max_stop = int(done_steps[i])
+    max_stop, argmax, violations = _first_maximum(ps, qs, steps, flags == kernels.FLAG_DONE)
     return PhiSweepReport(
         height_bound=height_bound,
         total_tested=int(ps.size),
         all_monotone=not violations,
-        all_within_height=not violations,
         max_stopping_time=max_stop,
-        argmax=Fraction(int(ps[i]), int(qs[i])) if max_stop >= 0 else Fraction(0),
+        argmax=argmax,
         violations=violations,
     )
 

@@ -34,7 +34,7 @@ class MonotonicityError(CollatzqError, RuntimeError):
 
 
 class SizeLimitError(CollatzqError, ValueError):
-    """Subset-sum reference formulas refused a k beyond the configured bound."""
+    """An input was refused because its result would pass a fixed size bound."""
 
 
 class NonIntegerEntryError(CollatzqError, ArithmeticError):

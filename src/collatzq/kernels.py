@@ -1,7 +1,9 @@
 """int64 numpy sweep kernels.
 
 The sweep inner loops run on raw reduced (p, q) pairs in int64, all rows at
-once in vectorized waves over the rows still active.
+once in vectorized waves.  Both kernels have one shape: the live rows ride
+along as compacted arrays (their row numbers and orbit state), each wave
+advances all of them, and the rows that finish leave through one mask.
 
 theta advances one step per wave with the same step rule as
 `dynamics.theta_step_pq`.  A theta orbit can grow, so any row whose values
@@ -31,51 +33,44 @@ INT64_GUARD = (2**63 - 1) // 3
 
 
 def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row theta stopping times.  Returns (steps, flags) int64 arrays."""
-    p = np.array(ps, dtype=np.int64)
-    q = np.array(qs, dtype=np.int64)
+    """Per-row theta stopping times.  Returns (steps, flags) int64 arrays.
+
+    The live rows ride along as compacted (rows, p, q) arrays.  Every live
+    row takes one step per wave, so a row's steps are the wave it leaves at.
+    A row leaves when it reaches 0 (FLAG_DONE), else when the cap is spent
+    (FLAG_CAP), else when p or q is past the guard (FLAG_OVERFLOW), in that
+    order; a row over the guard at its start leaves with steps 0.
+    """
+    p = np.asarray(ps, dtype=np.int64)
+    q = np.asarray(qs, dtype=np.int64)
     n = p.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    while active.size:
-        pa = p[active]
-        done = pa == 0
-        if done.any():
-            active = active[~done]
-            if not active.size:
-                break
-            pa = p[active]
-        qa = q[active]
-        capped = steps[active] >= cap
-        if capped.any():
-            flags[active[capped]] = FLAG_CAP
-            active = active[~capped]
-            if not active.size:
-                break
-            pa, qa = p[active], q[active]
-        over = (pa > INT64_GUARD) | (qa > INT64_GUARD)
-        if over.any():
-            flags[active[over]] = FLAG_OVERFLOW
-            active = active[~over]
-            if not active.size:
-                break
-            pa, qa = p[active], q[active]
-        ge = pa >= qa
-        # guard above makes 3*qa and 2*pa exact for every remaining row
-        p2 = np.where(ge, pa - qa, 2 * pa)
-        q2 = np.where(ge, 3 * qa, qa - pa)
+    rows = np.arange(n)
+    wave = 0
+    while rows.size:
+        done = p == 0
+        capped = wave >= cap
+        out = done | capped | (p > INT64_GUARD) | (q > INT64_GUARD)
+        if out.any():
+            gone = rows[out]
+            steps[gone] = wave
+            flags[gone] = np.where(done[out], FLAG_DONE, FLAG_CAP if capped else FLAG_OVERFLOW)
+            live = ~out
+            rows, p, q = rows[live], p[live], q[live]
+        ge = p >= q
+        # the guard makes 3*q and 2*p exact for every live row
+        p2 = np.where(ge, p - q, 2 * p)
+        q2 = np.where(ge, 3 * q, q - p)
         red3 = ge & (p2 % 3 == 0)
         p2 = np.where(red3, p2 // 3, p2)
-        q2 = np.where(red3, qa, q2)
+        q2 = np.where(red3, q, q2)
         zero = ge & (p2 == 0)
         q2 = np.where(zero, 1, q2)
         red2 = ~ge & (q2 % 2 == 0)
         q2 = np.where(red2, q2 // 2, q2)
-        p2 = np.where(red2, pa, p2)
-        p[active] = p2
-        q[active] = q2
-        steps[active] += 1
+        p, q = np.where(red2, p, p2), q2
+        wave += 1
     return steps, flags
 
 

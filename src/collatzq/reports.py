@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 from ._version import VERSION
 from .census import DensityRow, OmegaMember, _member_to_json
-from .dynamics import PhiSweepReport, SweepReport
+from .dynamics import SweepReport
 
 
 def frac_str(x: Fraction) -> str:
@@ -92,14 +92,3 @@ def sweep_report_json(report: SweepReport) -> dict:
         "nonterminated": [frac_str(x) for x in report.nonterminated],
     }
 
-
-def phi_report_json(report: PhiSweepReport) -> dict:
-    return {
-        "height_bound": report.height_bound,
-        "total_tested": report.total_tested,
-        "all_monotone": report.all_monotone,
-        "all_within_height": report.all_within_height,
-        "max_stopping_time": report.max_stopping_time,
-        "argmax": frac_str(report.argmax),
-        "violations": [frac_str(x) for x in report.violations],
-    }

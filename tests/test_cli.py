@@ -200,6 +200,10 @@ class TestSmallCommands:
         code, _, _ = run_cli(capsys, "factor", "--matrix", "2,1,1,2")
         assert code == 2
 
+    def test_factor_word_over_limit_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "--matrix", "1,1000000000000,0,1")
+        assert code == 2 and out == "" and "1000000000000 letters" in err
+
 
 class TestDeterminism:
     def test_density_bytes_across_threads(self, tmp_path):

