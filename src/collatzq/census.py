@@ -14,20 +14,26 @@ step and by S^alpha from a list of powers built per block, so words that
 share a prefix share its product.  A leaf computes only the trace and
 tests the discriminant tr^2 - 4 det: residues mod 64, 63, 65 and 11 reject
 most non-squares (Cohen, Alg. 1.7.3), then ``isqrt`` and the parity test
-decide exactly.  Only a hit becomes a ``Word``, evaluated again by
-``word_eval`` and ``integer_eigenvalues``, which build its member.  The
-prefilter is a running minimum of the exponents along the walk.
+decide exactly.  Only a hit becomes a member: one builder turns its
+exponents into a ``Word``, evaluates it again and runs
+``integer_eigenvalues`` on it, for census blocks, sampled draws and search
+hits alike.  The prefilter is a running minimum of the exponents along the
+walk.
 
 Blocks are independent, dispatched to a process pool in contiguous runs,
 and merged in prefix order, so the worker count never changes output bytes.
-Checkpoints record the completed block cursor plus partial state; resuming
-reproduces the uninterrupted result bit for bit.
+A ``density_sweep`` checkpoint, saved after every block and every row,
+holds the finished rows plus one cursor (blocks done, words tested, members
+so far) into the census of the next M.  Resuming reproduces the
+uninterrupted result bit for bit; a checkpoint whose active census is not
+the one after its rows is refused.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -199,12 +205,11 @@ def _walk_block(
     return limit - remaining, hits
 
 
-def _word(exponents: tuple[int, ...]) -> Word:
-    return Word(exponents[0::2], exponents[1::2])
-
-
-def _member(w: Word, m: Mat2) -> OmegaMember:
-    """The member for a leaf hit; the oracle must agree that it is one."""
+def _member(exponents: tuple[int, ...], evaluate: Callable[[Word], Mat2]) -> OmegaMember:
+    """The member for a leaf hit, its matrix from ``evaluate``; the oracle
+    must agree that it is one."""
+    w = Word(exponents[0::2], exponents[1::2])
+    m = evaluate(w)
     eig = integer_eigenvalues(m)
     if eig is None:
         raise AssertionError(f"leaf test admitted {w}, integer_eigenvalues rejects {m}")
@@ -216,11 +221,7 @@ def _census_block(task: tuple[int, int, int, int, NkCertificate | None]):
     # no exponent exceeds M, so n = M never skips a word
     n = M if cert is None else cert.n
     tested, hits = _walk_block(r_power, s_power, k, M, beta1, alpha1, n, _block_size(k, M))
-    members = []
-    for exponents in hits:
-        w = _word(exponents)
-        members.append(_member(w, word_eval(w)))
-    return tested, members
+    return tested, [_member(exponents, word_eval) for exponents in hits]
 
 
 def _census_run(task: tuple[int, int, list[tuple[int, int]], NkCertificate | None]):
@@ -243,6 +244,9 @@ def _pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
     return ProcessPoolExecutor(max_workers=workers)
 
 
+# (blocks_done, tested, members): the state of a census after its first
+# blocks_done blocks, passed to ``progress`` and read back from a checkpoint
+Cursor = tuple[int, int, list[OmegaMember]]
 ProgressFn = Callable[[int, int, list[OmegaMember]], None]
 
 
@@ -253,29 +257,15 @@ def census(
     *,
     workers: int = 1,
     budget: int = DEFAULT_CENSUS_BUDGET,
-    start_block: int = 0,
-    initial_tested: int = 0,
-    initial_members: Iterable[OmegaMember] = (),
     progress: ProgressFn | None = None,
 ) -> DensityRow:
     """Exhaustive census of the (k, M) box.
 
-    ``start_block``/``initial_*`` resume from a checkpoint cursor; ``progress``
-    is called after every merged block with (blocks_done, tested, members) so
-    the caller can persist state.
+    ``progress`` is called after every merged block with (blocks_done,
+    tested, members) so the caller can persist state.
     """
-    _check_budget(k, M, budget)
     with _pool(workers) as pool:
-        return _census(
-            k, M, use_prefilter, pool, workers,
-            start_block, initial_tested, initial_members, progress,
-        )
-
-
-def _check_budget(k: int, M: int, budget: int) -> None:
-    total = lambda_count(k, M)
-    if total > budget:
-        raise BudgetExceededError(f"|box(k={k}, M={M})| = {total} exceeds budget {budget}")
+        return _census(k, M, use_prefilter, pool, workers, budget, progress)
 
 
 def _census(
@@ -284,18 +274,19 @@ def _census(
     use_prefilter: bool,
     pool: Executor | None,
     workers: int,
-    start_block: int,
-    initial_tested: int,
-    initial_members: Iterable[OmegaMember],
+    budget: int,
     progress: ProgressFn | None,
+    cursor: Cursor | None = None,
 ) -> DensityRow:
-    """``census`` on a pool the caller owns (None: in this process)."""
+    """``census`` on a pool the caller owns (None: in this process), resumed
+    from ``cursor`` when one is given."""
     total = lambda_count(k, M)
+    if total > budget:
+        raise BudgetExceededError(f"|box(k={k}, M={M})| = {total} exceeds budget {budget}")
     cert = compute_nk(k) if use_prefilter else None
     blocks = lambda_prefixes(k, M)
-    tested = initial_tested
-    members = list(initial_members)
-    done = start_block
+    done, tested, members = cursor or (0, 0, [])
+    members = list(members)
 
     def advance(block_results) -> None:
         nonlocal tested, done
@@ -306,7 +297,7 @@ def _census(
             if progress is not None:
                 progress(done, tested, members)
 
-    todo = blocks[start_block:]
+    todo = blocks[done:]
     if pool is None:
         for b1, a1 in todo:
             advance([_census_block((k, M, b1, a1, cert))])
@@ -363,8 +354,7 @@ def census_sampled(
             det *= p * q
         tr = xa + xd
         if _eigen_hit(tr, tr * tr - 4 * det):
-            w = _word(tuple(exponents))
-            members.append(_member(w, word_eval(w)))
+            members.append(_member(tuple(exponents), word_eval))
     return DensityRow(
         k=k,
         M=M,
@@ -391,7 +381,6 @@ def density_sweep(
     use_prefilter: bool = True,
     *,
     workers: int = 1,
-    budget: int = DEFAULT_CENSUS_BUDGET,
     checkpoint_path: str | None = None,
     resume: bool = False,
     on_row: Callable[[DensityRow], None] | None = None,
@@ -409,10 +398,7 @@ def density_sweep(
     params = {"k": k, "m_lo": m_lo, "m_hi": m_hi, "prefilter": use_prefilter}
 
     rows: list[DensityRow] = []
-    resume_m: int | None = None
-    resume_cursor = 0
-    resume_tested = 0
-    resume_members: list[OmegaMember] = []
+    cursor: Cursor | None = None
     if resume:
         if not checkpoint_path:
             raise CorruptCheckpointError("resume requested without a checkpoint file")
@@ -422,59 +408,40 @@ def density_sweep(
                 f"checkpoint parameters {state['params']} do not match {params}"
             )
         rows = [_row_from_json(r) for r in state["rows"]]
-        resume_m = state["active_m"]
-        resume_cursor = state["cursor"]
-        resume_tested = state["tested"]
-        resume_members = [_member_from_json(m) for m in state["members"]]
-
-    done_ms = {row.M for row in rows}
-    for row in rows:
+        # the rows are M = m_lo, m_lo + 1, ...; the census after them is the active one
+        if state["active_m"] is not None:
+            if state["active_m"] != m_lo + len(rows):
+                raise CorruptCheckpointError(
+                    f"checkpoint census M={state['active_m']} does not follow "
+                    f"its {len(rows)} rows from M={m_lo}"
+                )
+            members = [_member_from_json(m) for m in state["members"]]
+            cursor = (state["cursor"], state["tested"], members)
         if on_row is not None:
-            on_row(row)
+            for row in rows:
+                on_row(row)
+
+    def save(
+        active_m: int | None, blocks_done: int, tested: int, members: list[OmegaMember]
+    ) -> None:
+        save_checkpoint(
+            checkpoint_path, params=params, rows=rows, active_m=active_m,
+            cursor=blocks_done, tested=tested, members=members,
+        )
 
     with _pool(workers) as pool:  # one pool serves every M
-        for M in range(m_lo, m_hi + 1):
-            if M in done_ms:
-                continue
-            start_block, tested0, members0 = 0, 0, []
-            if resume_m == M:
-                start_block, tested0 = resume_cursor, resume_tested
-                members0 = resume_members
-
-            progress: ProgressFn | None = None
-            if checkpoint_path:
-
-                def progress(
-                    blocks_done: int, tested: int, members: list[OmegaMember], _m=M
-                ) -> None:
-                    save_checkpoint(
-                        checkpoint_path,
-                        params=params,
-                        rows=rows,
-                        active_m=_m,
-                        cursor=blocks_done,
-                        tested=tested,
-                        members=members,
-                    )
-
-            _check_budget(k, M, budget)
+        for M in range(m_lo + len(rows), m_hi + 1):
+            progress = functools.partial(save, M) if checkpoint_path else None
             row = _census(
-                k, M, use_prefilter, pool, workers, start_block, tested0, members0, progress
+                k, M, use_prefilter, pool, workers, DEFAULT_CENSUS_BUDGET, progress, cursor
             )
-            row = dataclasses.replace(row, density_bound=theorem_density_bound(k, M, cert.n))
-            rows.append(row)
+            cursor = None
+            bound = theorem_density_bound(k, M, cert.n)
+            rows.append(dataclasses.replace(row, density_bound=bound))
             if checkpoint_path:
-                save_checkpoint(
-                    checkpoint_path,
-                    params=params,
-                    rows=rows,
-                    active_m=None,
-                    cursor=0,
-                    tested=0,
-                    members=[],
-                )
+                save(None, 0, 0, [])
             if on_row is not None:
-                on_row(row)
+                on_row(rows[-1])
     return rows
 
 
@@ -509,6 +476,7 @@ def search_counterexamples(
     as whole blocks.
     """
     g = generators
+    evaluate = functools.partial(word_eval_general, g=g)
     members: list[OmegaMember] = []
     tested = 0
     complete = True
@@ -521,9 +489,7 @@ def search_counterexamples(
                 g.b_power, g.a_power, j, exp_max, b1, a1, exp_max, budget - tested
             )
             tested += walked
-            for exponents in hits:
-                w = _word(exponents)
-                members.append(_member(w, word_eval_general(w, g)))
+            members.extend(_member(exponents, evaluate) for exponents in hits)
             if walked < size:
                 complete = False
                 break

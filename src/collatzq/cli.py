@@ -11,6 +11,7 @@ Logs and findings commentary go to stderr; structured output
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -308,22 +309,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kwargs: dict = {"seed": args.seed}
-    if args.suite == "freeness":
-        kwargs = {}
-        if args.k is not None:
-            kwargs["k"] = args.k
-        if args.m is not None:
-            kwargs["M"] = args.m
-    elif args.suite == "fixedpoint":
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-    else:
-        if args.k is not None:
-            kwargs["k"] = args.k
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-    report = SUITES[args.suite](**kwargs)
+    suite = SUITES[args.suite]
+    # a suite takes the given flags its signature names and ignores the rest
+    named = inspect.signature(suite).parameters
+    given = {"k": args.k, "samples": args.samples, "seed": args.seed, "M": args.m}
+    report = suite(**{n: v for n, v in given.items() if v is not None and n in named})
     report["version"] = VERSION
     print(json.dumps(report, sort_keys=True))
     return 1 if report["failures"] else 0

@@ -268,9 +268,6 @@ def replay_runs_pq(runs: list[int]) -> tuple[int, int]:
 # SL2 completion and Stern-Brocot factorization
 # ---------------------------------------------------------------------------
 
-F_MAT = Mat2(1, 1, 0, 1)
-G_MAT = Mat2(1, 0, 1, 1)
-
 # longest word sl2_factor builds: a word is one list entry per letter
 MAX_FACTOR_LETTERS = 10_000_000
 

@@ -29,15 +29,7 @@ def header_lines(invocation: str) -> list[str]:
 
 def canonical_invocation(subcommand: str, pairs: list[tuple[str, object]]) -> str:
     """Reconstructed command line covering exactly the content-affecting flags."""
-    parts = [subcommand]
-    for flag, value in pairs:
-        if value is None:
-            continue
-        if value is True:
-            parts.append(flag)
-        else:
-            parts.append(f"{flag} {value}")
-    return " ".join(parts)
+    return " ".join([subcommand] + [f"{flag} {value}" for flag, value in pairs])
 
 
 def write_density_csv(rows: Iterable[DensityRow], fh: IO[str], invocation: str) -> None:

@@ -136,22 +136,15 @@ def entries_from_u(q: UQuadruple) -> Mat2:
 
 
 def trace_subsetpair(w: Word, size_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
-    """Trace as the unrestricted sum of sigma(A, B) over all 4^k subset pairs."""
-    k = w.k
-    if k > size_limit:
-        raise SizeLimitError(f"k={k} exceeds subset-sum limit {size_limit}")
-    pow2, pow3 = _pow_tables(w)
-    total = 0
-    for a_mask in range(1 << k):
-        d_mask = _sign_mask(a_mask, k)
-        base = pow2[a_mask]
-        for b_mask in range(1 << k):
-            term = base * pow3[b_mask]
-            total += -term if (b_mask & d_mask).bit_count() & 1 else term
-    q, r = divmod(total, 2**k)
-    if r:
-        raise NonIntegerEntryError(f"subset-pair trace {total}/2^{k} is not integral")
-    return q
+    """Trace as the unrestricted sum of sigma(A, B) over all 4^k subset pairs.
+
+    The four U sums partition the subset pairs, so the trace is their total.
+    """
+    q = u_quantities(w, size_limit)
+    total = q.u00 + q.u10 + q.u01 + q.u11
+    if total.denominator != 1:
+        raise NonIntegerEntryError(f"subset-pair trace {total} is not integral")
+    return int(total)
 
 
 def trace_fast(w: Word) -> int:

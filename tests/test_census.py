@@ -222,6 +222,47 @@ class TestCheckpoints:
         resumed = density_sweep(2, (1, 4), checkpoint_path=path, resume=True)
         assert resumed == fresh
 
+    def test_resume_with_members_and_bounded_rows(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck.json")
+        fresh = density_sweep(1, (1, 6))
+        real_dump = json.dump
+
+        class Crash(RuntimeError):
+            pass
+
+        def dump_or_crash(obj, fh, *args, **kwargs):
+            if obj["active_m"] == 5 and obj["cursor"] == 20:
+                raise Crash
+            real_dump(obj, fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_or_crash)
+        with pytest.raises(Crash):
+            density_sweep(1, (1, 6), checkpoint_path=path)
+        monkeypatch.setattr(json, "dump", real_dump)
+
+        state = load_checkpoint(path)
+        assert state["active_m"] == 5 and state["cursor"] == 19
+        assert state["members"]  # k = 1 has hits in every box
+        assert state["rows"][-1]["bound_num"] is not None  # M = 4 > n(1) = 2
+        seen = []
+        resumed = density_sweep(1, (1, 6), checkpoint_path=path, resume=True, on_row=seen.append)
+        assert resumed == fresh
+        assert seen == fresh
+
+    def test_active_census_must_follow_rows(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(
+            path,
+            params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
+            rows=[],
+            active_m=2,  # the census after no rows is M = 1
+            cursor=0,
+            tested=0,
+            members=[],
+        )
+        with pytest.raises(CorruptCheckpointError):
+            density_sweep(1, (1, 3), checkpoint_path=path, resume=True)
+
     def test_pool_checkpoints_every_block_in_order(self, tmp_path):
         serial_path, pooled_path = tmp_path / "serial.json", tmp_path / "pooled.json"
         serial = density_sweep(2, (1, 5), checkpoint_path=str(serial_path))
