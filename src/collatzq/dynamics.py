@@ -22,8 +22,13 @@ helper gives the longest orbit and the starts that failed.  A phi orbit is
 the Stern-Brocot descent of p/q: its branch runs F^a0 G^a1 ... are the
 continued-fraction partial quotients, so phi stopping times, words and
 replays, and the F/G factorization of SL2 matrices, are computed one Euclid
-division per run (`phi_runs`, `replay_runs_pq`, `sl2_factor`); the stepwise
-`orbit_pq` / `replay_word_pq` stay as the reference forms.
+division per run (`phi_runs`, `replay_runs_pq`, `sl2_factor`).  A theta
+orbit is likewise alternating branch runs R^b1 S^a1 ... R^bk: the upper
+branch contracts x + 1/2 by 3 and the lower one contracts t + 1 by 2 in
+t = 1/x, so each run's length and end point are one exact big-int step
+(`theta_runs`, `replay_theta_runs_pq`).  The stepwise `orbit_pq` /
+`replay_word_pq` stay as the reference forms, and `orbit_pq` is also the
+big-int redo of the theta sweep's overflowing rows.
 """
 
 from __future__ import annotations
@@ -264,6 +269,79 @@ def replay_runs_pq(runs: list[int]) -> tuple[int, int]:
     return p, q
 
 
+def theta_runs(p: int, q: int, step_cap: int) -> list[int] | None:
+    """Run-length theta word of reduced p/q >= 0: [b1, a1, ..., bk, 0].
+
+    The word is R^b1 S^a1 ... R^bk: even positions are R runs and odd
+    positions S runs.  b1 is 0 when p < q, and the list ends with an empty S
+    run after the R run that reaches 0, so `Word(runs[0::2], runs[1::2])` is
+    the word.  None when the stopping time `sum(runs)` exceeds step_cap.
+    One exact big-int step per run:
+
+      R run from p >= q: n steps take x + 1/2 to (x + 1/2)/3^n, and x stays
+        >= 1 while 3^(i+1) <= 2x + 1, so n is the largest n with
+        3^n <= (2p + q) // q and the run ends at
+        (p - q*(3^n - 1)/2) / (3^n*q), reducible only by 3s.
+      S run from 0 < p < q: in t = q/p the steps take t + 1 to (t + 1)/2^n,
+        and x stays < 1 while 2^(i+1) < (p + q)/p, so
+        n = ((p + q - 1) // p).bit_length() - 1 and the run ends at
+        2^n*p / (p + q - 2^n*p), reducible only by 2s.
+
+    Expanded, the runs are `orbit_pq(p, q, THETA, ...)`'s branch list.
+    """
+    runs = [0] if p < q else []
+    total = 0
+    while p:
+        if p >= q:
+            m = (2 * p + q) // q
+            # 1.584963 > log2(3), so 3^n <= 2^(bit_length - 1) <= m to start
+            # and the exact comparisons below add at most a few more 3s
+            n = (m.bit_length() - 1) * 1_000_000 // 1_584_963
+            t = 3**n
+            while 3 * t <= m:
+                t *= 3
+                n += 1
+            p -= q * (t >> 1)
+            g = math.gcd(p, t)  # gcd(p, q) stays 1, so only 3s are common
+            p //= g
+            q *= t // g
+        else:
+            n = ((p + q - 1) // p).bit_length() - 1
+            t = 1 << n
+            q += p - t * p
+            g = math.gcd(q, t)  # only 2s are common
+            p *= t // g
+            q //= g
+        runs.append(n)
+        total += n
+        if total > step_cap:
+            return None
+    runs.append(0)
+    return runs
+
+
+def replay_theta_runs_pq(runs: list[int]) -> tuple[int, int]:
+    """Replay a run-length theta word from 0, exactly, as a reduced pair.
+
+    R^n maps p/q to (3^n*p + q*(3^n - 1)/2)/q, reducible only by gcd(q, 3^n),
+    and S^n maps it to p/((2^n - 1)*p + 2^n*q), reducible only by gcd(p, 2^n).
+    """
+    p, q = 0, 1
+    for i in range(len(runs) - 1, -1, -1):
+        n = runs[i]
+        if i & 1:
+            t = 1 << n
+            q = (t - 1) * p + t * q
+            g = math.gcd(p, t)
+        else:
+            t = 3**n
+            p = t * p + q * (t >> 1)
+            g = math.gcd(q, t)
+        p //= g
+        q //= g
+    return p, q
+
+
 # ---------------------------------------------------------------------------
 # SL2 completion and Stern-Brocot factorization
 # ---------------------------------------------------------------------------
@@ -447,21 +525,21 @@ def verify_word_recovery(
     """Replay the recovered word of every terminated orbit; exact comparison.
 
     Returns (orbits checked, starts whose replay failed or that never
-    terminated under the cap).  Runs on integer pairs for speed; arithmetic
-    is still exact.  theta words are recovered step by step; phi words run
-    length by run length (`phi_runs`), one division per run.
+    terminated under the cap).  Both maps recover their words run length by
+    run length on big-int pairs, one exact step per run: theta by
+    `theta_runs` / `replay_theta_runs_pq`, phi by one Euclid division per
+    run (`phi_runs` / `replay_runs_pq`).
     """
     checked = 0
     failures: list[Fraction] = []
     for p, q in reduced_fractions(height_bound):
         if map_name == THETA:
-            _, term, branches = orbit_pq(p, q, THETA, step_cap, record=True)
-            replayed = replay_word_pq(branches) if term else None
+            runs = theta_runs(p, q, step_cap)
+            replayed = replay_theta_runs_pq(runs) if runs is not None else None
         else:
             runs = phi_runs(p, q)
-            term = sum(runs) <= step_cap
-            replayed = replay_runs_pq(runs) if term else None
-        if not term:
+            replayed = replay_runs_pq(runs) if sum(runs) <= step_cap else None
+        if replayed is None:
             failures.append(Fraction(p, q))
             continue
         checked += 1

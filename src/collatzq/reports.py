@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from typing import IO, Iterable
 
 from ._version import VERSION
 from .census import DensityRow, OmegaMember, _member_to_json
 from .dynamics import SweepReport
+
+# sweep CSV rows joined per write: as fast as one join over every row, while
+# the text held at once stays near 20 kB
+SWEEP_CSV_CHUNK_ROWS = 1024
 
 
 def frac_str(x: Fraction) -> str:
@@ -69,8 +74,11 @@ def write_sweep_csv(
     for line in header_lines(invocation):
         fh.write(line + "\n")
     fh.write("p,q,stopping_time,terminated\n")
-    for p, q, st, term in rows:
-        fh.write(f"{p},{q},{st},{str(term).lower()}\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, SWEEP_CSV_CHUNK_ROWS)):
+        fh.write("".join([
+            f"{p},{q},{st},{('false', 'true')[term]}\n" for p, q, st, term in chunk
+        ]))
 
 
 def sweep_report_json(report: SweepReport) -> dict:

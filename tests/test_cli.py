@@ -1,12 +1,15 @@
 """CLI surface: flags, output formats, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from collatzq import reports
 from collatzq.cli import main
+from collatzq.dynamics import theta_sweep_full
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,17 @@ class TestSweep:
         assert lines[3] == "0,1,0,true"
         assert lines[4] == "1,1,1,true"
         assert len(lines) == 3 + 10  # reduced fractions up to height 5
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        # capped rows (-1, false) and done rows, across several chunks
+        _, rows = theta_sweep_full(40, 3)
+        monkeypatch.setattr(reports, "SWEEP_CSV_CHUNK_ROWS", chunk)
+        fh = io.StringIO()
+        reports.write_sweep_csv(iter(rows), fh, "sweep --height 40 --max-steps 3")
+        body = fh.getvalue().splitlines()[3:]
+        assert body == [f"{p},{q},{st},{str(term).lower()}" for p, q, st, term in rows]
+        assert {line[-5:] for line in body} == {",true", "false"}
 
     def test_candidate_counterexample_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--height", "40", "--max-steps", "3")

@@ -1,11 +1,13 @@
-"""Property tests: the theta sweep kernel and report against stepwise orbits.
+"""Property tests: theta kernel, report and run-length words against stepwise orbits.
 
-The fast paths are the compacted-rows kernel ``kernels.theta_sweep`` and
-the array report of ``theta_sweep_full``.  Their oracles are the stepwise
-big-int ``orbit_pq(..., THETA)``, a stepwise orbit that stops at the
-kernel's int64 guard, and the per-start first-maximum loop.  Rows are drawn
-both small and around ``INT64_GUARD``.  A fixed derandomized profile keeps
-these fast and repeatable.
+The fast paths are the compacted-rows kernel ``kernels.theta_sweep``, the
+array report of ``theta_sweep_full``, and the run-length word
+``theta_runs`` with its replay and word recovery.  Their oracles are the
+stepwise big-int ``orbit_pq(..., THETA)`` and ``replay_word_pq``, a stepwise
+orbit that stops at the kernel's int64 guard, the per-start first-maximum
+loop, and the right column of ``word_eval``.  Rows are drawn both small and
+around ``INT64_GUARD``.  A fixed derandomized profile keeps these fast and
+repeatable.
 """
 
 import math
@@ -15,16 +17,22 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from collatzq import kernels
+from collatzq import kernels, verify_word_recovery
 from collatzq.dynamics import (
+    DEFAULT_STEP_CAP,
     THETA,
+    Letter,
     SweepReport,
     orbit_pq,
     reduced_fractions,
+    replay_theta_runs_pq,
+    replay_word_pq,
+    theta_runs,
     theta_step_pq,
     theta_sweep_full,
 )
 from collatzq.kernels import FLAG_CAP, FLAG_DONE, FLAG_OVERFLOW, INT64_GUARD, theta_sweep
+from collatzq.words import Word, word_eval
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -125,3 +133,59 @@ def test_sweep_redoes_guarded_rows_exactly(height, cap, guard):
     # a low guard sends rows through the big-int redo; results must not move
     with mock.patch.object(kernels, "INT64_GUARD", guard):
         assert theta_sweep_full(height, cap) == stepwise_sweep(height, cap)
+
+
+def expand(runs):
+    return [(Letter.S if i % 2 else Letter.R) for i, n in enumerate(runs) for _ in range(n)]
+
+
+@PROPS
+@given(pairs(), st.one_of(st.integers(0, 50), st.just(DEFAULT_STEP_CAP)))
+def test_run_length_word_expands_to_stepwise_word(pair, cap):
+    p, q = pair
+    runs = theta_runs(p, q, cap)
+    steps, term, branches = orbit_pq(p, q, THETA, cap, record=True)
+    if not term:
+        assert runs is None
+        return
+    assert expand(runs) == branches and sum(runs) == steps
+    # R runs at even positions, the first empty only below 1, every later run
+    # nonempty but the empty S run that closes the word
+    assert len(runs) % 2 == 0 and runs[-1] == 0 and all(n >= 1 for n in runs[1:-1])
+    assert (runs[0] > 0) == (p >= q)
+
+
+@PROPS
+@given(pairs())
+def test_run_length_replay_round_trip(pair):
+    runs = theta_runs(*pair, DEFAULT_STEP_CAP)
+    assert replay_theta_runs_pq(runs) == replay_word_pq(expand(runs)) == pair
+
+
+@PROPS
+@given(pairs())
+def test_right_column_of_the_word_is_the_start(pair):
+    # the Omega link x = w(0): the word's matrix sends 0 to b/d
+    runs = theta_runs(*pair, DEFAULT_STEP_CAP)
+    m = word_eval(Word(runs[0::2], runs[1::2]))
+    assert Fraction(m.b, m.d) == Fraction(*pair)
+
+
+@PROPS
+@given(st.integers(2, 60), st.integers(0, 50))
+def test_theta_recovery_fails_exactly_the_starts_over_the_cap(height, cap):
+    checked, failures = verify_word_recovery(height, THETA, cap)
+    over = [Fraction(p, q) for p, q in reduced_fractions(height)
+            if not orbit_pq(p, q, THETA, cap)[1]]
+    assert failures == over
+    assert checked + len(over) == sum(1 for _ in reduced_fractions(height))
+
+
+@PROPS
+@given(st.integers(1, 600))
+def test_long_runs_end_exactly_at_power_boundaries(n):
+    # x = (3^n - 1)/2 falls to 0 in one R run of n; x = 1/(2^(n+1) - 1) takes
+    # an S run of n to exactly 1, then one R step
+    assert theta_runs((3**n - 1) // 2, 1, n) == [n, 0]
+    assert theta_runs((3**n - 1) // 2, 1, n - 1) is None
+    assert theta_runs(1, 2 ** (n + 1) - 1, n + 1) == [0, n, 1, 0]
