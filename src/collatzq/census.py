@@ -7,18 +7,31 @@ member list.  Membership is decided by the exact test only; the prefilter
 may skip words it certifies, never admit any, so results are identical with
 it on or off.
 
-Work splits into (beta_1, alpha_1) prefix blocks.  A block is walked depth
-first on raw integers: the prefix product is carried as four ints plus its
-determinant 2^(sum alpha) 3^(sum beta) and multiplied by one R per beta
-step and by S^alpha from a list of powers built per block, so words that
-share a prefix share its product.  A leaf computes only the trace and
-tests the discriminant tr^2 - 4 det: residues mod 64, 63, 65 and 11 reject
-most non-squares (Cohen, Alg. 1.7.3), then ``isqrt`` and the parity test
-decide exactly.  Only a hit becomes a member: one builder turns its
-exponents into a ``Word``, evaluates it again and runs
-``integer_eigenvalues`` on it, for census blocks, sampled draws and search
-hits alike.  The prefilter is a running minimum of the exponents along the
-walk.
+Work splits into (beta_1, alpha_1) prefix blocks, and every word goes
+through one leaf pipeline: a modular sieve in numpy, then an exact test of
+the few survivors.  The sieve works modulo m = 5*7*11*13*17*19*23 =
+37,182,145 < 2^26, which is coprime to the determinant 2^(sum alpha)
+3^(sum beta), so the determinant is a unit mod m.  A chunk of at most
+``SIEVE_CHUNK_WORDS`` words is a set of exponent prefixes (the heads)
+times the full ranges of the remaining positions (the tails); a block too
+large for one chunk is split by fixing its next exponents.  The heads'
+products are carried as int64 residues (four entries plus the determinant)
+and extended one tail position at a time as outer products with tables of
+generator powers mod m, in lexicographic order.  Residues stay below m, so
+every product is below 2^52 and every sum below 2^55: the int64 arithmetic
+is exact.  At the last position only the trace is formed, and
+disc = tr^2 - 4 det mod m must be a square mod 5005 = 5*7*11*13 and mod
+7429 = 17*19*23.  About 1% of words survive.  A survivor whose exponents all
+exceed the prefilter threshold is dropped; the others are confirmed on raw
+Python integers: the product is rebuilt from the exponent tuple and its
+discriminant goes through ``_eigen_hit`` (residues mod 64, 63, 65 and 11,
+Cohen Alg. 1.7.3, then ``isqrt`` and the parity test).  Only a confirmed hit
+becomes a member: one builder turns its exponents into a ``Word``, evaluates
+it again and runs ``integer_eigenvalues`` on it, for census blocks, sampled
+draws and search hits alike.  A sampled census draws its exponents with the
+same ``getrandbits`` calls as ``Random.randint`` and sieves each batch of
+draws with no tails, and a search cuts its budget inside a block.  The
+depth-first walk ``_walk_block`` is kept as the tests' oracle for the sieve.
 
 Blocks are independent, dispatched to a process pool in contiguous runs,
 and merged in prefix order, so the worker count never changes output bytes.
@@ -31,18 +44,23 @@ the one after its rows is refused.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import tempfile
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .core import EigenPair, Mat2, integer_eigenvalues, is_perfect_square
 from .errors import BudgetExceededError, CorruptCheckpointError
@@ -52,6 +70,7 @@ from .words import (
     DEFAULT_GENERATORS,
     GeneratorPair,
     Word,
+    _exponent_ranges,
     enumerate_lambda_block,  # noqa: F401  (traced here by perfbench/spans.py)
     lambda_count,
     lambda_prefixes,
@@ -95,7 +114,7 @@ def _sampled_mode(sample_size: int, seed: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Raw-integer leaf test and depth-first block walk
+# The leaf pipeline: modular sieve, exact confirmation on raw integers
 # ---------------------------------------------------------------------------
 
 
@@ -129,8 +148,180 @@ def _eigen_hit(tr: int, disc: int) -> bool:
     return square and (tr - s) % 2 == 0
 
 
+# The sieve modulus, the product of two factors with a square-residue table
+# each.  Both are coprime to 6, so the determinant 2^a 3^b is a unit modulo
+# each prime, and m < 2^26 keeps every product of two residues below 2^52.
+SIEVE_FACTORS = (5 * 7 * 11 * 13, 17 * 19 * 23)
+SIEVE_MODULUS = SIEVE_FACTORS[0] * SIEVE_FACTORS[1]
+
+
+@functools.cache
+def _sieve_squares() -> tuple[np.ndarray, ...]:
+    """Entry r of table i is True iff r is a square mod ``SIEVE_FACTORS[i]``."""
+    return tuple(np.frombuffer(_square_residues(q), dtype=bool) for q in SIEVE_FACTORS)
+
+
+# Words per sieve chunk: bounds the int64 arrays of one sieve call
+SIEVE_CHUNK_WORDS = 1 << 14
+
 # A generator is a function n -> G^n as a Mat2, in closed form.
 PowerFn = Callable[[int], Mat2]
+
+
+def _times(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Residues of x g: rows a, b, c, d, det of two (5, ...) arrays, broadcast."""
+    xa, xb, xc, xd, xdet = x
+    ga, gb, gc, gd, gdet = g
+    out = np.empty((5, *np.broadcast_shapes(xa.shape, ga.shape)), dtype=np.int64)
+    terms = ((xa, ga, xb, gc), (xa, gb, xb, gd), (xc, ga, xd, gc), (xc, gb, xd, gd))
+    for row, (u, v, w, z) in zip(out, terms):
+        np.multiply(u, v, out=row)
+        row += w * z
+    np.multiply(xdet, gdet, out=out[4])
+    out %= SIEVE_MODULUS
+    return out
+
+
+def _power_table(g: Mat2, top: int) -> np.ndarray:
+    """Rows a, b, c, d, det of g^e mod m for e = 0..top, a (5, top + 1) int64 array."""
+    step = np.array([[v % SIEVE_MODULUS] for v in (*g.entries(), g.det())], dtype=np.int64)
+    table = np.array([[1], [0], [0], [1], [1]], dtype=np.int64)
+    while table.shape[1] <= top:
+        # step is g^s for the s powers in the table: g^(s + i) = g^s g^i
+        table = np.concatenate([table, _times(step, table)], axis=1)
+        step = _times(step, step)
+    return table[:, : top + 1]
+
+
+def _discriminants(
+    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: list[range]
+) -> np.ndarray:
+    """tr^2 - 4 det mod m of each word of ``heads`` x ``tails``.
+
+    A row of ``heads`` fixes the first exponents of a word and ``tails`` are
+    the ranges of the others; words are in lexicographic order, and exponent
+    i indexes ``tables[i % 2]``.
+    """
+    x = tables[0][:, heads[:, 0]]
+    for i in range(1, heads.shape[1]):
+        x = _times(x, tables[i % 2][:, heads[:, i]])
+    if tails:
+        i = heads.shape[1]
+        for r in tails[:-1]:
+            x = _times(x[:, :, None], tables[i % 2][:, None, r.start : r.stop]).reshape(5, -1)
+            i += 1
+        # the last exponent: only the trace, a sum of four products below 2^54
+        xa, xb, xc, xd, xdet = x[:, :, None]
+        ga, gb, gc, gd, gdet = tables[i % 2][:, None, tails[-1].start : tails[-1].stop]
+        disc = xa * ga
+        disc += xb * gc
+        disc += xc * gb
+        disc += xd * gd
+        det4 = 4 * xdet * gdet
+    else:
+        disc, det4 = x[0] + x[3], 4 * x[4]
+    # in place, so that few word-sized arrays are alive at once
+    disc %= SIEVE_MODULUS
+    disc *= disc
+    disc -= det4
+    disc %= SIEVE_MODULUS
+    return disc.ravel()
+
+
+def _sieve(
+    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: list[range]
+) -> np.ndarray:
+    """Flat indices of the words of ``heads`` x ``tails`` that pass the sieve.
+
+    No word outside the result is a hit: a perfect square is a square
+    modulo every factor of m.
+    """
+    disc = _discriminants(tables, heads, tails)
+    keep = np.ones(disc.shape, dtype=bool)
+    for q, squares in zip(SIEVE_FACTORS, _sieve_squares()):
+        keep &= squares[disc % q]
+    return np.flatnonzero(keep)
+
+
+class _Leaves:
+    """The leaf pipeline for words left^e0 right^e1 left^e2 ... with exponents <= top."""
+
+    def __init__(self, left: PowerFn, right: PowerFn, top: int) -> None:
+        self.tables = (_power_table(left(1), top), _power_table(right(1), top))
+        self.powers = tuple(functools.cache(lambda e, g=g: g(e).entries()) for g in (left, right))
+
+    def confirm(self, exponents: Iterable[int]) -> bool:
+        """The exact test, on the raw-integer product of the word."""
+        xa, xb, xc, xd = 1, 0, 0, 1
+        for i, e in enumerate(exponents):
+            ga, gb, gc, gd = self.powers[i % 2](e)
+            xa, xb, xc, xd = (
+                xa * ga + xb * gc, xa * gb + xb * gd, xc * ga + xd * gc, xc * gb + xd * gd
+            )
+        tr = xa + xd
+        return _eigen_hit(tr, tr * tr - 4 * (xa * xd - xb * xc))
+
+    def hits(
+        self, heads: np.ndarray, tails: list[range], n: int, words: int
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(index, exponents) of the hits among the first ``words`` words of
+        ``heads`` x ``tails``, in order; a word whose exponents all exceed
+        ``n`` is not tested."""
+        index = _sieve(self.tables, heads, tails)
+        index = index[index < words]
+        tail = math.prod(map(len, tails))
+        columns = [heads[index // tail]]
+        if tails:
+            digits = np.unravel_index(index % tail, [len(r) for r in tails])
+            columns += [(d + r.start)[:, None] for d, r in zip(digits, tails)]
+        for i, exponents in zip(index.tolist(), np.concatenate(columns, axis=1).tolist()):
+            if min(exponents) <= n and self.confirm(exponents):
+                yield i, tuple(exponents)
+
+
+def _sieve_blocks(
+    left: PowerFn,
+    right: PowerFn,
+    k: int,
+    M: int,
+    blocks: list[tuple[int, int]],
+    n: int,
+    limit: int | None = None,
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """(words, hit exponent tuples) of each (b1, a1) block of the (k, M) box
+    in ``blocks``, in order.
+
+    Words are left^b1 right^a1 ... left^bk right^ak in lexicographic order
+    of the exponent tuple.  With ``limit`` only the first ``limit`` words are
+    tested, and the block that holds the cut is the last one yielded.  A
+    word whose exponents all exceed ``n`` is never a hit.
+    """
+    ranges = _exponent_ranges(k, M)
+    # fix the exponents after (b1, a1) one at a time until the rest fit a chunk
+    p = 2
+    while math.prod(map(len, ranges[p:])) > SIEVE_CHUNK_WORDS:
+        p += 1
+    tails = ranges[p:]
+    tail = math.prod(map(len, tails))
+    mids = list(itertools.product(*ranges[2:p]))
+    heads = np.repeat(np.array(blocks, dtype=np.int64).reshape(-1, 2), len(mids), axis=0)
+    tiles = np.tile(np.array(mids, dtype=np.int64).reshape(len(mids), p - 2), (len(blocks), 1))
+    heads = np.concatenate([heads, tiles], axis=1)
+    size = len(mids) * tail
+    words = len(blocks) * size if limit is None else min(limit, len(blocks) * size)
+    leaves = _Leaves(left, right, M)
+    step = max(1, SIEVE_CHUNK_WORDS // tail)
+    hits: dict[int, list[tuple[int, ...]]] = {}  # by block
+    done = 0
+    for start in range(0, -(-words // tail), step):
+        chunk = heads[start : start + step]
+        for i, exponents in leaves.hits(chunk, tails, n, words - start * tail):
+            hits.setdefault((start * tail + i) // size, []).append(exponents)
+        while done < min((start + step) * tail, words) // size:
+            yield size, hits.pop(done, [])
+            done += 1
+    if done < len(blocks):
+        yield words - done * size, hits.pop(done, [])
 
 
 def _block_size(k: int, M: int) -> int:
@@ -141,7 +332,8 @@ def _block_size(k: int, M: int) -> int:
 def _walk_block(
     left: PowerFn, right: PowerFn, k: int, M: int, b1: int, a1: int, n: int, limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Depth-first walk of the (b1, a1) block of the (k, M) box.
+    """Depth-first walk of the (b1, a1) block of the (k, M) box: the tests'
+    oracle for ``_sieve_blocks``.
 
     Words are left^b1 right^a1 ... left^bk right^ak, walked in lexicographic
     order of the exponent tuple; the walk stops after ``limit`` words.  A
@@ -216,23 +408,30 @@ def _member(exponents: tuple[int, ...], evaluate: Callable[[Word], Mat2]) -> Ome
     return OmegaMember(w, m, eig)
 
 
-def _census_block(task: tuple[int, int, int, int, NkCertificate | None]):
-    k, M, beta1, alpha1, cert = task
+def _census_blocks(
+    k: int, M: int, blocks: list[tuple[int, int]], cert: NkCertificate | None
+) -> Iterator[tuple[int, list[OmegaMember]]]:
+    """(words tested, members) of each census block in ``blocks``, in order."""
     # no exponent exceeds M, so n = M never skips a word
     n = M if cert is None else cert.n
-    tested, hits = _walk_block(r_power, s_power, k, M, beta1, alpha1, n, _block_size(k, M))
-    return tested, [_member(exponents, word_eval) for exponents in hits]
+    for tested, hits in _sieve_blocks(r_power, s_power, k, M, blocks, n):
+        yield tested, [_member(exponents, word_eval) for exponents in hits]
+
+
+def _census_block(task: tuple[int, int, int, int, NkCertificate | None]):
+    k, M, beta1, alpha1, cert = task
+    return next(_census_blocks(k, M, [(beta1, alpha1)], cert))
 
 
 def _census_run(task: tuple[int, int, list[tuple[int, int]], NkCertificate | None]):
     """Consecutive blocks in one pool task, so dispatch costs are paid per run."""
     k, M, blocks, cert = task
-    return [_census_block((k, M, b1, a1, cert)) for b1, a1 in blocks]
+    return list(_census_blocks(k, M, blocks, cert))
 
 
 def _runs(seq: list, workers: int) -> Iterable[list]:
     """Contiguous slices, two per worker: few enough that dispatch stays cheap
-    next to blocks of raw-integer work, enough to even out block costs."""
+    next to the sieve's work, enough to even out block costs."""
     size = max(1, -(-len(seq) // (2 * workers)))
     for i in range(0, len(seq), size):
         yield seq[i : i + size]
@@ -299,8 +498,7 @@ def _census(
 
     todo = blocks[done:]
     if pool is None:
-        for b1, a1 in todo:
-            advance([_census_block((k, M, b1, a1, cert))])
+        advance(_census_blocks(k, M, todo, cert))
     else:
         tasks = [(k, M, run, cert) for run in _runs(todo, workers)]
         for results in pool.map(_census_run, tasks):
@@ -317,6 +515,22 @@ def _census(
         omega_members=tuple(members),
         mode=MODE_EXHAUSTIVE,
     )
+
+
+def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:
+    """``size`` words of the (k, M) box, one exponent row each, drawn as
+    ``rng.randint`` draws them exponent by exponent."""
+    # randint(lo, hi) = lo + the first getrandbits(n.bit_length()) below n = hi - lo + 1
+    spec = [(r.start, len(r), len(r).bit_length()) for r in _exponent_ranges(k, M)]
+    getrandbits = rng.getrandbits
+    out = array.array("q")
+    append = out.append
+    for lo, n, bits in itertools.chain.from_iterable(itertools.repeat(spec, size)):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        append(lo + r)
+    return np.frombuffer(out, dtype=np.int64).reshape(size, 2 * k)
 
 
 def census_sampled(
@@ -336,25 +550,15 @@ def census_sampled(
     cert = compute_nk(k) if use_prefilter else None
     n = M if cert is None else cert.n
     rng = random.Random(seed)
+    leaves = _Leaves(r_power, s_power, M)
     members: list[OmegaMember] = []
-    for _ in range(sample_size):
-        exponents = []
-        for i in range(k):
-            exponents.append(rng.randint(0, M) if i == 0 else rng.randint(1, M))
-            exponents.append(rng.randint(1, M) if i < k - 1 else rng.randint(0, M))
-        if min(exponents) > n:
-            continue
-        xa, xb, xc, xd, det = 1, 0, 0, 1, 1
-        for beta, alpha in zip(exponents[0::2], exponents[1::2]):
-            # x * R^beta * S^alpha, with R^beta = [p, (p-1)/2; 0, 1], S^alpha = [1, 0; q-1, q]
-            p, q = 3**beta, 1 << alpha
-            h = (p - 1) // 2
-            xa, xb, xc, xd = xa * p, xa * h + xb, xc * p, xc * h + xd
-            xa, xb, xc, xd = xa + xb * (q - 1), xb * q, xc + xd * (q - 1), xd * q
-            det *= p * q
-        tr = xa + xd
-        if _eigen_hit(tr, tr * tr - 4 * det):
-            members.append(_member(tuple(exponents), word_eval))
+    # a batch of draws holds as many exponents as a chunk holds words
+    batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
+    for start in range(0, sample_size, batch):
+        heads = _draw_exponents(rng, k, M, min(batch, sample_size - start))
+        members.extend(
+            _member(exponents, word_eval) for _, exponents in leaves.hits(heads, [], n, len(heads))
+        )
     return DensityRow(
         k=k,
         M=M,
@@ -471,9 +675,9 @@ def search_counterexamples(
     generators any member refutes the only-pure-powers conjecture.  Budget
     exhaustion returns partial results with complete=False.
 
-    Each (b1, a1) block is walked like a census block.  Only one-block words
-    can be pure powers (interior exponents are >= 1), so they are skipped
-    as whole blocks.
+    Each (b1, a1) block goes through the census's sieve.  Only one-block
+    words can be pure powers (interior exponents are >= 1), so they are
+    skipped as whole blocks.
     """
     g = generators
     evaluate = functools.partial(word_eval_general, g=g)
@@ -482,17 +686,14 @@ def search_counterexamples(
     complete = True
     for j in range(1, k + 1):
         size = _block_size(j, exp_max)
-        for b1, a1 in lambda_prefixes(j, exp_max):
-            if j == 1 and (b1 == 0 or a1 == 0):
-                continue
-            walked, hits = _walk_block(
-                g.b_power, g.a_power, j, exp_max, b1, a1, exp_max, budget - tested
-            )
+        blocks = [(b1, a1) for b1, a1 in lambda_prefixes(j, exp_max) if j > 1 or b1 and a1]
+        for walked, hits in _sieve_blocks(
+            g.b_power, g.a_power, j, exp_max, blocks, exp_max, budget - tested
+        ):
             tested += walked
             members.extend(_member(exponents, evaluate) for exponents in hits)
             if walked < size:
                 complete = False
-                break
         if not complete:
             break
     return SearchResult(tuple(members), tested, complete, generators)

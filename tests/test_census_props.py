@@ -1,21 +1,27 @@
-"""Property tests: the raw-integer census leaf against its oracles.
+"""Property tests: the census leaf pipeline against its oracles.
 
-The block walk, the sampled draw and the counterexample search decide
-membership on raw integers; ``word_eval``/``word_eval_general`` followed by
-``integer_eigenvalues`` is the oracle.  The residue tables may reject only
-non-squares.  A fixed derandomized profile keeps these fast and repeatable.
+Census blocks, sampled draws and the counterexample search go through the
+modular sieve and confirm its survivors on raw integers;
+``word_eval``/``word_eval_general`` followed by ``integer_eigenvalues`` is
+the oracle, and the depth-first ``_walk_block`` is the oracle of the sieve.
+The residue tables may reject only non-squares, and results may not depend
+on the chunk size or the worker count.  A fixed derandomized profile keeps
+these fast and repeatable.
 """
 
 import importlib
 import math
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzq import (
     GeneratorPair,
     Mat2,
     OmegaMember,
+    census,
     census_sampled,
     compute_nk,
     integer_eigenvalues,
@@ -23,7 +29,13 @@ from collatzq import (
     word_eval,
     word_eval_general,
 )
-from collatzq.words import Word, enumerate_lambda, enumerate_lambda_block, lambda_prefixes
+from collatzq.words import (
+    Word,
+    _exponent_ranges,
+    enumerate_lambda,
+    enumerate_lambda_block,
+    lambda_prefixes,
+)
 
 # collatzq.census is shadowed by the function census in the package namespace
 census_mod = importlib.import_module("collatzq.census")
@@ -210,3 +222,122 @@ def test_residue_tables_reject_most_non_squares():
 @given(st.integers(0, 2**4000))
 def test_residue_tables_admit_large_squares(s):
     assert census_mod._may_be_square(s * s)
+
+
+# ---------------------------------------------------------------------------
+# The modular sieve: survivors, chunking, workers, draws
+# ---------------------------------------------------------------------------
+
+# boxes small enough that one word per chunk stays fast
+SMALL_TOP = {1: 12, 2: 6, 3: 3, 4: 2}
+small_boxes = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(1, SMALL_TOP[k]))
+)
+
+
+@PROPS
+@given(st.integers(1, 4), pairs, st.booleans(), st.data())
+def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
+    # both generator orders, and a limit that may cut the block anywhere
+    M = data.draw(st.integers(1, {1: 12, 2: 6, 3: 4, 4: 3}[k]))
+    left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
+    b1, a1 = data.draw(st.sampled_from(lambda_prefixes(k, M)))
+    size = census_mod._block_size(k, M)
+    limit = data.draw(st.integers(0, size + 2))
+    walked, hits = census_mod._walk_block(left, right, k, M, b1, a1, M, limit)
+
+    leaves = census_mod._Leaves(left, right, M)
+    tails = _exponent_ranges(k, M)[2:]
+    survivors = census_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails)
+    block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)]
+    assert {block.index(h) for h in hits} <= set(survivors.tolist())
+
+    blocks = list(census_mod._sieve_blocks(left, right, k, M, [(b1, a1)], M, limit))
+    assert blocks == [(walked, hits)]
+
+
+@PROPS
+@given(small_boxes, st.booleans(), st.integers(0, 2**32))
+def test_results_independent_of_chunk_size(box, prefilter, seed):
+    k, M = box
+    default = census_mod.SIEVE_CHUNK_WORDS
+    block = census_mod._block_size(k, M)
+    results = []
+    # one word, a few words, one word short of a block (it splits), the default
+    for chunk in (1, 7, max(1, block - 1), default):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census_mod, "SIEVE_CHUNK_WORDS", chunk)
+            results.append((census(k, M, prefilter), census_sampled(k, M, 50, seed, prefilter)))
+    assert all(r == results[-1] for r in results)
+
+
+@PROPS
+@given(st.integers(1, 3), st.integers(1, 4), pairs, st.integers(0, 400), st.sampled_from([1, 7, 9]))
+def test_search_budget_cut_under_any_chunk_size(k, exp_max, g, budget, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_mod, "SIEVE_CHUNK_WORDS", chunk)
+        result = search_counterexamples(k, exp_max, g, budget)
+    assert (result.members, result.words_tested, result.complete) == search_oracle(
+        k, exp_max, g, budget
+    )
+
+
+@pytest.mark.parametrize("k,M", [(1, 9), (2, 7), (3, 4)])
+def test_census_same_on_one_and_two_workers(k, M):
+    for prefilter in (True, False):
+        assert census(k, M, prefilter, workers=2) == census(k, M, prefilter, workers=1)
+
+
+def test_sieve_arithmetic_is_exact_in_int64():
+    m = census_mod.SIEVE_MODULUS
+    assert m == math.prod(census_mod.SIEVE_FACTORS) == 5 * 7 * 11 * 13 * 17 * 19 * 23
+    assert math.gcd(*census_mod.SIEVE_FACTORS) == 1
+    # the determinant 2^a 3^b is a unit mod m
+    assert math.gcd(m, 6) == 1
+    # the largest intermediate: a trace, a sum of four products of residues
+    assert 4 * (m - 1) ** 2 < 2**63
+    for q, squares in zip(census_mod.SIEVE_FACTORS, census_mod._sieve_squares()):
+        assert len(squares) == q
+        for s in range(q):
+            assert squares[s * s % q], (q, s)
+
+
+@pytest.mark.parametrize("g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(5, 3, 2, 7)])
+def test_power_tables_are_powers_mod_m(g):
+    m = census_mod.SIEVE_MODULUS
+    for power in (g.a_power, g.b_power):
+        table = census_mod._power_table(power(1), 70)
+        for e in range(71):
+            p = power(e)
+            assert table[:, e].tolist() == [v % m for v in (*p.entries(), p.det())]
+
+
+# M or M + 1 a power of two: randint's rejection loop at its edges
+DRAW_TOPS = [1, 2, 3, 7, 8, 15, 16, 24, 31, 32, 63, 64, 1000, 1023, 1024]
+
+
+@PROPS
+@given(st.integers(1, 4), st.sampled_from(DRAW_TOPS), st.integers(1, 60), st.integers(0, 2**64))
+def test_draws_match_randint(k, M, size, seed):
+    rng = random.Random(seed)
+    drawn = census_mod._draw_exponents(rng, k, M, size)
+    ref = random.Random(seed)
+    expected = [
+        ref.randint(r.start, r.stop - 1) for _ in range(size) for r in _exponent_ranges(k, M)
+    ]
+    assert drawn.ravel().tolist() == expected
+    assert rng.getstate() == ref.getstate()
+
+
+def test_draws_match_randint_on_many_seeds():
+    for k in range(1, 5):
+        for M in DRAW_TOPS:
+            for seed in range(25):
+                rng, ref = random.Random(seed), random.Random(seed)
+                drawn = census_mod._draw_exponents(rng, k, M, 20)
+                expected = [
+                    ref.randint(r.start, r.stop - 1)
+                    for _ in range(20)
+                    for r in _exponent_ranges(k, M)
+                ]
+                assert drawn.ravel().tolist() == expected, (k, M, seed)
