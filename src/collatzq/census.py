@@ -7,31 +7,13 @@ member list.  Membership is decided by the exact test only; the prefilter
 may skip words it certifies, never admit any, so results are identical with
 it on or off.
 
-Work splits into (beta_1, alpha_1) prefix blocks, and every word goes
-through one leaf pipeline: a modular sieve in numpy, then an exact test of
-the few survivors.  The sieve works modulo m = 5*7*11*13*17*19*23 =
-37,182,145 < 2^26, which is coprime to the determinant 2^(sum alpha)
-3^(sum beta), so the determinant is a unit mod m.  A chunk of at most
-``SIEVE_CHUNK_WORDS`` words is a set of exponent prefixes (the heads)
-times the full ranges of the remaining positions (the tails); a block too
-large for one chunk is split by fixing its next exponents.  The heads'
-products are carried as int64 residues (four entries plus the determinant)
-and extended one tail position at a time as outer products with tables of
-generator powers mod m, in lexicographic order.  Residues stay below m, so
-every product is below 2^52 and every sum below 2^55: the int64 arithmetic
-is exact.  At the last position only the trace is formed, and
-disc = tr^2 - 4 det mod m must be a square mod 5005 = 5*7*11*13 and mod
-7429 = 17*19*23.  About 1% of words survive.  A survivor whose exponents all
-exceed the prefilter threshold is dropped; the others are confirmed on raw
-Python integers: the product is rebuilt from the exponent tuple and its
-discriminant goes through ``_eigen_hit`` (residues mod 64, 63, 65 and 11,
-Cohen Alg. 1.7.3, then ``isqrt`` and the parity test).  Only a confirmed hit
-becomes a member: one builder turns its exponents into a ``Word``, evaluates
-it again and runs ``integer_eigenvalues`` on it, for census blocks, sampled
-draws and search hits alike.  A sampled census draws its exponents with the
-same ``getrandbits`` calls as ``Random.randint`` and sieves each batch of
-draws with no tails, and a search cuts its budget inside a block.  The
-depth-first walk ``_walk_block`` is kept as the tests' oracle for the sieve.
+Work splits into (beta_1, alpha_1) prefix blocks.  Census blocks, sampled
+draws and search blocks all go through the leaf pipeline of ``sieve``: an
+exact int64 modular sieve in numpy, then an exact test of its few survivors
+on raw Python integers.  Only a confirmed hit becomes a member: one builder
+turns its exponents into a ``Word``, evaluates it again and runs
+``integer_eigenvalues`` on it, for census blocks, sampled draws and search
+hits alike.  A search cuts its budget inside a block.
 
 Blocks are independent, dispatched to a process pool in contiguous runs,
 and merged in prefix order, so the worker count never changes output bytes.
@@ -44,14 +26,11 @@ the one after its rows is refused.
 
 from __future__ import annotations
 
-import array
 import contextlib
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
-import math
 import os
 import random
 import tempfile
@@ -60,17 +39,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
-from .core import EigenPair, Mat2, integer_eigenvalues, is_perfect_square
+from .core import EigenPair, Mat2, integer_eigenvalues
 from .errors import BudgetExceededError, CorruptCheckpointError
+from .sieve import sample_hits, sieve_blocks
 from .spectral import NkCertificate, compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
     DEFAULT_GENERATORS,
     GeneratorPair,
     Word,
-    _exponent_ranges,
     enumerate_lambda_block,  # noqa: F401  (traced here by perfbench/spans.py)
     lambda_count,
     lambda_prefixes,
@@ -113,288 +90,9 @@ def _sampled_mode(sample_size: int, seed: int) -> str:
     return f"sampled(size={sample_size};seed={seed})"
 
 
-# ---------------------------------------------------------------------------
-# The leaf pipeline: modular sieve, exact confirmation on raw integers
-# ---------------------------------------------------------------------------
-
-
-def _square_residues(m: int) -> bytes:
-    """Byte r is 1 iff r is a square mod m."""
-    table = bytearray(m)
-    for s in range(m):
-        table[s * s % m] = 1
-    return bytes(table)
-
-
-_SQ64 = _square_residues(64)
-_SQ63 = _square_residues(63)
-_SQ65 = _square_residues(65)
-_SQ11 = _square_residues(11)
-
-
-def _may_be_square(n: int) -> bool:
-    """False only for n that is not a perfect square (residues mod 64, 63, 65, 11)."""
-    if not _SQ64[n & 63]:
-        return False
-    r = n % 45045  # 63 * 65 * 11
-    return bool(_SQ63[r % 63] and _SQ65[r % 65] and _SQ11[r % 11])
-
-
-def _eigen_hit(tr: int, disc: int) -> bool:
-    """The test of ``integer_eigenvalues`` from the trace and disc = tr^2 - 4 det."""
-    if not _may_be_square(disc):
-        return False
-    square, s = is_perfect_square(disc)
-    return square and (tr - s) % 2 == 0
-
-
-# The sieve modulus, the product of two factors with a square-residue table
-# each.  Both are coprime to 6, so the determinant 2^a 3^b is a unit modulo
-# each prime, and m < 2^26 keeps every product of two residues below 2^52.
-SIEVE_FACTORS = (5 * 7 * 11 * 13, 17 * 19 * 23)
-SIEVE_MODULUS = SIEVE_FACTORS[0] * SIEVE_FACTORS[1]
-
-
-@functools.cache
-def _sieve_squares() -> tuple[np.ndarray, ...]:
-    """Entry r of table i is True iff r is a square mod ``SIEVE_FACTORS[i]``."""
-    return tuple(np.frombuffer(_square_residues(q), dtype=bool) for q in SIEVE_FACTORS)
-
-
-# Words per sieve chunk: bounds the int64 arrays of one sieve call
-SIEVE_CHUNK_WORDS = 1 << 14
-
-# A generator is a function n -> G^n as a Mat2, in closed form.
-PowerFn = Callable[[int], Mat2]
-
-
-def _times(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Residues of x g: rows a, b, c, d, det of two (5, ...) arrays, broadcast."""
-    xa, xb, xc, xd, xdet = x
-    ga, gb, gc, gd, gdet = g
-    out = np.empty((5, *np.broadcast_shapes(xa.shape, ga.shape)), dtype=np.int64)
-    terms = ((xa, ga, xb, gc), (xa, gb, xb, gd), (xc, ga, xd, gc), (xc, gb, xd, gd))
-    for row, (u, v, w, z) in zip(out, terms):
-        np.multiply(u, v, out=row)
-        row += w * z
-    np.multiply(xdet, gdet, out=out[4])
-    out %= SIEVE_MODULUS
-    return out
-
-
-def _power_table(g: Mat2, top: int) -> np.ndarray:
-    """Rows a, b, c, d, det of g^e mod m for e = 0..top, a (5, top + 1) int64 array."""
-    step = np.array([[v % SIEVE_MODULUS] for v in (*g.entries(), g.det())], dtype=np.int64)
-    table = np.array([[1], [0], [0], [1], [1]], dtype=np.int64)
-    while table.shape[1] <= top:
-        # step is g^s for the s powers in the table: g^(s + i) = g^s g^i
-        table = np.concatenate([table, _times(step, table)], axis=1)
-        step = _times(step, step)
-    return table[:, : top + 1]
-
-
-def _discriminants(
-    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: list[range]
-) -> np.ndarray:
-    """tr^2 - 4 det mod m of each word of ``heads`` x ``tails``.
-
-    A row of ``heads`` fixes the first exponents of a word and ``tails`` are
-    the ranges of the others; words are in lexicographic order, and exponent
-    i indexes ``tables[i % 2]``.
-    """
-    x = tables[0][:, heads[:, 0]]
-    for i in range(1, heads.shape[1]):
-        x = _times(x, tables[i % 2][:, heads[:, i]])
-    if tails:
-        i = heads.shape[1]
-        for r in tails[:-1]:
-            x = _times(x[:, :, None], tables[i % 2][:, None, r.start : r.stop]).reshape(5, -1)
-            i += 1
-        # the last exponent: only the trace, a sum of four products below 2^54
-        xa, xb, xc, xd, xdet = x[:, :, None]
-        ga, gb, gc, gd, gdet = tables[i % 2][:, None, tails[-1].start : tails[-1].stop]
-        disc = xa * ga
-        disc += xb * gc
-        disc += xc * gb
-        disc += xd * gd
-        det4 = 4 * xdet * gdet
-    else:
-        disc, det4 = x[0] + x[3], 4 * x[4]
-    # in place, so that few word-sized arrays are alive at once
-    disc %= SIEVE_MODULUS
-    disc *= disc
-    disc -= det4
-    disc %= SIEVE_MODULUS
-    return disc.ravel()
-
-
-def _sieve(
-    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: list[range]
-) -> np.ndarray:
-    """Flat indices of the words of ``heads`` x ``tails`` that pass the sieve.
-
-    No word outside the result is a hit: a perfect square is a square
-    modulo every factor of m.
-    """
-    disc = _discriminants(tables, heads, tails)
-    keep = np.ones(disc.shape, dtype=bool)
-    for q, squares in zip(SIEVE_FACTORS, _sieve_squares()):
-        keep &= squares[disc % q]
-    return np.flatnonzero(keep)
-
-
-class _Leaves:
-    """The leaf pipeline for words left^e0 right^e1 left^e2 ... with exponents <= top."""
-
-    def __init__(self, left: PowerFn, right: PowerFn, top: int) -> None:
-        self.tables = (_power_table(left(1), top), _power_table(right(1), top))
-        self.powers = tuple(functools.cache(lambda e, g=g: g(e).entries()) for g in (left, right))
-
-    def confirm(self, exponents: Iterable[int]) -> bool:
-        """The exact test, on the raw-integer product of the word."""
-        xa, xb, xc, xd = 1, 0, 0, 1
-        for i, e in enumerate(exponents):
-            ga, gb, gc, gd = self.powers[i % 2](e)
-            xa, xb, xc, xd = (
-                xa * ga + xb * gc, xa * gb + xb * gd, xc * ga + xd * gc, xc * gb + xd * gd
-            )
-        tr = xa + xd
-        return _eigen_hit(tr, tr * tr - 4 * (xa * xd - xb * xc))
-
-    def hits(
-        self, heads: np.ndarray, tails: list[range], n: int, words: int
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(index, exponents) of the hits among the first ``words`` words of
-        ``heads`` x ``tails``, in order; a word whose exponents all exceed
-        ``n`` is not tested."""
-        index = _sieve(self.tables, heads, tails)
-        index = index[index < words]
-        tail = math.prod(map(len, tails))
-        columns = [heads[index // tail]]
-        if tails:
-            digits = np.unravel_index(index % tail, [len(r) for r in tails])
-            columns += [(d + r.start)[:, None] for d, r in zip(digits, tails)]
-        for i, exponents in zip(index.tolist(), np.concatenate(columns, axis=1).tolist()):
-            if min(exponents) <= n and self.confirm(exponents):
-                yield i, tuple(exponents)
-
-
-def _sieve_blocks(
-    left: PowerFn,
-    right: PowerFn,
-    k: int,
-    M: int,
-    blocks: list[tuple[int, int]],
-    n: int,
-    limit: int | None = None,
-) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(words, hit exponent tuples) of each (b1, a1) block of the (k, M) box
-    in ``blocks``, in order.
-
-    Words are left^b1 right^a1 ... left^bk right^ak in lexicographic order
-    of the exponent tuple.  With ``limit`` only the first ``limit`` words are
-    tested, and the block that holds the cut is the last one yielded.  A
-    word whose exponents all exceed ``n`` is never a hit.
-    """
-    ranges = _exponent_ranges(k, M)
-    # fix the exponents after (b1, a1) one at a time until the rest fit a chunk
-    p = 2
-    while math.prod(map(len, ranges[p:])) > SIEVE_CHUNK_WORDS:
-        p += 1
-    tails = ranges[p:]
-    tail = math.prod(map(len, tails))
-    mids = list(itertools.product(*ranges[2:p]))
-    heads = np.repeat(np.array(blocks, dtype=np.int64).reshape(-1, 2), len(mids), axis=0)
-    tiles = np.tile(np.array(mids, dtype=np.int64).reshape(len(mids), p - 2), (len(blocks), 1))
-    heads = np.concatenate([heads, tiles], axis=1)
-    size = len(mids) * tail
-    words = len(blocks) * size if limit is None else min(limit, len(blocks) * size)
-    leaves = _Leaves(left, right, M)
-    step = max(1, SIEVE_CHUNK_WORDS // tail)
-    hits: dict[int, list[tuple[int, ...]]] = {}  # by block
-    done = 0
-    for start in range(0, -(-words // tail), step):
-        chunk = heads[start : start + step]
-        for i, exponents in leaves.hits(chunk, tails, n, words - start * tail):
-            hits.setdefault((start * tail + i) // size, []).append(exponents)
-        while done < min((start + step) * tail, words) // size:
-            yield size, hits.pop(done, [])
-            done += 1
-    if done < len(blocks):
-        yield words - done * size, hits.pop(done, [])
-
-
 def _block_size(k: int, M: int) -> int:
     """Words in one (beta_1, alpha_1) block of the (k, M) box."""
     return 1 if k == 1 else M ** (2 * k - 3) * (M + 1)
-
-
-def _walk_block(
-    left: PowerFn, right: PowerFn, k: int, M: int, b1: int, a1: int, n: int, limit: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Depth-first walk of the (b1, a1) block of the (k, M) box: the tests'
-    oracle for ``_sieve_blocks``.
-
-    Words are left^b1 right^a1 ... left^bk right^ak, walked in lexicographic
-    order of the exponent tuple; the walk stops after ``limit`` words.  A
-    word whose exponents all exceed ``n`` is walked but not tested.  Returns
-    the number of words walked and the exponent tuples of the hits, in order.
-    """
-    if limit < 1:
-        return 0, []
-    p = left(b1) * right(a1)
-    if k == 1:
-        tr = p.trace()
-        hit = min(b1, a1) <= n and _eigen_hit(tr, tr * tr - 4 * p.det())
-        return 1, [(b1, a1)] if hit else []
-    step = left(1)
-    la, lb, lc, ld = step.entries()
-    l_det = step.det()
-    # right^a and its determinant for a = 0..M: a leaf is x * right^a for its
-    # prefix x, so its trace is four products
-    powers = []
-    for a in range(M + 1):
-        q = right(a)
-        powers.append((q.a, q.b, q.c, q.d, q.det()))
-    hits: list[tuple[int, ...]] = []
-    remaining = limit
-    sq64 = _SQ64
-
-    def walk(xa, xb, xc, xd, det, low, prefix, depth) -> None:
-        # x = the prefix product, one more factor of left per b
-        nonlocal remaining
-        for b in range(1, M + 1):
-            xa, xb, xc, xd = (
-                xa * la + xb * lc, xa * lb + xb * ld, xc * la + xd * lc, xc * lb + xd * ld
-            )
-            det *= l_det
-            if depth < k:
-                for a in range(1, M + 1):
-                    qa, qb, qc, qd, q_det = powers[a]
-                    walk(
-                        xa * qa + xb * qc, xa * qb + xb * qd, xc * qa + xd * qc, xc * qb + xd * qd,
-                        det * q_det, min(low, b, a), prefix + (b, a), depth + 1,
-                    )
-                    if remaining <= 0:
-                        return
-                continue
-            # last pair: a runs over 0..M; the leaves are tested on the trace alone
-            row = min(M + 1, remaining)
-            tested = row if min(low, b) <= n else min(row, n + 1)
-            det4 = 4 * det
-            for a in range(tested):
-                qa, qb, qc, qd, q_det = powers[a]
-                tr = xa * qa + xb * qc + xc * qb + xd * qd
-                disc = tr * tr - det4 * q_det
-                # the mod 64 residue, inline, turns away most leaves before any call
-                if sq64[disc & 63] and _eigen_hit(tr, disc):
-                    hits.append(prefix + (b, a))
-            remaining -= row
-            if remaining <= 0:
-                return
-
-    walk(p.a, p.b, p.c, p.d, p.det(), min(b1, a1), (b1, a1), 2)
-    return limit - remaining, hits
 
 
 def _member(exponents: tuple[int, ...], evaluate: Callable[[Word], Mat2]) -> OmegaMember:
@@ -414,7 +112,7 @@ def _census_blocks(
     """(words tested, members) of each census block in ``blocks``, in order."""
     # no exponent exceeds M, so n = M never skips a word
     n = M if cert is None else cert.n
-    for tested, hits in _sieve_blocks(r_power, s_power, k, M, blocks, n):
+    for tested, hits in sieve_blocks(r_power, s_power, k, M, blocks, n):
         yield tested, [_member(exponents, word_eval) for exponents in hits]
 
 
@@ -517,22 +215,6 @@ def _census(
     )
 
 
-def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:
-    """``size`` words of the (k, M) box, one exponent row each, drawn as
-    ``rng.randint`` draws them exponent by exponent."""
-    # randint(lo, hi) = lo + the first getrandbits(n.bit_length()) below n = hi - lo + 1
-    spec = [(r.start, len(r), len(r).bit_length()) for r in _exponent_ranges(k, M)]
-    getrandbits = rng.getrandbits
-    out = array.array("q")
-    append = out.append
-    for lo, n, bits in itertools.chain.from_iterable(itertools.repeat(spec, size)):
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        append(lo + r)
-    return np.frombuffer(out, dtype=np.int64).reshape(size, 2 * k)
-
-
 def census_sampled(
     k: int,
     M: int,
@@ -550,15 +232,10 @@ def census_sampled(
     cert = compute_nk(k) if use_prefilter else None
     n = M if cert is None else cert.n
     rng = random.Random(seed)
-    leaves = _Leaves(r_power, s_power, M)
-    members: list[OmegaMember] = []
-    # a batch of draws holds as many exponents as a chunk holds words
-    batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
-    for start in range(0, sample_size, batch):
-        heads = _draw_exponents(rng, k, M, min(batch, sample_size - start))
-        members.extend(
-            _member(exponents, word_eval) for _, exponents in leaves.hits(heads, [], n, len(heads))
-        )
+    members = [
+        _member(exponents, word_eval)
+        for exponents in sample_hits(r_power, s_power, rng, k, M, sample_size, n)
+    ]
     return DensityRow(
         k=k,
         M=M,
@@ -687,7 +364,7 @@ def search_counterexamples(
     for j in range(1, k + 1):
         size = _block_size(j, exp_max)
         blocks = [(b1, a1) for b1, a1 in lambda_prefixes(j, exp_max) if j > 1 or b1 and a1]
-        for walked, hits in _sieve_blocks(
+        for walked, hits in sieve_blocks(
             g.b_power, g.a_power, j, exp_max, blocks, exp_max, budget - tested
         ):
             tested += walked

@@ -35,10 +35,13 @@ from collatzq.words import (
     enumerate_lambda,
     enumerate_lambda_block,
     lambda_prefixes,
+    r_power,
+    s_power,
 )
 
 # collatzq.census is shadowed by the function census in the package namespace
 census_mod = importlib.import_module("collatzq.census")
+sieve_mod = importlib.import_module("collatzq.sieve")
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -96,7 +99,7 @@ def test_leaf_test_matches_integer_eigenvalues(exponents):
     w = Word(*map(tuple, exponents))
     m = word_eval(w)
     tr = m.trace()
-    hit = census_mod._eigen_hit(tr, tr * tr - 4 * m.det())
+    hit = sieve_mod._eigen_hit(tr, tr * tr - 4 * m.det())
     assert hit == (integer_eigenvalues(m) is not None)
 
 
@@ -108,17 +111,15 @@ big = st.integers(-(10**30), 10**30)
 def test_leaf_test_on_triangular_and_general_matrices(lam, mu, x):
     # [lam, x; 0, mu] always has the integer eigenvalues lam and mu
     tr, det = lam + mu, lam * mu
-    assert census_mod._eigen_hit(tr, tr * tr - 4 * det)
+    assert sieve_mod._eigen_hit(tr, tr * tr - 4 * det)
     # a general matrix is a hit exactly when the oracle says so
     m = Mat2(lam, x, 1, mu)
     tr = m.trace()
-    hit = census_mod._eigen_hit(tr, tr * tr - 4 * m.det())
+    hit = sieve_mod._eigen_hit(tr, tr * tr - 4 * m.det())
     assert hit == (integer_eigenvalues(m) is not None)
 
 
-@PROPS
-@given(st.integers(1, 3), st.integers(1, 30), st.integers(1, 300), st.integers(0, 2**32))
-def test_sampled_matches_oracle(k, M, size, seed):
+def check_sampled_against_oracle(k, M, size, seed):
     row = census_sampled(k, M, size, seed, use_prefilter=False)
     # redraw the same exponents with the same call sequence
     rng = random.Random(seed)
@@ -131,6 +132,19 @@ def test_sampled_matches_oracle(k, M, size, seed):
         drawn.append(Word(tuple(betas), tuple(alphas)))
     assert list(row.omega_members) == oracle_members(drawn, word_eval)
     assert census_sampled(k, M, size, seed, use_prefilter=True) == row
+
+
+@PROPS
+@given(st.integers(1, 3), st.integers(1, 30), st.integers(1, 300), st.integers(0, 2**32))
+def test_sampled_matches_oracle(k, M, size, seed):
+    check_sampled_against_oracle(k, M, size, seed)
+
+
+@settings(PROPS, max_examples=10)
+@given(st.integers(1, 3), st.integers(16380, 16390), st.integers(1, 8), st.integers(0, 2**32))
+def test_sampled_matches_oracle_past_a_chunk_of_exponents(k, M, size, seed):
+    # the power tables then cover each batch's own draws, not 0..M
+    check_sampled_against_oracle(k, M, size, seed)
 
 
 def search_oracle(k, exp_max, g, budget):
@@ -182,7 +196,7 @@ def test_walk_matches_oracle_on_pairs_with_hits(k, M, g, swap, data):
     b1, a1 = data.draw(st.sampled_from(lambda_prefixes(k, M)))
     block = list(enumerate_lambda_block(k, M, b1, a1))
     limit = data.draw(st.integers(0, len(block) + 2))
-    walked, hits = census_mod._walk_block(left, right, k, M, b1, a1, M, limit)
+    walked, hits = sieve_mod._walk_block(left, right, k, M, b1, a1, M, limit)
     assert walked == min(limit, len(block))
 
     def evaluate(w):
@@ -196,10 +210,10 @@ def test_walk_matches_oracle_on_pairs_with_hits(k, M, g, swap, data):
 
 
 RESIDUE_TABLES = [
-    (64, census_mod._SQ64),
-    (63, census_mod._SQ63),
-    (65, census_mod._SQ65),
-    (11, census_mod._SQ11),
+    (64, sieve_mod._SQ64),
+    (63, sieve_mod._SQ63),
+    (65, sieve_mod._SQ65),
+    (11, sieve_mod._SQ11),
 ]
 
 
@@ -209,19 +223,19 @@ def test_residue_tables_admit_every_square_class():
         for s in range(m):
             assert table[s * s % m], (m, s)
     for s in range(2 * 45045):
-        assert census_mod._may_be_square(s * s)
+        assert sieve_mod._may_be_square(s * s)
 
 
 def test_residue_tables_reject_most_non_squares():
     non_squares = [n for n in range(100_000) if math.isqrt(n) ** 2 != n]
-    admitted = sum(census_mod._may_be_square(n) for n in non_squares)
+    admitted = sum(sieve_mod._may_be_square(n) for n in non_squares)
     assert admitted < 0.02 * len(non_squares)
 
 
 @PROPS
 @given(st.integers(0, 2**4000))
 def test_residue_tables_admit_large_squares(s):
-    assert census_mod._may_be_square(s * s)
+    assert sieve_mod._may_be_square(s * s)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +258,15 @@ def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
     b1, a1 = data.draw(st.sampled_from(lambda_prefixes(k, M)))
     size = census_mod._block_size(k, M)
     limit = data.draw(st.integers(0, size + 2))
-    walked, hits = census_mod._walk_block(left, right, k, M, b1, a1, M, limit)
+    walked, hits = sieve_mod._walk_block(left, right, k, M, b1, a1, M, limit)
 
-    leaves = census_mod._Leaves(left, right, M)
+    leaves = sieve_mod._Leaves(left, right, M)
     tails = _exponent_ranges(k, M)[2:]
-    survivors = census_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails)
+    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails)
     block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)]
     assert {block.index(h) for h in hits} <= set(survivors.tolist())
 
-    blocks = list(census_mod._sieve_blocks(left, right, k, M, [(b1, a1)], M, limit))
+    blocks = list(sieve_mod.sieve_blocks(left, right, k, M, [(b1, a1)], M, limit))
     assert blocks == [(walked, hits)]
 
 
@@ -260,13 +274,13 @@ def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
 @given(small_boxes, st.booleans(), st.integers(0, 2**32))
 def test_results_independent_of_chunk_size(box, prefilter, seed):
     k, M = box
-    default = census_mod.SIEVE_CHUNK_WORDS
+    default = sieve_mod.SIEVE_CHUNK_WORDS
     block = census_mod._block_size(k, M)
     results = []
     # one word, a few words, one word short of a block (it splits), the default
     for chunk in (1, 7, max(1, block - 1), default):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(census_mod, "SIEVE_CHUNK_WORDS", chunk)
+            mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
             results.append((census(k, M, prefilter), census_sampled(k, M, 50, seed, prefilter)))
     assert all(r == results[-1] for r in results)
 
@@ -275,11 +289,36 @@ def test_results_independent_of_chunk_size(box, prefilter, seed):
 @given(st.integers(1, 3), st.integers(1, 4), pairs, st.integers(0, 400), st.sampled_from([1, 7, 9]))
 def test_search_budget_cut_under_any_chunk_size(k, exp_max, g, budget, chunk):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census_mod, "SIEVE_CHUNK_WORDS", chunk)
+        mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
         result = search_counterexamples(k, exp_max, g, budget)
     assert (result.members, result.words_tested, result.complete) == search_oracle(
         k, exp_max, g, budget
     )
+
+
+def test_search_on_boxes_without_words_is_complete():
+    # exp_max < 1 leaves no word that is not a pure power
+    for k in (1, 2, 3):
+        for exp_max in (0, -1):
+            result = search_counterexamples(k, exp_max)
+            assert (result.members, result.words_tested, result.complete) == ((), 0, True)
+
+
+def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
+    # a (3, 40) block fixes exponents up to the fourth, so a head covers
+    # 40 * 41 = 1640 words; the box has 1640 * 40^2 heads per block, 1681 blocks
+    rows = []
+    hits = sieve_mod._Leaves.hits
+
+    def counting(self, heads, tails, n, words):
+        rows.append(len(heads))
+        return hits(self, heads, tails, n, words)
+
+    monkeypatch.setattr(sieve_mod._Leaves, "hits", counting)
+    blocks = lambda_prefixes(3, 40)
+    got = list(sieve_mod.sieve_blocks(r_power, s_power, 3, 40, blocks, 40, 5000))
+    assert rows == [math.ceil(5000 / 1640)]
+    assert got == [sieve_mod._walk_block(r_power, s_power, 3, 40, *blocks[0], 40, 5000)]
 
 
 @pytest.mark.parametrize("k,M", [(1, 9), (2, 7), (3, 4)])
@@ -289,14 +328,14 @@ def test_census_same_on_one_and_two_workers(k, M):
 
 
 def test_sieve_arithmetic_is_exact_in_int64():
-    m = census_mod.SIEVE_MODULUS
-    assert m == math.prod(census_mod.SIEVE_FACTORS) == 5 * 7 * 11 * 13 * 17 * 19 * 23
-    assert math.gcd(*census_mod.SIEVE_FACTORS) == 1
+    m = sieve_mod.SIEVE_MODULUS
+    assert m == math.prod(sieve_mod.SIEVE_FACTORS) == 5 * 7 * 11 * 13 * 17 * 19 * 23
+    assert math.gcd(*sieve_mod.SIEVE_FACTORS) == 1
     # the determinant 2^a 3^b is a unit mod m
     assert math.gcd(m, 6) == 1
     # the largest intermediate: a trace, a sum of four products of residues
     assert 4 * (m - 1) ** 2 < 2**63
-    for q, squares in zip(census_mod.SIEVE_FACTORS, census_mod._sieve_squares()):
+    for q, squares in zip(sieve_mod.SIEVE_FACTORS, sieve_mod._sieve_squares()):
         assert len(squares) == q
         for s in range(q):
             assert squares[s * s % q], (q, s)
@@ -304,9 +343,9 @@ def test_sieve_arithmetic_is_exact_in_int64():
 
 @pytest.mark.parametrize("g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(5, 3, 2, 7)])
 def test_power_tables_are_powers_mod_m(g):
-    m = census_mod.SIEVE_MODULUS
+    m = sieve_mod.SIEVE_MODULUS
     for power in (g.a_power, g.b_power):
-        table = census_mod._power_table(power(1), 70)
+        table = sieve_mod._power_table(power(1), np.arange(71))
         for e in range(71):
             p = power(e)
             assert table[:, e].tolist() == [v % m for v in (*p.entries(), p.det())]
@@ -316,28 +355,16 @@ def test_power_tables_are_powers_mod_m(g):
 DRAW_TOPS = [1, 2, 3, 7, 8, 15, 16, 24, 31, 32, 63, 64, 1000, 1023, 1024]
 
 
-@PROPS
-@given(st.integers(1, 4), st.sampled_from(DRAW_TOPS), st.integers(1, 60), st.integers(0, 2**64))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", DRAW_TOPS)
+@settings(PROPS, max_examples=15)
+@given(st.integers(1, 60), st.integers(0, 2**64))
 def test_draws_match_randint(k, M, size, seed):
     rng = random.Random(seed)
-    drawn = census_mod._draw_exponents(rng, k, M, size)
+    drawn = sieve_mod._draw_exponents(rng, k, M, size)
     ref = random.Random(seed)
     expected = [
         ref.randint(r.start, r.stop - 1) for _ in range(size) for r in _exponent_ranges(k, M)
     ]
     assert drawn.ravel().tolist() == expected
     assert rng.getstate() == ref.getstate()
-
-
-def test_draws_match_randint_on_many_seeds():
-    for k in range(1, 5):
-        for M in DRAW_TOPS:
-            for seed in range(25):
-                rng, ref = random.Random(seed), random.Random(seed)
-                drawn = census_mod._draw_exponents(rng, k, M, 20)
-                expected = [
-                    ref.randint(r.start, r.stop - 1)
-                    for _ in range(20)
-                    for r in _exponent_ranges(k, M)
-                ]
-                assert drawn.ravel().tolist() == expected, (k, M, seed)
