@@ -4,7 +4,9 @@ Everything is exact: reduced rationals, arbitrary-precision integers, and
 integer square roots; no floating point anywhere.  Sweep hot loops run on
 int64 numpy kernels: theta rows that could overflow are redone in big-int
 arithmetic, and phi takes one Euclid division per continued-fraction run,
-so the fast path never changes results.
+so the fast path never changes results.  Orbit words and SL2 factorizations
+are run lists of branch exponents (`theta_runs`, `phi_runs`, `sl2_factor`),
+rendered as letters only for output.
 """
 
 from ._version import VERSION as __version__
@@ -21,20 +23,16 @@ from .core import (
     rational_fixed_points,
 )
 from .dynamics import (
-    Letter,
     OrbitRecord,
     PhiSweepReport,
     SweepReport,
-    apply_letter,
     complete_to_sl2,
     conjecture1_sweep,
     mobius_apply,
     orbit,
-    orbit_to_word,
     phi_monotonicity_sweep,
     phi_step,
     reduced_fractions,
-    replay_word,
     sl2_factor,
     theta_step,
     theta_sweep_full,

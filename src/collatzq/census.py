@@ -116,11 +116,6 @@ def _census_blocks(
         yield tested, [_member(exponents, word_eval) for exponents in hits]
 
 
-def _census_block(task: tuple[int, int, int, int, NkCertificate | None]):
-    k, M, beta1, alpha1, cert = task
-    return next(_census_blocks(k, M, [(beta1, alpha1)], cert))
-
-
 def _census_run(task: tuple[int, int, list[tuple[int, int]], NkCertificate | None]):
     """Consecutive blocks in one pool task, so dispatch costs are paid per run."""
     k, M, blocks, cert = task

@@ -28,7 +28,7 @@ from .census import (
     search_counterexamples,
 )
 from .core import Mat2, rational_fixed_points, FixedPointKind
-from .errors import CollatzqError
+from .errors import CollatzqError, SizeLimitError
 from .verify import SUITES
 from .words import (
     DEFAULT_GENERATORS,
@@ -39,6 +39,10 @@ from .words import (
 )
 
 
+# longest word `factor` prints, in letters
+MAX_FACTOR_LETTERS = 10_000_000
+
+
 def _parse_value(text: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -47,6 +51,16 @@ def _parse_value(text: str) -> Fraction:
     if value < 0:
         raise argparse.ArgumentTypeError("starting value must be >= 0")
     return value
+
+
+def _parse_step_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if cap < 0:
+        raise argparse.ArgumentTypeError("step cap must be >= 0")
+    return cap
 
 
 def _parse_matrix(text: str) -> Mat2:
@@ -104,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate one starting value to 0")
     p.add_argument("--value", type=_parse_value, required=True, metavar="P/Q")
     p.add_argument("--map", choices=(dynamics.THETA, dynamics.PHI), default=dynamics.THETA)
-    p.add_argument("--max-steps", type=int, default=dynamics.DEFAULT_STEP_CAP)
+    p.add_argument("--max-steps", type=_parse_step_cap, default=dynamics.DEFAULT_STEP_CAP)
     p.add_argument("--emit", choices=("points", "word", "json"), default="points")
 
     p = sub.add_parser("sweep", help="theta-orbit termination sweep up to a height")
@@ -156,10 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_orbit(args) -> int:
+    p, q = args.value.numerator, args.value.denominator
     if args.map == dynamics.PHI:
+        runs = dynamics.phi_runs(p, q)
         # phi provably terminates: a cap below its stopping time is a usage
         # error, never a finding
-        stopping_time = sum(dynamics.phi_runs(args.value.numerator, args.value.denominator))
+        stopping_time = sum(runs)
         if stopping_time > args.max_steps:
             print(
                 f"error: the phi orbit of {reports.frac_str(args.value)} reaches 0 in "
@@ -167,21 +183,29 @@ def _cmd_orbit(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.emit == "word":
+        if args.map == dynamics.PHI:
+            replay, letters = dynamics.replay_runs_pq, "FG"
+        else:
+            runs = dynamics.theta_runs(p, q, args.max_steps)
+            if runs is None:
+                print("orbit did not terminate; no word", file=sys.stderr)
+                return 1
+            replay, letters = dynamics.replay_theta_runs_pq, "RS"
+        if replay(runs) != (p, q):
+            raise AssertionError(f"word replay failed for {args.value}")  # pragma: no cover
+        print(reports.word_str(runs, letters))
+        return 0
     rec = dynamics.orbit(args.value, args.map, args.max_steps)
     if args.emit == "points":
         for x in rec.points:
             print(reports.frac_str(x))
-    elif args.emit == "word":
-        if not rec.terminated:
-            print("orbit did not terminate; no word", file=sys.stderr)
-            return 1
-        print("".join(l.value for l in dynamics.orbit_to_word(rec)))
     else:
         payload = {
             "map": rec.map_name,
             "start": reports.frac_str(rec.points[0]),
             "points": [reports.frac_str(x) for x in rec.points],
-            "branches": [l.value for l in rec.branches],
+            "branches": list(rec.branches),
             "terminated": rec.terminated,
             "stopping_time": rec.stopping_time,
         }
@@ -347,8 +371,13 @@ def _cmd_fixed_point(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    # Letter is a str enum, so each member joins as its one-character value
-    print("".join(dynamics.sl2_factor(args.matrix)))
+    runs = dynamics.sl2_factor(args.matrix)
+    letters = sum(runs)
+    if letters > MAX_FACTOR_LETTERS:
+        raise SizeLimitError(
+            f"{args.matrix} factors into {letters} letters, over the limit {MAX_FACTOR_LETTERS}"
+        )
+    print(reports.word_str(runs, "FG"))
     return 0
 
 

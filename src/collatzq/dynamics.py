@@ -5,37 +5,37 @@ Two maps, each inverting a pair of generators:
   theta: (x-1)/3 for x >= 1, 2x/(1-x) for x < 1   (inverts r = 3x+1, s = x/(x+2))
   phi:   x-1     for x >= 1, x/(1-x)  for x < 1   (inverts f = x+1,  g = x/(x+1))
 
-The branch taken at each orbit step names the generator that undoes it, so a
-terminated orbit x_0 -> ... -> 0 recovers x_0 = w_1(w_2(...w_n(0))) where the
-word w is the branch list in orbit order (the first step's letter applied
-last).  phi strictly decreases p+q of reduced p/q until reaching 0, so its
-orbits provably terminate; for theta termination is the open question the
-sweep harness probes.
+The branch taken at each orbit step names the generator that undoes it
+(R/S for theta, F/G for phi), so a terminated orbit x_0 -> ... -> 0 recovers
+x_0 = w_1(w_2(...w_n(0))) where the word w is the branch string in orbit
+order (the first step's letter applied last).  phi strictly decreases p+q
+of reduced p/q until reaching 0, so its orbits provably terminate; for
+theta termination is the open question the sweep harness probes.
 
-Orbits over `Fraction` are the reference path.  Sweeps run on raw reduced
-(p, q) integer pairs: one theta step changes gcd structure only by a factor
-of 3 (upper branch) or 2 (lower branch), so reduction is two divisibility
-tests, and the int64 numpy kernels (see `kernels`) handle the bulk with any
-overflowing theta row redone here in big-int arithmetic.  Both sweep
-reports are array code over the kernel's (steps, flags): one first-maximum
-helper gives the longest orbit and the starts that failed.  A phi orbit is
-the Stern-Brocot descent of p/q: its branch runs F^a0 G^a1 ... are the
-continued-fraction partial quotients, so phi stopping times, words and
-replays, and the F/G factorization of SL2 matrices, are computed one Euclid
-division per run (`phi_runs`, `replay_runs_pq`, `sl2_factor`).  A theta
-orbit is likewise alternating branch runs R^b1 S^a1 ... R^bk: the upper
+A word is carried as its run list, the exponents of alternating branch
+runs.  A phi orbit is the Stern-Brocot descent of p/q: its runs
+F^a0 G^a1 ... are the continued-fraction partial quotients, so phi stopping
+times, words and replays, and the F/G factorization of SL2 matrices, are
+computed one Euclid division per run (`phi_runs`, `replay_runs_pq`,
+`sl2_factor`).  A theta orbit is likewise R^b1 S^a1 ... R^bk: the upper
 branch contracts x + 1/2 by 3 and the lower one contracts t + 1 by 2 in
 t = 1/x, so each run's length and end point are one exact big-int step
-(`theta_runs`, `replay_theta_runs_pq`).  The stepwise `orbit_pq` /
-`replay_word_pq` stay as the reference forms, and `orbit_pq` is also the
-big-int redo of the theta sweep's overflowing rows.
+(`theta_runs`, `replay_theta_runs_pq`).  Letters appear only when a run
+list is rendered as text (`reports.word_str`).
+
+Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
+(see `kernels`); a theta row that could overflow is redone here by
+`theta_runs`.  Both sweep reports are array code over the kernel's
+(steps, flags): one first-maximum helper gives the longest orbit and the
+starts that failed.  The stepwise forms, `orbit` over `Fraction` and
+`orbit_pq` / `replay_word_pq` on reduced pairs, are the reference paths the
+tests check the run forms against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
@@ -48,8 +48,6 @@ from .errors import (
     NegativeInputError,
     NotCoprimeError,
     NotFactorableError,
-    NotTerminatedError,
-    SizeLimitError,
 )
 
 THETA = "theta"
@@ -58,49 +56,29 @@ PHI = "phi"
 DEFAULT_STEP_CAP = 10_000
 
 
-class Letter(str, Enum):
-    """Branch letters: R/S for theta orbits, F/G for phi orbits and SL2 words."""
-
-    R = "R"
-    S = "S"
-    F = "F"
-    G = "G"
-
-
-def theta_step(x: Fraction) -> tuple[Fraction, Letter]:
+def theta_step(x: Fraction) -> tuple[Fraction, str]:
     """One theta step with the branch letter of the inverted generator."""
     if x < 0:
         raise NegativeInputError(f"theta is defined on x >= 0, got {x}")
     if x >= 1:
-        return (x - 1) / 3, Letter.R
-    return 2 * x / (1 - x), Letter.S
+        return (x - 1) / 3, "R"
+    return 2 * x / (1 - x), "S"
 
 
-def phi_step(x: Fraction) -> tuple[Fraction, Letter]:
+def phi_step(x: Fraction) -> tuple[Fraction, str]:
     """One phi step with the branch letter of the inverted generator."""
     if x < 0:
         raise NegativeInputError(f"phi is defined on x >= 0, got {x}")
     if x >= 1:
-        return x - 1, Letter.F
-    return x / (1 - x), Letter.G
-
-
-def apply_letter(letter: Letter, x: Fraction) -> Fraction:
-    """Forward generator maps: r, s (theta alphabet) and f, g (phi alphabet)."""
-    if letter is Letter.R:
-        return 3 * x + 1
-    if letter is Letter.S:
-        return x / (x + 2)
-    if letter is Letter.F:
-        return x + 1
-    return x / (x + 1)
+        return x - 1, "F"
+    return x / (1 - x), "G"
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
     map_name: str
     points: tuple[Fraction, ...]  # starting value first
-    branches: tuple[Letter, ...]  # one per step
+    branches: str  # one letter per step
     terminated: bool  # reached 0
     stopping_time: int | None  # index of the first 0 when terminated
 
@@ -122,7 +100,7 @@ def orbit(x: Fraction, map_name: str = THETA, step_cap: int = DEFAULT_STEP_CAP) 
     x = Fraction(x)
     step = theta_step if map_name == THETA else phi_step
     points = [x]
-    branches: list[Letter] = []
+    branches: list[str] = []
     while points[-1] != 0 and len(branches) < step_cap:
         nxt, letter = step(points[-1])
         if map_name == PHI:
@@ -135,40 +113,18 @@ def orbit(x: Fraction, map_name: str = THETA, step_cap: int = DEFAULT_STEP_CAP) 
     return OrbitRecord(
         map_name=map_name,
         points=tuple(points),
-        branches=tuple(branches),
+        branches="".join(branches),
         terminated=terminated,
         stopping_time=len(points) - 1 if terminated else None,
     )
 
 
-def orbit_to_word(rec: OrbitRecord) -> list[Letter]:
-    """Generator word reaching the start from 0; replay is verified exactly.
-
-    The word is the branch list in orbit order: the first step's letter is
-    the outermost map, so x_0 = w_1(w_2(...w_n(0))).
-    """
-    if not rec.terminated:
-        raise NotTerminatedError("orbit did not reach 0; no word to recover")
-    word = list(rec.branches)
-    if replay_word(word) != rec.points[0]:
-        raise AssertionError(f"word replay failed for {rec.points[0]}")  # pragma: no cover
-    return word
-
-
-def replay_word(word: list[Letter] | tuple[Letter, ...]) -> Fraction:
-    """Apply w_1 o w_2 o ... o w_n to 0 (last letter applied first)."""
-    x = Fraction(0)
-    for letter in reversed(word):
-        x = apply_letter(letter, x)
-    return x
-
-
 # ---------------------------------------------------------------------------
-# Exact integer-pair orbit paths (big ints, no Fraction overhead)
+# Stepwise integer-pair orbits: the reference forms of the run paths below
 # ---------------------------------------------------------------------------
 
 
-def theta_step_pq(p: int, q: int) -> tuple[int, int, Letter]:
+def theta_step_pq(p: int, q: int) -> tuple[int, int, str]:
     """One theta step on reduced p/q >= 0; stays reduced.
 
     Upper branch (p-q)/(3q): gcd(p-q, 3q) = gcd(p-q, 3).  Lower branch
@@ -177,53 +133,48 @@ def theta_step_pq(p: int, q: int) -> tuple[int, int, Letter]:
     if p >= q:
         p2 = p - q
         if p2 == 0:
-            return 0, 1, Letter.R
+            return 0, 1, "R"
         if p2 % 3 == 0:
-            return p2 // 3, q, Letter.R
-        return p2, 3 * q, Letter.R
+            return p2 // 3, q, "R"
+        return p2, 3 * q, "R"
     q2 = q - p
     if p == 0:
-        return 0, 1, Letter.S
+        return 0, 1, "S"
     if q2 % 2 == 0:
-        return p, q2 // 2, Letter.S
-    return 2 * p, q2, Letter.S
+        return p, q2 // 2, "S"
+    return 2 * p, q2, "S"
 
 
-def phi_step_pq(p: int, q: int) -> tuple[int, int, Letter]:
+def phi_step_pq(p: int, q: int) -> tuple[int, int, str]:
     """One phi step on reduced p/q >= 0; stays reduced with no divisions."""
     if p >= q:
-        return p - q, q, Letter.F
-    return p, q - p, Letter.G
+        return p - q, q, "F"
+    return p, q - p, "G"
 
 
-def orbit_pq(
-    p: int, q: int, map_name: str, step_cap: int, record: bool = False
-) -> tuple[int, bool, list[Letter] | None]:
-    """(steps, terminated, branches?) for reduced p/q in exact integer arithmetic."""
+def orbit_pq(p: int, q: int, map_name: str, step_cap: int) -> tuple[int, bool, str]:
+    """(steps, terminated, branch string) for reduced p/q, one step at a time."""
     step = theta_step_pq if map_name == THETA else phi_step_pq
-    branches: list[Letter] | None = [] if record else None
-    steps = 0
-    while p != 0 and steps < step_cap:
+    branches: list[str] = []
+    while p != 0 and len(branches) < step_cap:
         p, q, letter = step(p, q)
-        if branches is not None:
-            branches.append(letter)
-        steps += 1
-    return steps, p == 0, branches
+        branches.append(letter)
+    return len(branches), p == 0, "".join(branches)
 
 
-def replay_word_pq(word: list[Letter]) -> tuple[int, int]:
-    """Replay a recovered word from 0, exactly, as a reduced pair."""
+def replay_word_pq(word: str) -> tuple[int, int]:
+    """Replay a branch string from 0, exactly, as a reduced pair."""
     p, q = 0, 1
     for letter in reversed(word):
-        if letter is Letter.R:  # r: (3p + q)/q, reducible only by 3
+        if letter == "R":  # r: (3p + q)/q, reducible only by 3
             p = 3 * p + q
             if q % 3 == 0:
                 p, q = p // 3, q // 3
-        elif letter is Letter.S:  # s: p/(p + 2q), reducible only by 2
+        elif letter == "S":  # s: p/(p + 2q), reducible only by 2
             q = 1 if p == 0 else p + 2 * q
             if p and p % 2 == 0:
                 p, q = p // 2, q // 2
-        elif letter is Letter.F:  # f: (p + q)/q, already reduced
+        elif letter == "F":  # f: (p + q)/q, already reduced
             p = p + q
         else:  # g: p/(p + q), already reduced
             q = 1 if p == 0 else p + q
@@ -239,8 +190,8 @@ def phi_runs(p: int, q: int) -> list[int]:
     0 < p < q it takes (q-1) // p G steps to p/(q - n*p), which is q mod p
     except for p = 1.  These are the continued-fraction partial quotients
     of p/q with the last one split as (a_n - 1, 1) when it is a G run.
-    Expanded, the runs are `orbit_pq(p, q, PHI, ...)`'s branch list, and
-    their sum is the stopping time.
+    Rendered as letters, the runs are `orbit_pq(p, q, PHI, ...)`'s branch
+    string, and their sum is the stopping time.
     """
     runs = [p // q]
     p %= q
@@ -287,7 +238,8 @@ def theta_runs(p: int, q: int, step_cap: int) -> list[int] | None:
         n = ((p + q - 1) // p).bit_length() - 1 and the run ends at
         2^n*p / (p + q - 2^n*p), reducible only by 2s.
 
-    Expanded, the runs are `orbit_pq(p, q, THETA, ...)`'s branch list.
+    Rendered as letters, the runs are `orbit_pq(p, q, THETA, ...)`'s branch
+    string.
     """
     runs = [0] if p < q else []
     total = 0
@@ -346,10 +298,6 @@ def replay_theta_runs_pq(runs: list[int]) -> tuple[int, int]:
 # SL2 completion and Stern-Brocot factorization
 # ---------------------------------------------------------------------------
 
-# longest word sl2_factor builds: a word is one list entry per letter
-MAX_FACTOR_LETTERS = 10_000_000
-
-
 def complete_to_sl2(b: int, d: int) -> Mat2:
     """Minimal nonnegative [a, b; c, d] with a*d - b*c = 1 for coprime b, d >= 1."""
     if b < 1 or d < 1:
@@ -364,30 +312,22 @@ def complete_to_sl2(b: int, d: int) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-def sl2_factor(m: Mat2) -> list[Letter]:
-    """Unique F/G word multiplying out to a nonnegative determinant-one matrix.
+def sl2_factor(m: Mat2) -> list[int]:
+    """Run list [a0, a1, ..., x] of the unique F/G word of a nonnegative SL2 matrix.
 
-    A word's product sends 0 to the ratio of its right column, and G fixes
+    F runs sit at even positions and G runs at odd ones, as in `phi_runs`;
+    the list has even length and ends with the G run x, which may be 0.  A
+    word's product sends 0 to the ratio of its right column, and G fixes
     0, so the word of [a, b; c, d] is the phi word of b/d (`phi_runs`, one
     division per run) followed by G^x.  The phi word ends in F, so its
     product U is the minimal completion `complete_to_sl2(b, d)` (the identity
     when b = 0), and U times G^x = [U.a + x*b, b; U.c + x*d, d] gives
-    x = (c - U.c) / d.  A word longer than MAX_FACTOR_LETTERS raises
-    SizeLimitError before any letter is built.
+    x = (c - U.c) / d.
     """
     if min(m.entries()) < 0 or m.det() != 1:
         raise NotFactorableError(f"{m} is not a nonnegative SL2 matrix")
     uc = complete_to_sl2(m.b, m.d).c if m.b else 0
-    runs = phi_runs(m.b, m.d) + [(m.c - uc) // m.d]
-    letters = sum(runs)
-    if letters > MAX_FACTOR_LETTERS:
-        raise SizeLimitError(
-            f"{m} factors into {letters} letters, over the limit {MAX_FACTOR_LETTERS}"
-        )
-    word: list[Letter] = []
-    for i, n in enumerate(runs):
-        word += [Letter.G if i & 1 else Letter.F] * n
-    return word
+    return phi_runs(m.b, m.d) + [(m.c - uc) // m.d]
 
 
 def mobius_apply(m: Mat2, x: Fraction) -> Fraction:
@@ -471,15 +411,17 @@ def theta_sweep_full(
     A nonterminated start (under the cap) is a candidate counterexample and
     lands in the report rather than raising; its row carries stopping_time -1.
     The int64 kernel does the bulk; rows it flags as overflowing are redone
-    exactly, so results never depend on the kernel's word size.
+    exactly by `theta_runs`, so results never depend on the kernel's word
+    size.
     """
     if height_bound < 2 or step_cap < 1:
         raise ValueError("need height_bound >= 2 and step_cap >= 1")
     ps, qs = reduced_fraction_arrays(height_bound)
     steps, flags = kernels.theta_sweep(ps, qs, step_cap)
     for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
-        steps[i], term, _ = orbit_pq(int(ps[i]), int(qs[i]), THETA, step_cap)
-        flags[i] = kernels.FLAG_DONE if term else kernels.FLAG_CAP
+        runs = theta_runs(int(ps[i]), int(qs[i]), step_cap)
+        steps[i] = step_cap if runs is None else sum(runs)
+        flags[i] = kernels.FLAG_CAP if runs is None else kernels.FLAG_DONE
     terminated = flags == kernels.FLAG_DONE
     max_stop, argmax, nonterminated = _first_maximum(ps, qs, steps, terminated)
     report = SweepReport(

@@ -17,10 +17,6 @@ class DegenerateMapError(CollatzqError, ValueError):
     """Matrix has c = d = 0, so (a*x + b)/(c*x + d) is undefined everywhere."""
 
 
-class NotTerminatedError(CollatzqError, ValueError):
-    """Word recovery requires an orbit that reached 0."""
-
-
 class NotCoprimeError(CollatzqError, ValueError):
     """SL2 completion requires coprime inputs."""
 

@@ -28,6 +28,11 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def word_str(runs: list[int], letters: str) -> str:
+    """A run list as text: even runs repeat letters[0], odd runs letters[1]."""
+    return "".join(letters[i & 1] * n for i, n in enumerate(runs))
+
+
 def header_lines(invocation: str) -> list[str]:
     return [f"# collatzq {VERSION}", f"# invocation: {invocation}"]
 

@@ -134,7 +134,7 @@ class TestCheckpoints:
         # hand-build a checkpoint whose active census is half done
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(2, (3, 3))
-        from collatzq.census import _census_block
+        from collatzq.census import _census_blocks
         from collatzq.spectral import compute_nk
         from collatzq.words import lambda_prefixes
 
@@ -144,7 +144,7 @@ class TestCheckpoints:
         tested = 0
         members = []
         for b1, a1 in blocks[:cut]:
-            t, ms = _census_block((2, 3, b1, a1, cert))
+            t, ms = next(_census_blocks(2, 3, [(b1, a1)], cert))
             tested += t
             members.extend(ms)
         save_checkpoint(

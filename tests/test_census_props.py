@@ -69,7 +69,7 @@ def boxes_and_blocks(draw):
 def test_block_leaf_matches_oracle(box, prefilter):
     k, M, b1, a1 = box
     cert = compute_nk(k) if prefilter else None
-    tested, members = census_mod._census_block((k, M, b1, a1, cert))
+    tested, members = next(census_mod._census_blocks(k, M, [(b1, a1)], cert))
     block = list(enumerate_lambda_block(k, M, b1, a1))
     assert tested == len(block)
     assert members == oracle_members(block, word_eval)
@@ -80,7 +80,7 @@ def test_k1_box_hits_found_by_leaf():
     M = 9
     found = []
     for b1, a1 in lambda_prefixes(1, M):
-        found.extend(census_mod._census_block((1, M, b1, a1, None))[1])
+        found.extend(next(census_mod._census_blocks(1, M, [(b1, a1)], None))[1])
     assert found == oracle_members(enumerate_lambda(1, M), word_eval)
     assert len(found) == 2 * M + 1
 

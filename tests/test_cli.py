@@ -1,21 +1,47 @@
 """CLI surface: flags, output formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from collatzq import reports
-from collatzq.cli import main
-from collatzq.dynamics import theta_sweep_full
+from collatzq import Mat2, reports
+from collatzq.cli import MAX_FACTOR_LETTERS, main
+from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
+from test_dynamics import subtractive_factor, word_matrix
+
+PROPS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_main(*argv):
+    """(exit code, stdout, stderr) of one in-process run, without fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def reduced_values(draw):
+    """p/q text of a reduced rational 0 <= p/q, 0 included."""
+    p, q = draw(st.integers(0, 300)), draw(st.integers(1, 300))
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
 
 
 class TestOrbit:
@@ -53,6 +79,40 @@ class TestOrbit:
         code, out, _ = run_cli(capsys, "orbit", "--value", "3/5", "--map", "phi",
                                "--max-steps", "4")
         assert code == 0 and out.splitlines() == ["3/5", "3/2", "1/2", "1", "0"]
+
+    @pytest.mark.parametrize("map_name", [THETA, PHI])
+    @pytest.mark.parametrize("emit", ["points", "word", "json"])
+    @pytest.mark.parametrize("value", ["0", "5"])
+    def test_negative_cap_is_a_usage_error(self, map_name, emit, value):
+        code, out, err = run_main("orbit", "--value", value, "--map", map_name,
+                                  "--max-steps", "-1", "--emit", emit)
+        assert code == 2 and out == ""
+        assert "--max-steps: step cap must be >= 0" in err
+
+    @PROPS
+    @given(st.sampled_from([THETA, PHI]), reduced_values(),
+           st.one_of(st.integers(0, 50), st.just(10_000)))
+    @example(THETA, "5", 2)  # theta over its cap: a finding, and no word
+    @example(PHI, "300", 50)  # phi over its cap: a usage error
+    @example(THETA, "0", 0)
+    def test_word_and_json_branches_match_stepwise_orbit(self, map_name, value, cap):
+        p, q = map(int, value.split("/")) if "/" in value else (int(value), 1)
+        steps, term, branches = orbit_pq(p, q, map_name, cap)
+        word = run_main("orbit", "--value", value, "--map", map_name,
+                        "--max-steps", str(cap), "--emit", "word")
+        js = run_main("orbit", "--value", value, "--map", map_name,
+                      "--max-steps", str(cap), "--emit", "json")
+        if term:
+            assert word == (0, branches + "\n", "")
+            assert js[0] == 0 and js[2] == ""
+            assert "".join(json.loads(js[1])["branches"]) == branches
+        elif map_name == PHI:
+            for code, out, err in (word, js):
+                assert code == 2 and out == "" and "above --max-steps" in err
+        else:
+            assert word == (1, "", "orbit did not terminate; no word\n")
+            assert js[0] == 1 and "no termination" in js[2]
+            assert "".join(json.loads(js[1])["branches"]) == branches
 
     def test_reader_closing_early_exits_quietly(self):
         # the output is far larger than a pipe buffer, so the writer meets EPIPE
@@ -217,6 +277,24 @@ class TestSmallCommands:
     def test_factor_word_over_limit_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "factor", "--matrix", "1,1000000000000,0,1")
         assert code == 2 and out == "" and "1000000000000 letters" in err
+
+    def test_factor_limit_counts_the_g_tail(self):
+        tail = run_main("factor", "--matrix", f"1,0,{MAX_FACTOR_LETTERS + 1},1")
+        assert tail == (2, "", f"error: {Mat2(1, 0, MAX_FACTOR_LETTERS + 1, 1)} factors "
+                        f"into {MAX_FACTOR_LETTERS + 1} letters, over the limit "
+                        f"{MAX_FACTOR_LETTERS}\n")
+        code, out, _ = run_main("factor", "--matrix", f"1,{MAX_FACTOR_LETTERS},0,1")
+        assert code == 0 and out == "F" * MAX_FACTOR_LETTERS + "\n"
+
+    def test_factor_matches_subtractive_oracle(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            word = "".join(rng.choice("FG") * rng.randint(1, 60)
+                           for _ in range(rng.randint(0, 8)))
+            m = word_matrix(word)
+            code, out, err = run_main("factor", "--matrix", ",".join(map(str, m.entries())))
+            assert (code, out, err) == (0, subtractive_factor(m) + "\n", "")
+            assert out == word + "\n"
 
 
 class TestDeterminism:

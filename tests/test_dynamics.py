@@ -7,31 +7,31 @@ from fractions import Fraction
 import pytest
 
 from collatzq import (
-    Letter,
     Mat2,
-    apply_letter,
     complete_to_sl2,
     conjecture1_sweep,
     mobius_apply,
     orbit,
-    orbit_to_word,
     phi_monotonicity_sweep,
     phi_step,
     reduced_fractions,
-    replay_word,
     sl2_factor,
     theta_step,
     theta_sweep_full,
     verify_word_recovery,
 )
-from collatzq.dynamics import MAX_FACTOR_LETTERS, PHI, THETA, orbit_pq, replay_word_pq
-from collatzq.errors import (
-    NegativeInputError,
-    NotCoprimeError,
-    NotFactorableError,
-    NotTerminatedError,
-    SizeLimitError,
+from collatzq.dynamics import (
+    PHI,
+    THETA,
+    orbit_pq,
+    phi_runs,
+    replay_runs_pq,
+    replay_theta_runs_pq,
+    replay_word_pq,
+    theta_runs,
 )
+from collatzq.errors import NegativeInputError, NotCoprimeError, NotFactorableError
+from collatzq.reports import word_str
 
 F = Fraction
 
@@ -46,25 +46,33 @@ def subtractive_factor(m):
     a, b, c, d = m.entries()
     while (a, b, c, d) != (1, 0, 0, 1):
         if a >= c and b >= d:
-            word.append(Letter.F)
+            word.append("F")
             a, b = a - c, b - d
         else:
             assert c >= a and d >= b, m
-            word.append(Letter.G)
+            word.append("G")
             c, d = c - a, d - b
-    return word
+    return "".join(word)
+
+
+def word_matrix(word):
+    """Product of the F/G letters of ``word``, left to right."""
+    m = Mat2.identity()
+    for letter in word:
+        m = m * (Mat2(1, 1, 0, 1) if letter == "F" else Mat2(1, 0, 1, 1))
+    return m
 
 
 class TestSteps:
     def test_theta_examples(self):
-        assert theta_step(F(1)) == (F(0), Letter.R)
-        assert theta_step(F(2)) == (F(1, 3), Letter.R)
-        assert theta_step(F(1, 9)) == (F(1, 4), Letter.S)
+        assert theta_step(F(1)) == (F(0), "R")
+        assert theta_step(F(2)) == (F(1, 3), "R")
+        assert theta_step(F(1, 9)) == (F(1, 4), "S")
 
     def test_phi_examples(self):
-        assert phi_step(F(3, 5)) == (F(3, 2), Letter.G)
-        assert phi_step(F(3, 2)) == (F(1, 2), Letter.F)
-        assert phi_step(F(0)) == (F(0), Letter.G)
+        assert phi_step(F(3, 5)) == (F(3, 2), "G")
+        assert phi_step(F(3, 2)) == (F(1, 2), "F")
+        assert phi_step(F(0)) == (F(0), "G")
 
     def test_negative_inputs(self):
         with pytest.raises(NegativeInputError):
@@ -102,13 +110,13 @@ class TestOrbit:
         rec = orbit(F(0), THETA)
         assert rec.points == (F(0),)
         assert rec.stopping_time == 0
-        assert rec.branches == ()
+        assert rec.branches == ""
 
     def test_cap_exhaustion_is_data(self):
         rec = orbit(F(5), THETA, 2)
         assert not rec.terminated
         assert rec.stopping_time is None
-        assert len(rec.branches) == 2
+        assert rec.branches == "RR"
 
     def test_points_chain_exactly(self):
         rec = orbit(F(17, 7), THETA, 100)
@@ -120,28 +128,32 @@ class TestOrbit:
 
 class TestWordRecovery:
     def test_theta_word_two(self):
-        word = orbit_to_word(orbit(F(2), THETA))
-        assert word == [Letter.R, Letter.S, Letter.R]
-        assert apply_letter(Letter.R, apply_letter(Letter.S, apply_letter(Letter.R, F(0)))) == F(2)
+        # 2 = r(s(r(0))): r(0) = 1, s(1) = 1/3, r(1/3) = 2
+        runs = theta_runs(2, 1, 100)
+        assert runs == [1, 1, 1, 0]
+        assert word_str(runs, "RS") == orbit(F(2), THETA).branches == "RSR"
+        assert replay_theta_runs_pq(runs) == replay_word_pq("RSR") == (2, 1)
 
     def test_theta_word_one(self):
-        assert orbit_to_word(orbit(F(1), THETA)) == [Letter.R]
+        assert theta_runs(1, 1, 100) == [1, 0]
+        assert orbit(F(1), THETA).branches == "R"
 
     def test_phi_word(self):
-        word = orbit_to_word(orbit(F(3, 5), PHI))
-        assert word == [Letter.G, Letter.F, Letter.G, Letter.F]
-        assert replay_word(word) == F(3, 5)
+        runs = phi_runs(3, 5)
+        assert runs == [0, 1, 1, 1, 1]
+        assert word_str(runs, "FG") == orbit(F(3, 5), PHI).branches == "GFGF"
+        assert replay_runs_pq(runs) == replay_word_pq("GFGF") == (3, 5)
 
     def test_not_terminated(self):
-        with pytest.raises(NotTerminatedError):
-            orbit_to_word(orbit(F(5), THETA, 2))
+        assert theta_runs(5, 1, 2) is None
+        assert not orbit(F(5), THETA, 2).terminated
 
     def test_replay_matches_pq_replay(self):
         for p, q in reduced_fractions(30):
-            rec = orbit(F(p, q), THETA)
-            word = orbit_to_word(rec)
-            assert replay_word(word) == F(p, q)
-            assert replay_word_pq(word) == (p, q)
+            runs = theta_runs(p, q, 10_000)
+            word = orbit(F(p, q), THETA).branches
+            assert word_str(runs, "RS") == word
+            assert replay_theta_runs_pq(runs) == replay_word_pq(word) == (p, q)
 
     def test_recovery_sweeps(self):
         checked, failures = verify_word_recovery(60, THETA)
@@ -156,10 +168,10 @@ class TestIntPairPaths:
     def test_agrees_with_fraction_orbit(self, map_name):
         for p, q in reduced_fractions(40):
             rec = orbit(F(p, q), map_name, 10_000)
-            steps, term, branches = orbit_pq(p, q, map_name, 10_000, record=True)
+            steps, term, branches = orbit_pq(p, q, map_name, 10_000)
             assert term == rec.terminated
             assert steps == rec.stopping_time
-            assert tuple(branches) == rec.branches
+            assert branches == rec.branches
 
 
 class TestCompleteToSl2:
@@ -190,9 +202,10 @@ class TestCompleteToSl2:
 
 class TestSl2Factor:
     def test_examples(self):
-        assert sl2_factor(Mat2(1, 1, 0, 1)) == [Letter.F]
-        assert sl2_factor(Mat2(2, 1, 1, 1)) == [Letter.F, Letter.G]
-        assert sl2_factor(Mat2.identity()) == []
+        assert sl2_factor(Mat2(1, 1, 0, 1)) == [1, 0]
+        assert sl2_factor(Mat2(2, 1, 1, 1)) == [1, 1]
+        assert sl2_factor(Mat2(1, 2, 1, 3)) == [0, 1, 2, 0]
+        assert sl2_factor(Mat2.identity()) == [0, 0]
 
     def test_errors(self):
         with pytest.raises(NotFactorableError):
@@ -200,42 +213,39 @@ class TestSl2Factor:
         with pytest.raises(NotFactorableError):
             sl2_factor(Mat2(1, -1, 0, 1))
 
-    def test_word_length_limit(self):
-        # refused before any letter is built, also when the length is all G tail
-        with pytest.raises(SizeLimitError):
-            sl2_factor(Mat2(1, 10**12, 0, 1))
-        with pytest.raises(SizeLimitError):
-            sl2_factor(Mat2(1, 0, MAX_FACTOR_LETTERS + 1, 1))
-        assert sl2_factor(Mat2(1, 0, 5, 1)) == [Letter.G] * 5
+    def test_huge_runs_in_closed_form(self):
+        # one division per run, however long the word
+        assert sl2_factor(Mat2(1, 10**12, 0, 1)) == [10**12, 0]
+        assert sl2_factor(Mat2(1, 0, 10**12, 1)) == [0, 10**12]
+        assert sl2_factor(Mat2(1, 0, 5, 1)) == [0, 5]
+
+    def test_runs_shape(self):
+        # F runs at even positions, G runs at odd ones, ending with the G tail
+        rng = random.Random(46)
+        for _ in range(200):
+            runs = sl2_factor(word_matrix(rng.choices("FG", k=rng.randint(0, 12))))
+            assert len(runs) % 2 == 0 and all(n >= 1 for n in runs[1:-1])
 
     def test_round_trip_and_uniqueness(self):
         rng = random.Random(43)
-        f, g = Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)
         for _ in range(200):
-            word = [rng.choice((Letter.F, Letter.G)) for _ in range(rng.randint(0, 12))]
-            m = Mat2.identity()
-            for letter in word:
-                m = m * (f if letter is Letter.F else g)
-            recovered = sl2_factor(m)
+            word = "".join(rng.choice("FG") for _ in range(rng.randint(0, 12)))
+            m = word_matrix(word)
+            recovered = word_str(sl2_factor(m), "FG")
             assert recovered == subtractive_factor(m)
-            product = Mat2.identity()
-            for letter in recovered:
-                product = product * (f if letter is Letter.F else g)
+            product = word_matrix(recovered)
             assert product == m
-            assert sl2_factor(product) == recovered
+            assert word_str(sl2_factor(product), "FG") == recovered
             # free monoid: the factorization is the original word
-            assert recovered == word or m == Mat2.identity()
+            assert recovered == word
 
     def test_long_runs_match_subtractive_oracle(self):
         rng = random.Random(45)
         for _ in range(100):
-            word = []
-            for _ in range(rng.randint(0, 6)):
-                word += [rng.choice((Letter.F, Letter.G))] * rng.randint(1, 200)
-            m = Mat2.identity()
-            for letter in word:
-                m = m * (Mat2(1, 1, 0, 1) if letter is Letter.F else Mat2(1, 0, 1, 1))
-            assert sl2_factor(m) == subtractive_factor(m) == word
+            word = "".join(rng.choice("FG") * rng.randint(1, 200)
+                           for _ in range(rng.randint(0, 6)))
+            m = word_matrix(word)
+            assert word_str(sl2_factor(m), "FG") == subtractive_factor(m) == word
 
     def test_completion_word_reaches_target(self):
         # the Stern-Brocot word of the completed matrix sends 0 to b/d
@@ -245,8 +255,8 @@ class TestSl2Factor:
             if math.gcd(b, d) != 1:
                 continue
             m = complete_to_sl2(b, d)
-            word = sl2_factor(m)
-            assert replay_word(word) == F(b, d)
+            word = word_str(sl2_factor(m), "FG")
+            assert replay_word_pq(word) == (b, d)
             assert mobius_apply(m, F(0)) == F(b, d)
 
 

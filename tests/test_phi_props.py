@@ -2,10 +2,11 @@
 
 The fast paths are the divmod sweep kernel, the run-length word and its
 replay, phi word recovery and the array sweep starts.  Their oracles are
-``orbit_pq(..., PHI)``, ``replay_word_pq`` and ``reduced_fractions``.  Pairs
-with small quotient sums are built from drawn continued fractions, so the
-stepwise oracle stays cheap however large p and q are.  A fixed
-derandomized profile keeps these fast and repeatable.
+``orbit_pq(..., PHI)``, whose branch string the runs must render to,
+``replay_word_pq`` and ``reduced_fractions``.  Pairs with small quotient
+sums are built from drawn continued fractions, so the stepwise oracle stays
+cheap however large p and q are.  A fixed derandomized profile keeps these
+fast and repeatable.
 """
 
 import math
@@ -17,7 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 from collatzq import phi_monotonicity_sweep, verify_word_recovery
 from collatzq.dynamics import (
     PHI,
-    Letter,
     orbit_pq,
     phi_runs,
     reduced_fraction_arrays,
@@ -26,6 +26,7 @@ from collatzq.dynamics import (
     replay_word_pq,
 )
 from collatzq.kernels import FLAG_DONE, phi_sweep
+from collatzq.reports import word_str
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -50,10 +51,6 @@ def big_pairs(draw):
     q = draw(st.integers(1, LIMIT - 1))
     g = math.gcd(p, q)
     return p // g, q // g
-
-
-def expand(runs):
-    return [(Letter.G if i % 2 else Letter.F) for i, n in enumerate(runs) for _ in range(n)]
 
 
 @PROPS
@@ -83,8 +80,8 @@ def test_divmod_kernel_matches_quotient_sum_up_to_2_62(pairs):
 def test_run_length_word_expands_to_stepwise_word(pair):
     p, q, total = pair
     runs = phi_runs(p, q)
-    _, term, branches = orbit_pq(p, q, PHI, total + 1, record=True)
-    assert term and expand(runs) == branches
+    _, term, branches = orbit_pq(p, q, PHI, total + 1)
+    assert term and word_str(runs, "FG") == branches
     assert len(runs) % 2 == 1 and all(n >= 1 for n in runs[1:])
     assert replay_runs_pq(runs) == replay_word_pq(branches) == (p, q)
 

@@ -3,10 +3,11 @@
 The fast paths are the compacted-rows kernel ``kernels.theta_sweep``, the
 array report of ``theta_sweep_full``, and the run-length word
 ``theta_runs`` with its replay and word recovery.  Their oracles are the
-stepwise big-int ``orbit_pq(..., THETA)`` and ``replay_word_pq``, a stepwise
-orbit that stops at the kernel's int64 guard, the per-start first-maximum
-loop, and the right column of ``word_eval``.  Rows are drawn both small and
-around ``INT64_GUARD``.  A fixed derandomized profile keeps these fast and
+stepwise big-int ``orbit_pq(..., THETA)``, whose branch string the runs
+must render to, and ``replay_word_pq``, a stepwise orbit that stops at the
+kernel's int64 guard, the per-start first-maximum loop, and the right
+column of ``word_eval``.  Rows are drawn both small and around
+``INT64_GUARD``.  A fixed derandomized profile keeps these fast and
 repeatable.
 """
 
@@ -21,7 +22,6 @@ from collatzq import kernels, verify_word_recovery
 from collatzq.dynamics import (
     DEFAULT_STEP_CAP,
     THETA,
-    Letter,
     SweepReport,
     orbit_pq,
     reduced_fractions,
@@ -32,6 +32,7 @@ from collatzq.dynamics import (
     theta_sweep_full,
 )
 from collatzq.kernels import FLAG_CAP, FLAG_DONE, FLAG_OVERFLOW, INT64_GUARD, theta_sweep
+from collatzq.reports import word_str
 from collatzq.words import Word, word_eval
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -135,20 +136,16 @@ def test_sweep_redoes_guarded_rows_exactly(height, cap, guard):
         assert theta_sweep_full(height, cap) == stepwise_sweep(height, cap)
 
 
-def expand(runs):
-    return [(Letter.S if i % 2 else Letter.R) for i, n in enumerate(runs) for _ in range(n)]
-
-
 @PROPS
 @given(pairs(), st.one_of(st.integers(0, 50), st.just(DEFAULT_STEP_CAP)))
 def test_run_length_word_expands_to_stepwise_word(pair, cap):
     p, q = pair
     runs = theta_runs(p, q, cap)
-    steps, term, branches = orbit_pq(p, q, THETA, cap, record=True)
+    steps, term, branches = orbit_pq(p, q, THETA, cap)
     if not term:
         assert runs is None
         return
-    assert expand(runs) == branches and sum(runs) == steps
+    assert word_str(runs, "RS") == branches and sum(runs) == steps
     # R runs at even positions, the first empty only below 1, every later run
     # nonempty but the empty S run that closes the word
     assert len(runs) % 2 == 0 and runs[-1] == 0 and all(n >= 1 for n in runs[1:-1])
@@ -159,7 +156,7 @@ def test_run_length_word_expands_to_stepwise_word(pair, cap):
 @given(pairs())
 def test_run_length_replay_round_trip(pair):
     runs = theta_runs(*pair, DEFAULT_STEP_CAP)
-    assert replay_theta_runs_pq(runs) == replay_word_pq(expand(runs)) == pair
+    assert replay_theta_runs_pq(runs) == replay_word_pq(word_str(runs, "RS")) == pair
 
 
 @PROPS
