@@ -10,10 +10,10 @@ it on or off.
 Work splits into (beta_1, alpha_1) prefix blocks.  Census blocks, sampled
 draws and search blocks all go through the leaf pipeline of ``sieve``: an
 exact int64 modular sieve in numpy, then an exact test of its few survivors
-on raw Python integers.  Only a confirmed hit becomes a member: one builder
-turns its exponents into a ``Word``, evaluates it again and runs
-``integer_eigenvalues`` on it, for census blocks, sampled draws and search
-hits alike.  A search cuts its budget inside a block.
+on raw Python integers.  Only a confirmed hit becomes a member, with the
+matrix and eigenvalues the leaf built from those integers; one builder
+wraps it, for census blocks, sampled draws and search hits alike.  A search
+cuts its budget inside a block.
 
 Blocks are independent, dispatched to a process pool in contiguous runs,
 and merged in prefix order, so the worker count never changes output bytes.
@@ -39,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .core import EigenPair, Mat2, integer_eigenvalues
+from .core import EigenPair, Mat2
+from .core import integer_eigenvalues  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import BudgetExceededError, CorruptCheckpointError
-from .sieve import sample_hits, sieve_blocks
+from .sieve import Hit, sample_hits, sieve_blocks
 from .spectral import NkCertificate, compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
@@ -53,8 +54,7 @@ from .words import (
     lambda_prefixes,
     r_power,
     s_power,
-    word_eval,
-    word_eval_general,
+    word_eval,  # noqa: F401  (traced here by perfbench/spans.py)
 )
 
 DEFAULT_CENSUS_BUDGET = 10**8
@@ -95,15 +95,10 @@ def _block_size(k: int, M: int) -> int:
     return 1 if k == 1 else M ** (2 * k - 3) * (M + 1)
 
 
-def _member(exponents: tuple[int, ...], evaluate: Callable[[Word], Mat2]) -> OmegaMember:
-    """The member for a leaf hit, its matrix from ``evaluate``; the oracle
-    must agree that it is one."""
-    w = Word(exponents[0::2], exponents[1::2])
-    m = evaluate(w)
-    eig = integer_eigenvalues(m)
-    if eig is None:
-        raise AssertionError(f"leaf test admitted {w}, integer_eigenvalues rejects {m}")
-    return OmegaMember(w, m, eig)
+def _member(hit: Hit) -> OmegaMember:
+    """The member for a leaf hit (exponents, matrix, eigenvalues)."""
+    exponents, m, eig = hit
+    return OmegaMember(Word(exponents[0::2], exponents[1::2]), m, eig)
 
 
 def _census_blocks(
@@ -113,7 +108,7 @@ def _census_blocks(
     # no exponent exceeds M, so n = M never skips a word
     n = M if cert is None else cert.n
     for tested, hits in sieve_blocks(r_power, s_power, k, M, blocks, n):
-        yield tested, [_member(exponents, word_eval) for exponents in hits]
+        yield tested, list(map(_member, hits))
 
 
 def _census_run(task: tuple[int, int, list[tuple[int, int]], NkCertificate | None]):
@@ -227,10 +222,7 @@ def census_sampled(
     cert = compute_nk(k) if use_prefilter else None
     n = M if cert is None else cert.n
     rng = random.Random(seed)
-    members = [
-        _member(exponents, word_eval)
-        for exponents in sample_hits(r_power, s_power, rng, k, M, sample_size, n)
-    ]
+    members = list(map(_member, sample_hits(r_power, s_power, rng, k, M, sample_size, n)))
     return DensityRow(
         k=k,
         M=M,
@@ -352,7 +344,6 @@ def search_counterexamples(
     skipped as whole blocks.
     """
     g = generators
-    evaluate = functools.partial(word_eval_general, g=g)
     members: list[OmegaMember] = []
     tested = 0
     complete = True
@@ -363,7 +354,7 @@ def search_counterexamples(
             g.b_power, g.a_power, j, exp_max, blocks, exp_max, budget - tested
         ):
             tested += walked
-            members.extend(_member(exponents, evaluate) for exponents in hits)
+            members.extend(map(_member, hits))
             if walked < size:
                 complete = False
         if not complete:

@@ -53,14 +53,19 @@ def _parse_value(text: str) -> Fraction:
     return value
 
 
-def _parse_step_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if cap < 0:
-        raise argparse.ArgumentTypeError("step cap must be >= 0")
-    return cap
+def _int_at_least(lo: int):
+    """An argparse type: an int that is at least ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_matrix(text: str) -> Mat2:
@@ -78,9 +83,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise argparse.ArgumentTypeError("range must look like A..B")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
+    if lo < 1 or hi < lo:
+        raise argparse.ArgumentTypeError(f"range must have 1 <= A <= B, got {text!r}")
+    return lo, hi
 
 
 def _parse_generators(text: str) -> GeneratorPair:
@@ -118,47 +126,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate one starting value to 0")
     p.add_argument("--value", type=_parse_value, required=True, metavar="P/Q")
     p.add_argument("--map", choices=(dynamics.THETA, dynamics.PHI), default=dynamics.THETA)
-    p.add_argument("--max-steps", type=_parse_step_cap, default=dynamics.DEFAULT_STEP_CAP)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=dynamics.DEFAULT_STEP_CAP)
     p.add_argument("--emit", choices=("points", "word", "json"), default="points")
 
     p = sub.add_parser("sweep", help="theta-orbit termination sweep up to a height")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=dynamics.DEFAULT_STEP_CAP)
+    p.add_argument("--height", type=_int_at_least(2), required=True)
+    p.add_argument("--max-steps", type=_int_at_least(1), default=dynamics.DEFAULT_STEP_CAP)
     p.add_argument("--out", metavar="CSV")
 
     p = sub.add_parser("enumerate", help="list the (k, M) word box")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--emit", choices=("tuples", "matrices"), default="tuples")
 
     p = sub.add_parser("density", help="integer-eigenvalue census over a range of M")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--m-range", type=_parse_range, required=True, metavar="A..B")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1)
     p.add_argument("--prefilter", choices=("on", "off"), default="on")
     p.add_argument("--out", metavar="CSV")
-    p.add_argument("--sample", type=int, metavar="N", help="sampled mode, N draws per M")
+    p.add_argument("--sample", type=_int_at_least(1), metavar="N",
+                   help="sampled mode, N draws per M")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", metavar="FILE")
     p.add_argument("--resume", action="store_true")
 
     p = sub.add_parser("search", help="hunt words with integer eigenvalues")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exp-max", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--exp-max", type=_int_at_least(1), required=True)
     p.add_argument("--generators", type=_parse_generators, default=DEFAULT_GENERATORS,
                    metavar="a,u,v,b")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", metavar="JSONL")
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--k", type=_int_at_least(1))
+    p.add_argument("--samples", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, help="box bound for the freeness suite")
+    p.add_argument("--m", type=_int_at_least(1), help="box bound for the freeness suite")
 
     p = sub.add_parser("nk", help="exponent-threshold certificate for a block count")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("fixed-point", help="rational fixed points of a,b,c,d")
     p.add_argument("--matrix", type=_parse_matrix, required=True, metavar="a,b,c,d")
@@ -273,7 +282,7 @@ def _cmd_density(args) -> int:
             args.k,
             args.m_range,
             prefilter,
-            workers=max(args.threads, 1),
+            workers=args.threads,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
         )

@@ -91,19 +91,22 @@ class EigenPair(NamedTuple):
 
 
 def integer_eigenvalues(m: Mat2) -> EigenPair | None:
-    """Both eigenvalues as integers, or None.
+    """Both eigenvalues as integers, or None (see ``eigen_from_disc``)."""
+    tr = m.trace()
+    return eigen_from_disc(tr, tr * tr - 4 * m.det())
 
-    Integer iff tr^2 - 4*det is a perfect square s*s with tr = s (mod 2);
-    then the pair is ((tr - s)/2, (tr + s)/2).  The parity test is the exact
+
+def eigen_from_disc(tr: int, disc: int) -> EigenPair | None:
+    """The integer eigenvalues of a matrix with trace ``tr`` and
+    discriminant ``disc`` = tr^2 - 4*det, or None.
+
+    Integer iff disc is a perfect square s*s with tr = s (mod 2); then the
+    pair is ((tr - s)/2, (tr + s)/2).  The parity test is the exact
     integrality condition forced by lambda = (tr +- s)/2 (for integer
     matrices it is implied by squareness, but it is kept explicit).
     """
-    tr = m.trace()
-    disc = tr * tr - 4 * m.det()
     square, s = is_perfect_square(disc)
-    if not square:
-        return None
-    if (tr - s) % 2 != 0:
+    if not square or (tr - s) % 2 != 0:
         return None
     return EigenPair((tr - s) // 2, (tr + s) // 2)
 

@@ -17,9 +17,10 @@ position only the trace is formed, and disc = tr^2 - 4 det mod m must be a
 square mod 5005 = 5*7*11*13 and mod 7429 = 17*19*23.  About 1% of words
 survive.  A survivor whose exponents all exceed the prefilter threshold is
 dropped; the others are confirmed on raw Python integers: the product is
-rebuilt from the exponent tuple and its discriminant goes through
-``_eigen_hit`` (residues mod 64, 63, 65 and 11, Cohen Alg. 1.7.3, then
-``isqrt`` and the parity test).
+rebuilt from the exponent tuple and its trace and discriminant go through
+``core.eigen_from_disc`` (``isqrt`` and the parity test).  Objects are
+built only for a confirmed hit: its ``Mat2`` and ``EigenPair``, from those
+integers.
 
 Sampled words are drawn with the same ``getrandbits`` calls as
 ``Random.randint`` and sieved in batches with no tails; their power tables
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import Mat2, is_perfect_square
+from .core import EigenPair, Mat2, eigen_from_disc
 from .words import _exponent_ranges
 
 
@@ -48,28 +49,6 @@ def _square_residues(m: int) -> bytes:
     for s in range(m):
         table[s * s % m] = 1
     return bytes(table)
-
-
-_SQ64 = _square_residues(64)
-_SQ63 = _square_residues(63)
-_SQ65 = _square_residues(65)
-_SQ11 = _square_residues(11)
-
-
-def _may_be_square(n: int) -> bool:
-    """False only for n that is not a perfect square (residues mod 64, 63, 65, 11)."""
-    if not _SQ64[n & 63]:
-        return False
-    r = n % 45045  # 63 * 65 * 11
-    return bool(_SQ63[r % 63] and _SQ65[r % 65] and _SQ11[r % 11])
-
-
-def _eigen_hit(tr: int, disc: int) -> bool:
-    """The test of ``integer_eigenvalues`` from the trace and disc = tr^2 - 4 det."""
-    if not _may_be_square(disc):
-        return False
-    square, s = is_perfect_square(disc)
-    return square and (tr - s) % 2 == 0
 
 
 # The sieve modulus, the product of two factors with a square-residue table
@@ -90,6 +69,9 @@ SIEVE_CHUNK_WORDS = 1 << 14
 
 # A generator is a function n -> G^n as a Mat2, in closed form.
 PowerFn = Callable[[int], Mat2]
+
+# A confirmed hit: its exponent tuple, its matrix and its eigenvalues
+Hit = tuple[tuple[int, ...], Mat2, EigenPair]
 
 
 def _times(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -191,8 +173,9 @@ class _Leaves:
     def _tables(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_power_table(g, exponents) for g in self.generators)
 
-    def confirm(self, exponents: Iterable[int]) -> bool:
-        """The exact test, on the raw-integer product of the word."""
+    def confirm(self, exponents: Iterable[int]) -> tuple[Mat2, EigenPair] | None:
+        """The word's matrix and integer eigenvalues, or None: the exact
+        test, on the raw-integer product of the word."""
         xa, xb, xc, xd = 1, 0, 0, 1
         for i, e in enumerate(exponents):
             ga, gb, gc, gd = self.powers[i % 2](e)
@@ -200,12 +183,13 @@ class _Leaves:
                 xa * ga + xb * gc, xa * gb + xb * gd, xc * ga + xd * gc, xc * gb + xd * gd
             )
         tr = xa + xd
-        return _eigen_hit(tr, tr * tr - 4 * (xa * xd - xb * xc))
+        eigen = eigen_from_disc(tr, tr * tr - 4 * (xa * xd - xb * xc))
+        return None if eigen is None else (Mat2(xa, xb, xc, xd), eigen)
 
     def hits(
         self, heads: np.ndarray, tails: list[range], n: int, words: int
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(index, exponents) of the hits among the first ``words`` words of
+    ) -> Iterator[tuple[int, Hit]]:
+        """(index, hit) of the hits among the first ``words`` words of
         ``heads`` x ``tails``, in order; a word whose exponents all exceed
         ``n`` is not tested."""
         if self.tables is None:
@@ -220,8 +204,8 @@ class _Leaves:
             digits = np.unravel_index(index % tail, [len(r) for r in tails])
             columns += [(d + r.start)[:, None] for d, r in zip(digits, tails)]
         for i, exponents in zip(index.tolist(), np.concatenate(columns, axis=1).tolist()):
-            if min(exponents) <= n and self.confirm(exponents):
-                yield i, tuple(exponents)
+            if min(exponents) <= n and (found := self.confirm(exponents)):
+                yield i, (tuple(exponents), *found)
 
 
 def sieve_blocks(
@@ -232,9 +216,9 @@ def sieve_blocks(
     blocks: list[tuple[int, int]],
     n: int,
     limit: int | None = None,
-) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """(words, hit exponent tuples) of each (b1, a1) block of the (k, M) box
-    in ``blocks``, in order.
+) -> Iterator[tuple[int, list[Hit]]]:
+    """(words, hits) of each (b1, a1) block of the (k, M) box in ``blocks``,
+    in order.
 
     Words are left^b1 right^a1 ... left^bk right^ak in lexicographic order
     of the exponent tuple.  With ``limit`` only the first ``limit`` words are
@@ -260,12 +244,12 @@ def sieve_blocks(
     )
     step = max(1, SIEVE_CHUNK_WORDS // tail)
     leaves = _Leaves(left, right, M)
-    hits: dict[int, list[tuple[int, ...]]] = {}  # by block
+    hits: dict[int, list[Hit]] = {}  # by block
     start = done = 0
     while chunk := list(itertools.islice(heads, step)):
         found = leaves.hits(np.array(chunk, dtype=np.int64), tails, n, words - start * tail)
-        for i, exponents in found:
-            hits.setdefault((start * tail + i) // size, []).append(exponents)
+        for i, hit in found:
+            hits.setdefault((start * tail + i) // size, []).append(hit)
         start += len(chunk)
         while done < min(start * tail, words) // size:
             yield size, hits.pop(done, [])
@@ -290,7 +274,7 @@ def _walk_block(
     p = left(b1) * right(a1)
     if k == 1:
         tr = p.trace()
-        hit = min(b1, a1) <= n and _eigen_hit(tr, tr * tr - 4 * p.det())
+        hit = min(b1, a1) <= n and eigen_from_disc(tr, tr * tr - 4 * p.det()) is not None
         return 1, [(b1, a1)] if hit else []
     step = left(1)
     la, lb, lc, ld = step.entries()
@@ -303,7 +287,6 @@ def _walk_block(
         powers.append((q.a, q.b, q.c, q.d, q.det()))
     hits: list[tuple[int, ...]] = []
     remaining = limit
-    sq64 = _SQ64
 
     def walk(xa, xb, xc, xd, det, low, prefix, depth) -> None:
         # x = the prefix product, one more factor of left per b
@@ -330,9 +313,7 @@ def _walk_block(
             for a in range(tested):
                 qa, qb, qc, qd, q_det = powers[a]
                 tr = xa * qa + xb * qc + xc * qb + xd * qd
-                disc = tr * tr - det4 * q_det
-                # the mod 64 residue, inline, turns away most leaves before any call
-                if sq64[disc & 63] and _eigen_hit(tr, disc):
+                if eigen_from_disc(tr, tr * tr - det4 * q_det) is not None:
                     hits.append(prefix + (b, a))
             remaining -= row
             if remaining <= 0:
@@ -360,10 +341,9 @@ def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray
 
 def sample_hits(
     left: PowerFn, right: PowerFn, rng: random.Random, k: int, M: int, size: int, n: int
-) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of the hits among ``size`` words of the (k, M) box
-    drawn with ``rng``, in draw order; a word whose exponents all exceed
-    ``n`` is never a hit."""
+) -> Iterator[Hit]:
+    """The hits among ``size`` words of the (k, M) box drawn with ``rng``,
+    in draw order; a word whose exponents all exceed ``n`` is never a hit."""
     # a box whose exponents fit a chunk gets whole tables, no larger than the
     # tables of a batch's own exponents would be
     leaves = _Leaves(left, right, M if M < SIEVE_CHUNK_WORDS else None)
@@ -371,5 +351,5 @@ def sample_hits(
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
     for start in range(0, size, batch):
         heads = _draw_exponents(rng, k, M, min(batch, size - start))
-        for _, exponents in leaves.hits(heads, [], n, len(heads)):
-            yield exponents
+        for _, hit in leaves.hits(heads, [], n, len(heads)):
+            yield hit

@@ -1,12 +1,13 @@
 """Property tests: the census leaf pipeline against its oracles.
 
 Census blocks, sampled draws and the counterexample search go through the
-modular sieve and confirm its survivors on raw integers;
-``word_eval``/``word_eval_general`` followed by ``integer_eigenvalues`` is
-the oracle, and the depth-first ``_walk_block`` is the oracle of the sieve.
-The residue tables may reject only non-squares, and results may not depend
-on the chunk size or the worker count.  A fixed derandomized profile keeps
-these fast and repeatable.
+modular sieve and confirm its survivors on raw integers, where the leaf
+builds each hit's matrix and eigenvalues; ``word_eval``/``word_eval_general``
+followed by ``integer_eigenvalues`` re-evaluates every word as the oracle,
+and the depth-first ``_walk_block`` is the oracle of the sieve.  The exact
+test ``eigen_from_disc`` is checked against a plain ``math.isqrt``, and
+results may not depend on the chunk size or the worker count.  A fixed
+derandomized profile keeps these fast and repeatable.
 """
 
 import importlib
@@ -29,6 +30,7 @@ from collatzq import (
     word_eval,
     word_eval_general,
 )
+from collatzq.core import eigen_from_disc
 from collatzq.words import (
     Word,
     _exponent_ranges,
@@ -93,14 +95,22 @@ words = st.integers(1, 4).flatmap(
 )
 
 
+def isqrt_eigen(tr, disc):
+    """The eigenvalue pair by a plain ``math.isqrt``, or None."""
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc or (tr - s) % 2:
+        return None
+    return (tr - s) // 2, (tr + s) // 2
+
+
 @PROPS
 @given(words)
 def test_leaf_test_matches_integer_eigenvalues(exponents):
     w = Word(*map(tuple, exponents))
     m = word_eval(w)
     tr = m.trace()
-    hit = sieve_mod._eigen_hit(tr, tr * tr - 4 * m.det())
-    assert hit == (integer_eigenvalues(m) is not None)
+    disc = tr * tr - 4 * m.det()
+    assert eigen_from_disc(tr, disc) == isqrt_eigen(tr, disc) == integer_eigenvalues(m)
 
 
 big = st.integers(-(10**30), 10**30)
@@ -111,12 +121,12 @@ big = st.integers(-(10**30), 10**30)
 def test_leaf_test_on_triangular_and_general_matrices(lam, mu, x):
     # [lam, x; 0, mu] always has the integer eigenvalues lam and mu
     tr, det = lam + mu, lam * mu
-    assert sieve_mod._eigen_hit(tr, tr * tr - 4 * det)
-    # a general matrix is a hit exactly when the oracle says so
+    assert eigen_from_disc(tr, tr * tr - 4 * det) == (min(lam, mu), max(lam, mu))
+    # a general matrix is a hit exactly when the plain isqrt test says so
     m = Mat2(lam, x, 1, mu)
     tr = m.trace()
-    hit = sieve_mod._eigen_hit(tr, tr * tr - 4 * m.det())
-    assert hit == (integer_eigenvalues(m) is not None)
+    disc = tr * tr - 4 * m.det()
+    assert eigen_from_disc(tr, disc) == isqrt_eigen(tr, disc) == integer_eigenvalues(m)
 
 
 def check_sampled_against_oracle(k, M, size, seed):
@@ -209,35 +219,6 @@ def test_walk_matches_oracle_on_pairs_with_hits(k, M, g, swap, data):
     assert hits == [m.word.exponents() for m in expected]
 
 
-RESIDUE_TABLES = [
-    (64, sieve_mod._SQ64),
-    (63, sieve_mod._SQ63),
-    (65, sieve_mod._SQ65),
-    (11, sieve_mod._SQ11),
-]
-
-
-def test_residue_tables_admit_every_square_class():
-    for m, table in RESIDUE_TABLES:
-        assert len(table) == m
-        for s in range(m):
-            assert table[s * s % m], (m, s)
-    for s in range(2 * 45045):
-        assert sieve_mod._may_be_square(s * s)
-
-
-def test_residue_tables_reject_most_non_squares():
-    non_squares = [n for n in range(100_000) if math.isqrt(n) ** 2 != n]
-    admitted = sum(sieve_mod._may_be_square(n) for n in non_squares)
-    assert admitted < 0.02 * len(non_squares)
-
-
-@PROPS
-@given(st.integers(0, 2**4000))
-def test_residue_tables_admit_large_squares(s):
-    assert sieve_mod._may_be_square(s * s)
-
-
 # ---------------------------------------------------------------------------
 # The modular sieve: survivors, chunking, workers, draws
 # ---------------------------------------------------------------------------
@@ -266,8 +247,15 @@ def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
     block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)]
     assert {block.index(h) for h in hits} <= set(survivors.tolist())
 
-    blocks = list(sieve_mod.sieve_blocks(left, right, k, M, [(b1, a1)], M, limit))
-    assert blocks == [(walked, hits)]
+    [(tested, found)] = sieve_mod.sieve_blocks(left, right, k, M, [(b1, a1)], M, limit)
+    assert (tested, [h[0] for h in found]) == (walked, hits)
+    # each hit carries the word's product and its eigenvalues
+    for exponents, matrix, eigen in found:
+        m = Mat2.identity()
+        for i, e in enumerate(exponents):
+            m = m * (left, right)[i % 2](e)
+        assert matrix == m
+        assert eigen == integer_eigenvalues(m)
 
 
 @PROPS
@@ -316,9 +304,10 @@ def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
 
     monkeypatch.setattr(sieve_mod._Leaves, "hits", counting)
     blocks = lambda_prefixes(3, 40)
-    got = list(sieve_mod.sieve_blocks(r_power, s_power, 3, 40, blocks, 40, 5000))
+    [(tested, found)] = sieve_mod.sieve_blocks(r_power, s_power, 3, 40, blocks, 40, 5000)
     assert rows == [math.ceil(5000 / 1640)]
-    assert got == [sieve_mod._walk_block(r_power, s_power, 3, 40, *blocks[0], 40, 5000)]
+    walked = sieve_mod._walk_block(r_power, s_power, 3, 40, *blocks[0], 40, 5000)
+    assert (tested, [h[0] for h in found]) == walked
 
 
 @pytest.mark.parametrize("k,M", [(1, 9), (2, 7), (3, 4)])

@@ -87,7 +87,7 @@ class TestOrbit:
         code, out, err = run_main("orbit", "--value", value, "--map", map_name,
                                   "--max-steps", "-1", "--emit", emit)
         assert code == 2 and out == ""
-        assert "--max-steps: step cap must be >= 0" in err
+        assert "--max-steps: must be >= 0, got -1" in err
 
     @PROPS
     @given(st.sampled_from([THETA, PHI]), reduced_values(),
@@ -295,6 +295,67 @@ class TestSmallCommands:
             code, out, err = run_main("factor", "--matrix", ",".join(map(str, m.entries())))
             assert (code, out, err) == (0, subtractive_factor(m) + "\n", "")
             assert out == word + "\n"
+
+
+HEADER = "# collatzq 0.1.0\n# invocation: "
+DENSITY_COLUMNS = "k,M,lambda_count,omega_count,density_num,density_den,mode\n"
+
+# (argv, exit code, stdout): out-of-range numbers are refused by the parser
+# (exit 2, nothing on stdout); the values at each bound still run
+PARSER_CASES = [
+    ("verify --suite trace --k 0", 2, ""),
+    ("verify --suite trace --samples -1", 2, ""),
+    ("verify --suite trace --samples 0", 2, ""),
+    ("verify --suite freeness --m 0", 2, ""),
+    ("search --k 1 --exp-max 3 --budget -1", 2, ""),
+    ("search --k 0 --exp-max 3", 2, ""),
+    ("search --k 1 --exp-max 0", 2, ""),
+    ("enumerate --k 0 --m 2", 2, ""),
+    ("enumerate --k 1 --m 0", 2, ""),
+    ("density --k 2 --m-range 1..3 --threads -5", 2, ""),
+    ("density --k 2 --m-range 1..3 --threads 0", 2, ""),
+    ("density --k 0 --m-range 1..3", 2, ""),
+    ("density --k 2 --m-range 0..3", 2, ""),
+    ("density --k 2 --m-range 3..2", 2, ""),
+    ("density --k 2 --m-range 1..2 --sample 0", 2, ""),
+    ("sweep --height 1", 2, ""),
+    ("sweep --height 5 --max-steps 0", 2, ""),
+    ("orbit --value 5 --max-steps -1", 2, ""),
+    ("nk --k 0", 2, ""),
+    ("verify --suite trace --k 1 --samples 1", 0,
+     '{"exp_max": 5, "failures": 0, "first_failure_witness": null, "k": 1, '
+     '"property": "trace", "samples": 1, "seed": 0, "version": "0.1.0"}\n'),
+    ("verify --suite freeness --k 1 --m 1", 0,
+     '{"M": 1, "failures": 0, "first_failure_witness": null, "k": 1, '
+     '"property": "freeness", "samples": 4, "version": "0.1.0"}\n'),
+    ("search --k 1 --exp-max 1 --budget 0", 0,
+     HEADER + "search --k 1 --exp-max 1 --generators 3,1,1,2 --budget 0\n"),
+    ("enumerate --k 1 --m 1", 0,
+     HEADER + "enumerate --k 1 --m 1 --emit tuples\n0,0\n0,1\n1,0\n1,1\n"),
+    ("density --k 1 --m-range 1..1 --threads 1", 0,
+     HEADER + "density --k 1 --m-range 1..1 --prefilter on\n" + DENSITY_COLUMNS
+     + "1,1,4,3,3,4,exhaustive\n"),
+    ("density --k 2 --m-range 1..2 --sample 1", 0,
+     HEADER + "density --k 2 --m-range 1..2 --prefilter on --sample 1 --seed 0\n"
+     + DENSITY_COLUMNS + "2,1,4,0,0,1,sampled(size=1;seed=0)\n"
+     + "2,2,36,0,0,1,sampled(size=1;seed=0)\n"),
+    ("sweep --height 2 --max-steps 1", 0,
+     '{"height_bound": 2, "step_cap": 1, "total_tested": 2, "all_terminated": true, '
+     '"max_stopping_time": 1, "argmax": "1", "nonterminated": [], "version": "0.1.0", '
+     '"invocation": "sweep --height 2 --max-steps 1"}\n'),
+    ("orbit --value 5 --max-steps 0", 1, "5\n"),
+    ("nk --k 1", 0,
+     '{"k": 1, "n": 2, "product_value": "12/7", "product_threshold": 1, '
+     '"det_floor": 216, "det_threshold": 36, "margin_ok": true}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", PARSER_CASES)
+def test_numeric_flags_checked_by_the_parser(argv, code, out):
+    got_code, got_out, err = run_main(*argv.split())
+    assert (got_code, got_out) == (code, out)
+    if code == 2:
+        assert "error: argument --" in err
 
 
 class TestDeterminism:
