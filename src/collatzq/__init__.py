@@ -77,7 +77,6 @@ from .words import (
     format_word_compact,
     freeness_check,
     lambda_count,
-    lambda_prefixes,
     parse_word,
     r_power,
     s_power,

@@ -7,21 +7,22 @@ member list.  Membership is decided by the exact test only; the prefilter
 may skip words it certifies, never admit any, so results are identical with
 it on or off.
 
-Work splits into (beta_1, alpha_1) prefix blocks.  Census blocks, sampled
-draws and search blocks all go through the leaf pipeline of ``sieve``: an
-exact int64 modular sieve in numpy, then an exact test of its few survivors
-on raw Python integers.  Only a confirmed hit becomes a member, with the
-matrix and eigenvalues the leaf built from those integers; one builder
-wraps it, for census blocks, sampled draws and search hits alike.  A search
-cuts its budget inside a block.
+Work is addressed by word ranges [start, stop) of the box's lexicographic
+order, and its unit is a sieve chunk of at most ``SIEVE_CHUNK_WORDS``
+words.  Census ranges, sampled draws and search boxes all go through the
+leaf pipeline of ``sieve``: an exact int64 modular sieve in numpy, then an
+exact test of its few survivors on raw Python integers.  Only a confirmed
+hit becomes a member, with the matrix and eigenvalues the leaf built from
+those integers.  A search cuts its budget at a word.
 
-Blocks are independent, dispatched to a process pool in contiguous runs,
-and merged in prefix order, so the worker count never changes output bytes.
-A ``density_sweep`` checkpoint, saved after every block and every row,
-holds the finished rows plus one cursor (blocks done, words tested, members
-so far) into the census of the next M.  Resuming reproduces the
-uninterrupted result bit for bit; a checkpoint whose active census is not
-the one after its rows is refused.
+Chunks are dispatched to a process pool in contiguous runs and merged in
+word order, so the worker count changes neither output bytes nor the
+``progress`` calls.  A ``density_sweep`` checkpoint, saved after every chunk
+and every row, holds the finished rows plus one cursor (words tested,
+members so far) into the census of the next M.  Resuming from any word
+reproduces the uninterrupted result bit for bit; a checkpoint whose active
+census is not the one after its rows, or whose cursor does not fit it, is
+refused.
 """
 
 from __future__ import annotations
@@ -31,27 +32,28 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import tempfile
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .core import EigenPair, Mat2
 from .core import integer_eigenvalues  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import BudgetExceededError, CorruptCheckpointError
-from .sieve import Hit, sample_hits, sieve_blocks
+from .sieve import Hit, chunk_words, sample_hits, sieve_words
 from .spectral import NkCertificate, compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
     DEFAULT_GENERATORS,
     GeneratorPair,
     Word,
+    _exponent_ranges,
     enumerate_lambda_block,  # noqa: F401  (traced here by perfbench/spans.py)
     lambda_count,
-    lambda_prefixes,
     r_power,
     s_power,
     word_eval,  # noqa: F401  (traced here by perfbench/spans.py)
@@ -90,39 +92,33 @@ def _sampled_mode(sample_size: int, seed: int) -> str:
     return f"sampled(size={sample_size};seed={seed})"
 
 
-def _block_size(k: int, M: int) -> int:
-    """Words in one (beta_1, alpha_1) block of the (k, M) box."""
-    return 1 if k == 1 else M ** (2 * k - 3) * (M + 1)
-
-
 def _member(hit: Hit) -> OmegaMember:
     """The member for a leaf hit (exponents, matrix, eigenvalues)."""
     exponents, m, eig = hit
     return OmegaMember(Word(exponents[0::2], exponents[1::2]), m, eig)
 
 
-def _census_blocks(
-    k: int, M: int, blocks: list[tuple[int, int]], cert: NkCertificate | None
-) -> Iterator[tuple[int, list[OmegaMember]]]:
-    """(words tested, members) of each census block in ``blocks``, in order."""
+def _census_words(k: int, M: int, cert: NkCertificate | None, start: int, stop: int):
+    """(words tested, members) of each sieve chunk of census words [start, stop)."""
     # no exponent exceeds M, so n = M never skips a word
     n = M if cert is None else cert.n
-    for tested, hits in sieve_blocks(r_power, s_power, k, M, blocks, n):
+    for tested, hits in sieve_words(r_power, s_power, _exponent_ranges(k, M), n, start, stop):
         yield tested, list(map(_member, hits))
 
 
-def _census_run(task: tuple[int, int, list[tuple[int, int]], NkCertificate | None]):
-    """Consecutive blocks in one pool task, so dispatch costs are paid per run."""
-    k, M, blocks, cert = task
-    return list(_census_blocks(k, M, blocks, cert))
+def _census_run(task: tuple[int, int, NkCertificate | None, int, int]):
+    """Consecutive chunks in one pool task, so dispatch costs are paid per run."""
+    return list(_census_words(*task))
 
 
-def _runs(seq: list, workers: int) -> Iterable[list]:
-    """Contiguous slices, two per worker: few enough that dispatch stays cheap
-    next to the sieve's work, enough to even out block costs."""
-    size = max(1, -(-len(seq) // (2 * workers)))
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
+def _runs(start: int, stop: int, chunk: int, workers: int) -> list[tuple[int, int]]:
+    """[start, stop) cut at multiples of ``chunk`` into runs of whole chunks,
+    two per worker: few enough that dispatch stays cheap next to the sieve's
+    work, enough to even out chunk costs."""
+    first = start - start % chunk
+    size = max(1, -(-(stop - first) // chunk // (2 * workers))) * chunk
+    edges = [start, *range(first + size, stop, size), stop]
+    return list(zip(edges, edges[1:]))
 
 
 def _pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
@@ -131,10 +127,10 @@ def _pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-# (blocks_done, tested, members): the state of a census after its first
-# blocks_done blocks, passed to ``progress`` and read back from a checkpoint
-Cursor = tuple[int, int, list[OmegaMember]]
-ProgressFn = Callable[[int, int, list[OmegaMember]], None]
+# (tested, members): the state of a census after its first ``tested`` words,
+# passed to ``progress`` and read back from a checkpoint
+Cursor = tuple[int, list[OmegaMember]]
+ProgressFn = Callable[[int, list[OmegaMember]], None]
 
 
 def census(
@@ -148,8 +144,8 @@ def census(
 ) -> DensityRow:
     """Exhaustive census of the (k, M) box.
 
-    ``progress`` is called after every merged block with (blocks_done,
-    tested, members) so the caller can persist state.
+    ``progress`` is called after every merged sieve chunk with (tested,
+    members) so the caller can persist state.
     """
     with _pool(workers) as pool:
         return _census(k, M, use_prefilter, pool, workers, budget, progress)
@@ -171,24 +167,22 @@ def _census(
     if total > budget:
         raise BudgetExceededError(f"|box(k={k}, M={M})| = {total} exceeds budget {budget}")
     cert = compute_nk(k) if use_prefilter else None
-    blocks = lambda_prefixes(k, M)
-    done, tested, members = cursor or (0, 0, [])
+    tested, members = cursor or (0, [])
     members = list(members)
 
-    def advance(block_results) -> None:
-        nonlocal tested, done
-        for block_tested, block_members in block_results:
-            tested += block_tested
-            members.extend(block_members)
-            done += 1
+    def advance(results) -> None:
+        nonlocal tested
+        for chunk_tested, chunk_members in results:
+            tested += chunk_tested
+            members.extend(chunk_members)
             if progress is not None:
-                progress(done, tested, members)
+                progress(tested, members)
 
-    todo = blocks[done:]
     if pool is None:
-        advance(_census_blocks(k, M, todo, cert))
+        advance(_census_words(k, M, cert, tested, total))
     else:
-        tasks = [(k, M, run, cert) for run in _runs(todo, workers)]
+        runs = _runs(tested, total, chunk_words(_exponent_ranges(k, M)), workers)
+        tasks = [(k, M, cert, start, stop) for start, stop in runs]
         for results in pool.map(_census_run, tasks):
             advance(results)
 
@@ -255,9 +249,9 @@ def density_sweep(
 ) -> list[DensityRow]:
     """One census per M in ascending order, with the proof's bound attached.
 
-    With ``checkpoint_path`` the sweep persists progress after every block
-    and after every finished row; ``resume`` continues from such a file and
-    produces bit-identical rows to an uninterrupted run.
+    With ``checkpoint_path`` the sweep persists progress after every sieve
+    chunk and after every finished row; ``resume`` continues from such a
+    file and produces bit-identical rows to an uninterrupted run.
     """
     m_lo, m_hi = m_range
     if m_lo < 1 or m_hi < m_lo:
@@ -283,18 +277,23 @@ def density_sweep(
                     f"checkpoint census M={state['active_m']} does not follow "
                     f"its {len(rows)} rows from M={m_lo}"
                 )
-            members = [_member_from_json(m) for m in state["members"]]
-            cursor = (state["cursor"], state["tested"], members)
+            tested, members = state["tested"], list(map(_member_from_json, state["members"]))
+            # a cursor outside the census would end in wrong counts
+            box = lambda_count(k, state["active_m"])
+            if type(tested) is not int or not len(members) <= tested <= box:
+                raise CorruptCheckpointError(
+                    f"checkpoint cursor ({tested} words, {len(members)} members) "
+                    f"does not fit the {box} words of census M={state['active_m']}"
+                )
+            cursor = (tested, members)
         if on_row is not None:
             for row in rows:
                 on_row(row)
 
-    def save(
-        active_m: int | None, blocks_done: int, tested: int, members: list[OmegaMember]
-    ) -> None:
+    def save(active_m: int | None, tested: int, members: list[OmegaMember]) -> None:
         save_checkpoint(
             checkpoint_path, params=params, rows=rows, active_m=active_m,
-            cursor=blocks_done, tested=tested, members=members,
+            tested=tested, members=members,
         )
 
     with _pool(workers) as pool:  # one pool serves every M
@@ -307,7 +306,7 @@ def density_sweep(
             bound = theorem_density_bound(k, M, cert.n)
             rows.append(dataclasses.replace(row, density_bound=bound))
             if checkpoint_path:
-                save(None, 0, 0, [])
+                save(None, 0, [])
             if on_row is not None:
                 on_row(rows[-1])
     return rows
@@ -339,34 +338,30 @@ def search_counterexamples(
     generators any member refutes the only-pure-powers conjecture.  Budget
     exhaustion returns partial results with complete=False.
 
-    Each (b1, a1) block goes through the census's sieve.  Only one-block
-    words can be pure powers (interior exponents are >= 1), so they are
-    skipped as whole blocks.
+    Each box of j-block words goes through the census's sieve, cut where
+    the budget runs out.  Only one-block words can be pure powers (interior
+    exponents are >= 1), so the one-block box has no zero exponent.
     """
     g = generators
     members: list[OmegaMember] = []
     tested = 0
-    complete = True
     for j in range(1, k + 1):
-        size = _block_size(j, exp_max)
-        blocks = [(b1, a1) for b1, a1 in lambda_prefixes(j, exp_max) if j > 1 or b1 and a1]
-        for walked, hits in sieve_blocks(
-            g.b_power, g.a_power, j, exp_max, blocks, exp_max, budget - tested
-        ):
-            tested += walked
+        ranges = [range(1, exp_max + 1)] * 2 if j == 1 else _exponent_ranges(j, exp_max)
+        total = math.prod(map(len, ranges))
+        stop = min(total, budget - tested)
+        for words, hits in sieve_words(g.b_power, g.a_power, ranges, exp_max, 0, stop):
+            tested += words
             members.extend(map(_member, hits))
-            if walked < size:
-                complete = False
-        if not complete:
-            break
-    return SearchResult(tuple(members), tested, complete, generators)
+        if stop < total:
+            return SearchResult(tuple(members), tested, False, generators)
+    return SearchResult(tuple(members), tested, True, generators)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint files
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _member_to_json(m: OmegaMember) -> dict:
@@ -434,7 +429,6 @@ def save_checkpoint(
     params: dict,
     rows: list[DensityRow],
     active_m: int | None,
-    cursor: int,
     tested: int,
     members: list[OmegaMember],
 ) -> None:
@@ -443,7 +437,6 @@ def save_checkpoint(
         "params": params,
         "rows": [_row_to_json(r) for r in rows],
         "active_m": active_m,
-        "cursor": cursor,
         "tested": tested,
         "members": [_member_to_json(m) for m in members],
     }
@@ -455,6 +448,10 @@ def save_checkpoint(
         with open(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
+            # on disk before it replaces the old file, so a power loss
+            # cannot leave a renamed but empty checkpoint
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -353,6 +353,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_nk(args) -> int:
+    # det_floor = 6^(k(n+1)) passes Python's default 4,300 digits from k = 72;
+    # the certificate is printed in full (the limit is absent before 3.11)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     cert = spectral.compute_nk(args.k)
     payload = {
         "k": cert.k,
@@ -406,6 +410,9 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a sampled census has no cursor to save or resume
+    if args.command == "density" and args.sample is not None and (args.checkpoint or args.resume):
+        parser.error("argument --checkpoint/--resume: not allowed with argument --sample")
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit

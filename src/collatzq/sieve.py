@@ -1,17 +1,16 @@
 """The census leaf pipeline: an exact modular sieve in numpy, then an exact
 test of its few survivors on raw integers.
 
-Census blocks, sampled draws and search blocks all go through it.  The
+Census word ranges, sampled draws and search boxes all go through it.  The
 sieve works modulo m = 5*7*11*13*17*19*23 = 37,182,145 < 2^26, which is
 coprime to the determinant 2^(sum alpha) 3^(sum beta), so the determinant
-is a unit mod m.  A chunk of at most ``SIEVE_CHUNK_WORDS`` words is a set
-of exponent prefixes (the heads) times the full ranges of the remaining
-positions (the tails); a block too large for one chunk is split by fixing
-its next exponents, and heads are made a chunk at a time, only as far as a
-word limit reaches.  The heads' products are carried as int64 residues
-(four entries plus the determinant) and extended one tail position at a
-time as outer products with tables of generator powers mod m, in
-lexicographic order.  Residues stay below m, so every product is below
+is a unit mod m.  A chunk of at most ``SIEVE_CHUNK_WORDS`` consecutive words
+of a box is a run of exponent prefixes (the heads) times the full ranges of
+the remaining positions (the tails); chunks start at multiples of their
+size, and heads are made only as far as a word range reaches.  The heads'
+products are carried as int64 residues (four entries plus the determinant)
+and extended one tail position at a time as outer products with tables of
+generator powers mod m, in lexicographic order.  Residues stay below m, so every product is below
 2^52 and every sum below 2^55: the int64 arithmetic is exact.  At the last
 position only the trace is formed, and disc = tr^2 - 4 det mod m must be a
 square mod 5005 = 5*7*11*13 and mod 7429 = 17*19*23.  About 1% of words
@@ -187,82 +186,76 @@ class _Leaves:
         return None if eigen is None else (Mat2(xa, xb, xc, xd), eigen)
 
     def hits(
-        self, heads: np.ndarray, tails: list[range], n: int, words: int
-    ) -> Iterator[tuple[int, Hit]]:
-        """(index, hit) of the hits among the first ``words`` words of
-        ``heads`` x ``tails``, in order; a word whose exponents all exceed
-        ``n`` is not tested."""
+        self, heads: np.ndarray, tails: list[range], n: int, lo: int, hi: int
+    ) -> Iterator[Hit]:
+        """The hits among words ``lo`` to ``hi - 1`` of ``heads`` x ``tails``,
+        in order; a word whose exponents all exceed ``n`` is not tested."""
         if self.tables is None:
             values, columns = np.unique(heads.ravel(), return_inverse=True)
             index = _sieve(self._tables(values), columns.reshape(heads.shape), tails)
         else:
             index = _sieve(self.tables, heads, tails)
-        index = index[index < words]
+        index = index[(index >= lo) & (index < hi)]
         tail = math.prod(map(len, tails))
-        columns = [heads[index // tail]]
-        if tails:
-            digits = np.unravel_index(index % tail, [len(r) for r in tails])
-            columns += [(d + r.start)[:, None] for d, r in zip(digits, tails)]
-        for i, exponents in zip(index.tolist(), np.concatenate(columns, axis=1).tolist()):
+        words = np.concatenate([heads[index // tail], _exponents(index % tail, tails)], axis=1)
+        for exponents in words.tolist():
             if min(exponents) <= n and (found := self.confirm(exponents)):
-                yield i, (tuple(exponents), *found)
+                yield tuple(exponents), *found
 
 
-def sieve_blocks(
-    left: PowerFn,
-    right: PowerFn,
-    k: int,
-    M: int,
-    blocks: list[tuple[int, int]],
-    n: int,
-    limit: int | None = None,
-) -> Iterator[tuple[int, list[Hit]]]:
-    """(words, hits) of each (b1, a1) block of the (k, M) box in ``blocks``,
-    in order.
+def _exponents(index: np.ndarray, ranges: list[range]) -> np.ndarray:
+    """Row i: the exponents of word ``index[i]`` of ``ranges``, in
+    lexicographic order, by its mixed-radix digits."""
+    out = np.empty((len(index), len(ranges)), dtype=np.int64)
+    for i in reversed(range(len(ranges))):
+        index, digit = np.divmod(index, len(ranges[i]))
+        out[:, i] = digit + ranges[i].start
+    return out
 
-    Words are left^b1 right^a1 ... left^bk right^ak in lexicographic order
-    of the exponent tuple.  With ``limit`` only the first ``limit`` words are
-    tested, and the block that holds the cut is the last one yielded.  A
-    word whose exponents all exceed ``n`` is never a hit.
-    """
-    if not blocks:
-        return
-    ranges = _exponent_ranges(k, M)
-    # fix the exponents after (b1, a1) one at a time until the rest fit a chunk
-    p = 2
+
+def _split(ranges: list[range]) -> tuple[int, int]:
+    """(p, tail): heads fix the first p >= 1 exponents, the fewest that leave
+    a tail of at most a chunk's words."""
+    p = 1
     while math.prod(map(len, ranges[p:])) > SIEVE_CHUNK_WORDS:
         p += 1
-    tails = ranges[p:]
-    tail = math.prod(map(len, tails))
-    size = math.prod(map(len, ranges[2:p])) * tail
-    words = len(blocks) * size if limit is None else min(limit, len(blocks) * size)
-    # a head is (b1, a1) and the fixed exponents; heads are made a chunk at a
-    # time and only as far as ``words`` reaches
-    heads = itertools.islice(
-        (tuple(block) + mid for block in blocks for mid in itertools.product(*ranges[2:p])),
-        -(-words // tail),
-    )
-    step = max(1, SIEVE_CHUNK_WORDS // tail)
-    leaves = _Leaves(left, right, M)
-    hits: dict[int, list[Hit]] = {}  # by block
-    start = done = 0
-    while chunk := list(itertools.islice(heads, step)):
-        found = leaves.hits(np.array(chunk, dtype=np.int64), tails, n, words - start * tail)
-        for i, hit in found:
-            hits.setdefault((start * tail + i) // size, []).append(hit)
-        start += len(chunk)
-        while done < min(start * tail, words) // size:
-            yield size, hits.pop(done, [])
-            done += 1
-    if done < len(blocks):
-        yield words - done * size, hits.pop(done, [])
+    return p, math.prod(map(len, ranges[p:]))
+
+
+def chunk_words(ranges: list[range]) -> int:
+    """Words per sieve chunk of the box ``ranges``; chunks start at multiples."""
+    tail = _split(ranges)[1]
+    return SIEVE_CHUNK_WORDS // tail * tail
+
+
+def sieve_words(
+    left: PowerFn, right: PowerFn, ranges: list[range], n: int, start: int, stop: int
+) -> Iterator[tuple[int, list[Hit]]]:
+    """(words, hits) of each sieve chunk of words ``start`` to ``stop - 1``,
+    in order.
+
+    Words are left^e0 right^e1 left^e2 ... with exponent i in ``ranges[i]``,
+    numbered in lexicographic order of the exponent tuple; ``stop`` is at
+    most their number.  A word whose exponents all exceed ``n`` is never a
+    hit.
+    """
+    if start >= stop:
+        return
+    p, tail = _split(ranges)
+    chunk = chunk_words(ranges)
+    leaves = _Leaves(left, right, max(r.stop for r in ranges) - 1)
+    for first in range(start - start % chunk, stop, chunk):
+        lo, hi = max(start, first), min(stop, first + chunk)
+        h = lo // tail  # the first head the range reaches in this chunk
+        heads = _exponents(np.arange(h, -(-hi // tail)), ranges[:p])
+        yield hi - lo, list(leaves.hits(heads, ranges[p:], n, lo - h * tail, hi - h * tail))
 
 
 def _walk_block(
     left: PowerFn, right: PowerFn, k: int, M: int, b1: int, a1: int, n: int, limit: int
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Depth-first walk of the (b1, a1) block of the (k, M) box: the tests'
-    oracle for ``sieve_blocks``.
+    oracle for ``sieve_words``.
 
     Words are left^b1 right^a1 ... left^bk right^ak, walked in lexicographic
     order of the exponent tuple; the walk stops after ``limit`` words.  A
@@ -351,5 +344,4 @@ def sample_hits(
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
     for start in range(0, size, batch):
         heads = _draw_exponents(rng, k, M, min(batch, size - start))
-        for _, hit in leaves.hits(heads, [], n, len(heads)):
-            yield hit
+        yield from leaves.hits(heads, [], n, 0, len(heads))

@@ -16,6 +16,7 @@ Subsets are bitmasks: index i in {1..k} is bit i-1.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -226,19 +227,29 @@ def nk_product_value(k: int, n: int) -> Fraction:
 
 
 def nk_conditions(k: int, n: int) -> tuple[bool, bool]:
-    """(product bound exceeded, determinant floor clears the small-mu branch)."""
-    cond_i = nk_product_value(k, n) > 2**k - 1
-    cond_ii = 6 ** (k * (n + 1)) > (4**k + 2**k) ** 2
+    """(product bound exceeded, determinant floor clears the small-mu branch),
+    compared as integer cross-products."""
+    e = n + 1
+    cond_i = 2**k * 6 ** (e * k) > (2**k - 1) * ((2**e + 1) * (3**e + 1)) ** k
+    cond_ii = 6 ** (k * e) > (4**k + 2**k) ** 2
     return cond_i, cond_ii
 
 
 def compute_nk(k: int) -> NkCertificate:
-    """Minimal n making both exclusion conditions hold, with exact witnesses."""
+    """Minimal n making both exclusion conditions hold, with exact witnesses.
+
+    Both conditions hold from some n on, so n is found by doubling, then
+    bisection: O(log n) tests.
+    """
     if k < 1:
         raise ValueError("need k >= 1")
-    n = 1
-    while not all(nk_conditions(k, n)):
-        n += 1
+    hi = 1
+    while not all(nk_conditions(k, hi)):
+        hi *= 2
+    # the conditions fail at hi / 2 (or hi = 1) and hold at hi
+    n = bisect.bisect_left(
+        range(hi + 1), True, lo=hi // 2 + 1, key=lambda n: all(nk_conditions(k, n))
+    )
     # the trace lower bound also needs 3^(k(n+1)) > 4^k, automatic for n >= 1
     assert 3 ** (k * (n + 1)) > 4**k
     return NkCertificate(

@@ -7,7 +7,9 @@ size; repeated multiplication stays available as the test oracle.
 
 The box of words with interior exponents in [1, M] and boundary exponents
 in [0, M] has exactly (M+1)^2 * M^(2k-2) members; enumeration is a lazy
-lexicographic stream, splittable by (beta_1, alpha_1) prefix for workers.
+lexicographic stream.  The census addresses it by word ranges [start,
+stop) in that order (``sieve.sieve_words``); ``enumerate_lambda_block``
+lists the contiguous range with the first two exponents fixed.
 """
 
 from __future__ import annotations
@@ -223,16 +225,6 @@ def enumerate_lambda(k: int, M: int) -> Iterator[Word]:
         raise ValueError("need k >= 1 and M >= 1")
     for tup in itertools.product(*_exponent_ranges(k, M)):
         yield Word(tup[0::2], tup[1::2])
-
-
-def lambda_prefixes(k: int, M: int) -> list[tuple[int, int]]:
-    """(beta_1, alpha_1) prefix blocks in lexicographic order.
-
-    Blocks partition the box; disjoint sub-streams can go to parallel workers
-    and results merge deterministically in prefix order.
-    """
-    ranges = _exponent_ranges(k, M)
-    return [(b1, a1) for b1 in ranges[0] for a1 in ranges[1]]
 
 
 def enumerate_lambda_block(k: int, M: int, beta1: int, alpha1: int) -> Iterator[Word]:

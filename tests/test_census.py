@@ -1,7 +1,10 @@
 """Census engine: exact counts, prefilter transparency, checkpoints, search."""
 
+import importlib
 import io
+import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -21,9 +24,15 @@ from collatzq import (
     theorem_density_bound,
     word_eval_general,
 )
-from collatzq.census import _member_to_json
+from collatzq.census import _census_words, _member_to_json
 from collatzq.errors import BudgetExceededError, CorruptCheckpointError
 from collatzq.reports import read_members_jsonl, write_density_csv, write_members_jsonl
+from collatzq.spectral import compute_nk
+from collatzq.words import _exponent_ranges
+
+# collatzq.census is shadowed by the function census in the package namespace
+census_mod = importlib.import_module("collatzq.census")
+sieve_mod = importlib.import_module("collatzq.sieve")
 
 
 class TestCensus:
@@ -130,34 +139,26 @@ class TestCheckpoints:
         resumed = density_sweep(2, (1, 4), checkpoint_path=path, resume=True)
         assert resumed == fresh
 
-    def test_mid_census_cursor_resume(self, tmp_path):
-        # hand-build a checkpoint whose active census is half done
+    def test_mid_census_cursor_resume(self, tmp_path, monkeypatch):
+        # hand-build checkpoints whose active census is part done, and resume
+        # them under chunk sizes whose boundaries do and do not meet the cursor
         path = str(tmp_path / "ck.json")
-        fresh = density_sweep(2, (3, 3))
-        from collatzq.census import _census_blocks
-        from collatzq.spectral import compute_nk
-        from collatzq.words import lambda_prefixes
-
-        cert = compute_nk(2)
-        blocks = lambda_prefixes(2, 3)
-        cut = len(blocks) // 2
-        tested = 0
-        members = []
-        for b1, a1 in blocks[:cut]:
-            t, ms = next(_census_blocks(2, 3, [(b1, a1)], cert))
-            tested += t
-            members.extend(ms)
-        save_checkpoint(
-            path,
-            params={"k": 2, "m_lo": 3, "m_hi": 3, "prefilter": True},
-            rows=[],
-            active_m=3,
-            cursor=cut,
-            tested=tested,
-            members=members,
-        )
-        resumed = density_sweep(2, (3, 3), checkpoint_path=path, resume=True)
-        assert resumed == fresh
+        fresh = density_sweep(1, (6, 6))
+        cert = compute_nk(1)
+        for cut in (0, 1, 20, 21, 35, 48, 49):
+            members = [m for _, found in _census_words(1, 6, cert, 0, cut) for m in found]
+            save_checkpoint(
+                path,
+                params={"k": 1, "m_lo": 6, "m_hi": 6, "prefilter": True},
+                rows=[],
+                active_m=6,
+                tested=cut,
+                members=members,
+            )
+            for chunk in (1, 7, 9, 16384):
+                monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
+                resumed = density_sweep(1, (6, 6), checkpoint_path=path, resume=True)
+                assert resumed == fresh, (cut, chunk)
 
     def test_immediate_save_then_resume(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -166,7 +167,6 @@ class TestCheckpoints:
             params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
             rows=[],
             active_m=None,
-            cursor=0,
             tested=0,
             members=[],
         )
@@ -191,13 +191,24 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
+    def test_version_1_file_refused(self, tmp_path):
+        # version 1 counted its cursor in (beta_1, alpha_1) blocks
+        path = tmp_path / "ck.json"
+        payload = {"version": 1, "params": {}, "rows": [], "active_m": None,
+                   "cursor": 0, "tested": 0, "members": []}
+        payload["sha256"] = census_mod._payload_hash(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptCheckpointError, match="version"):
+            load_checkpoint(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(tmp_path / "absent.json"))
 
     def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        # the M = 8 census has 24 sieve chunks; crash inside it
         path = str(tmp_path / "ck.json")
-        fresh = density_sweep(2, (1, 4))
+        fresh = density_sweep(3, (1, 8))
         real_dump = json.dump
         saves = []
 
@@ -205,21 +216,22 @@ class TestCheckpoints:
             pass
 
         def dump_then_crash(obj, fh, *args, **kwargs):
-            saves.append(obj["cursor"])
-            if len(saves) == 30:  # inside the M=4 census
+            saves.append((obj["active_m"], obj["tested"]))
+            if obj["active_m"] == 8 and obj["tested"] > 100_000:
                 fh.write(json.dumps(obj)[:100])  # a torn, partial file
                 raise Crash
             real_dump(obj, fh, *args, **kwargs)
 
         monkeypatch.setattr(json, "dump", dump_then_crash)
         with pytest.raises(Crash):
-            density_sweep(2, (1, 4), checkpoint_path=path)
+            density_sweep(3, (1, 8), checkpoint_path=path)
         monkeypatch.setattr(json, "dump", real_dump)
 
         state = load_checkpoint(path)  # the last complete save, intact
-        assert state["active_m"] == 4 and state["cursor"] == saves[-2]
+        assert (state["active_m"], state["tested"]) == saves[-2]
+        assert saves[-2][0] == 8 and 0 < saves[-2][1] < 100_000
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]  # no temp file left
-        resumed = density_sweep(2, (1, 4), checkpoint_path=path, resume=True)
+        resumed = density_sweep(3, (1, 8), checkpoint_path=path, resume=True)
         assert resumed == fresh
 
     def test_resume_with_members_and_bounded_rows(self, tmp_path, monkeypatch):
@@ -231,23 +243,78 @@ class TestCheckpoints:
             pass
 
         def dump_or_crash(obj, fh, *args, **kwargs):
-            if obj["active_m"] == 5 and obj["cursor"] == 20:
+            if obj["active_m"] == 5 and obj["tested"] == 24:
                 raise Crash
             real_dump(obj, fh, *args, **kwargs)
 
+        # chunks of one head, six words of the M = 5 box
+        monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 6)
         monkeypatch.setattr(json, "dump", dump_or_crash)
         with pytest.raises(Crash):
             density_sweep(1, (1, 6), checkpoint_path=path)
-        monkeypatch.setattr(json, "dump", real_dump)
+        monkeypatch.undo()
 
         state = load_checkpoint(path)
-        assert state["active_m"] == 5 and state["cursor"] == 19
+        assert state["active_m"] == 5 and state["tested"] == 18
         assert state["members"]  # k = 1 has hits in every box
         assert state["rows"][-1]["bound_num"] is not None  # M = 4 > n(1) = 2
         seen = []
         resumed = density_sweep(1, (1, 6), checkpoint_path=path, resume=True, on_row=seen.append)
         assert resumed == fresh
         assert seen == fresh
+
+    def test_resume_after_a_crash_at_any_save(self, tmp_path, monkeypatch):
+        # chunks of at most five words: several saves inside every census
+        path = str(tmp_path / "ck.json")
+        fresh = density_sweep(1, (1, 5))
+        monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 5)
+        real_dump = json.dump
+        saves = []
+
+        def recording(obj, fh, *args, **kwargs):
+            saves.append((obj["active_m"], obj["tested"]))
+            real_dump(obj, fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", recording)
+        density_sweep(1, (1, 5), checkpoint_path=path)
+        assert len(saves) == 1 + 3 + 4 + 5 + 8 + 5  # chunks of M = 1..5, then rows
+
+        class Crash(RuntimeError):
+            pass
+
+        for done in range(1, len(saves)):
+            count = itertools.count(1)
+
+            def dump_or_crash(obj, fh, *args, **kwargs):
+                if next(count) > done:
+                    raise Crash
+                real_dump(obj, fh, *args, **kwargs)
+
+            monkeypatch.setattr(json, "dump", dump_or_crash)
+            with pytest.raises(Crash):
+                density_sweep(1, (1, 5), checkpoint_path=path)
+            monkeypatch.setattr(json, "dump", real_dump)
+            state = load_checkpoint(path)
+            assert (state["active_m"], state["tested"]) == saves[done - 1]
+            assert density_sweep(1, (1, 5), checkpoint_path=path, resume=True) == fresh
+
+    def test_one_save_per_chunk_and_per_row(self, tmp_path, monkeypatch):
+        saved = []
+        real_save = census_mod.save_checkpoint
+
+        def counting(path, **state):
+            saved.append(state["active_m"])
+            real_save(path, **state)
+
+        monkeypatch.setattr(census_mod, "save_checkpoint", counting)
+        density_sweep(2, (1, 14), checkpoint_path=str(tmp_path / "ck.json"))
+        chunks = [
+            -(-lambda_count(2, M) // sieve_mod.chunk_words(_exponent_ranges(2, M)))
+            for M in range(1, 15)
+        ]
+        assert saved.count(None) == 14
+        assert [saved.count(M) for M in range(1, 15)] == chunks
+        assert len(saved) == sum(chunks) + 14 == 34
 
     def test_active_census_must_follow_rows(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -256,25 +323,91 @@ class TestCheckpoints:
             params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
             rows=[],
             active_m=2,  # the census after no rows is M = 1
-            cursor=0,
             tested=0,
             members=[],
         )
         with pytest.raises(CorruptCheckpointError):
             density_sweep(1, (1, 3), checkpoint_path=path, resume=True)
 
-    def test_pool_checkpoints_every_block_in_order(self, tmp_path):
-        serial_path, pooled_path = tmp_path / "serial.json", tmp_path / "pooled.json"
-        serial = density_sweep(2, (1, 5), checkpoint_path=str(serial_path))
-        pooled = density_sweep(2, (1, 5), workers=2, checkpoint_path=str(pooled_path))
-        assert pooled == serial
-        assert pooled_path.read_bytes() == serial_path.read_bytes()
+    @pytest.mark.parametrize(
+        "tested,members",
+        [(-1, 0), (5, 0), (2, 3), (2.0, 0), (True, 0), ("2", 0), (None, 0)],
+    )
+    def test_cursor_must_fit_the_census(self, tmp_path, tested, members):
+        # the (1, 1) box has 4 words, 3 of them hits
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(
+            path,
+            params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
+            rows=[],
+            active_m=1,
+            tested=tested,
+            members=list(census(1, 1).omega_members)[:members],
+        )
+        with pytest.raises(CorruptCheckpointError, match="cursor"):
+            density_sweep(1, (1, 3), checkpoint_path=path, resume=True)
 
-        calls = {1: [], 2: []}
-        for workers, seen in calls.items():
-            census(2, 5, workers=workers, progress=lambda d, t, m, seen=seen: seen.append((d, t)))
-        assert calls[2] == calls[1]
-        assert [d for d, _ in calls[2]] == list(range(1, 31))
+    def test_cursor_at_the_end_of_a_later_census_resumes(self, tmp_path):
+        # the (1, 2) box has 9 words, 5 of them hits: more than the 4 words
+        # of the first census
+        path = str(tmp_path / "ck.json")
+        fresh = density_sweep(1, (1, 3))
+        save_checkpoint(
+            path,
+            params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
+            rows=fresh[:1],
+            active_m=2,
+            tested=9,
+            members=list(fresh[1].omega_members),
+        )
+        assert density_sweep(1, (1, 3), checkpoint_path=path, resume=True) == fresh
+
+    def test_save_is_synced_before_it_replaces(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        density_sweep(2, (1, 3), checkpoint_path=str(tmp_path / "ck.json"))
+        assert events == ["fsync", "replace"] * (len(events) // 2)
+        assert len(events) == 2 * 6  # one chunk and one row per M
+
+    def test_pool_checkpoints_every_block_in_order(self, tmp_path, monkeypatch):
+        # (3, 6) has 7 chunks of 9,072 words, so two workers get runs of
+        # several chunks; (1, 199) and (1, 200) have 3 chunks each, with hits
+        real_save = census_mod.save_checkpoint
+        for k, m_range, chunks in ((3, (5, 6), [9072 * i for i in range(1, 8)]),
+                                   (1, (199, 200), [16281, 32562, 40401])):
+            states = {}
+            for workers in (1, 2):
+                seen = states[workers] = []
+
+                def recording(path, seen=seen, **state):
+                    seen.append((state["active_m"], state["tested"], list(state["members"])))
+                    real_save(path, **state)
+
+                monkeypatch.setattr(census_mod, "save_checkpoint", recording)
+                path = tmp_path / f"w{workers}.json"
+                rows = density_sweep(k, m_range, workers=workers, checkpoint_path=str(path))
+                assert rows == density_sweep(k, m_range)
+            assert states[2] == states[1]
+            assert len(states[1]) > 6
+            assert (tmp_path / "w2.json").read_bytes() == (tmp_path / "w1.json").read_bytes()
+
+            calls = {1: [], 2: []}
+            for workers, seen in calls.items():
+                census(k, m_range[1], workers=workers,
+                       progress=lambda t, m, seen=seen: seen.append((t, len(m))))
+            assert calls[2] == calls[1]
+            assert [t for t, _ in calls[1]] == chunks
 
 
 class TestSearch:

@@ -1,13 +1,15 @@
 """Property tests: the census leaf pipeline against its oracles.
 
-Census blocks, sampled draws and the counterexample search go through the
-modular sieve and confirm its survivors on raw integers, where the leaf
+Census word ranges, sampled draws and the counterexample search go through
+the modular sieve and confirm its survivors on raw integers, where the leaf
 builds each hit's matrix and eigenvalues; ``word_eval``/``word_eval_general``
 followed by ``integer_eigenvalues`` re-evaluates every word as the oracle,
-and the depth-first ``_walk_block`` is the oracle of the sieve.  The exact
-test ``eigen_from_disc`` is checked against a plain ``math.isqrt``, and
-results may not depend on the chunk size or the worker count.  A fixed
-derandomized profile keeps these fast and repeatable.
+and the depth-first ``_walk_block`` is the oracle of the sieve.  A
+(beta_1, alpha_1) block is one contiguous word range, so the sieve over that
+range is compared with the walk of the block.  The exact test
+``eigen_from_disc`` is checked against a plain ``math.isqrt``, and results
+may not depend on the chunk size or the worker count.  A fixed derandomized
+profile keeps these fast and repeatable.
 """
 
 import importlib
@@ -36,7 +38,7 @@ from collatzq.words import (
     _exponent_ranges,
     enumerate_lambda,
     enumerate_lambda_block,
-    lambda_prefixes,
+    lambda_count,
     r_power,
     s_power,
 )
@@ -58,12 +60,30 @@ def oracle_members(words, evaluate):
     return out
 
 
+def draw_block(draw, k, M):
+    """A (b1, a1) block of the (k, M) box."""
+    first, second = _exponent_ranges(k, M)[:2]
+    return draw(st.sampled_from(first)), draw(st.sampled_from(second))
+
+
+def block_range(k, M, b1, a1):
+    """(start, size): the (b1, a1) block as a range of the box's words."""
+    first, second = _exponent_ranges(k, M)[:2]
+    size = lambda_count(k, M) // (len(first) * len(second))
+    return ((b1 - first.start) * len(second) + a1 - second.start) * size, size
+
+
 @st.composite
 def boxes_and_blocks(draw):
     k = draw(st.integers(1, 3))
     M = draw(st.integers(1, {1: 12, 2: 6, 3: 4}[k]))
-    b1, a1 = draw(st.sampled_from(lambda_prefixes(k, M)))
-    return k, M, b1, a1
+    return (k, M, *draw_block(draw, k, M))
+
+
+def census_range(k, M, cert, start, stop):
+    """(words tested, members) of census words start to stop - 1."""
+    chunks = list(census_mod._census_words(k, M, cert, start, stop))
+    return sum(t for t, _ in chunks), [m for _, found in chunks for m in found]
 
 
 @PROPS
@@ -71,7 +91,8 @@ def boxes_and_blocks(draw):
 def test_block_leaf_matches_oracle(box, prefilter):
     k, M, b1, a1 = box
     cert = compute_nk(k) if prefilter else None
-    tested, members = next(census_mod._census_blocks(k, M, [(b1, a1)], cert))
+    start, size = block_range(k, M, b1, a1)
+    tested, members = census_range(k, M, cert, start, start + size)
     block = list(enumerate_lambda_block(k, M, b1, a1))
     assert tested == len(block)
     assert members == oracle_members(block, word_eval)
@@ -81,8 +102,8 @@ def test_k1_box_hits_found_by_leaf():
     # every one-block word with a zero exponent is a hit: the k=1 box has 2M+1
     M = 9
     found = []
-    for b1, a1 in lambda_prefixes(1, M):
-        found.extend(next(census_mod._census_blocks(1, M, [(b1, a1)], None))[1])
+    for i in range(lambda_count(1, M)):  # one word at a time
+        found.extend(census_range(1, M, None, i, i + 1)[1])
     assert found == oracle_members(enumerate_lambda(1, M), word_eval)
     assert len(found) == 2 * M + 1
 
@@ -203,7 +224,7 @@ def test_search_pair_with_hits_in_every_block_count():
 def test_walk_matches_oracle_on_pairs_with_hits(k, M, g, swap, data):
     # both generator orders, and a limit that may cut the block anywhere
     left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
-    b1, a1 = data.draw(st.sampled_from(lambda_prefixes(k, M)))
+    b1, a1 = draw_block(data.draw, k, M)
     block = list(enumerate_lambda_block(k, M, b1, a1))
     limit = data.draw(st.integers(0, len(block) + 2))
     walked, hits = sieve_mod._walk_block(left, right, k, M, b1, a1, M, limit)
@@ -236,19 +257,20 @@ def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
     # both generator orders, and a limit that may cut the block anywhere
     M = data.draw(st.integers(1, {1: 12, 2: 6, 3: 4, 4: 3}[k]))
     left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
-    b1, a1 = data.draw(st.sampled_from(lambda_prefixes(k, M)))
-    size = census_mod._block_size(k, M)
+    b1, a1 = draw_block(data.draw, k, M)
+    start, size = block_range(k, M, b1, a1)
     limit = data.draw(st.integers(0, size + 2))
     walked, hits = sieve_mod._walk_block(left, right, k, M, b1, a1, M, limit)
 
     leaves = sieve_mod._Leaves(left, right, M)
-    tails = _exponent_ranges(k, M)[2:]
-    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails)
+    ranges = _exponent_ranges(k, M)
+    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), ranges[2:])
     block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)]
     assert {block.index(h) for h in hits} <= set(survivors.tolist())
 
-    [(tested, found)] = sieve_mod.sieve_blocks(left, right, k, M, [(b1, a1)], M, limit)
-    assert (tested, [h[0] for h in found]) == (walked, hits)
+    chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + min(limit, size)))
+    found = [h for _, chunk in chunks for h in chunk]
+    assert (sum(t for t, _ in chunks), [h[0] for h in found]) == (walked, hits)
     # each hit carries the word's product and its eigenvalues
     for exponents, matrix, eigen in found:
         m = Mat2.identity()
@@ -263,14 +285,33 @@ def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
 def test_results_independent_of_chunk_size(box, prefilter, seed):
     k, M = box
     default = sieve_mod.SIEVE_CHUNK_WORDS
-    block = census_mod._block_size(k, M)
+    total = lambda_count(k, M)
     results = []
-    # one word, a few words, one word short of a block (it splits), the default
-    for chunk in (1, 7, max(1, block - 1), default):
+    # one word, a few words, one word short of the box (it splits), the default
+    for chunk in (1, 7, max(1, total - 1), default):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
             results.append((census(k, M, prefilter), census_sampled(k, M, 50, seed, prefilter)))
     assert all(r == results[-1] for r in results)
+
+
+@PROPS
+@given(small_boxes, st.booleans(), st.data())
+def test_any_word_range_matches_oracle(box, prefilter, data):
+    # ranges that start and stop anywhere, under chunks of one word up to
+    # the default
+    k, M = box
+    total = lambda_count(k, M)
+    start = data.draw(st.integers(0, total))
+    stop = data.draw(st.integers(start, total))
+    chunk = data.draw(st.sampled_from([1, 7, 9, sieve_mod.SIEVE_CHUNK_WORDS]))
+    cert = compute_nk(k) if prefilter else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
+        tested, members = census_range(k, M, cert, start, stop)
+    words = list(enumerate_lambda(k, M))[start:stop]
+    assert tested == len(words)
+    assert members == oracle_members(words, word_eval)
 
 
 @PROPS
@@ -293,21 +334,26 @@ def test_search_on_boxes_without_words_is_complete():
 
 
 def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
-    # a (3, 40) block fixes exponents up to the fourth, so a head covers
-    # 40 * 41 = 1640 words; the box has 1640 * 40^2 heads per block, 1681 blocks
+    # the (3, 40) box fixes exponents up to the fourth, so a head covers
+    # 40 * 41 = 1640 words; the box has 41 * 40^3 heads, 9 to a chunk
     rows = []
     hits = sieve_mod._Leaves.hits
 
-    def counting(self, heads, tails, n, words):
+    def counting(self, heads, tails, n, lo, hi):
         rows.append(len(heads))
-        return hits(self, heads, tails, n, words)
+        return hits(self, heads, tails, n, lo, hi)
 
     monkeypatch.setattr(sieve_mod._Leaves, "hits", counting)
-    blocks = lambda_prefixes(3, 40)
-    [(tested, found)] = sieve_mod.sieve_blocks(r_power, s_power, 3, 40, blocks, 40, 5000)
+    ranges = _exponent_ranges(3, 40)
+    [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 40, 0, 5000)
     assert rows == [math.ceil(5000 / 1640)]
-    walked = sieve_mod._walk_block(r_power, s_power, 3, 40, *blocks[0], 40, 5000)
+    walked = sieve_mod._walk_block(r_power, s_power, 3, 40, 0, 1, 40, 5000)
     assert (tested, [h[0] for h in found]) == walked
+    # words 3,000 to 7,999 of a chunk inside the box: its heads 1 to 4
+    rows.clear()
+    start = 9 * 1640 * 1000 + 3000
+    [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 40, start, start + 5000)
+    assert tested == 5000 and rows == [4]
 
 
 @pytest.mark.parametrize("k,M", [(1, 9), (2, 7), (3, 4)])

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatzq import Mat2, reports
+from collatzq import Mat2, compute_nk, reports
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
 from test_dynamics import subtractive_factor, word_matrix
@@ -257,6 +257,22 @@ class TestSmallCommands:
         assert payload["product_value"] == "1679616/485809"
         assert payload["margin_ok"] is True
 
+    def test_nk_prints_certificates_past_the_digit_limit(self):
+        # det_floor = 6^(100 * 107) has 8,327 digits, past Python's default
+        # limit of 4,300 on int-to-str conversion; main lifts it, and the
+        # test puts it back
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            code, out, err = run_main("nk", "--k", "100")
+            payload = json.loads(out)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        cert = compute_nk(100)
+        assert (code, err) == (0, "")
+        assert payload["n"] == cert.n == 106
+        assert payload["det_floor"] == cert.det_floor == 6 ** (100 * 107)
+
     def test_fixed_point(self, capsys):
         assert run_cli(capsys, "fixed-point", "--matrix", "3,1,0,1")[1].strip() == "-1/2"
         assert run_cli(capsys, "fixed-point", "--matrix", "1,1,0,1")[1].strip() == "no-fixed-point"
@@ -322,6 +338,10 @@ PARSER_CASES = [
     ("sweep --height 5 --max-steps 0", 2, ""),
     ("orbit --value 5 --max-steps -1", 2, ""),
     ("nk --k 0", 2, ""),
+    # a sampled census has no cursor: --checkpoint and --resume are refused
+    ("density --k 2 --m-range 1..3 --sample 5 --checkpoint refused.json", 2, ""),
+    ("density --k 2 --m-range 1..3 --sample 5 --resume", 2, ""),
+    ("density --k 2 --m-range 1..3 --sample 5 --checkpoint refused.json --resume", 2, ""),
     ("verify --suite trace --k 1 --samples 1", 0,
      '{"exp_max": 5, "failures": 0, "first_failure_witness": null, "k": 1, '
      '"property": "trace", "samples": 1, "seed": 0, "version": "0.1.0"}\n'),

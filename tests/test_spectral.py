@@ -25,6 +25,7 @@ from collatzq import (
     word_eval,
 )
 from collatzq.errors import KMismatchError, SizeLimitError
+from collatzq.spectral import NkCertificate
 from collatzq.verify import random_word
 
 
@@ -231,6 +232,25 @@ class TestNkCertificate:
         ns = [compute_nk(k).n for k in range(1, 6)]
         assert ns == sorted(ns)
         assert ns[1] == 3
+
+    @staticmethod
+    def fraction_conditions(k, n):
+        """The two conditions on reduced fractions, as first written."""
+        return nk_product_value(k, n) > 2**k - 1, 6 ** (k * (n + 1)) > (4**k + 2**k) ** 2
+
+    def test_cross_products_match_fractions(self):
+        for k in range(1, 13):
+            for n in range(1, 25):
+                assert nk_conditions(k, n) == self.fraction_conditions(k, n), (k, n)
+
+    def test_bisection_matches_linear_scan(self):
+        for k in range(1, 61):
+            n = 1
+            while not all(self.fraction_conditions(k, n)):
+                n += 1
+            assert compute_nk(k) == NkCertificate(
+                k, n, nk_product_value(k, n), 2**k - 1, 6 ** (k * (n + 1)), (4**k + 2**k) ** 2
+            )
 
 
 class TestPrefilter:

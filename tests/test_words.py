@@ -1,5 +1,6 @@
 """Words, closed-form powers, box enumeration, counting, freeness."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from collatzq import (
     format_word_compact,
     freeness_check,
     lambda_count,
-    lambda_prefixes,
     mat_pow,
     parse_word,
     r_power,
@@ -25,7 +25,7 @@ from collatzq import (
     word_eval_general,
 )
 from collatzq.errors import BudgetExceededError
-from collatzq.words import R, S
+from collatzq.words import R, S, _exponent_ranges
 
 
 def random_canonical_word(rng, k, exp_max):
@@ -179,7 +179,8 @@ class TestCounting:
     def test_blocks_partition_the_box(self):
         k, M = 3, 2
         by_blocks = []
-        for b1, a1 in lambda_prefixes(k, M):
+        first, second = _exponent_ranges(k, M)[:2]
+        for b1, a1 in itertools.product(first, second):
             by_blocks.extend(enumerate_lambda_block(k, M, b1, a1))
         assert by_blocks == list(enumerate_lambda(k, M))
 
