@@ -17,18 +17,19 @@ those integers.  A search cuts its budget at a word.
 
 Chunks are dispatched to a process pool in contiguous runs and merged in
 word order, so the worker count changes neither output bytes nor the
-``progress`` calls.  A ``density_sweep`` checkpoint, saved after every chunk
-and every row, holds the finished rows plus one cursor (words tested,
-members so far) into the census of the next M.  Resuming from any word
-reproduces the uninterrupted result bit for bit; a checkpoint whose active
-census is not the one after its rows, or whose cursor does not fit it, is
+``progress`` calls; the pool never has more workers than cores or chunks
+left.  A ``density_sweep`` is one census of its largest box, since every
+smaller box is the words of that box with no exponent above its M; each
+row is read off the members.  Its checkpoint, saved after every chunk,
+holds one cursor (words tested, members so far) into that census, and the
+final save adds the finished rows.  Resuming from any word reproduces the
+uninterrupted result bit for bit; a cursor that does not fit the box is
 refused.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import json
@@ -133,6 +134,22 @@ Cursor = tuple[int, list[OmegaMember]]
 ProgressFn = Callable[[int, list[OmegaMember]], None]
 
 
+def _exhaustive_row(
+    k: int, M: int, members: list[OmegaMember], density_bound: Fraction | None = None
+) -> DensityRow:
+    total = lambda_count(k, M)
+    return DensityRow(
+        k=k,
+        M=M,
+        lambda_count=total,
+        omega_count=len(members),
+        density=Fraction(len(members), total),
+        omega_members=tuple(members),
+        mode=MODE_EXHAUSTIVE,
+        density_bound=density_bound,
+    )
+
+
 def census(
     k: int,
     M: int,
@@ -147,26 +164,24 @@ def census(
     ``progress`` is called after every merged sieve chunk with (tested,
     members) so the caller can persist state.
     """
-    with _pool(workers) as pool:
-        return _census(k, M, use_prefilter, pool, workers, budget, progress)
+    cert = compute_nk(k) if use_prefilter else None
+    return _exhaustive_row(k, M, _census(k, M, cert, workers, budget, progress))
 
 
 def _census(
     k: int,
     M: int,
-    use_prefilter: bool,
-    pool: Executor | None,
+    cert: NkCertificate | None,
     workers: int,
     budget: int,
     progress: ProgressFn | None,
     cursor: Cursor | None = None,
-) -> DensityRow:
-    """``census`` on a pool the caller owns (None: in this process), resumed
-    from ``cursor`` when one is given."""
+) -> list[OmegaMember]:
+    """The members of the (k, M) box in word order, resumed from ``cursor``
+    when one is given; ``cert`` None runs without the prefilter."""
     total = lambda_count(k, M)
     if total > budget:
         raise BudgetExceededError(f"|box(k={k}, M={M})| = {total} exceeds budget {budget}")
-    cert = compute_nk(k) if use_prefilter else None
     tested, members = cursor or (0, [])
     members = list(members)
 
@@ -178,25 +193,24 @@ def _census(
             if progress is not None:
                 progress(tested, members)
 
-    if pool is None:
-        advance(_census_words(k, M, cert, tested, total))
-    else:
-        runs = _runs(tested, total, chunk_words(_exponent_ranges(k, M)), workers)
-        tasks = [(k, M, cert, start, stop) for start, stop in runs]
-        for results in pool.map(_census_run, tasks):
-            advance(results)
+    chunk = chunk_words(_exponent_ranges(k, M))
+    # a fork pool starts every worker at its first task, so it gets no more
+    # workers than chunks left to sieve or cores to run them
+    workers = min(workers, -(-total // chunk) - tested // chunk)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
+    with _pool(workers) as pool:
+        if pool is None:
+            advance(_census_words(k, M, cert, tested, total))
+        else:
+            runs = _runs(tested, total, chunk, workers)
+            tasks = [(k, M, cert, start, stop) for start, stop in runs]
+            for results in pool.map(_census_run, tasks):
+                advance(results)
 
     if tested != total:
         raise AssertionError(f"enumerated {tested} words, closed form says {total}")
-    return DensityRow(
-        k=k,
-        M=M,
-        lambda_count=total,
-        omega_count=len(members),
-        density=Fraction(len(members), total),
-        omega_members=tuple(members),
-        mode=MODE_EXHAUSTIVE,
-    )
+    return members
 
 
 def census_sampled(
@@ -245,21 +259,24 @@ def density_sweep(
     workers: int = 1,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    on_row: Callable[[DensityRow], None] | None = None,
 ) -> list[DensityRow]:
-    """One census per M in ascending order, with the proof's bound attached.
+    """One row per M in ascending order, with the proof's bound attached.
 
-    With ``checkpoint_path`` the sweep persists progress after every sieve
-    chunk and after every finished row; ``resume`` continues from such a
-    file and produces bit-identical rows to an uninterrupted run.
+    The boxes are nested: box (k, M) is the words of box (k, m_hi) whose
+    exponents are all at most M, in the same order.  So one census of the
+    m_hi box serves every row, and row M keeps the members of level (largest
+    exponent) at most M.  With ``checkpoint_path`` the sweep saves its
+    cursor into that census after every sieve chunk, and the finished rows
+    at the end; ``resume`` continues from such a file and produces
+    bit-identical rows to an uninterrupted run.
     """
     m_lo, m_hi = m_range
     if m_lo < 1 or m_hi < m_lo:
         raise ValueError(f"bad M range {m_range}")
     cert = compute_nk(k)
     params = {"k": k, "m_lo": m_lo, "m_hi": m_hi, "prefilter": use_prefilter}
+    box = lambda_count(k, m_hi)
 
-    rows: list[DensityRow] = []
     cursor: Cursor | None = None
     if resume:
         if not checkpoint_path:
@@ -269,46 +286,36 @@ def density_sweep(
             raise CorruptCheckpointError(
                 f"checkpoint parameters {state['params']} do not match {params}"
             )
-        rows = [_row_from_json(r) for r in state["rows"]]
-        # the rows are M = m_lo, m_lo + 1, ...; the census after them is the active one
-        if state["active_m"] is not None:
-            if state["active_m"] != m_lo + len(rows):
-                raise CorruptCheckpointError(
-                    f"checkpoint census M={state['active_m']} does not follow "
-                    f"its {len(rows)} rows from M={m_lo}"
-                )
-            tested, members = state["tested"], list(map(_member_from_json, state["members"]))
-            # a cursor outside the census would end in wrong counts
-            box = lambda_count(k, state["active_m"])
-            if type(tested) is not int or not len(members) <= tested <= box:
-                raise CorruptCheckpointError(
-                    f"checkpoint cursor ({tested} words, {len(members)} members) "
-                    f"does not fit the {box} words of census M={state['active_m']}"
-                )
-            cursor = (tested, members)
-        if on_row is not None:
-            for row in rows:
-                on_row(row)
+        tested, members = state["tested"], list(map(_member_from_json, state["members"]))
+        # a cursor outside the census would end in wrong counts
+        if type(tested) is not int or not len(members) <= tested <= box:
+            raise CorruptCheckpointError(
+                f"checkpoint cursor ({tested} words, {len(members)} members) "
+                f"does not fit the {box} words of census M={m_hi}"
+            )
+        cursor = (tested, members)
 
-    def save(active_m: int | None, tested: int, members: list[OmegaMember]) -> None:
+    def save(rows: list[DensityRow], tested: int, members: list[OmegaMember]) -> None:
+        # while the census runs the file holds only its cursor
         save_checkpoint(
-            checkpoint_path, params=params, rows=rows, active_m=active_m,
+            checkpoint_path, params=params, rows=rows, active_m=None if rows else m_hi,
             tested=tested, members=members,
         )
 
-    with _pool(workers) as pool:  # one pool serves every M
-        for M in range(m_lo + len(rows), m_hi + 1):
-            progress = functools.partial(save, M) if checkpoint_path else None
-            row = _census(
-                k, M, use_prefilter, pool, workers, DEFAULT_CENSUS_BUDGET, progress, cursor
-            )
-            cursor = None
-            bound = theorem_density_bound(k, M, cert.n)
-            rows.append(dataclasses.replace(row, density_bound=bound))
-            if checkpoint_path:
-                save(None, 0, [])
-            if on_row is not None:
-                on_row(rows[-1])
+    progress = functools.partial(save, []) if checkpoint_path else None
+    members = _census(
+        k, m_hi, cert if use_prefilter else None, workers, DEFAULT_CENSUS_BUDGET, progress, cursor
+    )
+    levels = [max(m.word.betas + m.word.alphas) for m in members]
+    rows = [
+        _exhaustive_row(
+            k, M, [m for m, level in zip(members, levels) if level <= M],
+            theorem_density_bound(k, M, cert.n),
+        )
+        for M in range(m_lo, m_hi + 1)
+    ]
+    if checkpoint_path:
+        save(rows, box, members)
     return rows
 
 
@@ -361,7 +368,7 @@ def search_counterexamples(
 # Checkpoint files
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _member_to_json(m: OmegaMember) -> dict:
@@ -398,24 +405,6 @@ def _row_to_json(row: DensityRow) -> dict:
         "bound_num": None if row.density_bound is None else row.density_bound.numerator,
         "bound_den": None if row.density_bound is None else row.density_bound.denominator,
     }
-
-
-def _row_from_json(d: dict) -> DensityRow:
-    bound = None
-    if d["bound_num"] is not None:
-        bound = Fraction(d["bound_num"], d["bound_den"])
-    return DensityRow(
-        k=d["k"],
-        M=d["M"],
-        lambda_count=d["lambda_count"],
-        omega_count=d["omega_count"],
-        density=Fraction(d["density_num"], d["density_den"]),
-        omega_members=tuple(_member_from_json(m) for m in d["members"]),
-        mode=d["mode"],
-        sample_size=d["sample_size"],
-        seed=d["seed"],
-        density_bound=bound,
-    )
 
 
 def _payload_hash(payload: dict) -> str:

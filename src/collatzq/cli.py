@@ -3,7 +3,9 @@
 Exit codes: 0 success; 1 when a run surfaces a property-violation finding
 (a counterexample word, a nonterminating theta orbit, verify failures); 2 on
 usage errors, including a phi orbit whose exact stopping time exceeds
---max-steps.  A reader that closes stdout early ends the run quietly with 0.
+--max-steps, and on a file that cannot be read or written; 3 on an internal
+fault, with its traceback.  A reader that closes stdout early ends the run
+quietly with 0.
 Logs and findings commentary go to stderr; structured output
 (CSV/JSONL/JSON) goes to stdout or --out.
 """
@@ -15,6 +17,7 @@ import inspect
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import IO
 
@@ -424,12 +427,13 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except CollatzqError as exc:
+    except (CollatzqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        # a fault in the program is neither a finding (1) nor bad input (2)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -121,27 +121,106 @@ class TestDensitySweep:
         assert theorem_density_bound(2, 10, 3) == 1 - Fraction(2401, 12100)
         assert theorem_density_bound(2, 3, 3) is None
 
+    def test_one_certificate_per_sweep_and_per_census(self, monkeypatch):
+        calls = []
+        real = census_mod.compute_nk
+
+        def counting(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(census_mod, "compute_nk", counting)
+        density_sweep(2, (1, 14))
+        assert calls == [2]
+        calls.clear()
+        density_sweep(1, (1, 9), use_prefilter=False, workers=2)
+        assert calls == [1]  # the bound needs n(k) without the prefilter too
+        calls.clear()
+        census(3, 4)
+        assert calls == [3]
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The size of every pool a census asks for; the fake pool runs its
+        tasks in this process, so no size is ever started."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    def test_pool_never_outnumbers_the_chunks_left(self, sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        base = census(1, 200)  # 3 chunks of 16,281 words
+        assert census(1, 200, workers=1000) == base
+        assert sizes == [3]
+        assert census(2, 3, workers=1000) == census(2, 3)  # one chunk: no pool
+        assert sizes == [3]
+        # a cursor in the last chunk leaves one chunk: no pool
+        members = [m for _, found in _census_words(1, 200, None, 0, 40000) for m in found]
+        assert census_mod._census(1, 200, None, 1000, 10**6, None, (40000, members)) == list(
+            base.omega_members
+        )
+        assert sizes == [3]
+
+    def test_pool_never_outnumbers_the_cores(self, sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert density_sweep(3, (5, 6), workers=1000) == density_sweep(3, (5, 6))
+        assert sizes == [2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        census(3, 6, workers=1000)
+        assert sizes == [2]  # an unknown core count runs in this process
+
 
 class TestCheckpoints:
-    def test_interrupt_and_resume_identical(self, tmp_path):
+    def test_interrupt_and_resume_identical(self, tmp_path, monkeypatch):
+        # a crash at the final save leaves the complete cursor, and resuming
+        # from it reads the rows off its members without sieving a word
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(2, (1, 4))
+        real_dump = json.dump
 
-        class Stop(RuntimeError):
+        class Crash(RuntimeError):
             pass
 
-        def bomb(row):
-            if row.M == 2:
-                raise Stop
+        def dump_or_crash(obj, fh, *args, **kwargs):
+            if obj["active_m"] is None:
+                raise Crash
+            real_dump(obj, fh, *args, **kwargs)
 
-        with pytest.raises(Stop):
-            density_sweep(2, (1, 4), checkpoint_path=path, on_row=bomb)
+        monkeypatch.setattr(json, "dump", dump_or_crash)
+        with pytest.raises(Crash):
+            density_sweep(2, (1, 4), checkpoint_path=path)
+        monkeypatch.setattr(json, "dump", real_dump)
+        state = load_checkpoint(path)
+        assert (state["active_m"], state["tested"], state["rows"]) == (4, lambda_count(2, 4), [])
+
+        def no_sieve(*args):
+            raise AssertionError("resume sieved a word")
+
+        monkeypatch.setattr(sieve_mod, "_Leaves", no_sieve)
         resumed = density_sweep(2, (1, 4), checkpoint_path=path, resume=True)
         assert resumed == fresh
+        # and from the finished file as well
+        assert density_sweep(2, (1, 4), checkpoint_path=path, resume=True) == fresh
 
     def test_mid_census_cursor_resume(self, tmp_path, monkeypatch):
-        # hand-build checkpoints whose active census is part done, and resume
-        # them under chunk sizes whose boundaries do and do not meet the cursor
+        # hand-build checkpoints whose census is part done, and resume them
+        # under chunk sizes whose boundaries do and do not meet the cursor
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (6, 6))
         cert = compute_nk(1)
@@ -201,12 +280,26 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError, match="version"):
             load_checkpoint(str(path))
 
+    def test_version_2_file_refused(self, tmp_path):
+        # version 2 held finished rows and a cursor into the census of the
+        # next M; its cursor means something else in the one census of m_hi
+        path = tmp_path / "ck.json"
+        fresh = density_sweep(1, (1, 3))
+        payload = {"version": 2, "params": {"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
+                   "rows": [census_mod._row_to_json(fresh[0])], "active_m": 2,
+                   "tested": 9, "members": [_member_to_json(m) for m in fresh[1].omega_members]}
+        payload["sha256"] = census_mod._payload_hash(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptCheckpointError, match="version"):
+            density_sweep(1, (1, 3), checkpoint_path=str(path), resume=True)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(tmp_path / "absent.json"))
 
     def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        # the M = 8 census has 24 sieve chunks; crash inside it
+        # the sweep is one census of the M = 8 box, 24 sieve chunks; crash
+        # inside it
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(3, (1, 8))
         real_dump = json.dump
@@ -243,11 +336,11 @@ class TestCheckpoints:
             pass
 
         def dump_or_crash(obj, fh, *args, **kwargs):
-            if obj["active_m"] == 5 and obj["tested"] == 24:
+            if obj["tested"] == 24:
                 raise Crash
             real_dump(obj, fh, *args, **kwargs)
 
-        # chunks of one head, six words of the M = 5 box
+        # chunks of six words of the M = 6 box
         monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 6)
         monkeypatch.setattr(json, "dump", dump_or_crash)
         with pytest.raises(Crash):
@@ -255,16 +348,17 @@ class TestCheckpoints:
         monkeypatch.undo()
 
         state = load_checkpoint(path)
-        assert state["active_m"] == 5 and state["tested"] == 18
+        assert (state["active_m"], state["tested"], state["rows"]) == (6, 18, [])
         assert state["members"]  # k = 1 has hits in every box
-        assert state["rows"][-1]["bound_num"] is not None  # M = 4 > n(1) = 2
-        seen = []
-        resumed = density_sweep(1, (1, 6), checkpoint_path=path, resume=True, on_row=seen.append)
+        resumed = density_sweep(1, (1, 6), checkpoint_path=path, resume=True)
         assert resumed == fresh
-        assert seen == fresh
+        rows = load_checkpoint(path)["rows"]
+        # bounds from M = 3 > n(1) = 2 on
+        assert [r["bound_num"] is not None for r in rows] == [M > 2 for M in range(1, 7)]
+        assert [r["omega_count"] for r in rows] == [2 * M + 1 for M in range(1, 7)]
 
     def test_resume_after_a_crash_at_any_save(self, tmp_path, monkeypatch):
-        # chunks of at most five words: several saves inside every census
+        # chunks of at most five words: several saves inside the census
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (1, 5))
         monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 5)
@@ -277,7 +371,8 @@ class TestCheckpoints:
 
         monkeypatch.setattr(json, "dump", recording)
         density_sweep(1, (1, 5), checkpoint_path=path)
-        assert len(saves) == 1 + 3 + 4 + 5 + 8 + 5  # chunks of M = 1..5, then rows
+        # the 36 words of the M = 5 box in chunks of five, then the rows
+        assert saves == [(5, t) for t in (5, 10, 15, 20, 25, 30, 35, 36)] + [(None, 36)]
 
         class Crash(RuntimeError):
             pass
@@ -298,7 +393,7 @@ class TestCheckpoints:
             assert (state["active_m"], state["tested"]) == saves[done - 1]
             assert density_sweep(1, (1, 5), checkpoint_path=path, resume=True) == fresh
 
-    def test_one_save_per_chunk_and_per_row(self, tmp_path, monkeypatch):
+    def test_one_save_per_chunk_and_a_final_save(self, tmp_path, monkeypatch):
         saved = []
         real_save = census_mod.save_checkpoint
 
@@ -308,26 +403,27 @@ class TestCheckpoints:
 
         monkeypatch.setattr(census_mod, "save_checkpoint", counting)
         density_sweep(2, (1, 14), checkpoint_path=str(tmp_path / "ck.json"))
-        chunks = [
-            -(-lambda_count(2, M) // sieve_mod.chunk_words(_exponent_ranges(2, M)))
-            for M in range(1, 15)
-        ]
-        assert saved.count(None) == 14
-        assert [saved.count(M) for M in range(1, 15)] == chunks
-        assert len(saved) == sum(chunks) + 14 == 34
+        chunks = -(-lambda_count(2, 14) // sieve_mod.chunk_words(_exponent_ranges(2, 14)))
+        assert saved == [14] * chunks + [None]
+        assert len(saved) == 4
 
-    def test_active_census_must_follow_rows(self, tmp_path):
+    def test_final_file_holds_every_row(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_checkpoint(
-            path,
-            params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
-            rows=[],
-            active_m=2,  # the census after no rows is M = 1
-            tested=0,
-            members=[],
-        )
-        with pytest.raises(CorruptCheckpointError):
-            density_sweep(1, (1, 3), checkpoint_path=path, resume=True)
+        rows = density_sweep(1, (3, 7), checkpoint_path=path)
+        state = load_checkpoint(path)
+        assert state["active_m"] is None
+        assert [r["M"] for r in state["rows"]] == list(range(3, 8))
+        assert state["rows"] == [census_mod._row_to_json(r) for r in rows]
+        assert state["tested"] == lambda_count(1, 7)
+        assert state["members"] == [_member_to_json(m) for m in rows[-1].omega_members]
+
+    def test_over_budget_box_refused_before_the_first_save(self, tmp_path, monkeypatch):
+        # the boxes of M = 1..3 fit a budget of 200 words, the 400 of M = 4 do not
+        path = tmp_path / "ck.json"
+        monkeypatch.setattr(census_mod, "DEFAULT_CENSUS_BUDGET", 200)
+        with pytest.raises(BudgetExceededError):
+            density_sweep(2, (1, 4), checkpoint_path=str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "tested,members",
@@ -338,27 +434,27 @@ class TestCheckpoints:
         path = str(tmp_path / "ck.json")
         save_checkpoint(
             path,
-            params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
+            params={"k": 1, "m_lo": 1, "m_hi": 1, "prefilter": True},
             rows=[],
             active_m=1,
             tested=tested,
             members=list(census(1, 1).omega_members)[:members],
         )
         with pytest.raises(CorruptCheckpointError, match="cursor"):
-            density_sweep(1, (1, 3), checkpoint_path=path, resume=True)
+            density_sweep(1, (1, 1), checkpoint_path=path, resume=True)
 
     def test_cursor_at_the_end_of_a_later_census_resumes(self, tmp_path):
-        # the (1, 2) box has 9 words, 5 of them hits: more than the 4 words
-        # of the first census
+        # the cursor counts words of the M = 3 box: its 16 words and 7 hits
+        # pass the 4 words of the first row's box
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (1, 3))
         save_checkpoint(
             path,
             params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
-            rows=fresh[:1],
-            active_m=2,
-            tested=9,
-            members=list(fresh[1].omega_members),
+            rows=[],
+            active_m=3,
+            tested=16,
+            members=list(fresh[-1].omega_members),
         )
         assert density_sweep(1, (1, 3), checkpoint_path=path, resume=True) == fresh
 
@@ -377,12 +473,12 @@ class TestCheckpoints:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         density_sweep(2, (1, 3), checkpoint_path=str(tmp_path / "ck.json"))
-        assert events == ["fsync", "replace"] * (len(events) // 2)
-        assert len(events) == 2 * 6  # one chunk and one row per M
+        assert events == ["fsync", "replace"] * 2  # the box's one chunk, then the rows
 
     def test_pool_checkpoints_every_block_in_order(self, tmp_path, monkeypatch):
         # (3, 6) has 7 chunks of 9,072 words, so two workers get runs of
-        # several chunks; (1, 199) and (1, 200) have 3 chunks each, with hits
+        # several chunks; (1, 200) has 3 chunks, with hits
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any host
         real_save = census_mod.save_checkpoint
         for k, m_range, chunks in ((3, (5, 6), [9072 * i for i in range(1, 8)]),
                                    (1, (199, 200), [16281, 32562, 40401])):
@@ -399,7 +495,7 @@ class TestCheckpoints:
                 rows = density_sweep(k, m_range, workers=workers, checkpoint_path=str(path))
                 assert rows == density_sweep(k, m_range)
             assert states[2] == states[1]
-            assert len(states[1]) > 6
+            assert [t for _, t, _ in states[1]] == chunks + [chunks[-1]]
             assert (tmp_path / "w2.json").read_bytes() == (tmp_path / "w1.json").read_bytes()
 
             calls = {1: [], 2: []}

@@ -8,10 +8,12 @@ and the depth-first ``_walk_block`` is the oracle of the sieve.  A
 (beta_1, alpha_1) block is one contiguous word range, so the sieve over that
 range is compared with the walk of the block.  The exact test
 ``eigen_from_disc`` is checked against a plain ``math.isqrt``, and results
-may not depend on the chunk size or the worker count.  A fixed derandomized
-profile keeps these fast and repeatable.
+may not depend on the chunk size or the worker count.  A density sweep's
+rows, read off one census of its largest box, must equal a census per M.
+A fixed derandomized profile keeps these fast and repeatable.
 """
 
+import dataclasses
 import importlib
 import math
 import random
@@ -27,8 +29,10 @@ from collatzq import (
     census,
     census_sampled,
     compute_nk,
+    density_sweep,
     integer_eigenvalues,
     search_counterexamples,
+    theorem_density_bound,
     word_eval,
     word_eval_general,
 )
@@ -360,6 +364,30 @@ def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
 def test_census_same_on_one_and_two_workers(k, M):
     for prefilter in (True, False):
         assert census(k, M, prefilter, workers=2) == census(k, M, prefilter, workers=1)
+
+
+@st.composite
+def sweeps(draw):
+    k = draw(st.integers(1, 3))
+    hi = draw(st.integers(1, {1: 12, 2: 5, 3: 3}[k]))
+    return k, (draw(st.integers(1, hi)), hi)
+
+
+@settings(PROPS, max_examples=30)
+@given(sweeps(), st.booleans(), st.sampled_from([1, 2]), st.sampled_from([1, 7, None]))
+def test_sweep_rows_match_a_census_per_M(sweep, prefilter, workers, chunk):
+    # rows read off the one census of the largest box, against a census of
+    # every box with the proof's bound attached
+    k, (lo, hi) = sweep
+    n = compute_nk(k).n
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
+        rows = density_sweep(k, (lo, hi), prefilter, workers=workers)
+    assert rows == [
+        dataclasses.replace(census(k, M, prefilter), density_bound=theorem_density_bound(k, M, n))
+        for M in range(lo, hi + 1)
+    ]
 
 
 def test_sieve_arithmetic_is_exact_in_int64():

@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import collatzq.cli as cli_mod
 from collatzq import Mat2, compute_nk, reports
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
@@ -315,6 +316,29 @@ class TestSmallCommands:
 
 HEADER = "# collatzq 0.1.0\n# invocation: "
 DENSITY_COLUMNS = "k,M,lambda_count,omega_count,density_num,density_den,mode\n"
+class TestFaults:
+    @pytest.mark.parametrize("argv", [
+        "density --k 1 --m-range 1..2 --out {absent}/d.csv",
+        "density --k 1 --m-range 1..2 --checkpoint {absent}/ck.json",
+        "sweep --height 10 --out {absent}/s.csv",
+        "search --k 1 --exp-max 3 --out {absent}/s.jsonl",
+    ])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, argv):
+        # exit 1 would claim a finding
+        code, out, err = run_main(*argv.format(absent=tmp_path / "absent").split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_internal_fault_exits_3_with_its_traceback(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a fault in the program")
+
+        monkeypatch.setitem(cli_mod._HANDLERS, "nk", broken)
+        code, out, err = run_main("nk", "--k", "1")
+        assert (code, out) == (3, "")
+        assert "Traceback" in err and "ValueError: a fault in the program" in err
+
+
 
 # (argv, exit code, stdout): out-of-range numbers are refused by the parser
 # (exit 2, nothing on stdout); the values at each bound still run
