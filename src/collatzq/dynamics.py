@@ -24,8 +24,11 @@ t = 1/x, so each run's length and end point are one exact big-int step
 list is rendered as text (`reports.word_str`).
 
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
-(see `kernels`); a theta row that could overflow is redone here by
-`theta_runs`.  Both sweep reports are array code over the kernel's
+(see `kernels`), in bands of rows that bound their working memory.  The
+starts are built in (p+q, p) order, so a theta row that first drops below
+its start mostly lands on a start whose stopping time is already in the
+kernel's table, and ends there.  A theta row that could overflow is redone
+here by `theta_runs`.  Both sweep reports are array code over the kernel's
 (steps, flags): one first-maximum helper gives the longest orbit and the
 starts that failed.  The stepwise forms, `orbit` over `Fraction` and
 `orbit_pq` / `replay_word_pq` on reduced pairs, are the reference paths the

@@ -1,14 +1,29 @@
 """int64 numpy sweep kernels.
 
-The sweep inner loops run on raw reduced (p, q) pairs in int64, all rows at
-once in vectorized waves.  Both kernels have one shape: the live rows ride
-along as compacted arrays (their row numbers and orbit state), each wave
-advances all of them, and the rows that finish leave through one mask.
+The sweep inner loops run on raw (p, q) pairs in int64, in vectorized waves
+over at most BAND_ROWS rows at a time.  Both kernels have one shape: the
+live rows ride along as compacted arrays (their row numbers and orbit
+state), each wave advances all of them, and the rows that finish leave
+through one mask.  Besides those arrays a kernel allocates only its
+(steps, flags) outputs and, for theta, its table, so its working memory does
+not grow with the number of rows.
 
 theta advances one step per wave with the same step rule as
-`dynamics.theta_step_pq`.  A theta orbit can grow, so any row whose values
-approach the int64 range is flagged FLAG_OVERFLOW instead of stepped;
-callers redo those rows in big-int arithmetic.
+`dynamics.theta_step_pq`.  Rows enter in input order, a band at a time:
+whenever at most half of BAND_ROWS rows are live, the next band tops them up
+to BAND_ROWS.  Every start that leaves enters its result in a stopping-time
+table indexed by (p, p+q).  An entry is written only when its start has
+left, so it is final.  Each wave every live row looks its point y up: if
+y's entry is written, the row's orbit from y on is y's, so the row leaves
+with steps(y) added to its own steps, or capped if that sum passes the cap
+or y was capped.  Results depend on neither the order of the rows nor the
+band size.  The sweeps pass their rows in height order, so an orbit's first
+drop below its start (after about 4 steps) mostly lands on a finished
+start, and few rows step all the way to 0.  A theta orbit can grow, so any
+row whose values approach the int64 range is flagged FLAG_OVERFLOW instead
+of stepped; callers redo those rows in big-int arithmetic.  The table never
+holds an overflowed start, so a row that reaches one steps on by itself and
+meets the same flags it always did.
 
 phi advances one branch run per wave.  Under phi a reduced p/q descends the
 Stern-Brocot tree: its orbit is a run of F steps (x -> x-1) then a run of G
@@ -16,10 +31,13 @@ steps (x -> x/(1-x)), alternating, and the run lengths are the
 continued-fraction partial quotients of p/q.  One `np.divmod` per wave takes
 a whole run, so a row needs about as many waves as its continued fraction
 has terms, not p+q steps, and its stopping time is the quotient sum.  phi
-rows never grow, so they cannot overflow.
+rows never grow, so they cannot overflow.  Its bands are consecutive slices
+of the rows; they only bound its arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,33 +49,82 @@ FLAG_VIOLATION = 3  # phi: a run failed to lower p+q, or steps exceeded p+q
 # 3*q and 2*p must stay below 2^63; one shared conservative guard
 INT64_GUARD = (2**63 - 1) // 3
 
+# rows per band: the kernels' working arrays hold at most this many rows
+BAND_ROWS = 1 << 14
+
+# theta table entries besides a finished start's steps
+_UNKNOWN = -1  # no start at this pair has finished, or it overflowed
+_CAPPED = -2  # the start spent the cap
+_INT32_MAX = np.iinfo(np.int32).max
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row theta stopping times.  Returns (steps, flags) int64 arrays.
 
-    The live rows ride along as compacted (rows, p, q) arrays.  Every live
-    row takes one step per wave, so a row's steps are the wave it leaves at.
-    A row leaves when it reaches 0 (FLAG_DONE), else when the cap is spent
-    (FLAG_CAP), else when p or q is past the guard (FLAG_OVERFLOW), in that
-    order; a row over the guard at its start leaves with steps 0.
+    A row's orbit ends when it reaches 0 (FLAG_DONE), else when the cap is
+    spent (FLAG_CAP), else when p or q is past the guard (FLAG_OVERFLOW), in
+    that order, and its steps are the steps taken to there; a row over the
+    guard at its start ends with steps 0.  A row that ends early on a start
+    in the table (see the module docstring) gets the same result.  The
+    table covers the heights below `top`, with top*(top-1)/2 <= 2n entries
+    for n rows: every height of a full sweep, and O(n) memory on any input.
     """
-    p = np.asarray(ps, dtype=np.int64)
-    q = np.asarray(qs, dtype=np.int64)
-    n = p.shape[0]
+    p_in = np.asarray(ps, dtype=np.int64)
+    q_in = np.asarray(qs, dtype=np.int64)
+    n = p_in.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    wave = 0
-    while rows.size:
+    cap = min(cap, _INT64_MAX)  # a larger cap is never reached
+    top = (1 + math.isqrt(1 + 16 * n)) // 2
+    # a finished start's steps are at most the cap, so they fit the entries
+    table = np.full(top * (top - 1) // 2, _UNKNOWN, np.int32 if cap <= _INT32_MAX else np.int64)
+    # live rows: row number, wave it entered at, table slot of its start
+    # (-1 when it has none), and orbit point
+    rows = born = slot = p = q = np.zeros(0, dtype=np.int64)
+    entered = wave = 0
+    while rows.size or entered < n:
+        if rows.size <= BAND_ROWS // 2 and entered < n:
+            band = np.arange(entered, min(n, entered + BAND_ROWS - rows.size))
+            entered += band.size
+            bp, bq = p_in[band], q_in[band]
+            bh = bp + bq
+            tabled = (bp >= 0) & (bp < bh) & (bh < top)
+            rows = np.concatenate((rows, band))
+            born = np.concatenate((born, np.full(band.size, wave)))
+            slot = np.concatenate((slot, np.where(tabled, bh * (bh - 1) // 2 + bp, -1)))
+            p = np.concatenate((p, bp))
+            q = np.concatenate((q, bq))
+        t = wave - born
         done = p == 0
-        capped = wave >= cap
+        capped = t >= cap
         out = done | capped | (p > INT64_GUARD) | (q > INT64_GUARD)
         if out.any():
             gone = rows[out]
-            steps[gone] = wave
-            flags[gone] = np.where(done[out], FLAG_DONE, FLAG_CAP if capped else FLAG_OVERFLOW)
+            steps[gone] = t[out]
+            flags[gone] = np.where(done[out], FLAG_DONE, np.where(capped[out], FLAG_CAP, FLAG_OVERFLOW))
+        h = p + q
+        near = np.flatnonzero((h < top) & ~out)
+        if near.size:
+            # (p, p+q) is a slot when 0 <= p < p+q < top
+            hn, pn = h[near], p[near]
+            found = table.take(hn * (hn - 1) // 2 + pn, mode="clip")
+            known = (found != _UNKNOWN) & (pn >= 0) & (pn < hn)
+            near, found = near[known], found[known]
+            total = t[near] + found
+            fin = (found >= 0) & (total <= cap)
+            hit = rows[near]
+            steps[hit] = np.where(fin, total, cap)
+            flags[hit] = np.where(fin, FLAG_DONE, FLAG_CAP)
+            out[near] = True
+        if out.any():
+            # every leaving start is final: enter it, unless it overflowed
+            gone, sl = rows[out], slot[out]
+            f = flags[gone]
+            put = (sl >= 0) & (f != FLAG_OVERFLOW)
+            table[sl[put]] = np.where(f[put] == FLAG_CAP, _CAPPED, steps[gone[put]])
             live = ~out
-            rows, p, q = rows[live], p[live], q[live]
+            rows, born, slot, p, q = rows[live], born[live], slot[live], p[live], q[live]
         ge = p >= q
         # the guard makes 3*q and 2*p exact for every live row
         p2 = np.where(ge, p - q, 2 * p)
@@ -67,8 +134,8 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
         q2 = np.where(red3, q, q2)
         zero = ge & (p2 == 0)
         q2 = np.where(zero, 1, q2)
-        red2 = ~ge & (q2 % 2 == 0)
-        q2 = np.where(red2, q2 // 2, q2)
+        red2 = ~ge & ((q2 & 1) == 0)
+        q2 = np.where(red2, q2 >> 1, q2)
         p, q = np.where(red2, p, p2), q2
         wave += 1
     return steps, flags
@@ -86,13 +153,22 @@ def phi_sweep(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point the run ends at.  The last wave, on (k, 1), also covers the final
     F step when the point is 1/k (a G run of k-1 steps, then F).  A row is
     flagged FLAG_VIOLATION if a wave takes no step or fails to strictly
-    lower p+q, or if its steps exceed p+q.
+    lower p+q, or if its steps exceed p+q.  Bands are consecutive slices of
+    the rows; each writes into its slice of the outputs.
     """
     p = np.asarray(ps, dtype=np.int64)
     q = np.asarray(qs, dtype=np.int64)
     n = p.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, BAND_ROWS):
+        band = slice(lo, lo + BAND_ROWS)
+        _phi_band(p[band], q[band], steps[band], flags[band])
+    return steps, flags
+
+
+def _phi_band(p, q, steps, flags) -> None:
+    """Run one band of phi rows, writing into the band's output views."""
     rows = np.flatnonzero(p != 0)
     x = np.maximum(p[rows], q[rows])
     y = np.minimum(p[rows], q[rows])
@@ -108,4 +184,3 @@ def phi_sweep(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         live = np.flatnonzero(rem)
         rows, x, y = rows[live], y[live], rem[live]
     flags[steps > p + q] = FLAG_VIOLATION
-    return steps, flags

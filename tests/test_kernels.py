@@ -1,9 +1,12 @@
-"""int64 kernels: agreement with exact orbits, flags, and the big-int escape hatch."""
+"""int64 kernels: agreement with exact orbits, flags, the big-int escape hatch and memory."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 
-from collatzq import reduced_fractions
-from collatzq.dynamics import PHI, THETA, orbit_pq
+from collatzq import kernels, reduced_fractions
+from collatzq.dynamics import PHI, THETA, orbit_pq, reduced_fraction_arrays
 from collatzq.kernels import (
     FLAG_CAP,
     FLAG_DONE,
@@ -74,3 +77,23 @@ def test_zero_start():
     assert steps[0] == 0 and flags[0] == FLAG_DONE
     steps, flags = phi_sweep(ps, qs)
     assert steps[0] == 0 and flags[0] == FLAG_DONE
+
+
+def test_working_memory_is_bounded_by_the_band():
+    # 304,192 starts against 4,096-row bands: one int64 array the size of
+    # the rows would be 74 band arrays
+    ps, qs = reduced_fraction_arrays(1000)
+    n = ps.size
+    band_array = 8 * 4096
+    outputs = 2 * 8 * n
+    table = 4 * 2 * n  # at most 2n int32 entries
+    with mock.patch.object(kernels, "BAND_ROWS", 4096):
+        for run, kept in ((lambda: theta_sweep(ps, qs, 10_000), outputs + table),
+                          (lambda: phi_sweep(ps, qs), outputs)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - kept < 32 * band_array

@@ -1,21 +1,22 @@
 """Property tests: phi on continued fractions against the stepwise orbit.
 
-The fast paths are the divmod sweep kernel, the run-length word and its
-replay, phi word recovery and the array sweep starts.  Their oracles are
-``orbit_pq(..., PHI)``, whose branch string the runs must render to,
-``replay_word_pq`` and ``reduced_fractions``.  Pairs with small quotient
-sums are built from drawn continued fractions, so the stepwise oracle stays
-cheap however large p and q are.  A fixed derandomized profile keeps these
-fast and repeatable.
+The fast paths are the divmod sweep kernel (also with its band size patched
+to 1 and 7 rows), the run-length word and its replay, phi word recovery and
+the array sweep starts.  Their oracles are ``orbit_pq(..., PHI)``, whose
+branch string the runs must render to, ``replay_word_pq`` and
+``reduced_fractions``.  Pairs with small quotient sums are built from drawn
+continued fractions, so the stepwise oracle stays cheap however large p and
+q are.  A fixed derandomized profile keeps these fast and repeatable.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from collatzq import phi_monotonicity_sweep, verify_word_recovery
+from collatzq import kernels, phi_monotonicity_sweep, verify_word_recovery
 from collatzq.dynamics import (
     PHI,
     orbit_pq,
@@ -25,7 +26,7 @@ from collatzq.dynamics import (
     replay_runs_pq,
     replay_word_pq,
 )
-from collatzq.kernels import FLAG_DONE, phi_sweep
+from collatzq.kernels import FLAG_DONE, FLAG_VIOLATION, phi_sweep
 from collatzq.reports import word_str
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -73,6 +74,27 @@ def test_divmod_kernel_matches_quotient_sum_up_to_2_62(pairs):
     steps, flags = phi_sweep(ps, qs)
     assert flags.tolist() == [FLAG_DONE] * len(pairs)
     assert steps.tolist() == [sum(phi_runs(p, q)) for p, q in pairs]
+
+
+@PROPS
+@given(st.lists(st.sampled_from(list(reduced_fractions(60))), min_size=1, max_size=120),
+       st.sampled_from((1, 7, kernels.BAND_ROWS)), st.randoms(use_true_random=False))
+def test_divmod_kernel_does_not_depend_on_band_size(picks, band, rnd):
+    # the full sweep, then the picks shuffled with duplicates and with -1/1,
+    # which phi flags, mixed in: every row lands in its own slot of the output
+    ps, qs = reduced_fraction_arrays(60)
+    rows = picks + picks[: len(picks) // 2 + 1] + [(-1, 1)] * 3
+    rnd.shuffle(rows)
+    with mock.patch.object(kernels, "BAND_ROWS", band):
+        for starts in (list(zip(ps.tolist(), qs.tolist())), rows):
+            steps, flags = phi_sweep(np.array([p for p, _ in starts], dtype=np.int64),
+                                     np.array([q for _, q in starts], dtype=np.int64))
+            for (p, q), st_, flag in zip(starts, steps.tolist(), flags.tolist()):
+                if p < 0:
+                    assert flag == FLAG_VIOLATION
+                    continue
+                exact, term, _ = orbit_pq(p, q, PHI, p + q)
+                assert term and (st_, flag) == (exact, FLAG_DONE)
 
 
 @PROPS

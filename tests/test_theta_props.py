@@ -1,14 +1,16 @@
 """Property tests: theta kernel, report and run-length words against stepwise orbits.
 
-The fast paths are the compacted-rows kernel ``kernels.theta_sweep``, the
-array report of ``theta_sweep_full``, and the run-length word
-``theta_runs`` with its replay and word recovery.  Their oracles are the
-stepwise big-int ``orbit_pq(..., THETA)``, whose branch string the runs
-must render to, and ``replay_word_pq``, a stepwise orbit that stops at the
-kernel's int64 guard, the per-start first-maximum loop, and the right
-column of ``word_eval``.  Rows are drawn both small and around
-``INT64_GUARD``.  A fixed derandomized profile keeps these fast and
-repeatable.
+The fast paths are the banded kernel ``kernels.theta_sweep`` with its
+stopping-time table, the array report of ``theta_sweep_full``, and the
+run-length word ``theta_runs`` with its replay and word recovery.  Their
+oracles are the stepwise big-int ``orbit_pq(..., THETA)``, whose branch
+string the runs must render to, and ``replay_word_pq``, a stepwise orbit
+that stops at the kernel's int64 guard, the per-start first-maximum loop,
+and the right column of ``word_eval``.  Rows are drawn both small and
+around ``INT64_GUARD``.  The kernel is also run with its band size patched
+to 1 and 7 rows, on shuffled rows with duplicates, under caps below the
+longest orbit and under a low guard, so rows end on capped and overflowed
+starts.  A fixed derandomized profile keeps these fast and repeatable.
 """
 
 import math
@@ -16,6 +18,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzq import kernels, verify_word_recovery
@@ -54,7 +57,8 @@ def guarded_orbit(p, q, cap):
     """(steps, flag) of the stepwise big-int orbit, stopped where the kernel stops.
 
     At each point: 0 is FLAG_DONE, else a spent cap is FLAG_CAP, else an entry
-    past the guard is FLAG_OVERFLOW; otherwise take one theta step.
+    past the guard is FLAG_OVERFLOW; otherwise take one theta step.  The
+    guard is read at each call, so a patched ``kernels.INT64_GUARD`` applies.
     """
     steps = 0
     while True:
@@ -62,7 +66,7 @@ def guarded_orbit(p, q, cap):
             return steps, FLAG_DONE
         if steps >= cap:
             return steps, FLAG_CAP
-        if p > INT64_GUARD or q > INT64_GUARD:
+        if p > kernels.INT64_GUARD or q > kernels.INT64_GUARD:
             return steps, FLAG_OVERFLOW
         p, q, _ = theta_step_pq(p, q)
         steps += 1
@@ -97,9 +101,8 @@ def arrays(rows):
             np.array([q for _, q in rows], dtype=np.int64))
 
 
-@PROPS
-@given(st.lists(pairs(), min_size=1, max_size=30), st.integers(0, 50))
-def test_kernel_matches_stepwise_orbit(rows, cap):
+def assert_matches_stepwise(rows, cap):
+    """theta_sweep on rows equals guarded_orbit, and orbit_pq where nothing overflowed."""
     steps, flags = theta_sweep(*arrays(rows), cap)
     assert steps.dtype == flags.dtype == np.int64
     for (p, q), st_, flag in zip(rows, steps.tolist(), flags.tolist()):
@@ -107,6 +110,12 @@ def test_kernel_matches_stepwise_orbit(rows, cap):
         if flag != FLAG_OVERFLOW:
             exact, term, _ = orbit_pq(p, q, THETA, cap)
             assert (exact, term) == (st_, flag == FLAG_DONE)
+
+
+@PROPS
+@given(st.lists(pairs(), min_size=1, max_size=30), st.integers(0, 50))
+def test_kernel_matches_stepwise_orbit(rows, cap):
+    assert_matches_stepwise(rows, cap)
 
 
 @PROPS
@@ -133,6 +142,47 @@ def test_sweep_report_matches_stepwise_first_maximum(height, cap):
 def test_sweep_redoes_guarded_rows_exactly(height, cap, guard):
     # a low guard sends rows through the big-int redo; results must not move
     with mock.patch.object(kernels, "INT64_GUARD", guard):
+        assert theta_sweep_full(height, cap) == stepwise_sweep(height, cap)
+
+
+# band sizes: one row at a time, a few rows (so bands split heights), the default
+BANDS = (1, 7, kernels.BAND_ROWS)
+SWEEP_40 = list(reduced_fractions(40))  # longest orbit: 39 steps
+
+
+def banded(band):
+    return mock.patch.object(kernels, "BAND_ROWS", band)
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("cap", [0, 1, 4, 11, 25, 38, 39, DEFAULT_STEP_CAP])
+def test_full_sweep_does_not_depend_on_band_size(band, cap):
+    # caps below the longest orbit put capped starts in the table, and rows
+    # that drop onto them must come out capped
+    with banded(band):
+        assert_matches_stepwise(SWEEP_40, cap)
+
+
+@PROPS
+@given(st.lists(st.sampled_from(list(reduced_fractions(60))), min_size=1, max_size=120),
+       st.integers(0, 45), st.sampled_from(BANDS), st.randoms(use_true_random=False))
+def test_shuffled_rows_with_duplicates_do_not_depend_on_band_size(picks, cap, band, rnd):
+    rows = picks + picks[: len(picks) // 2 + 1]
+    rnd.shuffle(rows)
+    with banded(band):
+        assert_matches_stepwise(rows, cap)
+
+
+@PROPS
+@given(st.integers(2, 40), st.integers(1, 45), st.integers(1, 200), st.sampled_from(BANDS),
+       st.randoms(use_true_random=False))
+def test_low_guard_overflow_with_the_table(height, cap, guard, band, rnd):
+    # a low guard flags rows at points other rows reach: a flagged start is
+    # never read from the table, so those rows step on and overflow themselves
+    rows = list(reduced_fractions(height)) * 2
+    rnd.shuffle(rows)
+    with mock.patch.object(kernels, "INT64_GUARD", guard), banded(band):
+        assert_matches_stepwise(rows, cap)
         assert theta_sweep_full(height, cap) == stepwise_sweep(height, cap)
 
 
