@@ -15,22 +15,21 @@ exact test of its few survivors on raw Python integers.  Only a confirmed
 hit becomes a member, with the matrix and eigenvalues the leaf built from
 those integers.  A search cuts its budget at a word.
 
-Chunks are dispatched to a process pool in contiguous runs and merged in
-word order, so the worker count changes neither output bytes nor the
-``progress`` calls; the pool never has more workers than cores or chunks
-left.  A ``density_sweep`` is one census of its largest box, since every
-smaller box is the words of that box with no exponent above its M; each
-row is read off the members.  Its checkpoint, saved after every chunk,
-holds one cursor (words tested, members so far) into that census, and the
-final save adds the finished rows.  Resuming from any word reproduces the
-uninterrupted result bit for bit; a cursor that does not fit the box is
-refused.
+A ``density_sweep`` is one census of its largest box, since every smaller
+box is the words of that box with no exponent above its M; each row is
+read off the members, and ``census`` is the sweep of one row.  Chunks are
+dispatched to a process pool in contiguous runs and merged in word order,
+so the worker count changes neither output bytes nor the checkpoint
+saves; the pool never has more workers than cores or chunks left.  The
+checkpoint, saved after every merged chunk, holds one cursor (words
+tested, members so far) into the census, and the final save adds the
+finished rows.  Resuming from any word reproduces the uninterrupted result
+bit for bit; a cursor that does not fit the box is refused.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import math
@@ -40,13 +39,12 @@ import tempfile
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import EigenPair, Mat2
 from .core import integer_eigenvalues  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import BudgetExceededError, CorruptCheckpointError
 from .sieve import Hit, chunk_words, sample_hits, sieve_words
-from .spectral import NkCertificate, compute_nk
+from .spectral import compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
     DEFAULT_GENERATORS,
@@ -99,15 +97,14 @@ def _member(hit: Hit) -> OmegaMember:
     return OmegaMember(Word(exponents[0::2], exponents[1::2]), m, eig)
 
 
-def _census_words(k: int, M: int, cert: NkCertificate | None, start: int, stop: int):
-    """(words tested, members) of each sieve chunk of census words [start, stop)."""
-    # no exponent exceeds M, so n = M never skips a word
-    n = M if cert is None else cert.n
+def _census_words(k: int, M: int, n: int, start: int, stop: int):
+    """(words tested, members) of each sieve chunk of census words [start, stop),
+    skipping the words whose exponents all exceed ``n``."""
     for tested, hits in sieve_words(r_power, s_power, _exponent_ranges(k, M), n, start, stop):
         yield tested, list(map(_member, hits))
 
 
-def _census_run(task: tuple[int, int, NkCertificate | None, int, int]):
+def _census_run(task: tuple[int, int, int, int, int]):
     """Consecutive chunks in one pool task, so dispatch costs are paid per run."""
     return list(_census_words(*task))
 
@@ -128,14 +125,8 @@ def _pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-# (tested, members): the state of a census after its first ``tested`` words,
-# passed to ``progress`` and read back from a checkpoint
-Cursor = tuple[int, list[OmegaMember]]
-ProgressFn = Callable[[int, list[OmegaMember]], None]
-
-
 def _exhaustive_row(
-    k: int, M: int, members: list[OmegaMember], density_bound: Fraction | None = None
+    k: int, M: int, members: list[OmegaMember], density_bound: Fraction | None
 ) -> DensityRow:
     total = lambda_count(k, M)
     return DensityRow(
@@ -150,67 +141,9 @@ def _exhaustive_row(
     )
 
 
-def census(
-    k: int,
-    M: int,
-    use_prefilter: bool = True,
-    *,
-    workers: int = 1,
-    budget: int = DEFAULT_CENSUS_BUDGET,
-    progress: ProgressFn | None = None,
-) -> DensityRow:
-    """Exhaustive census of the (k, M) box.
-
-    ``progress`` is called after every merged sieve chunk with (tested,
-    members) so the caller can persist state.
-    """
-    cert = compute_nk(k) if use_prefilter else None
-    return _exhaustive_row(k, M, _census(k, M, cert, workers, budget, progress))
-
-
-def _census(
-    k: int,
-    M: int,
-    cert: NkCertificate | None,
-    workers: int,
-    budget: int,
-    progress: ProgressFn | None,
-    cursor: Cursor | None = None,
-) -> list[OmegaMember]:
-    """The members of the (k, M) box in word order, resumed from ``cursor``
-    when one is given; ``cert`` None runs without the prefilter."""
-    total = lambda_count(k, M)
-    if total > budget:
-        raise BudgetExceededError(f"|box(k={k}, M={M})| = {total} exceeds budget {budget}")
-    tested, members = cursor or (0, [])
-    members = list(members)
-
-    def advance(results) -> None:
-        nonlocal tested
-        for chunk_tested, chunk_members in results:
-            tested += chunk_tested
-            members.extend(chunk_members)
-            if progress is not None:
-                progress(tested, members)
-
-    chunk = chunk_words(_exponent_ranges(k, M))
-    # a fork pool starts every worker at its first task, so it gets no more
-    # workers than chunks left to sieve or cores to run them
-    workers = min(workers, -(-total // chunk) - tested // chunk)
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    with _pool(workers) as pool:
-        if pool is None:
-            advance(_census_words(k, M, cert, tested, total))
-        else:
-            runs = _runs(tested, total, chunk, workers)
-            tasks = [(k, M, cert, start, stop) for start, stop in runs]
-            for results in pool.map(_census_run, tasks):
-                advance(results)
-
-    if tested != total:
-        raise AssertionError(f"enumerated {tested} words, closed form says {total}")
-    return members
+def census(k: int, M: int, use_prefilter: bool = True, *, workers: int = 1) -> DensityRow:
+    """Exhaustive census of the (k, M) box: the one-row ``density_sweep``."""
+    return density_sweep(k, (M, M), use_prefilter, workers=workers)[0]
 
 
 def census_sampled(
@@ -227,8 +160,7 @@ def census_sampled(
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    cert = compute_nk(k) if use_prefilter else None
-    n = M if cert is None else cert.n
+    n = compute_nk(k).n if use_prefilter else M
     rng = random.Random(seed)
     members = list(map(_member, sample_hits(r_power, s_power, rng, k, M, sample_size, n)))
     return DensityRow(
@@ -274,10 +206,12 @@ def density_sweep(
     if m_lo < 1 or m_hi < m_lo:
         raise ValueError(f"bad M range {m_range}")
     cert = compute_nk(k)
+    # no exponent exceeds m_hi, so n = m_hi never skips a word
+    n = cert.n if use_prefilter else m_hi
     params = {"k": k, "m_lo": m_lo, "m_hi": m_hi, "prefilter": use_prefilter}
     box = lambda_count(k, m_hi)
 
-    cursor: Cursor | None = None
+    tested, members = 0, []
     if resume:
         if not checkpoint_path:
             raise CorruptCheckpointError("resume requested without a checkpoint file")
@@ -293,19 +227,41 @@ def density_sweep(
                 f"checkpoint cursor ({tested} words, {len(members)} members) "
                 f"does not fit the {box} words of census M={m_hi}"
             )
-        cursor = (tested, members)
-
-    def save(rows: list[DensityRow], tested: int, members: list[OmegaMember]) -> None:
-        # while the census runs the file holds only its cursor
-        save_checkpoint(
-            checkpoint_path, params=params, rows=rows, active_m=None if rows else m_hi,
-            tested=tested, members=members,
+    if box > DEFAULT_CENSUS_BUDGET:
+        raise BudgetExceededError(
+            f"|box(k={k}, M={m_hi})| = {box} exceeds budget {DEFAULT_CENSUS_BUDGET}"
         )
 
-    progress = functools.partial(save, []) if checkpoint_path else None
-    members = _census(
-        k, m_hi, cert if use_prefilter else None, workers, DEFAULT_CENSUS_BUDGET, progress, cursor
-    )
+    def step(results) -> None:
+        """Merge sieve chunks in word order, saving the cursor after each."""
+        nonlocal tested
+        for chunk_tested, chunk_members in results:
+            tested += chunk_tested
+            members.extend(chunk_members)
+            if checkpoint_path:
+                # while the census runs the file holds only its cursor
+                save_checkpoint(
+                    checkpoint_path, params=params, rows=[], active_m=m_hi,
+                    tested=tested, members=members,
+                )
+
+    chunk = chunk_words(_exponent_ranges(k, m_hi))
+    # a fork pool starts every worker at its first task, so it gets no more
+    # workers than chunks left to sieve or cores to run them
+    workers = min(workers, -(-box // chunk) - tested // chunk)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
+    with _pool(workers) as pool:
+        if pool is None:
+            step(_census_words(k, m_hi, n, tested, box))
+        else:
+            runs = _runs(tested, box, chunk, workers)
+            tasks = [(k, m_hi, n, start, stop) for start, stop in runs]
+            for results in pool.map(_census_run, tasks):
+                step(results)
+    if tested != box:
+        raise AssertionError(f"enumerated {tested} words, closed form says {box}")
+
     levels = [max(m.word.betas + m.word.alphas) for m in members]
     rows = [
         _exhaustive_row(
@@ -315,7 +271,9 @@ def density_sweep(
         for M in range(m_lo, m_hi + 1)
     ]
     if checkpoint_path:
-        save(rows, box, members)
+        save_checkpoint(
+            checkpoint_path, params=params, rows=rows, active_m=None, tested=box, members=members
+        )
     return rows
 
 

@@ -475,6 +475,8 @@ def verify_word_recovery(
     `theta_runs` / `replay_theta_runs_pq`, phi by one Euclid division per
     run (`phi_runs` / `replay_runs_pq`).
     """
+    if map_name not in (THETA, PHI):
+        raise ValueError(f"unknown map {map_name!r}")
     checked = 0
     failures: list[Fraction] = []
     for p, q in reduced_fractions(height_bound):

@@ -72,9 +72,12 @@ class TestCensus:
         assert census(2, 3, workers=2) == base
         assert census(2, 3, workers=5) == base
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(census_mod, "DEFAULT_CENSUS_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
-            census(3, 10, budget=1000)
+            census(3, 10)
+        with pytest.raises(BudgetExceededError):
+            density_sweep(3, (1, 10))
 
     def test_lambda_count_always_closed_form(self):
         for k, M in [(1, 3), (2, 2), (3, 2)]:
@@ -163,7 +166,7 @@ class TestPoolSize:
         monkeypatch.setattr(census_mod, "ProcessPoolExecutor", FakePool)
         return sizes
 
-    def test_pool_never_outnumbers_the_chunks_left(self, sizes, monkeypatch):
+    def test_pool_never_outnumbers_the_chunks_left(self, sizes, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         base = census(1, 200)  # 3 chunks of 16,281 words
         assert census(1, 200, workers=1000) == base
@@ -171,10 +174,17 @@ class TestPoolSize:
         assert census(2, 3, workers=1000) == census(2, 3)  # one chunk: no pool
         assert sizes == [3]
         # a cursor in the last chunk leaves one chunk: no pool
-        members = [m for _, found in _census_words(1, 200, None, 0, 40000) for m in found]
-        assert census_mod._census(1, 200, None, 1000, 10**6, None, (40000, members)) == list(
-            base.omega_members
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(
+            path,
+            params={"k": 1, "m_lo": 200, "m_hi": 200, "prefilter": True},
+            rows=[],
+            active_m=200,
+            tested=40000,
+            members=[m for _, found in _census_words(1, 200, 200, 0, 40000) for m in found],
         )
+        resumed = density_sweep(1, (200, 200), workers=1000, checkpoint_path=path, resume=True)
+        assert resumed == [base]
         assert sizes == [3]
 
     def test_pool_never_outnumbers_the_cores(self, sizes, monkeypatch):
@@ -223,9 +233,9 @@ class TestCheckpoints:
         # under chunk sizes whose boundaries do and do not meet the cursor
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (6, 6))
-        cert = compute_nk(1)
+        n = compute_nk(1).n
         for cut in (0, 1, 20, 21, 35, 48, 49):
-            members = [m for _, found in _census_words(1, 6, cert, 0, cut) for m in found]
+            members = [m for _, found in _census_words(1, 6, n, 0, cut) for m in found]
             save_checkpoint(
                 path,
                 params={"k": 1, "m_lo": 6, "m_hi": 6, "prefilter": True},
@@ -497,13 +507,6 @@ class TestCheckpoints:
             assert states[2] == states[1]
             assert [t for _, t, _ in states[1]] == chunks + [chunks[-1]]
             assert (tmp_path / "w2.json").read_bytes() == (tmp_path / "w1.json").read_bytes()
-
-            calls = {1: [], 2: []}
-            for workers, seen in calls.items():
-                census(k, m_range[1], workers=workers,
-                       progress=lambda t, m, seen=seen: seen.append((t, len(m))))
-            assert calls[2] == calls[1]
-            assert [t for t, _ in calls[1]] == chunks
 
 
 class TestSearch:

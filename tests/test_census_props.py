@@ -9,7 +9,8 @@ and the depth-first ``_walk_block`` is the oracle of the sieve.  A
 range is compared with the walk of the block.  The exact test
 ``eigen_from_disc`` is checked against a plain ``math.isqrt``, and results
 may not depend on the chunk size or the worker count.  A density sweep's
-rows, read off one census of its largest box, must equal a census per M.
+rows, read off one census of its largest box, must equal a census per M,
+and a census must be the sweep's one row, bound included.
 A fixed derandomized profile keeps these fast and repeatable.
 """
 
@@ -84,9 +85,10 @@ def boxes_and_blocks(draw):
     return (k, M, *draw_block(draw, k, M))
 
 
-def census_range(k, M, cert, start, stop):
-    """(words tested, members) of census words start to stop - 1."""
-    chunks = list(census_mod._census_words(k, M, cert, start, stop))
+def census_range(k, M, n, start, stop):
+    """(words tested, members) of census words start to stop - 1, skipping
+    those whose exponents all exceed n."""
+    chunks = list(census_mod._census_words(k, M, n, start, stop))
     return sum(t for t, _ in chunks), [m for _, found in chunks for m in found]
 
 
@@ -94,9 +96,9 @@ def census_range(k, M, cert, start, stop):
 @given(boxes_and_blocks(), st.booleans())
 def test_block_leaf_matches_oracle(box, prefilter):
     k, M, b1, a1 = box
-    cert = compute_nk(k) if prefilter else None
+    n = compute_nk(k).n if prefilter else M
     start, size = block_range(k, M, b1, a1)
-    tested, members = census_range(k, M, cert, start, start + size)
+    tested, members = census_range(k, M, n, start, start + size)
     block = list(enumerate_lambda_block(k, M, b1, a1))
     assert tested == len(block)
     assert members == oracle_members(block, word_eval)
@@ -107,7 +109,7 @@ def test_k1_box_hits_found_by_leaf():
     M = 9
     found = []
     for i in range(lambda_count(1, M)):  # one word at a time
-        found.extend(census_range(1, M, None, i, i + 1)[1])
+        found.extend(census_range(1, M, M, i, i + 1)[1])
     assert found == oracle_members(enumerate_lambda(1, M), word_eval)
     assert len(found) == 2 * M + 1
 
@@ -309,10 +311,10 @@ def test_any_word_range_matches_oracle(box, prefilter, data):
     start = data.draw(st.integers(0, total))
     stop = data.draw(st.integers(start, total))
     chunk = data.draw(st.sampled_from([1, 7, 9, sieve_mod.SIEVE_CHUNK_WORDS]))
-    cert = compute_nk(k) if prefilter else None
+    n = compute_nk(k).n if prefilter else M
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
-        tested, members = census_range(k, M, cert, start, stop)
+        tested, members = census_range(k, M, n, start, stop)
     words = list(enumerate_lambda(k, M))[start:stop]
     assert tested == len(words)
     assert members == oracle_members(words, word_eval)
@@ -388,6 +390,24 @@ def test_sweep_rows_match_a_census_per_M(sweep, prefilter, workers, chunk):
         dataclasses.replace(census(k, M, prefilter), density_bound=theorem_density_bound(k, M, n))
         for M in range(lo, hi + 1)
     ]
+
+
+@st.composite
+def boxes_about_n(draw):
+    """(k, M) with M on either side of the prefilter threshold n(k)."""
+    k = draw(st.integers(1, 3))
+    n = compute_nk(k).n
+    return k, draw(st.integers(max(1, n - 2), n + 1))
+
+
+@PROPS
+@given(boxes_about_n(), st.booleans(), st.sampled_from([1, 2]))
+def test_census_is_the_one_row_sweep(box, prefilter, workers):
+    # a census row carries the proof's bound like every density row
+    k, M = box
+    row = census(k, M, prefilter, workers=workers)
+    assert row == density_sweep(k, (M, M), prefilter, workers=workers)[0]
+    assert row.density_bound == theorem_density_bound(k, M, compute_nk(k).n)
 
 
 def test_sieve_arithmetic_is_exact_in_int64():

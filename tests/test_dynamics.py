@@ -162,6 +162,11 @@ class TestWordRecovery:
         checked, failures = verify_word_recovery(80, PHI)
         assert failures == []
 
+    def test_recovery_refuses_an_unknown_map(self):
+        # an unknown name must not fall through to phi, as orbit refuses it too
+        with pytest.raises(ValueError, match="unknown map 'bogus'"):
+            verify_word_recovery(6, "bogus")
+
 
 class TestIntPairPaths:
     @pytest.mark.parametrize("map_name", [THETA, PHI])
