@@ -31,10 +31,8 @@ from .dynamics import (
     mobius_apply,
     orbit,
     phi_monotonicity_sweep,
-    phi_step,
     reduced_fractions,
     sl2_factor,
-    theta_step,
     theta_sweep_full,
     verify_word_recovery,
 )

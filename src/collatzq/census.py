@@ -29,14 +29,12 @@ bit for bit; a cursor that does not fit the box is refused.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import os
 import random
 import tempfile
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,12 +115,6 @@ def _runs(start: int, stop: int, chunk: int, workers: int) -> list[tuple[int, in
     size = max(1, -(-(stop - first) // chunk // (2 * workers))) * chunk
     edges = [start, *range(first + size, stop, size), stop]
     return list(zip(edges, edges[1:]))
-
-
-def _pool(workers: int) -> contextlib.AbstractContextManager[Executor | None]:
-    if workers <= 1:
-        return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _exhaustive_row(
@@ -248,17 +240,17 @@ def density_sweep(
     chunk = chunk_words(_exponent_ranges(k, m_hi))
     # a fork pool starts every worker at its first task, so it gets no more
     # workers than chunks left to sieve or cores to run them
-    workers = min(workers, -(-box // chunk) - tested // chunk)
+    workers = min(workers, os.cpu_count() or 1, -(-box // chunk) - tested // chunk)
     if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-    with _pool(workers) as pool:
-        if pool is None:
-            step(_census_words(k, m_hi, n, tested, box))
-        else:
-            runs = _runs(tested, box, chunk, workers)
-            tasks = [(k, m_hi, n, start, stop) for start, stop in runs]
+        # imported here, so that `import collatzq` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        tasks = [(k, m_hi, n, start, stop) for start, stop in _runs(tested, box, chunk, workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for results in pool.map(_census_run, tasks):
                 step(results)
+    else:
+        step(_census_words(k, m_hi, n, tested, box))
     if tested != box:
         raise AssertionError(f"enumerated {tested} words, closed form says {box}")
 

@@ -13,6 +13,7 @@ Logs and findings commentary go to stderr; structured output
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -104,18 +105,11 @@ def _parse_generators(text: str) -> GeneratorPair:
         raise argparse.ArgumentTypeError(f"bad generators {text!r}") from exc
 
 
-def _open_out(path: str | None):
+def _out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
+    """The --out file opened for writing, or stdout left open."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _emit(fh: IO[str], close: bool, write) -> None:
-    try:
-        write(fh)
-    finally:
-        if close:
-            fh.close()
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,8 +283,8 @@ def _cmd_density(args) -> int:
             checkpoint_path=args.checkpoint,
             resume=args.resume,
         )
-    fh, close = _open_out(args.out)
-    _emit(fh, close, lambda f: reports.write_density_csv(rows, f, invocation))
+    with _out(args.out) as fh:
+        reports.write_density_csv(rows, fh, invocation)
 
     exceptional = [m for row in rows if row.k >= 2 for m in row.omega_members]
     if exceptional:
@@ -327,8 +321,8 @@ def _cmd_search(args) -> int:
         ],
     )
     result = search_counterexamples(args.k, args.exp_max, g, args.budget)
-    fh, close = _open_out(args.out)
-    _emit(fh, close, lambda f: reports.write_members_jsonl(result.members, f, invocation))
+    with _out(args.out) as fh:
+        reports.write_members_jsonl(result.members, fh, invocation)
     if not result.complete:
         print(f"budget exhausted after {result.words_tested} words; partial results",
               file=sys.stderr)

@@ -30,9 +30,9 @@ its start mostly lands on a start whose stopping time is already in the
 kernel's table, and ends there.  A theta row that could overflow is redone
 here by `theta_runs`.  Both sweep reports are array code over the kernel's
 (steps, flags): one first-maximum helper gives the longest orbit and the
-starts that failed.  The stepwise forms, `orbit` over `Fraction` and
-`orbit_pq` / `replay_word_pq` on reduced pairs, are the reference paths the
-tests check the run forms against.
+starts that failed.  The stepwise forms on reduced pairs, `orbit` (which
+records each point as a `Fraction`), `orbit_pq` and `replay_word_pq`, are
+the reference paths the tests check the run forms against.
 """
 
 from __future__ import annotations
@@ -59,71 +59,9 @@ PHI = "phi"
 DEFAULT_STEP_CAP = 10_000
 
 
-def theta_step(x: Fraction) -> tuple[Fraction, str]:
-    """One theta step with the branch letter of the inverted generator."""
-    if x < 0:
-        raise NegativeInputError(f"theta is defined on x >= 0, got {x}")
-    if x >= 1:
-        return (x - 1) / 3, "R"
-    return 2 * x / (1 - x), "S"
-
-
-def phi_step(x: Fraction) -> tuple[Fraction, str]:
-    """One phi step with the branch letter of the inverted generator."""
-    if x < 0:
-        raise NegativeInputError(f"phi is defined on x >= 0, got {x}")
-    if x >= 1:
-        return x - 1, "F"
-    return x / (1 - x), "G"
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    map_name: str
-    points: tuple[Fraction, ...]  # starting value first
-    branches: str  # one letter per step
-    terminated: bool  # reached 0
-    stopping_time: int | None  # index of the first 0 when terminated
-
-    def heights(self) -> tuple[int, ...]:
-        """p + q of each reduced orbit point."""
-        return tuple(x.numerator + x.denominator for x in self.points)
-
-
-def orbit(x: Fraction, map_name: str = THETA, step_cap: int = DEFAULT_STEP_CAP) -> OrbitRecord:
-    """Iterate until 0 or the cap, recording every point and branch.
-
-    Cap exhaustion is data (terminated=False), not an error.  For phi the
-    non-increase of p+q is asserted at every step.
-    """
-    if map_name not in (THETA, PHI):
-        raise ValueError(f"unknown map {map_name!r}")
-    if step_cap < 0:
-        raise ValueError("step_cap must be >= 0")
-    x = Fraction(x)
-    step = theta_step if map_name == THETA else phi_step
-    points = [x]
-    branches: list[str] = []
-    while points[-1] != 0 and len(branches) < step_cap:
-        nxt, letter = step(points[-1])
-        if map_name == PHI:
-            prev = points[-1]
-            if nxt.numerator + nxt.denominator > prev.numerator + prev.denominator:
-                raise MonotonicityError(f"p+q increased at {prev} -> {nxt}")
-        points.append(nxt)
-        branches.append(letter)
-    terminated = points[-1] == 0
-    return OrbitRecord(
-        map_name=map_name,
-        points=tuple(points),
-        branches="".join(branches),
-        terminated=terminated,
-        stopping_time=len(points) - 1 if terminated else None,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Stepwise integer-pair orbits: the reference forms of the run paths below
+# Stepwise orbits on reduced pairs: `orbit`, and the reference forms of the
+# run paths below
 # ---------------------------------------------------------------------------
 
 
@@ -153,6 +91,55 @@ def phi_step_pq(p: int, q: int) -> tuple[int, int, str]:
     if p >= q:
         return p - q, q, "F"
     return p, q - p, "G"
+
+
+@dataclass(frozen=True)
+class OrbitRecord:
+    map_name: str
+    points: tuple[Fraction, ...]  # starting value first
+    branches: str  # one letter per step
+    terminated: bool  # reached 0
+    stopping_time: int | None  # index of the first 0 when terminated
+
+    def heights(self) -> tuple[int, ...]:
+        """p + q of each reduced orbit point."""
+        return tuple(x.numerator + x.denominator for x in self.points)
+
+
+def orbit(x: Fraction, map_name: str = THETA, step_cap: int = DEFAULT_STEP_CAP) -> OrbitRecord:
+    """Iterate until 0 or the cap, recording every point and branch.
+
+    The reduced pair takes the steps, and each recorded point becomes a
+    Fraction.  Cap exhaustion is data (terminated=False), not an error.
+    For phi the non-increase of p+q is asserted at every step.
+    """
+    if map_name not in (THETA, PHI):
+        raise ValueError(f"unknown map {map_name!r}")
+    if step_cap < 0:
+        raise ValueError("step_cap must be >= 0")
+    x = Fraction(x)
+    if x < 0:
+        raise NegativeInputError(f"{map_name} is defined on x >= 0, got {x}")
+    step = theta_step_pq if map_name == THETA else phi_step_pq
+    p, q = x.numerator, x.denominator
+    points = [x]
+    branches: list[str] = []
+    while p and len(branches) < step_cap:
+        p2, q2, letter = step(p, q)
+        if map_name == PHI and p2 + q2 > p + q:
+            raise MonotonicityError(f"p+q increased at {x} -> {Fraction(p2, q2)}")
+        p, q = p2, q2
+        x = Fraction(p, q)
+        points.append(x)
+        branches.append(letter)
+    terminated = p == 0
+    return OrbitRecord(
+        map_name=map_name,
+        points=tuple(points),
+        branches="".join(branches),
+        terminated=terminated,
+        stopping_time=len(points) - 1 if terminated else None,
+    )
 
 
 def orbit_pq(p: int, q: int, map_name: str, step_cap: int) -> tuple[int, bool, str]:

@@ -96,11 +96,11 @@ def _sign_mask(a_mask: int, k: int) -> int:
     return a_mask ^ rol
 
 
-def u_quantities(w: Word, size_limit: int = DEFAULT_SUBSET_LIMIT) -> UQuadruple:
+def u_quantities(w: Word) -> UQuadruple:
     """The four boundary-classified subset-pair sums (4^k terms)."""
     k = w.k
-    if k > size_limit:
-        raise SizeLimitError(f"k={k} exceeds subset-sum limit {size_limit}")
+    if k > DEFAULT_SUBSET_LIMIT:
+        raise SizeLimitError(f"k={k} exceeds subset-sum limit {DEFAULT_SUBSET_LIMIT}")
     pow2, pow3 = _pow_tables(w)
     top = 1 << (k - 1)  # bit of index k
     acc = [0, 0, 0, 0]  # numerators over 2^k for u00, u10, u01, u11
@@ -136,12 +136,12 @@ def entries_from_u(q: UQuadruple) -> Mat2:
     return Mat2(*(int(v) for v in vals))
 
 
-def trace_subsetpair(w: Word, size_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
+def trace_subsetpair(w: Word) -> int:
     """Trace as the unrestricted sum of sigma(A, B) over all 4^k subset pairs.
 
     The four U sums partition the subset pairs, so the trace is their total.
     """
-    q = u_quantities(w, size_limit)
+    q = u_quantities(w)
     total = q.u00 + q.u10 + q.u01 + q.u11
     if total.denominator != 1:
         raise NonIntegerEntryError(f"subset-pair trace {total} is not integral")

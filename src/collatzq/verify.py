@@ -101,13 +101,15 @@ def suite_bounds(k: int = 3, samples: int = 500, seed: int = 0, exp_max: int = 8
 def suite_freeness(k: int = 2, M: int = 3) -> dict:
     """Box enumeration has the closed-form size and injects into matrices."""
     total = sum(lambda_count(j, M) for j in range(1, k + 1))
+    # first, so a box over the freeness budget is refused before it is enumerated
+    free = freeness_check(k, M)
     failures = 0
     witness = None
     enumerated = sum(1 for _ in enumerate_lambda(k, M))
     if enumerated != lambda_count(k, M):
         failures += 1
         witness = {"enumerated": enumerated, "closed_form": lambda_count(k, M)}
-    if not freeness_check(k, M):
+    if not free:
         failures += 1
         if witness is None:
             witness = {"collision": f"duplicate matrix in boxes up to (k={k}, M={M})"}

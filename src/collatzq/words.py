@@ -139,18 +139,6 @@ def parse_word(text: str) -> Word:
     return Word(tuple(exps[0::2]), tuple(exps[1::2]))
 
 
-def r_power(beta: int) -> Mat2:
-    """R^beta = [3^beta, (3^beta - 1)/2; 0, 1]."""
-    p = 3**beta
-    return Mat2(p, (p - 1) // 2, 0, 1)
-
-
-def s_power(alpha: int) -> Mat2:
-    """S^alpha = [1, 0; 2^alpha - 1, 2^alpha]."""
-    p = 2**alpha
-    return Mat2(1, 0, p - 1, p)
-
-
 def word_eval(w: Word) -> Mat2:
     """Exact product R^b1 S^a1 ... R^bk S^ak using closed-form powers."""
     m = Mat2.identity()
@@ -194,6 +182,10 @@ class GeneratorPair:
 
 
 DEFAULT_GENERATORS = GeneratorPair(3, 1, 1, 2)
+
+# R^n = [3^n, (3^n - 1)/2; 0, 1] and S^n = [1, 0; 2^n - 1, 2^n]
+r_power = DEFAULT_GENERATORS.a_power
+s_power = DEFAULT_GENERATORS.b_power
 
 
 def word_eval_general(w: Word, g: GeneratorPair) -> Mat2:
@@ -239,7 +231,7 @@ def enumerate_lambda_block(k: int, M: int, beta1: int, alpha1: int) -> Iterator[
         yield Word((beta1,) + tup[0::2], (alpha1,) + tup[1::2])
 
 
-def freeness_check(k: int, M: int, budget: int = DEFAULT_FREENESS_BUDGET) -> bool:
+def freeness_check(k: int, M: int) -> bool:
     """Distinct reduced words in the union of (j, M) boxes for j <= k give distinct matrices.
 
     Tuples that denote the same reduced word (zero boundary exponents) are
@@ -247,8 +239,8 @@ def freeness_check(k: int, M: int, budget: int = DEFAULT_FREENESS_BUDGET) -> boo
     word -> matrix map on the enumerated range.
     """
     total = sum(lambda_count(j, M) for j in range(1, k + 1))
-    if total > budget:
-        raise BudgetExceededError(f"{total} words exceed budget {budget}")
+    if total > DEFAULT_FREENESS_BUDGET:
+        raise BudgetExceededError(f"{total} words exceed budget {DEFAULT_FREENESS_BUDGET}")
     matrices: dict[tuple[tuple[str, int], ...], Mat2] = {}
     seen_matrices: set[Mat2] = set()
     for j in range(1, k + 1):

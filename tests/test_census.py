@@ -1,10 +1,13 @@
 """Census engine: exact counts, prefilter transparency, checkpoints, search."""
 
+import concurrent.futures
 import importlib
 import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -163,7 +166,7 @@ class TestPoolSize:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return sizes
 
     def test_pool_never_outnumbers_the_chunks_left(self, sizes, monkeypatch, tmp_path):
@@ -186,6 +189,17 @@ class TestPoolSize:
         resumed = density_sweep(1, (200, 200), workers=1000, checkpoint_path=path, resume=True)
         assert resumed == [base]
         assert sizes == [3]
+
+    def test_import_loads_no_pool(self):
+        # the pool's modules load only when a census starts one
+        code = (
+            "import sys, collatzq; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
     def test_pool_never_outnumbers_the_cores(self, sizes, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

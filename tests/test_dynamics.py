@@ -13,10 +13,8 @@ from collatzq import (
     mobius_apply,
     orbit,
     phi_monotonicity_sweep,
-    phi_step,
     reduced_fractions,
     sl2_factor,
-    theta_step,
     theta_sweep_full,
     verify_word_recovery,
 )
@@ -25,15 +23,27 @@ from collatzq.dynamics import (
     THETA,
     orbit_pq,
     phi_runs,
+    phi_step_pq,
     replay_runs_pq,
     replay_theta_runs_pq,
     replay_word_pq,
     theta_runs,
+    theta_step_pq,
 )
 from collatzq.errors import NegativeInputError, NotCoprimeError, NotFactorableError
 from collatzq.reports import word_str
 
 F = Fraction
+
+
+def paper_theta(x):
+    """The paper's theta, on Fractions, with the letter of the generator it inverts."""
+    return ((x - 1) / 3, "R") if x >= 1 else (2 * x / (1 - x), "S")
+
+
+def paper_phi(x):
+    """The paper's phi, on Fractions, with the letter of the generator it inverts."""
+    return (x - 1, "F") if x >= 1 else (x / (1 - x), "G")
 
 
 def subtractive_factor(m):
@@ -65,28 +75,32 @@ def word_matrix(word):
 
 class TestSteps:
     def test_theta_examples(self):
-        assert theta_step(F(1)) == (F(0), "R")
-        assert theta_step(F(2)) == (F(1, 3), "R")
-        assert theta_step(F(1, 9)) == (F(1, 4), "S")
+        assert theta_step_pq(1, 1) == (0, 1, "R")
+        assert theta_step_pq(2, 1) == (1, 3, "R")
+        assert theta_step_pq(1, 9) == (1, 4, "S")
 
     def test_phi_examples(self):
-        assert phi_step(F(3, 5)) == (F(3, 2), "G")
-        assert phi_step(F(3, 2)) == (F(1, 2), "F")
-        assert phi_step(F(0)) == (F(0), "G")
+        assert phi_step_pq(3, 5) == (3, 2, "G")
+        assert phi_step_pq(3, 2) == (1, 2, "F")
+        assert phi_step_pq(0, 1) == (0, 1, "G")
 
     def test_negative_inputs(self):
-        with pytest.raises(NegativeInputError):
-            theta_step(F(-1, 2))
-        with pytest.raises(NegativeInputError):
-            phi_step(F(-1))
+        # orbit refuses a negative start even when the cap allows no step
+        for map_name in (THETA, PHI):
+            for x in (F(-1, 2), F(-1)):
+                with pytest.raises(NegativeInputError):
+                    orbit(x, map_name, 0)
 
     def test_maps_stay_nonnegative(self):
+        # each pair step is the paper's map, and stays a reduced pair >= 0
         rng = random.Random(41)
         for _ in range(300):
             x = F(rng.randint(0, 50), rng.randint(1, 50))
-            for nxt, _ in (theta_step(x), phi_step(x)):
-                assert nxt >= 0
-                assert nxt.denominator > 0
+            for step, paper_map in ((theta_step_pq, paper_theta), (phi_step_pq, paper_phi)):
+                p, q, letter = step(x.numerator, x.denominator)
+                assert p >= 0 and q >= 1 and math.gcd(p, q) == 1
+                if x:
+                    assert (F(p, q), letter) == paper_map(x)
 
 
 class TestOrbit:
@@ -119,11 +133,12 @@ class TestOrbit:
         assert rec.branches == "RR"
 
     def test_points_chain_exactly(self):
-        rec = orbit(F(17, 7), THETA, 100)
-        step = theta_step
-        for x, y in zip(rec.points, rec.points[1:]):
-            assert step(x)[0] == y
-        assert len(rec.branches) == len(rec.points) - 1
+        for map_name, paper_map in ((THETA, paper_theta), (PHI, paper_phi)):
+            rec = orbit(F(17, 7), map_name, 100)
+            assert rec.terminated
+            assert len(rec.branches) == len(rec.points) - 1
+            for x, y, letter in zip(rec.points, rec.points[1:], rec.branches):
+                assert paper_map(x) == (y, letter)
 
 
 class TestWordRecovery:

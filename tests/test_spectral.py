@@ -110,9 +110,9 @@ class TestUQuantities:
             assert (direct[0], direct[2], direct[1], direct[3]) == u
 
     def test_size_limit(self):
-        w = Word((1,) * 5, (1,) * 5)
+        w = Word((1,) * 13, (1,) * 13)
         with pytest.raises(SizeLimitError):
-            u_quantities(w, size_limit=4)
+            u_quantities(w)
 
 
 class TestEntriesFromU:
@@ -139,7 +139,7 @@ class TestTraces:
 
     def test_subsetpair_size_limit(self):
         with pytest.raises(SizeLimitError):
-            trace_subsetpair(Word((1,) * 6, (1,) * 6), size_limit=5)
+            trace_subsetpair(Word((1,) * 13, (1,) * 13))
 
     def test_fast_handles_larger_k(self):
         w = Word((1,) * 14, (1,) * 14)

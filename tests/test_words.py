@@ -1,5 +1,6 @@
 """Words, closed-form powers, box enumeration, counting, freeness."""
 
+import importlib
 import itertools
 import random
 
@@ -25,7 +26,15 @@ from collatzq import (
     word_eval_general,
 )
 from collatzq.errors import BudgetExceededError
+from collatzq.verify import suite_freeness
 from collatzq.words import R, S, _exponent_ranges
+
+words_mod = importlib.import_module("collatzq.words")
+verify_mod = importlib.import_module("collatzq.verify")
+
+
+def refuse_to_enumerate(k, M):
+    raise AssertionError(f"enumerated the (k={k}, M={M}) box")
 
 
 def random_canonical_word(rng, k, exp_max):
@@ -195,9 +204,18 @@ class TestFreeness:
     def test_free_at_desk_scale(self, k, M):
         assert freeness_check(k, M) is True
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # refused on the closed-form count, before a word is enumerated
+        monkeypatch.setattr(words_mod, "enumerate_lambda", refuse_to_enumerate)
         with pytest.raises(BudgetExceededError):
-            freeness_check(3, 3, budget=10)
+            freeness_check(3, 30)
+
+    def test_suite_refuses_before_enumerating(self, monkeypatch):
+        # an over-budget box is refused before the suite enumerates it
+        monkeypatch.setattr(verify_mod, "enumerate_lambda", refuse_to_enumerate)
+        monkeypatch.setattr(words_mod, "enumerate_lambda", refuse_to_enumerate)
+        with pytest.raises(BudgetExceededError):
+            suite_freeness(3, 30)
 
     def test_reduced_blocks_identification(self):
         # R^0 S^2 R^1 S^0 and the same word padded across k levels
