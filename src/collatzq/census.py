@@ -73,20 +73,37 @@ class OmegaMember:
 
 @dataclass(frozen=True)
 class DensityRow:
+    """One (k, M) row: its members, and for a sampled row the draw.
+
+    The counts, the density and the mode follow from these fields.
+    """
+
     k: int
     M: int
-    lambda_count: int
-    omega_count: int
-    density: Fraction
     omega_members: tuple[OmegaMember, ...]
-    mode: str  # "exhaustive" or "sampled(size=N;seed=S)"
-    sample_size: int | None = None
+    sample_size: int | None = None  # None for an exhaustive row
     seed: int | None = None
     density_bound: Fraction | None = None  # 1 - (M-n)^2k / ((M+1)^2 M^(2k-2))
 
+    @property
+    def lambda_count(self) -> int:
+        """Words in the (k, M) box, sampled or not."""
+        return lambda_count(self.k, self.M)
 
-def _sampled_mode(sample_size: int, seed: int) -> str:
-    return f"sampled(size={sample_size};seed={seed})"
+    @property
+    def omega_count(self) -> int:
+        return len(self.omega_members)
+
+    @property
+    def density(self) -> Fraction:
+        """Members per word of the box, or per draw of a sampled row."""
+        return Fraction(self.omega_count, self.sample_size or self.lambda_count)
+
+    @property
+    def mode(self) -> str:
+        if self.sample_size is None:
+            return MODE_EXHAUSTIVE
+        return f"sampled(size={self.sample_size};seed={self.seed})"
 
 
 def _member(hit: Hit) -> OmegaMember:
@@ -117,22 +134,6 @@ def _runs(start: int, stop: int, chunk: int, workers: int) -> list[tuple[int, in
     return list(zip(edges, edges[1:]))
 
 
-def _exhaustive_row(
-    k: int, M: int, members: list[OmegaMember], density_bound: Fraction | None
-) -> DensityRow:
-    total = lambda_count(k, M)
-    return DensityRow(
-        k=k,
-        M=M,
-        lambda_count=total,
-        omega_count=len(members),
-        density=Fraction(len(members), total),
-        omega_members=tuple(members),
-        mode=MODE_EXHAUSTIVE,
-        density_bound=density_bound,
-    )
-
-
 def census(k: int, M: int, use_prefilter: bool = True, *, workers: int = 1) -> DensityRow:
     """Exhaustive census of the (k, M) box: the one-row ``density_sweep``."""
     return density_sweep(k, (M, M), use_prefilter, workers=workers)[0]
@@ -154,18 +155,8 @@ def census_sampled(
         raise ValueError("sample_size must be >= 1")
     n = compute_nk(k).n if use_prefilter else M
     rng = random.Random(seed)
-    members = list(map(_member, sample_hits(r_power, s_power, rng, k, M, sample_size, n)))
-    return DensityRow(
-        k=k,
-        M=M,
-        lambda_count=lambda_count(k, M),
-        omega_count=len(members),
-        density=Fraction(len(members), sample_size),
-        omega_members=tuple(members),
-        mode=_sampled_mode(sample_size, seed),
-        sample_size=sample_size,
-        seed=seed,
-    )
+    members = tuple(map(_member, sample_hits(r_power, s_power, rng, k, M, sample_size, n)))
+    return DensityRow(k, M, members, sample_size, seed)
 
 
 def theorem_density_bound(k: int, M: int, n: int) -> Fraction | None:
@@ -256,9 +247,9 @@ def density_sweep(
 
     levels = [max(m.word.betas + m.word.alphas) for m in members]
     rows = [
-        _exhaustive_row(
-            k, M, [m for m, level in zip(members, levels) if level <= M],
-            theorem_density_bound(k, M, cert.n),
+        DensityRow(
+            k, M, tuple(m for m, level in zip(members, levels) if level <= M),
+            density_bound=theorem_density_bound(k, M, cert.n),
         )
         for M in range(m_lo, m_hi + 1)
     ]

@@ -286,7 +286,9 @@ def _cmd_density(args) -> int:
     with _out(args.out) as fh:
         reports.write_density_csv(rows, fh, invocation)
 
-    exceptional = [m for row in rows if row.k >= 2 for m in row.omega_members]
+    # exhaustive rows are nested boxes, so a member of level L recurs in
+    # every row from M = L up; each is reported once
+    exceptional = list(dict.fromkeys(m for row in rows if row.k >= 2 for m in row.omega_members))
     if exceptional:
         print(
             f"COUNTEREXAMPLE CANDIDATES: {len(exceptional)} words at k={args.k} "

@@ -15,13 +15,14 @@ theta termination is the open question the sweep harness probes.
 A word is carried as its run list, the exponents of alternating branch
 runs.  A phi orbit is the Stern-Brocot descent of p/q: its runs
 F^a0 G^a1 ... are the continued-fraction partial quotients, so phi stopping
-times, words and replays, and the F/G factorization of SL2 matrices, are
-computed one Euclid division per run (`phi_runs`, `replay_runs_pq`,
-`sl2_factor`).  A theta orbit is likewise R^b1 S^a1 ... R^bk: the upper
-branch contracts x + 1/2 by 3 and the lower one contracts t + 1 by 2 in
-t = 1/x, so each run's length and end point are one exact big-int step
-(`theta_runs`, `replay_theta_runs_pq`).  Letters appear only when a run
-list is rendered as text (`reports.word_str`).
+times, words and replays, and the minimal completion and F/G
+factorization of SL2 matrices, are computed one Euclid division per run
+(`phi_runs`, `replay_runs_pq`, `complete_to_sl2`, `sl2_factor`).  A theta
+orbit is likewise R^b1 S^a1 ... R^bk: the upper branch contracts x + 1/2
+by 3 and the lower one contracts t + 1 by 2 in t = 1/x, so each run's
+length and end point are one exact big-int step (`theta_runs`,
+`replay_theta_runs_pq`).  Letters appear only when a run list is rendered
+as text (`reports.word_str`).
 
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
 (see `kernels`), in bands of rows that bound their working memory.  The
@@ -195,13 +196,14 @@ def phi_runs(p: int, q: int) -> list[int]:
     return runs
 
 
-def replay_runs_pq(runs: list[int]) -> tuple[int, int]:
-    """Replay a run-length phi word from 0, exactly, as a reduced pair.
+def replay_runs_pq(runs: list[int], p: int = 0, q: int = 1) -> tuple[int, int]:
+    """Replay a run-length phi word from p/q (0 by default), exactly, as a
+    reduced pair.
 
     F^n maps p/q to (p + n*q)/q and G^n maps it to p/(q + n*p); both stay
-    reduced, so no gcd is taken.
+    reduced, so no gcd is taken.  The word's product sends 0/1 to its right
+    column and 1/0 to its left column.
     """
-    p, q = 0, 1
     for i in range(len(runs) - 1, -1, -1):
         if i & 1:
             q += runs[i] * p
@@ -289,16 +291,16 @@ def replay_theta_runs_pq(runs: list[int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def complete_to_sl2(b: int, d: int) -> Mat2:
-    """Minimal nonnegative [a, b; c, d] with a*d - b*c = 1 for coprime b, d >= 1."""
+    """Minimal nonnegative [a, b; c, d] with a*d - b*c = 1 for coprime b, d >= 1.
+
+    It is the product of the phi word of b/d: that word sends 0 to b/d, and
+    its left column (a, c) is the word replayed from 1/0.
+    """
     if b < 1 or d < 1:
         raise NegativeInputError(f"need b, d >= 1, got ({b}, {d})")
     if math.gcd(b, d) != 1:
         raise NotCoprimeError(f"gcd({b}, {d}) != 1")
-    a = pow(d, -1, b) if b > 1 else 0
-    c = (a * d - 1) // b
-    if c < 0:  # only when b = 1 forces a = 0; one shift restores nonnegativity
-        a += b
-        c += d
+    a, c = replay_runs_pq(phi_runs(b, d), 1, 0)
     return Mat2(a, b, c, d)
 
 
@@ -309,15 +311,16 @@ def sl2_factor(m: Mat2) -> list[int]:
     the list has even length and ends with the G run x, which may be 0.  A
     word's product sends 0 to the ratio of its right column, and G fixes
     0, so the word of [a, b; c, d] is the phi word of b/d (`phi_runs`, one
-    division per run) followed by G^x.  The phi word ends in F, so its
-    product U is the minimal completion `complete_to_sl2(b, d)` (the identity
-    when b = 0), and U times G^x = [U.a + x*b, b; U.c + x*d, d] gives
-    x = (c - U.c) / d.
+    division per run) followed by G^x.  The phi word ends in F; its product
+    U is the minimal completion of (b, d) (`complete_to_sl2`; the identity
+    when b = 0), whose entry U.c comes from replaying the same runs from
+    1/0.  U times G^x = [U.a + x*b, b; U.c + x*d, d] gives x = (c - U.c) / d.
     """
     if min(m.entries()) < 0 or m.det() != 1:
         raise NotFactorableError(f"{m} is not a nonnegative SL2 matrix")
-    uc = complete_to_sl2(m.b, m.d).c if m.b else 0
-    return phi_runs(m.b, m.d) + [(m.c - uc) // m.d]
+    runs = phi_runs(m.b, m.d)
+    uc = replay_runs_pq(runs, 1, 0)[1]
+    return runs + [(m.c - uc) // m.d]
 
 
 def mobius_apply(m: Mat2, x: Fraction) -> Fraction:

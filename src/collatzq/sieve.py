@@ -23,8 +23,9 @@ integers.
 
 Sampled words are drawn with the same ``getrandbits`` calls as
 ``Random.randint`` and sieved in batches with no tails; their power tables
-cover only the exponents each batch draws.  The depth-first walk
-``_walk_block`` is the tests' oracle for the sieve.
+cover only the exponents each batch draws.  The tests' oracle for the
+sieve is the plain one: every word of a block, multiplied out and given to
+``core.integer_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -249,71 +250,6 @@ def sieve_words(
         h = lo // tail  # the first head the range reaches in this chunk
         heads = _exponents(np.arange(h, -(-hi // tail)), ranges[:p])
         yield hi - lo, list(leaves.hits(heads, ranges[p:], n, lo - h * tail, hi - h * tail))
-
-
-def _walk_block(
-    left: PowerFn, right: PowerFn, k: int, M: int, b1: int, a1: int, n: int, limit: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Depth-first walk of the (b1, a1) block of the (k, M) box: the tests'
-    oracle for ``sieve_words``.
-
-    Words are left^b1 right^a1 ... left^bk right^ak, walked in lexicographic
-    order of the exponent tuple; the walk stops after ``limit`` words.  A
-    word whose exponents all exceed ``n`` is walked but not tested.  Returns
-    the number of words walked and the exponent tuples of the hits, in order.
-    """
-    if limit < 1:
-        return 0, []
-    p = left(b1) * right(a1)
-    if k == 1:
-        tr = p.trace()
-        hit = min(b1, a1) <= n and eigen_from_disc(tr, tr * tr - 4 * p.det()) is not None
-        return 1, [(b1, a1)] if hit else []
-    step = left(1)
-    la, lb, lc, ld = step.entries()
-    l_det = step.det()
-    # right^a and its determinant for a = 0..M: a leaf is x * right^a for its
-    # prefix x, so its trace is four products
-    powers = []
-    for a in range(M + 1):
-        q = right(a)
-        powers.append((q.a, q.b, q.c, q.d, q.det()))
-    hits: list[tuple[int, ...]] = []
-    remaining = limit
-
-    def walk(xa, xb, xc, xd, det, low, prefix, depth) -> None:
-        # x = the prefix product, one more factor of left per b
-        nonlocal remaining
-        for b in range(1, M + 1):
-            xa, xb, xc, xd = (
-                xa * la + xb * lc, xa * lb + xb * ld, xc * la + xd * lc, xc * lb + xd * ld
-            )
-            det *= l_det
-            if depth < k:
-                for a in range(1, M + 1):
-                    qa, qb, qc, qd, q_det = powers[a]
-                    walk(
-                        xa * qa + xb * qc, xa * qb + xb * qd, xc * qa + xd * qc, xc * qb + xd * qd,
-                        det * q_det, min(low, b, a), prefix + (b, a), depth + 1,
-                    )
-                    if remaining <= 0:
-                        return
-                continue
-            # last pair: a runs over 0..M; the leaves are tested on the trace alone
-            row = min(M + 1, remaining)
-            tested = row if min(low, b) <= n else min(row, n + 1)
-            det4 = 4 * det
-            for a in range(tested):
-                qa, qb, qc, qd, q_det = powers[a]
-                tr = xa * qa + xb * qc + xc * qb + xd * qd
-                if eigen_from_disc(tr, tr * tr - det4 * q_det) is not None:
-                    hits.append(prefix + (b, a))
-            remaining -= row
-            if remaining <= 0:
-                return
-
-    walk(p.a, p.b, p.c, p.d, p.det(), min(b1, a1), (b1, a1), 2)
-    return limit - remaining, hits
 
 
 def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:

@@ -194,7 +194,8 @@ def bounds_check(w: Word) -> BoundsWitness:
 
 @dataclass(frozen=True)
 class NkCertificate:
-    """Exponent threshold n for block count k, with its exact witnesses.
+    """Exponent threshold n for block count k; its exact witnesses are
+    computed from (k, n) when read.
 
     Words whose exponents all exceed n have no integer eigenvalues: the
     product bound pins the small eigenvalue to the impossible value 2^k,
@@ -203,10 +204,26 @@ class NkCertificate:
 
     k: int
     n: int
-    product_value: Fraction  # 2^k * prod of worst-case factors at exponent n+1
-    product_threshold: int  # 2^k - 1, must be exceeded
-    det_floor: int  # 6^(k*(n+1)), least determinant of an all-large word
-    det_threshold: int  # (4^k + 2^k)^2, must be strictly below the floor
+
+    @property
+    def product_value(self) -> Fraction:
+        """2^k * prod of worst-case factors at exponent n+1."""
+        return nk_product_value(self.k, self.n)
+
+    @property
+    def product_threshold(self) -> int:
+        """2^k - 1, must be exceeded."""
+        return 2**self.k - 1
+
+    @property
+    def det_floor(self) -> int:
+        """6^(k*(n+1)), least determinant of an all-large word."""
+        return 6 ** (self.k * (self.n + 1))
+
+    @property
+    def det_threshold(self) -> int:
+        """(4^k + 2^k)^2, must be strictly below the floor."""
+        return (4**self.k + 2**self.k) ** 2
 
     @property
     def margin_ok(self) -> bool:
@@ -236,7 +253,7 @@ def nk_conditions(k: int, n: int) -> tuple[bool, bool]:
 
 
 def compute_nk(k: int) -> NkCertificate:
-    """Minimal n making both exclusion conditions hold, with exact witnesses.
+    """The certificate of the minimal n making both exclusion conditions hold.
 
     Both conditions hold from some n on, so n is found by doubling, then
     bisection: O(log n) tests.
@@ -252,14 +269,7 @@ def compute_nk(k: int) -> NkCertificate:
     )
     # the trace lower bound also needs 3^(k(n+1)) > 4^k, automatic for n >= 1
     assert 3 ** (k * (n + 1)) > 4**k
-    return NkCertificate(
-        k=k,
-        n=n,
-        product_value=nk_product_value(k, n),
-        product_threshold=2**k - 1,
-        det_floor=6 ** (k * (n + 1)),
-        det_threshold=(4**k + 2**k) ** 2,
-    )
+    return NkCertificate(k, n)
 
 
 def prefilter_excludes(w: Word, cert: NkCertificate) -> bool:

@@ -2,20 +2,22 @@
 
 Census word ranges, sampled draws and the counterexample search go through
 the modular sieve and confirm its survivors on raw integers, where the leaf
-builds each hit's matrix and eigenvalues; ``word_eval``/``word_eval_general``
-followed by ``integer_eigenvalues`` re-evaluates every word as the oracle,
-and the depth-first ``_walk_block`` is the oracle of the sieve.  A
-(beta_1, alpha_1) block is one contiguous word range, so the sieve over that
-range is compared with the walk of the block.  The exact test
-``eigen_from_disc`` is checked against a plain ``math.isqrt``, and results
-may not depend on the chunk size or the worker count.  A density sweep's
-rows, read off one census of its largest box, must equal a census per M,
-and a census must be the sweep's one row, bound included.
+builds each hit's matrix and eigenvalues.  The oracle is the plain one:
+every word of ``enumerate_lambda_block`` (or ``enumerate_lambda``) is
+multiplied out (``word_eval``, ``word_eval_general`` or ``product``) and
+given to ``integer_eigenvalues``.  A (beta_1, alpha_1) block is one
+contiguous word range, so the sieve over that range, cut at a word limit,
+is compared with the oracle over the block cut at the same word.  The
+exact test ``eigen_from_disc`` is checked against a plain ``math.isqrt``,
+and results may not depend on the chunk size or the worker count.  A
+density sweep's rows, read off one census of its largest box, must equal
+a census per M, and a census must be the sweep's one row, bound included.
 A fixed derandomized profile keeps these fast and repeatable.
 """
 
 import dataclasses
 import importlib
+import itertools
 import math
 import random
 
@@ -63,6 +65,14 @@ def oracle_members(words, evaluate):
         if eig is not None:
             out.append(OmegaMember(w, m, eig))
     return out
+
+
+def product(left, right, exponents):
+    """left^e0 right^e1 left^e2 ..., multiplied out."""
+    m = Mat2.identity()
+    for i, e in enumerate(exponents):
+        m = m * (left, right)[i % 2](e)
+    return m
 
 
 def draw_block(draw, k, M):
@@ -225,27 +235,6 @@ def test_search_pair_with_hits_in_every_block_count():
     assert {m.word.k for m in result.members} == {1, 2}
 
 
-@PROPS
-@given(st.integers(1, 3), st.integers(1, 4), pairs, st.booleans(), st.data())
-def test_walk_matches_oracle_on_pairs_with_hits(k, M, g, swap, data):
-    # both generator orders, and a limit that may cut the block anywhere
-    left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
-    b1, a1 = draw_block(data.draw, k, M)
-    block = list(enumerate_lambda_block(k, M, b1, a1))
-    limit = data.draw(st.integers(0, len(block) + 2))
-    walked, hits = sieve_mod._walk_block(left, right, k, M, b1, a1, M, limit)
-    assert walked == min(limit, len(block))
-
-    def evaluate(w):
-        m = Mat2.identity()
-        for b, a in zip(w.betas, w.alphas):
-            m = m * left(b) * right(a)
-        return m
-
-    expected = oracle_members(block[:limit], evaluate)
-    assert hits == [m.word.exponents() for m in expected]
-
-
 # ---------------------------------------------------------------------------
 # The modular sieve: survivors, chunking, workers, draws
 # ---------------------------------------------------------------------------
@@ -259,31 +248,29 @@ small_boxes = st.integers(1, 4).flatmap(
 
 @PROPS
 @given(st.integers(1, 4), pairs, st.booleans(), st.data())
-def test_sieve_survivors_cover_walk_hits(k, g, swap, data):
+def test_sieve_survivors_cover_oracle_hits(k, g, swap, data):
     # both generator orders, and a limit that may cut the block anywhere
     M = data.draw(st.integers(1, {1: 12, 2: 6, 3: 4, 4: 3}[k]))
     left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
     b1, a1 = draw_block(data.draw, k, M)
     start, size = block_range(k, M, b1, a1)
     limit = data.draw(st.integers(0, size + 2))
-    walked, hits = sieve_mod._walk_block(left, right, k, M, b1, a1, M, limit)
+    block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)][:limit]
+    # each hit carries the word's product and its eigenvalues
+    expected = []
+    for exponents in block:
+        m = product(left, right, exponents)
+        if (eigen := integer_eigenvalues(m)) is not None:
+            expected.append((exponents, m, eigen))
 
     leaves = sieve_mod._Leaves(left, right, M)
     ranges = _exponent_ranges(k, M)
     survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), ranges[2:])
-    block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)]
-    assert {block.index(h) for h in hits} <= set(survivors.tolist())
+    assert {block.index(h[0]) for h in expected} <= set(survivors.tolist())
 
-    chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + min(limit, size)))
+    chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + len(block)))
     found = [h for _, chunk in chunks for h in chunk]
-    assert (sum(t for t, _ in chunks), [h[0] for h in found]) == (walked, hits)
-    # each hit carries the word's product and its eigenvalues
-    for exponents, matrix, eigen in found:
-        m = Mat2.identity()
-        for i, e in enumerate(exponents):
-            m = m * (left, right)[i % 2](e)
-        assert matrix == m
-        assert eigen == integer_eigenvalues(m)
+    assert (sum(t for t, _ in chunks), found) == (len(block), expected)
 
 
 @PROPS
@@ -353,8 +340,9 @@ def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
     ranges = _exponent_ranges(3, 40)
     [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 40, 0, 5000)
     assert rows == [math.ceil(5000 / 1640)]
-    walked = sieve_mod._walk_block(r_power, s_power, 3, 40, 0, 1, 40, 5000)
-    assert (tested, [h[0] for h in found]) == walked
+    block = itertools.islice(enumerate_lambda_block(3, 40, 0, 1), 5000)
+    expected = oracle_members(block, word_eval)
+    assert (tested, [h[0] for h in found]) == (5000, [m.word.exponents() for m in expected])
     # words 3,000 to 7,999 of a chunk inside the box: its heads 1 to 4
     rows.clear()
     start = 9 * 1640 * 1000 + 3000

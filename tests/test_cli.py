@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatzq.cli as cli_mod
-from collatzq import Mat2, compute_nk, reports
+from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, reports
+from collatzq.core import EigenPair
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
 from test_dynamics import subtractive_factor, word_matrix
@@ -208,6 +209,23 @@ class TestDensity:
                                "--sample", "50", "--seed", "3")
         assert code == 0
         assert out.splitlines()[-1].endswith("sampled(size=50;seed=3)")
+
+    def test_candidate_reported_once_across_nested_rows(self, monkeypatch, capsys, tmp_path):
+        # a fake member of level 1 sits in each nested row M = 1..3
+        member = OmegaMember(Word((1, 1), (1, 0)), Mat2(1, 0, 0, 1), EigenPair(1, 1))
+        rows = [DensityRow(2, M, (member,)) for M in (1, 2, 3)]
+        monkeypatch.setattr(cli_mod, "density_sweep", lambda *args, **kwargs: rows)
+        out = tmp_path / "density.csv"
+        code, _, err = run_cli(capsys, "density", "--k", "2", "--m-range", "1..3",
+                               "--out", str(out))
+        assert code == 1
+        assert "COUNTEREXAMPLE CANDIDATES: 1 words at k=2" in err
+        assert err.count('"betas"') == 1
+        with open(f"{out}.members.jsonl", encoding="utf-8") as fh:
+            assert reports.read_members_jsonl(fh) == [
+                {"k": 2, "betas": [1, 1], "alphas": [1, 0], "matrix": [1, 0, 0, 1],
+                 "lambda": 1, "mu": 1}
+            ]
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -194,6 +194,12 @@ class TestIntPairPaths:
             assert branches == rec.branches
 
 
+def inverse_completion(b, d):
+    """The minimal completion of coprime b, d >= 1 by a modular inverse."""
+    a = pow(d, -1, b) if b > 1 else 1
+    return Mat2(a, b, (a * d - 1) // b, d)
+
+
 class TestCompleteToSl2:
     def test_examples(self):
         assert complete_to_sl2(1, 1) == Mat2(1, 1, 0, 1)
@@ -218,6 +224,20 @@ class TestCompleteToSl2:
             assert min(m.entries()) >= 0
             assert (m.b, m.d) == (b, d)
             assert m.a < b or (b == 1 and m.a <= 1)  # minimal shift
+
+    def test_matches_modular_inverse(self):
+        pairs = [(b, d) for b in range(1, 61) for d in range(1, 61) if math.gcd(b, d) == 1]
+        rng = random.Random(47)
+        small = len(pairs)
+        while len(pairs) < small + 200:  # and 200 pairs of up to 3,000 bits
+            b, d = (rng.getrandbits(rng.randint(1, 3000)) for _ in range(2))
+            if b and d and math.gcd(b, d) == 1:
+                pairs.append((b, d))
+        for b, d in pairs:
+            m = complete_to_sl2(b, d)
+            assert m == inverse_completion(b, d), (b, d)
+            # the completion is the phi word of b/d, with an empty G tail
+            assert sl2_factor(m) == phi_runs(b, d) + [0]
 
 
 class TestSl2Factor:

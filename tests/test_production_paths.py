@@ -17,7 +17,7 @@ import collatzq
 
 SRC = Path(collatzq.__file__).resolve().parent
 
-ORACLES = {"_walk_block", "orbit_pq", "replay_word_pq", "mat_pow"}
+ORACLES = {"orbit_pq", "replay_word_pq", "mat_pow"}
 NOT_IN_CENSUS = {
     "word_eval",
     "word_eval_general",

@@ -248,9 +248,13 @@ class TestNkCertificate:
             n = 1
             while not all(self.fraction_conditions(k, n)):
                 n += 1
-            assert compute_nk(k) == NkCertificate(
-                k, n, nk_product_value(k, n), 2**k - 1, 6 ** (k * (n + 1)), (4**k + 2**k) ** 2
-            )
+            cert = compute_nk(k)
+            assert cert == NkCertificate(k, n)
+            # the witnesses, derived from (k, n)
+            assert cert.product_value == nk_product_value(k, n)
+            assert cert.product_threshold == 2**k - 1
+            assert cert.det_floor == 6 ** (k * (n + 1))
+            assert cert.det_threshold == (4**k + 2**k) ** 2
 
 
 class TestPrefilter:
