@@ -18,7 +18,6 @@ from .core import (
     integer_eigenvalues,
     is_perfect_square,
     isqrt,
-    make_rational,
     mat_pow,
     rational_fixed_points,
 )
@@ -27,7 +26,6 @@ from .dynamics import (
     PhiSweepReport,
     SweepReport,
     complete_to_sl2,
-    conjecture1_sweep,
     mobius_apply,
     orbit,
     phi_monotonicity_sweep,
@@ -75,7 +73,6 @@ from .words import (
     format_word_compact,
     freeness_check,
     lambda_count,
-    parse_word,
     r_power,
     s_power,
     word_det,

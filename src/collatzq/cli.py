@@ -226,10 +226,10 @@ def _cmd_sweep(args) -> int:
     invocation = reports.canonical_invocation(
         "sweep", [("--height", args.height), ("--max-steps", args.max_steps)]
     )
-    report, rows = dynamics.theta_sweep_full(args.height, args.max_steps)
+    report, columns = dynamics.theta_sweep_full(args.height, args.max_steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            reports.write_sweep_csv(rows, fh, invocation)
+            reports.write_sweep_csv(columns, fh, invocation)
     payload = reports.sweep_report_json(report)
     payload["version"] = VERSION
     payload["invocation"] = invocation

@@ -16,14 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateMapError, NegativeInputError, ZeroDenominatorError
-
-
-def make_rational(num: int, den: int) -> Fraction:
-    """Reduced fraction with den > 0; the sign is carried by the numerator."""
-    if den == 0:
-        raise ZeroDenominatorError(f"denominator is zero (num={num})")
-    return Fraction(num, den)
+from .errors import DegenerateMapError, NegativeInputError
 
 
 def isqrt(n: int) -> int:

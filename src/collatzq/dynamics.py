@@ -26,14 +26,16 @@ as text (`reports.word_str`).
 
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
 (see `kernels`), in bands of rows that bound their working memory.  The
-starts are built in (p+q, p) order, so a theta row that first drops below
-its start mostly lands on a start whose stopping time is already in the
-kernel's table, and ends there.  A theta row that could overflow is redone
-here by `theta_runs`.  Both sweep reports are array code over the kernel's
-(steps, flags): one first-maximum helper gives the longest orbit and the
-starts that failed.  The stepwise forms on reduced pairs, `orbit` (which
-records each point as a `Fraction`), `orbit_pq` and `replay_word_pq`, are
-the reference paths the tests check the run forms against.
+starts are built as arrays in (p+q, p) order, so a theta row that first
+drops below its start mostly lands on a start whose stopping time is
+already in the kernel's table, and ends there.  A theta row that could
+overflow is redone here by `theta_runs`.  Both sweep reports are array code
+over the kernel's (steps, flags): one first-maximum helper gives the
+longest orbit and the starts that failed.  The theta sweep's per-start rows
+stay those arrays up to the CSV writer.  The stepwise forms on reduced
+pairs, `orbit` (which records each point as a `Fraction`), `orbit_pq` and
+`replay_word_pq`, and the start generator `reduced_fractions` are the
+reference paths the tests check the run and array forms against.
 """
 
 from __future__ import annotations
@@ -398,14 +400,15 @@ def _first_maximum(
 
 def theta_sweep_full(
     height_bound: int, step_cap: int = DEFAULT_STEP_CAP
-) -> tuple[SweepReport, list[tuple[int, int, int, bool]]]:
-    """Report plus per-start (p, q, stopping_time, terminated) rows, one pass.
+) -> tuple[SweepReport, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Report plus the per-start columns (ps, qs, stopping_times, terminated).
 
-    A nonterminated start (under the cap) is a candidate counterexample and
-    lands in the report rather than raising; its row carries stopping_time -1.
-    The int64 kernel does the bulk; rows it flags as overflowing are redone
-    exactly by `theta_runs`, so results never depend on the kernel's word
-    size.
+    The columns are the kernel's arrays, one entry per start in sweep order,
+    and `reports.write_sweep_csv` formats them as they are.  A nonterminated
+    start (under the cap) is a candidate counterexample and lands in the
+    report rather than raising; its stopping time is -1.  The int64 kernel
+    does the bulk; rows it flags as overflowing are redone exactly by
+    `theta_runs`, so results never depend on the kernel's word size.
     """
     if height_bound < 2 or step_cap < 1:
         raise ValueError("need height_bound >= 2 and step_cap >= 1")
@@ -426,15 +429,7 @@ def theta_sweep_full(
         argmax=argmax,
         nonterminated=nonterminated,
     )
-    rows = list(zip(
-        ps.tolist(), qs.tolist(), np.where(terminated, steps, -1).tolist(), terminated.tolist()
-    ))
-    return report, rows
-
-
-def conjecture1_sweep(height_bound: int, step_cap: int = DEFAULT_STEP_CAP) -> SweepReport:
-    """theta-orbit census over every reduced p/q with p + q <= height_bound."""
-    return theta_sweep_full(height_bound, step_cap)[0]
+    return report, (ps, qs, np.where(terminated, steps, -1), terminated)
 
 
 def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
@@ -469,7 +464,8 @@ def verify_word_recovery(
         raise ValueError(f"unknown map {map_name!r}")
     checked = 0
     failures: list[Fraction] = []
-    for p, q in reduced_fractions(height_bound):
+    ps, qs = reduced_fraction_arrays(height_bound)
+    for p, q in zip(ps.tolist(), qs.tolist()):
         if map_name == THETA:
             runs = theta_runs(p, q, step_cap)
             replayed = replay_theta_runs_pq(runs) if runs is not None else None

@@ -5,10 +5,6 @@ class CollatzqError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroDenominatorError(CollatzqError, ZeroDivisionError):
-    """Rational constructed with denominator zero."""
-
-
 class NegativeInputError(CollatzqError, ValueError):
     """Operation defined only on nonnegative inputs received a negative one."""
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
 from typing import IO, Iterable
 
 from ._version import VERSION
 from .census import DensityRow, OmegaMember, _member_to_json
 from .dynamics import SweepReport
 
-# sweep CSV rows joined per write: as fast as one join over every row, while
-# the text held at once stays near 20 kB
+# sweep CSV rows formatted per write, from one slice of each column: as fast
+# as one join over every row, while the text held at once stays near 20 kB
 SWEEP_CSV_CHUNK_ROWS = 1024
 
 
@@ -72,17 +71,21 @@ def read_members_jsonl(fh: IO[str]) -> list[dict]:
     return [json.loads(line) for line in fh if line.strip() and not line.startswith("#")]
 
 
-def write_sweep_csv(
-    rows: Iterable[tuple[int, int, int, bool]], fh: IO[str], invocation: str
-) -> None:
-    """Per-start rows p,q,stopping_time,terminated (stopping_time -1 when capped)."""
+def write_sweep_csv(rows: tuple, fh: IO[str], invocation: str) -> None:
+    """Per-start rows p,q,stopping_time,terminated (stopping_time -1 when capped).
+
+    rows is `theta_sweep_full`'s column tuple (ps, qs, stopping_times,
+    terminated) of equal-length numpy arrays; each chunk of rows is formatted
+    straight from slices of the columns.
+    """
     for line in header_lines(invocation):
         fh.write(line + "\n")
     fh.write("p,q,stopping_time,terminated\n")
-    rows = iter(rows)
-    while chunk := list(islice(rows, SWEEP_CSV_CHUNK_ROWS)):
+    n = SWEEP_CSV_CHUNK_ROWS
+    for i in range(0, len(rows[0]), n):
         fh.write("".join([
-            f"{p},{q},{st},{('false', 'true')[term]}\n" for p, q, st, term in chunk
+            f"{p},{q},{st},{('false', 'true')[term]}\n"
+            for p, q, st, term in zip(*(c[i:i + n].tolist() for c in rows))
         ]))
 
 

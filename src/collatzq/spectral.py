@@ -227,10 +227,7 @@ class NkCertificate:
 
     @property
     def margin_ok(self) -> bool:
-        return (
-            self.product_value > self.product_threshold
-            and self.det_floor > self.det_threshold
-        )
+        return all(nk_conditions(self.k, self.n))
 
 
 def nk_product_value(k: int, n: int) -> Fraction:

@@ -15,7 +15,6 @@ lists the contiguous range with the first two exponents fixed.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -108,35 +107,6 @@ def format_word(w: Word) -> str:
 def format_word_compact(w: Word) -> str:
     """Compact tuple form ``b1,a1,b2,a2,...``."""
     return ",".join(str(e) for e in w.exponents())
-
-
-_BLOCK_RE = re.compile(r"([RS])\^(\d+)")
-
-
-def parse_word(text: str) -> Word:
-    """Parse either the ``R^b S^a ...`` form or the compact ``b1,a1,...`` form."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty word text")
-    if text[0] in "RS":
-        blocks = _BLOCK_RE.findall(text)
-        flat = _BLOCK_RE.sub("", text).replace(" ", "")
-        if flat or not blocks:
-            raise ValueError(f"cannot parse word text {text!r}")
-        letters = "".join(l for l, _ in blocks)
-        if any(x == y for x, y in zip(letters, letters[1:])):
-            raise ValueError(f"word blocks must alternate R/S: {text!r}")
-        exps: list[int] = []
-        if letters[0] == "S":
-            exps.append(0)
-        exps.extend(int(e) for _, e in blocks)
-        if len(exps) % 2:
-            exps.append(0)
-        return Word(tuple(exps[0::2]), tuple(exps[1::2]))
-    exps = [int(p) for p in text.split(",")]
-    if len(exps) % 2 or not exps:
-        raise ValueError("compact form needs an even number of exponents")
-    return Word(tuple(exps[0::2]), tuple(exps[1::2]))
 
 
 def word_eval(w: Word) -> Mat2:

@@ -137,7 +137,7 @@ def test_criterion_04_counting_and_freeness():
 def test_criterion_05_conjecture1_sweep():
     with Timer() as t:
         report, rows = theta_sweep_full(300, 10_000)
-        ok = report.all_terminated and report.total_tested == len(rows)
+        ok = report.all_terminated and report.total_tested == len(rows[0])
         if not report.all_terminated:
             print("CANDIDATE COUNTEREXAMPLES:",
                   [str(x) for x in report.nonterminated])

@@ -7,16 +7,18 @@ import math
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatzq.cli as cli_mod
-from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, reports
+from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, kernels, reports
 from collatzq.core import EigenPair
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
 from test_dynamics import subtractive_factor, word_matrix
+from test_theta_props import stepwise_sweep
 
 PROPS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
@@ -152,14 +154,24 @@ class TestSweep:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1024])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
-        # capped rows (-1, false) and done rows, across several chunks
-        _, rows = theta_sweep_full(40, 3)
+        # capped rows (-1, false) and done rows, across several chunks; the
+        # low guard 30 sends 205 rows through the big-int redo, 118 of them
+        # done and 87 capped
         monkeypatch.setattr(reports, "SWEEP_CSV_CHUNK_ROWS", chunk)
-        fh = io.StringIO()
-        reports.write_sweep_csv(iter(rows), fh, "sweep --height 40 --max-steps 3")
-        body = fh.getvalue().splitlines()[3:]
-        assert body == [f"{p},{q},{st},{str(term).lower()}" for p, q, st, term in rows]
-        assert {line[-5:] for line in body} == {",true", "false"}
+        for guard, cap in ((kernels.INT64_GUARD, 3), (30, 20)):
+            with mock.patch.object(kernels, "INT64_GUARD", guard):
+                _, columns = theta_sweep_full(40, cap)
+                flags = kernels.theta_sweep(columns[0], columns[1], cap)[1]
+            redone = columns[3][flags == kernels.FLAG_OVERFLOW].tolist()
+            assert set(redone) == ({False, True} if guard == 30 else set())
+            fh = io.StringIO()
+            reports.write_sweep_csv(columns, fh, f"sweep --height 40 --max-steps {cap}")
+            body = fh.getvalue().splitlines()[3:]
+            _, oracle_rows = stepwise_sweep(40, cap)
+            assert body == [
+                f"{p},{q},{st},{str(term).lower()}" for p, q, st, term in oracle_rows
+            ]
+            assert {line[-5:] for line in body} == {",true", "false"}
 
     def test_candidate_counterexample_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--height", "40", "--max-steps", "3")

@@ -12,14 +12,12 @@ from collatzq import (
     integer_eigenvalues,
     is_perfect_square,
     isqrt,
-    make_rational,
     mat_pow,
     rational_fixed_points,
 )
 from collatzq.errors import (
     DegenerateMapError,
     NegativeInputError,
-    ZeroDenominatorError,
 )
 
 R = Mat2(3, 1, 0, 1)
@@ -28,34 +26,6 @@ S = Mat2(1, 0, 1, 2)
 
 def rand_mat(rng, bound=20):
     return Mat2(*(rng.randint(-bound, bound) for _ in range(4)))
-
-
-class TestMakeRational:
-    def test_reduces(self):
-        assert make_rational(4, 6) == Fraction(2, 3)
-
-    def test_sign_normalization(self):
-        x = make_rational(-3, -9)
-        assert (x.numerator, x.denominator) == (1, 3)
-
-    def test_zero(self):
-        x = make_rational(0, 5)
-        assert (x.numerator, x.denominator) == (0, 1)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominatorError):
-            make_rational(1, 0)
-
-    def test_invariants_random(self):
-        import math
-
-        rng = random.Random(1)
-        for _ in range(200):
-            num = rng.randint(-10**12, 10**12)
-            den = rng.randint(1, 10**12) * rng.choice((1, -1))
-            x = make_rational(num, den)
-            assert x.denominator > 0
-            assert math.gcd(abs(x.numerator), x.denominator) == 1
 
 
 class TestIsqrt:

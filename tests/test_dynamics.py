@@ -9,7 +9,6 @@ import pytest
 from collatzq import (
     Mat2,
     complete_to_sl2,
-    conjecture1_sweep,
     mobius_apply,
     orbit,
     phi_monotonicity_sweep,
@@ -316,24 +315,25 @@ class TestReducedFractions:
 
 class TestSweeps:
     def test_sweep_height_three(self):
-        rep = conjecture1_sweep(3, 100)
+        rep = theta_sweep_full(3, 100)[0]
         assert rep.total_tested == 4
         assert rep.all_terminated
         assert rep.nonterminated == ()
 
     def test_sweep_height_two(self):
-        rep = conjecture1_sweep(2, 100)
+        rep = theta_sweep_full(2, 100)[0]
         assert rep.total_tested == 2
         assert rep.max_stopping_time == 1
         assert rep.argmax == 1
 
     def test_cap_exhaustion_reported_not_raised(self):
-        rep = conjecture1_sweep(40, 3)
+        rep = theta_sweep_full(40, 3)[0]
         assert not rep.all_terminated
         assert rep.nonterminated  # plenty of starts need more than 3 steps
 
     def test_rows_match_report(self):
-        report, rows = theta_sweep_full(30, 1000)
+        report, columns = theta_sweep_full(30, 1000)
+        rows = list(zip(*(c.tolist() for c in columns)))
         assert len(rows) == report.total_tested
         assert max(st for _, _, st, term in rows if term) == report.max_stopping_time
         by_exact = {
@@ -356,7 +356,7 @@ class TestSweeps:
             assert term and steps <= p + q - 1
 
     def test_theta_sweep_matches_exact(self):
-        rep = conjecture1_sweep(50, 10_000)
+        rep = theta_sweep_full(50, 10_000)[0]
         assert rep.all_terminated
         for p, q in [(3, 47), (7, 20), (1, 49)]:
             steps, term, _ = orbit_pq(p, q, THETA, 10_000)

@@ -1,7 +1,8 @@
 """The slow reference forms stay test oracles, never production paths.
 
-A static scan of ``src/collatzq`` with ``ast``: the stepwise and
-repeated-multiplication oracles are used nowhere there, and the census
+A static scan of ``src/collatzq`` with ``ast``: the stepwise,
+repeated-multiplication and Python start-generator oracles are used
+nowhere there, and the census
 modules reach members through the sieve's leaf alone, never through a word
 re-evaluation, a second eigenvalue test, the word enumerator or the
 prefilter.  Imports are not uses: ``perfbench/spans.py`` patches some of
@@ -17,7 +18,7 @@ import collatzq
 
 SRC = Path(collatzq.__file__).resolve().parent
 
-ORACLES = {"orbit_pq", "replay_word_pq", "mat_pow"}
+ORACLES = {"orbit_pq", "replay_word_pq", "mat_pow", "reduced_fractions"}
 NOT_IN_CENSUS = {
     "word_eval",
     "word_eval_general",

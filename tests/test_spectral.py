@@ -242,6 +242,7 @@ class TestNkCertificate:
         for k in range(1, 13):
             for n in range(1, 25):
                 assert nk_conditions(k, n) == self.fraction_conditions(k, n), (k, n)
+                assert NkCertificate(k, n).margin_ok == all(self.fraction_conditions(k, n))
 
     def test_bisection_matches_linear_scan(self):
         for k in range(1, 61):

@@ -18,7 +18,6 @@ from collatzq import (
     freeness_check,
     lambda_count,
     mat_pow,
-    parse_word,
     r_power,
     s_power,
     word_det,
@@ -230,21 +229,6 @@ class TestTextFormats:
         w = Word((3, 2), (1, 4))
         assert format_word(w) == "R^3 S^1 R^2 S^4"
         assert format_word_compact(w) == "3,1,2,4"
-
-    def test_parse_round_trip(self):
-        rng = random.Random(15)
-        for _ in range(50):
-            w = random_canonical_word(rng, rng.randint(1, 4), 9)
-            assert parse_word(format_word(w)) == w
-            assert parse_word(format_word_compact(w)) == w
-
-    def test_parse_s_leading(self):
-        assert parse_word("S^2 R^1") == Word((0, 1), (2, 0))
-
-    def test_parse_errors(self):
-        for bad in ("", "R^1 R^2", "1,2,3", "R^x"):
-            with pytest.raises(ValueError):
-                parse_word(bad)
 
     def test_word_validation(self):
         with pytest.raises(ValueError):
