@@ -26,16 +26,18 @@ as text (`reports.word_str`).
 
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
 (see `kernels`), in bands of rows that bound their working memory.  The
-starts are built as arrays in (p+q, p) order, so a theta row that first
-drops below its start mostly lands on a start whose stopping time is
-already in the kernel's table, and ends there.  A theta row that could
-overflow is redone here by `theta_runs`.  Both sweep reports are array code
-over the kernel's (steps, flags): one first-maximum helper gives the
-longest orbit and the starts that failed.  The theta sweep's per-start rows
-stay those arrays up to the CSV writer.  The stepwise forms on reduced
-pairs, `orbit` (which records each point as a `Fraction`), `orbit_pq` and
-`replay_word_pq`, and the start generator `reduced_fractions` are the
-reference paths the tests check the run and array forms against.
+starts come from a prime sieve over the (p+q, p) triangle, as arrays in
+that order (`reduced_fraction_arrays`), so a theta row that first drops
+below its start mostly lands on a start whose stopping time is already in
+the kernel's table, and ends there.  A theta row that could overflow is
+redone here by `theta_runs`.  Both sweep reports are array code over the
+kernel's (steps, flags): one first-maximum helper gives the longest orbit
+and the starts that failed.  The theta sweep's per-start rows stay those
+arrays up to the CSV writer, which renders them as digits with no per-row
+Python.  The stepwise forms on reduced pairs, `orbit` (which records each
+point as a `Fraction`), `orbit_pq` and `replay_word_pq`, and the start
+generator `reduced_fractions` are the reference paths the tests check the
+run and array forms against.
 """
 
 from __future__ import annotations
@@ -350,15 +352,42 @@ def reduced_fractions(height_bound: int) -> Iterator[tuple[int, int]]:
 def reduced_fraction_arrays(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
     """`reduced_fractions(height_bound)` as int64 arrays (ps, qs), same order.
 
-    Every (p, s) with 0 <= p < s <= bound in (s, p) order, kept where
-    gcd(p, s) = gcd(p, s - p) = 1.
+    A prime sieve over the flat triangle of every (s, p) with
+    0 <= p < s <= bound, where (s, p) sits at index s(s-1)/2 + p: for each
+    prime r <= bound, one fancy-index write strikes every (s, p) that r
+    divides both of, p = 0 included.  What is left is gcd(p, s) =
+    gcd(p, s - p) = 1, and 0/1.  The kept indices are sorted, so a
+    searchsorted of the row bases counts each row's survivors, and repeats
+    of the bases and sums turn the indices back into p and q = s - p.
     """
     sums = np.arange(1, height_bound + 1, dtype=np.int64)
-    s = np.repeat(sums, sums)
-    p = np.arange(s.size, dtype=np.int64) - np.repeat(sums * (sums - 1) // 2, sums)
-    keep = np.gcd(p, s) == 1
-    p = p[keep]
-    return p, s[keep] - p
+    bases = sums * (sums - 1) // 2
+    keep = np.ones(height_bound * (height_bound + 1) // 2, dtype=bool)
+    # int32 halves the transient index arrays; r = 2's has bound^2 / 8 entries
+    index = np.int32 if keep.size < 2**31 else np.int64
+    for r in _primes(height_bound).tolist():
+        # (s, p) = (r a, r b) for 0 <= b < a <= bound // r, row by row:
+        # entry j of row a is b = j - a(a-1)/2, at bases[r a - 1] + r b
+        a = np.arange(1, height_bound // r + 1, dtype=np.int64)
+        struck = np.repeat((bases[r * a - 1] - r * (a * (a - 1) // 2)).astype(index), a)
+        struck += r * np.arange(struck.size, dtype=index)
+        keep[struck] = False
+    p = np.flatnonzero(keep)
+    counts = np.diff(np.searchsorted(p, bases), append=p.size)
+    p -= np.repeat(bases, counts)
+    q = np.repeat(sums, counts)
+    q -= p
+    return p, q
+
+
+def _primes(bound: int) -> np.ndarray:
+    """The primes <= bound, by the sieve of Eratosthenes."""
+    is_prime = np.ones(bound + 1, dtype=bool)
+    is_prime[:2] = False
+    for r in range(2, math.isqrt(bound) + 1):
+        if is_prime[r]:
+            is_prime[r * r::r] = False
+    return np.flatnonzero(is_prime)
 
 
 @dataclass(frozen=True)
@@ -383,18 +412,19 @@ class PhiSweepReport:
 
 
 def _first_maximum(
-    ps: np.ndarray, qs: np.ndarray, steps: np.ndarray, ok: np.ndarray
+    ps: np.ndarray, qs: np.ndarray, stopping_times: np.ndarray
 ) -> tuple[int, Fraction, tuple[Fraction, ...]]:
-    """(max steps over the ok rows, its first row as p/q, the other rows as p/q).
+    """(max stopping time, its first row as p/q, the rows at -1 as p/q).
 
-    The first maximum is the least (p+q, p) among ties in sweep order.  With
-    no ok row the maximum is -1 and the argmax 0.
+    stopping_times is -1 on the rows that failed.  The first maximum is the
+    least (p+q, p) among ties in sweep order.  With no row at 0 or more the
+    maximum is -1 and the argmax 0.
     """
-    ok_steps = np.where(ok, steps, -1)
-    i = int(np.argmax(ok_steps))
-    best = int(ok_steps[i])
+    i = int(np.argmax(stopping_times))
+    best = int(stopping_times[i])
     argmax = Fraction(int(ps[i]), int(qs[i])) if best >= 0 else Fraction(0)
-    misses = tuple(map(Fraction, ps[~ok].tolist(), qs[~ok].tolist()))
+    miss = stopping_times < 0
+    misses = tuple(map(Fraction, ps[miss].tolist(), qs[miss].tolist()))
     return best, argmax, misses
 
 
@@ -419,7 +449,8 @@ def theta_sweep_full(
         steps[i] = step_cap if runs is None else sum(runs)
         flags[i] = kernels.FLAG_CAP if runs is None else kernels.FLAG_DONE
     terminated = flags == kernels.FLAG_DONE
-    max_stop, argmax, nonterminated = _first_maximum(ps, qs, steps, terminated)
+    steps[~terminated] = -1  # now the stopping-time column
+    max_stop, argmax, nonterminated = _first_maximum(ps, qs, steps)
     report = SweepReport(
         height_bound=height_bound,
         step_cap=step_cap,
@@ -429,7 +460,7 @@ def theta_sweep_full(
         argmax=argmax,
         nonterminated=nonterminated,
     )
-    return report, (ps, qs, np.where(terminated, steps, -1), terminated)
+    return report, (ps, qs, steps, terminated)
 
 
 def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
@@ -438,7 +469,8 @@ def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
         raise ValueError("need height_bound >= 2")
     ps, qs = reduced_fraction_arrays(height_bound)
     steps, flags = kernels.phi_sweep(ps, qs)
-    max_stop, argmax, violations = _first_maximum(ps, qs, steps, flags == kernels.FLAG_DONE)
+    steps[flags != kernels.FLAG_DONE] = -1
+    max_stop, argmax, violations = _first_maximum(ps, qs, steps)
     return PhiSweepReport(
         height_bound=height_bound,
         total_tested=int(ps.size),

@@ -17,9 +17,11 @@ from ._version import VERSION
 from .census import DensityRow, OmegaMember, _member_to_json
 from .dynamics import SweepReport
 
-# sweep CSV rows formatted per write, from one slice of each column: as fast
-# as one join over every row, while the text held at once stays near 20 kB
-SWEEP_CSV_CHUNK_ROWS = 1024
+# sweep CSV rows rendered per write, from one slice of each column.  16,384
+# measured fastest for the 304,192 rows of H = 1000 (best of 5, 2 vCPUs:
+# 1,024 rows 0.10 s, 4,096 0.063 s, 16,384 0.052 s, 65,536 0.054 s), and the
+# text held at once stays near 300 kB
+SWEEP_CSV_CHUNK_ROWS = 16384
 
 
 def frac_str(x: Fraction) -> str:
@@ -75,18 +77,77 @@ def write_sweep_csv(rows: tuple, fh: IO[str], invocation: str) -> None:
     """Per-start rows p,q,stopping_time,terminated (stopping_time -1 when capped).
 
     rows is `theta_sweep_full`'s column tuple (ps, qs, stopping_times,
-    terminated) of equal-length numpy arrays; each chunk of rows is formatted
-    straight from slices of the columns.
+    terminated) of equal-length numpy arrays, int64 with p, q >= 0 and each
+    stopping time -1 or >= 0.  Each chunk of rows is rendered from slices of
+    the columns as one ASCII buffer, with no per-row Python: see
+    `_sweep_csv_text`.
     """
     for line in header_lines(invocation):
         fh.write(line + "\n")
     fh.write("p,q,stopping_time,terminated\n")
     n = SWEEP_CSV_CHUNK_ROWS
     for i in range(0, len(rows[0]), n):
-        fh.write("".join([
-            f"{p},{q},{st},{('false', 'true')[term]}\n"
-            for p, q, st, term in zip(*(c[i:i + n].tolist() for c in rows))
-        ]))
+        fh.write(_sweep_csv_text(*(c[i:i + n] for c in rows)))
+
+
+def _sweep_csv_text(ps, qs, stopping_times, terminated) -> str:
+    """The CSV lines of a nonempty chunk of sweep columns, as `str`.
+
+    Each field's digit count comes from a table of powers of 10, and a
+    cumsum of the row lengths places every row in one uint8 buffer.  Rows
+    are then filled right to left from their ends: the true/false tail, then
+    per field a comma and its digits.
+    """
+    import numpy as np
+
+    neg = stopping_times < 0
+    fields = (ps, qs, np.where(neg, 1, stopping_times))
+    pow10 = 10 ** np.arange(1, 19, dtype=np.int64)
+    digits = [np.searchsorted(pow10, v, side="right") + 1 for v in fields]
+    digits[2] += neg  # the 1 of a -1 is written with a leading 0, then its '-'
+    tail = np.where(terminated, 5, 6)
+    end = np.cumsum(digits[0] + digits[1] + digits[2] + tail + 3)
+    buf = np.empty(int(end[-1]), dtype=np.uint8)
+    end -= tail
+    for text in (b"true\n", b"false\n"):
+        at = end[tail == len(text)]
+        for j, byte in enumerate(text):
+            buf[at + j] = byte
+    for v, d in reversed(list(zip(fields, digits))):
+        end -= 1
+        buf[end] = ord(",")
+        _put_digits(buf, v, d, end)
+        end -= d
+    # end is now each row's start; a -1 stopping time's '-' follows the second comma
+    buf[(end + digits[0] + digits[1] + 2)[neg]] = ord("-")
+    return buf.tobytes().decode("ascii")
+
+
+def _put_digits(buf, v, d, end) -> None:
+    """Write the d decimal digits of each v >= 0 into buf[end - d:end].
+
+    Digits are taken one position at a time by // and % on uint32, about 5
+    times faster than on int64; a value of more than 9 digits is split into
+    its high part, written first, and a zero-padded low 9-digit limb.
+    """
+    import numpy as np
+
+    big = d > 9
+    if big.any():
+        hi, lo = np.divmod(v[big], 10**9)
+        _put_digits(buf, hi, d[big] - 9, end[big] - 9)
+        v = np.where(big, 0, v)
+        v[big] = lo
+        d = np.where(big, 9, d)
+    v = v.astype(np.uint32)
+    j = 1
+    while v.size:
+        buf[end - j] = 48 + v % 10
+        v //= 10
+        live = d > j
+        j += 1
+        if not live.all():
+            v, d, end = v[live], d[live], end[live]
 
 
 def sweep_report_json(report: SweepReport) -> dict:

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatzq.cli as cli_mod
 from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, kernels, reports
+from collatzq._version import VERSION
 from collatzq.core import EigenPair
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
@@ -21,6 +23,10 @@ from test_dynamics import subtractive_factor, word_matrix
 from test_theta_props import stepwise_sweep
 
 PROPS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+# decimal digit-count boundaries of the sweep CSV fields, up to int64's largest
+# (the writer splits a value of more than 9 digits at 10**9)
+DIGIT_EDGES = [0, 9, 10, 99, 100, 10**9 - 1, 10**9, 10**18 - 1, 10**18, 2**63 - 1]
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +178,32 @@ class TestSweep:
                 f"{p},{q},{st},{str(term).lower()}" for p, q, st, term in oracle_rows
             ]
             assert {line[-5:] for line in body} == {",true", "false"}
+
+    @PROPS
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**63 - 1) | st.sampled_from(DIGIT_EDGES),
+                st.integers(0, 2**63 - 1) | st.sampled_from(DIGIT_EDGES),
+                st.just(-1) | st.integers(0, 2**63 - 1) | st.sampled_from(DIGIT_EDGES),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([1, 7, reports.SWEEP_CSV_CHUNK_ROWS]),
+    )
+    @example(rows=[], chunk=1)
+    def test_csv_rows_match_fstrings_on_generated_columns(self, rows, chunk):
+        columns = tuple(
+            np.array([row[i] for row in rows], dtype=dtype)
+            for i, dtype in enumerate((np.int64, np.int64, np.int64, bool))
+        )
+        fh = io.StringIO()
+        with mock.patch.object(reports, "SWEEP_CSV_CHUNK_ROWS", chunk):
+            reports.write_sweep_csv(columns, fh, "sweep --height 2")
+        header, body = fh.getvalue().split("p,q,stopping_time,terminated\n")
+        assert header == "# collatzq {}\n# invocation: sweep --height 2\n".format(VERSION)
+        assert body == "".join(f"{p},{q},{t},{str(term).lower()}\n" for p, q, t, term in rows)
 
     def test_candidate_counterexample_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--height", "40", "--max-steps", "3")

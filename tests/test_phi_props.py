@@ -14,7 +14,9 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import totient
 
 from collatzq import kernels, phi_monotonicity_sweep, verify_word_recovery
 from collatzq.dynamics import (
@@ -134,6 +136,13 @@ def test_array_starts_match_reduced_fractions(height):
     ps, qs = reduced_fraction_arrays(height)
     assert ps.dtype == qs.dtype == np.int64
     assert list(zip(ps.tolist(), qs.tolist())) == list(reduced_fractions(height))
+
+
+@pytest.mark.parametrize("height, count", [(1000, 304_192), (2000, 1_216_588)])
+def test_start_sieve_counts_totients(height, count):
+    # 0/1 plus, for each s >= 2, the phi(s) values p < s coprime to s
+    assert 1 + sum(int(totient(s)) for s in range(2, height + 1)) == count
+    assert len(reduced_fraction_arrays(height)[0]) == count
 
 
 @PROPS

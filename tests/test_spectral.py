@@ -19,6 +19,7 @@ from collatzq import (
     prefilter_excludes,
     sigma_sign,
     sigma_term,
+    spectral,
     trace_fast,
     trace_subsetpair,
     u_quantities,
@@ -256,6 +257,28 @@ class TestNkCertificate:
             assert cert.product_threshold == 2**k - 1
             assert cert.det_floor == 6 ** (k * (n + 1))
             assert cert.det_threshold == (4**k + 2**k) ** 2
+
+    def test_product_value_is_the_reduced_fraction(self):
+        # the gcd-free reduction against Fraction's own, for n = 0 to n(k) + 3
+        for k in range(1, 61):
+            for n in range(0, compute_nk(k).n + 4):
+                e = n + 1
+                plain = Fraction(2**k * 6 ** (e * k), ((2**e + 1) * (3**e + 1)) ** k)
+                value = nk_product_value(k, n)
+                assert (value.numerator, value.denominator) == (
+                    plain.numerator, plain.denominator), (k, n)
+
+    def test_probed_bracket_gives_the_least_n(self):
+        # the conditions hold at n and fail at n - 1; both only grow with n
+        for k in range(1, 151):
+            n = compute_nk(k).n
+            assert all(nk_conditions(k, n)) and not all(nk_conditions(k, n - 1)), k
+
+    @pytest.mark.parametrize("least", [1, 2, 5, 700])
+    def test_failed_probe_falls_back_to_doubling(self, monkeypatch, least):
+        # thresholds below and far above the bracket [k, k + k.bit_length()]
+        monkeypatch.setattr(spectral, "nk_conditions", lambda k, n: (n >= least, True))
+        assert compute_nk(40).n == least
 
 
 class TestPrefilter:
