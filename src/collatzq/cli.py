@@ -357,10 +357,12 @@ def _cmd_nk(args) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     cert = spectral.compute_nk(args.k)
+    # the reduced pair, denominator > 1 for every n >= 1: no gcd, no Fraction
+    num, den = spectral.nk_product_value(cert.k, cert.n)
     payload = {
         "k": cert.k,
         "n": cert.n,
-        "product_value": reports.frac_str(cert.product_value),
+        "product_value": f"{num}/{den}",
         "product_threshold": cert.product_threshold,
         "det_floor": cert.det_floor,
         "det_threshold": cert.det_threshold,

@@ -430,8 +430,8 @@ def _first_maximum(
 
 def theta_sweep_full(
     height_bound: int, step_cap: int = DEFAULT_STEP_CAP
-) -> tuple[SweepReport, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Report plus the per-start columns (ps, qs, stopping_times, terminated).
+) -> tuple[SweepReport, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Report plus the per-start columns (ps, qs, stopping_times).
 
     The columns are the kernel's arrays, one entry per start in sweep order,
     and `reports.write_sweep_csv` formats them as they are.  A nonterminated
@@ -444,12 +444,10 @@ def theta_sweep_full(
         raise ValueError("need height_bound >= 2 and step_cap >= 1")
     ps, qs = reduced_fraction_arrays(height_bound)
     steps, flags = kernels.theta_sweep(ps, qs, step_cap)
+    steps[flags != kernels.FLAG_DONE] = -1  # now the stopping-time column
     for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
         runs = theta_runs(int(ps[i]), int(qs[i]), step_cap)
-        steps[i] = step_cap if runs is None else sum(runs)
-        flags[i] = kernels.FLAG_CAP if runs is None else kernels.FLAG_DONE
-    terminated = flags == kernels.FLAG_DONE
-    steps[~terminated] = -1  # now the stopping-time column
+        steps[i] = -1 if runs is None else sum(runs)
     max_stop, argmax, nonterminated = _first_maximum(ps, qs, steps)
     report = SweepReport(
         height_bound=height_bound,
@@ -460,7 +458,7 @@ def theta_sweep_full(
         argmax=argmax,
         nonterminated=nonterminated,
     )
-    return report, (ps, qs, steps, terminated)
+    return report, (ps, qs, steps)
 
 
 def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:

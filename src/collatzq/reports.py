@@ -76,11 +76,11 @@ def read_members_jsonl(fh: IO[str]) -> list[dict]:
 def write_sweep_csv(rows: tuple, fh: IO[str], invocation: str) -> None:
     """Per-start rows p,q,stopping_time,terminated (stopping_time -1 when capped).
 
-    rows is `theta_sweep_full`'s column tuple (ps, qs, stopping_times,
-    terminated) of equal-length numpy arrays, int64 with p, q >= 0 and each
-    stopping time -1 or >= 0.  Each chunk of rows is rendered from slices of
-    the columns as one ASCII buffer, with no per-row Python: see
-    `_sweep_csv_text`.
+    rows is `theta_sweep_full`'s column tuple (ps, qs, stopping_times) of
+    equal-length int64 numpy arrays, with p, q >= 0 and each stopping time -1
+    or >= 0; a row is terminated exactly when its stopping time is not -1.
+    Each chunk of rows is rendered from slices of the columns as one ASCII
+    buffer, with no per-row Python: see `_sweep_csv_text`.
     """
     for line in header_lines(invocation):
         fh.write(line + "\n")
@@ -90,13 +90,13 @@ def write_sweep_csv(rows: tuple, fh: IO[str], invocation: str) -> None:
         fh.write(_sweep_csv_text(*(c[i:i + n] for c in rows)))
 
 
-def _sweep_csv_text(ps, qs, stopping_times, terminated) -> str:
+def _sweep_csv_text(ps, qs, stopping_times) -> str:
     """The CSV lines of a nonempty chunk of sweep columns, as `str`.
 
     Each field's digit count comes from a table of powers of 10, and a
     cumsum of the row lengths places every row in one uint8 buffer.  Rows
-    are then filled right to left from their ends: the true/false tail, then
-    per field a comma and its digits.
+    are then filled right to left from their ends: the true/false tail (false
+    on a -1 stopping time), then per field a comma and its digits.
     """
     import numpy as np
 
@@ -105,7 +105,7 @@ def _sweep_csv_text(ps, qs, stopping_times, terminated) -> str:
     pow10 = 10 ** np.arange(1, 19, dtype=np.int64)
     digits = [np.searchsorted(pow10, v, side="right") + 1 for v in fields]
     digits[2] += neg  # the 1 of a -1 is written with a leading 0, then its '-'
-    tail = np.where(terminated, 5, 6)
+    tail = np.where(neg, 6, 5)
     end = np.cumsum(digits[0] + digits[1] + digits[2] + tail + 3)
     buf = np.empty(int(end[-1]), dtype=np.uint8)
     end -= tail

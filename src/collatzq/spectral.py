@@ -16,7 +16,6 @@ Subsets are bitmasks: index i in {1..k} is bit i-1.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -208,7 +207,7 @@ class NkCertificate:
     @property
     def product_value(self) -> Fraction:
         """2^k * prod of worst-case factors at exponent n+1."""
-        return nk_product_value(self.k, self.n)
+        return Fraction(*nk_product_value(self.k, self.n))
 
     @property
     def product_threshold(self) -> int:
@@ -230,8 +229,9 @@ class NkCertificate:
         return all(nk_conditions(self.k, self.n))
 
 
-def nk_product_value(k: int, n: int) -> Fraction:
-    """2^k * prod_{i=1..k} 2^(n+1) 3^(n+1) / ((2^(n+1)+1)(3^(n+1)+1)), exactly.
+def nk_product_value(k: int, n: int) -> tuple[int, int]:
+    """2^k * prod_{i=1..k} 2^(n+1) 3^(n+1) / ((2^(n+1)+1)(3^(n+1)+1)), as the
+    coprime pair (numerator, denominator).
 
     Each factor increases in both exponents, so exponent n+1 (the least
     allowed by ``> n``) is the worst case.  With f = (2^e+1)(3^e+1) and
@@ -247,14 +247,7 @@ def nk_product_value(k: int, n: int) -> Fraction:
         while f % r == 0:
             f //= r
             v[i] += 1
-    return _coprime_fraction(2 ** (k + e * k - k * v[0]) * 3 ** (e * k - k * v[1]), f**k)
-
-
-def _coprime_fraction(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for coprime n and d >= 1, without Fraction's gcd."""
-    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on
-        return Fraction._from_coprime_ints(n, d)
-    return Fraction(n, d, _normalize=False)
+    return 2 ** (k + e * k - k * v[0]) * 3 ** (e * k - k * v[1]), f**k
 
 
 def nk_conditions(k: int, n: int) -> tuple[bool, bool]:
@@ -267,28 +260,26 @@ def nk_conditions(k: int, n: int) -> tuple[bool, bool]:
 
 
 def compute_nk(k: int) -> NkCertificate:
-    """The certificate of the minimal n making both exclusion conditions hold.
+    """The certificate of the least n making both exclusion conditions hold:
+    n = k + L - 1 with L = k.bit_length(), and n = 2 at k = 1.
 
-    Both conditions hold from some n on.  n - k lay in [1, k.bit_length()]
-    for every k measured (1..150, 200, 300, 400), so n is bisected in that
-    bracket once exact probes confirm that the conditions fail at its lower
-    end and hold at its upper end; otherwise the bracket comes from
-    doubling.  Either way O(log n) tests, a handful for the probed bracket.
+    Both conditions only get easier as n grows, so holding at n and failing
+    at n - 1, both tested exactly below, make n the least.  With e = n + 1
+    and x = 2^-k, condition (i) reads ((1+2^-e)(1+3^-e))^k < 1/(1-x).
+    - e = k + L: by ln(1+y) <= y, (i) holds as k(2^-e + 3^-e) < x <= -ln(1-x),
+      since k < 2^L and (2/3)^(k+L) < 2^-L; (ii) holds for k >= 2 as e >= 3
+      and (4^k + 2^k)^2 < 4 * 16^k < 6^(3k).
+    - e = k + L - 1, k >= 2: k 2^-e = cx with c = k/2^(L-1) in [1, 2).  By
+      ln(1+y) >= y - y^2/2 and -ln(1-x) <= x + x^2/(2(1-x)), (i) fails when
+      c > 1, as (c-1)x >= x/k outweighs the x^2 terms; at c = 1 the k 3^-e
+      term outweighs them for k >= 8, and the test settles k = 2 and 4.
+    - k = 1: (ii) is an equality at n = 1 (6^2 = (4+2)^2); both hold at 2.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-
-    def holds(n: int) -> bool:
-        return all(nk_conditions(k, n))
-
-    lo, hi = k - 1, k + k.bit_length()
-    if holds(lo) or not holds(hi):
-        hi = 1
-        while not holds(hi):
-            hi *= 2
-        lo = hi // 2
-    # the conditions fail at lo (or lo = 0) and hold at hi
-    n = bisect.bisect_left(range(hi), True, lo=lo + 1, key=holds)
+    n = 2 if k == 1 else k + k.bit_length() - 1
+    if [all(nk_conditions(k, m)) for m in (n - 1, n)] != [False, True]:
+        raise AssertionError(f"n = {n} is not the least exponent threshold for k = {k}")
     # the trace lower bound also needs 3^(k(n+1)) > 4^k, automatic for n >= 1
     assert 3 ** (k * (n + 1)) > 4**k
     return NkCertificate(k, n)

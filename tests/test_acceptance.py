@@ -200,7 +200,8 @@ def test_criterion_09_nk_certificate_and_prefilter():
         ok = cert.n == 3
         ok &= cert.product_value == Fraction(4 * (16 * 81) ** 2, (17 * 82) ** 2)
         ok &= cert.product_value > 3
-        ok &= nk_product_value(2, 2) < 3 and nk_conditions(2, 2)[0] is False
+        num, den = nk_product_value(2, 2)
+        ok &= num < 3 * den and nk_conditions(2, 2)[0] is False
         rng = random.Random(9000)
         excluded = 0
         for _ in range(10_000):

@@ -217,8 +217,9 @@ class TestNkCertificate:
 
     def test_k2_fails_at_two(self):
         # 4 * (8/9 * 27/28)^2 < 3
-        assert nk_product_value(2, 2) == Fraction(4 * (8 * 27) ** 2, (9 * 28) ** 2)
-        assert nk_product_value(2, 2) < 3
+        num, den = nk_product_value(2, 2)
+        assert Fraction(num, den) == Fraction(4 * (8 * 27) ** 2, (9 * 28) ** 2)
+        assert num < 3 * den
         assert nk_conditions(2, 2)[0] is False
 
     def test_k1_needs_determinant_floor(self):
@@ -237,7 +238,10 @@ class TestNkCertificate:
     @staticmethod
     def fraction_conditions(k, n):
         """The two conditions on reduced fractions, as first written."""
-        return nk_product_value(k, n) > 2**k - 1, 6 ** (k * (n + 1)) > (4**k + 2**k) ** 2
+        return (
+            Fraction(*nk_product_value(k, n)) > 2**k - 1,
+            6 ** (k * (n + 1)) > (4**k + 2**k) ** 2,
+        )
 
     def test_cross_products_match_fractions(self):
         for k in range(1, 13):
@@ -253,7 +257,7 @@ class TestNkCertificate:
             cert = compute_nk(k)
             assert cert == NkCertificate(k, n)
             # the witnesses, derived from (k, n)
-            assert cert.product_value == nk_product_value(k, n)
+            assert cert.product_value == Fraction(*nk_product_value(k, n))
             assert cert.product_threshold == 2**k - 1
             assert cert.det_floor == 6 ** (k * (n + 1))
             assert cert.det_threshold == (4**k + 2**k) ** 2
@@ -264,21 +268,33 @@ class TestNkCertificate:
             for n in range(0, compute_nk(k).n + 4):
                 e = n + 1
                 plain = Fraction(2**k * 6 ** (e * k), ((2**e + 1) * (3**e + 1)) ** k)
-                value = nk_product_value(k, n)
-                assert (value.numerator, value.denominator) == (
-                    plain.numerator, plain.denominator), (k, n)
+                assert nk_product_value(k, n) == (plain.numerator, plain.denominator), (k, n)
+                assert n == 0 or plain.denominator > 1, (k, n)
 
-    def test_probed_bracket_gives_the_least_n(self):
+    def test_closed_form_is_the_least_n(self):
         # the conditions hold at n and fail at n - 1; both only grow with n
-        for k in range(1, 151):
+        for k in [*range(1, 301), 511, 512, 513]:
             n = compute_nk(k).n
+            assert n == (2 if k == 1 else k + k.bit_length() - 1), k
             assert all(nk_conditions(k, n)) and not all(nk_conditions(k, n - 1)), k
 
-    @pytest.mark.parametrize("least", [1, 2, 5, 700])
-    def test_failed_probe_falls_back_to_doubling(self, monkeypatch, least):
-        # thresholds below and far above the bracket [k, k + k.bit_length()]
-        monkeypatch.setattr(spectral, "nk_conditions", lambda k, n: (n >= least, True))
-        assert compute_nk(40).n == least
+    @pytest.mark.parametrize("least", [1, 2, 5, 45, 46, 47, 700])
+    def test_closed_form_is_checked_by_two_tests(self, monkeypatch, least):
+        # n(40) = 45: patched conditions with any other least n make
+        # compute_nk raise, and it asks them exactly twice, at 44 and 45
+        calls = []
+
+        def patched(k, n):
+            calls.append(n)
+            return n >= least, True
+
+        monkeypatch.setattr(spectral, "nk_conditions", patched)
+        if least == 45:
+            assert compute_nk(40).n == 45
+        else:
+            with pytest.raises(AssertionError, match="k = 40"):
+                compute_nk(40)
+        assert calls == [44, 45]
 
 
 class TestPrefilter:

@@ -99,7 +99,8 @@ def stepwise_sweep(height, cap):
 def assert_sweep_matches_stepwise(height, cap):
     """theta_sweep_full's report and columns, as (p, q, st, term) rows, equal the oracle's."""
     report, columns = theta_sweep_full(height, cap)
-    assert (report, list(zip(*(c.tolist() for c in columns)))) == stepwise_sweep(height, cap)
+    rows = [(p, q, st_, st_ >= 0) for p, q, st_ in zip(*(c.tolist() for c in columns))]
+    assert (report, rows) == stepwise_sweep(height, cap)
 
 
 def arrays(rows):
