@@ -17,7 +17,6 @@ from .core import (
     Mat2,
     integer_eigenvalues,
     is_perfect_square,
-    isqrt,
     mat_pow,
     rational_fixed_points,
 )
@@ -69,7 +68,6 @@ from .words import (
     Word,
     enumerate_lambda,
     enumerate_lambda_block,
-    format_word,
     format_word_compact,
     freeness_check,
     lambda_count,

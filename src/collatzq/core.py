@@ -19,13 +19,6 @@ from typing import NamedTuple
 from .errors import DegenerateMapError, NegativeInputError
 
 
-def isqrt(n: int) -> int:
-    """Floor integer square root: r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise NegativeInputError(f"isqrt of negative {n}")
-    return math.isqrt(n)
-
-
 def is_perfect_square(n: int) -> tuple[bool, int]:
     """(True, r) with r*r == n, else (False, floor sqrt).  Negative n never is."""
     if n < 0:

@@ -103,12 +103,16 @@ class OrbitRecord:
     map_name: str
     points: tuple[Fraction, ...]  # starting value first
     branches: str  # one letter per step
-    terminated: bool  # reached 0
-    stopping_time: int | None  # index of the first 0 when terminated
 
-    def heights(self) -> tuple[int, ...]:
-        """p + q of each reduced orbit point."""
-        return tuple(x.numerator + x.denominator for x in self.points)
+    @property
+    def terminated(self) -> bool:
+        """Reached 0, which ends an orbit."""
+        return self.points[-1] == 0
+
+    @property
+    def stopping_time(self) -> int | None:
+        """Index of the first 0 when terminated."""
+        return len(self.points) - 1 if self.terminated else None
 
 
 def orbit(x: Fraction, map_name: str = THETA, step_cap: int = DEFAULT_STEP_CAP) -> OrbitRecord:
@@ -137,14 +141,7 @@ def orbit(x: Fraction, map_name: str = THETA, step_cap: int = DEFAULT_STEP_CAP) 
         x = Fraction(p, q)
         points.append(x)
         branches.append(letter)
-    terminated = p == 0
-    return OrbitRecord(
-        map_name=map_name,
-        points=tuple(points),
-        branches="".join(branches),
-        terminated=terminated,
-        stopping_time=len(points) - 1 if terminated else None,
-    )
+    return OrbitRecord(map_name=map_name, points=tuple(points), branches="".join(branches))
 
 
 def orbit_pq(p: int, q: int, map_name: str, step_cap: int) -> tuple[int, bool, str]:
@@ -395,20 +392,27 @@ class SweepReport:
     height_bound: int
     step_cap: int
     total_tested: int
-    all_terminated: bool
     max_stopping_time: int
     argmax: Fraction
     nonterminated: tuple[Fraction, ...]
+
+    @property
+    def all_terminated(self) -> bool:
+        return not self.nonterminated
 
 
 @dataclass(frozen=True)
 class PhiSweepReport:
     height_bound: int
     total_tested: int
-    all_monotone: bool  # every orbit lowered p+q each run and reached 0 in at most p+q steps
     max_stopping_time: int
     argmax: Fraction
     violations: tuple[Fraction, ...]
+
+    @property
+    def all_monotone(self) -> bool:
+        """Every orbit lowered p+q each run and reached 0 in at most p+q steps."""
+        return not self.violations
 
 
 def _first_maximum(
@@ -453,7 +457,6 @@ def theta_sweep_full(
         height_bound=height_bound,
         step_cap=step_cap,
         total_tested=int(ps.size),
-        all_terminated=not nonterminated,
         max_stopping_time=max_stop,
         argmax=argmax,
         nonterminated=nonterminated,
@@ -472,7 +475,6 @@ def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
     return PhiSweepReport(
         height_bound=height_bound,
         total_tested=int(ps.size),
-        all_monotone=not violations,
         max_stopping_time=max_stop,
         argmax=argmax,
         violations=violations,

@@ -25,6 +25,9 @@ from .errors import KMismatchError, NonIntegerEntryError, SizeLimitError
 from .words import Word, word_det
 
 DEFAULT_SUBSET_LIMIT = 12  # 4^k terms; the reference path refuses beyond this
+# largest k `compute_nk` certifies: its two exact tests take about 1 s at
+# k = 1,000 and 8-11 s at 2,000 (Python 3.11, one core of a 2 vCPU host)
+MAX_NK_K = 1_000
 
 
 class SubsetPair(NamedTuple):
@@ -277,6 +280,8 @@ def compute_nk(k: int) -> NkCertificate:
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    if k > MAX_NK_K:
+        raise SizeLimitError(f"k={k} is over the limit {MAX_NK_K} for the n(k) certificate")
     n = 2 if k == 1 else k + k.bit_length() - 1
     if [all(nk_conditions(k, m)) for m in (n - 1, n)] != [False, True]:
         raise AssertionError(f"n = {n} is not the least exponent threshold for k = {k}")
@@ -293,4 +298,4 @@ def prefilter_excludes(w: Word, cert: NkCertificate) -> bool:
     """
     if w.k != cert.k:
         raise KMismatchError(f"certificate is for k={cert.k}, word has k={w.k}")
-    return w.min_exponent() > cert.n
+    return min(w.exponents()) > cert.n

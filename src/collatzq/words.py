@@ -29,7 +29,7 @@ DEFAULT_FREENESS_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class Word:
-    """Alternating exponent vector; value type with structural equality."""
+    """Alternating exponent vector, a word's one form; value type with structural equality."""
 
     betas: tuple[int, ...]
     alphas: tuple[int, ...]
@@ -54,55 +54,6 @@ class Word:
             out.append(a)
         return tuple(out)
 
-    def is_canonical(self) -> bool:
-        """alpha_i > 0 for i < k and beta_i > 0 for i > 1 (only the boundary may vanish)."""
-        k = self.k
-        return all(self.alphas[i] > 0 for i in range(k - 1)) and all(
-            self.betas[i] > 0 for i in range(1, k)
-        )
-
-    def in_box(self, M: int) -> bool:
-        return self.is_canonical() and all(e <= M for e in self.exponents())
-
-    def min_exponent(self) -> int:
-        return min(self.exponents())
-
-    def sum_betas(self) -> int:
-        return sum(self.betas)
-
-    def sum_alphas(self) -> int:
-        return sum(self.alphas)
-
-    def reduced_blocks(self) -> tuple[tuple[str, int], ...]:
-        """Alternating (letter, exponent) blocks with zero exponents dropped.
-
-        Two exponent tuples denote the same semigroup word exactly when their
-        reduced blocks agree (zero exponents can only sit on the boundary of
-        a canonical word, but this normalization handles any tuple).
-        """
-        blocks: list[tuple[str, int]] = []
-        for b, a in zip(self.betas, self.alphas):
-            for letter, e in (("R", b), ("S", a)):
-                if e == 0:
-                    continue
-                if blocks and blocks[-1][0] == letter:
-                    blocks[-1] = (letter, blocks[-1][1] + e)
-                else:
-                    blocks.append((letter, e))
-        return tuple(blocks)
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-
-def format_word(w: Word) -> str:
-    """Text form, e.g. ``R^3 S^1 R^2 S^4`` (zero exponents included)."""
-    parts = []
-    for b, a in zip(w.betas, w.alphas):
-        parts.append(f"R^{b}")
-        parts.append(f"S^{a}")
-    return " ".join(parts)
-
 
 def format_word_compact(w: Word) -> str:
     """Compact tuple form ``b1,a1,b2,a2,...``."""
@@ -119,7 +70,7 @@ def word_eval(w: Word) -> Mat2:
 
 def word_det(w: Word) -> int:
     """det of the word's matrix: 2^(sum alphas) * 3^(sum betas)."""
-    return 2 ** w.sum_alphas() * 3 ** w.sum_betas()
+    return 2 ** sum(w.alphas) * 3 ** sum(w.betas)
 
 
 @dataclass(frozen=True)
@@ -202,27 +153,25 @@ def enumerate_lambda_block(k: int, M: int, beta1: int, alpha1: int) -> Iterator[
 
 
 def freeness_check(k: int, M: int) -> bool:
-    """Distinct reduced words in the union of (j, M) boxes for j <= k give distinct matrices.
+    """The tuples of the (j, M) boxes for j <= k give distinct matrices.
 
-    Tuples that denote the same reduced word (zero boundary exponents) are
-    identified before comparing, so this is exactly the injectivity of the
-    word -> matrix map on the enumerated range.
+    This is the injectivity of the word -> matrix map on those boxes, since
+    no two of their tuples denote the same reduced word (zero exponents
+    dropped, equal neighbours merged).  Only beta_1 and alpha_j may be 0,
+    so reducing drops at most those two and merges nothing: the reduced
+    word alternates R and S in 2j - z blocks, z the number of zero
+    boundary exponents.  It starts with R exactly when beta_1 > 0 and ends
+    with S exactly when alpha_j > 0; that gives z, then j, then the whole
+    tuple (the empty word is the tuple (0, 0) alone).
     """
     total = sum(lambda_count(j, M) for j in range(1, k + 1))
     if total > DEFAULT_FREENESS_BUDGET:
         raise BudgetExceededError(f"{total} words exceed budget {DEFAULT_FREENESS_BUDGET}")
-    matrices: dict[tuple[tuple[str, int], ...], Mat2] = {}
-    seen_matrices: set[Mat2] = set()
+    seen: set[Mat2] = set()
     for j in range(1, k + 1):
         for w in enumerate_lambda(j, M):
-            key = w.reduced_blocks()
             m = word_eval(w)
-            prior = matrices.get(key)
-            if prior is None:
-                if m in seen_matrices:
-                    return False  # two distinct reduced words, one matrix
-                matrices[key] = m
-                seen_matrices.add(m)
-            elif prior != m:  # same reduced word must evaluate identically
+            if m in seen:
                 return False
+            seen.add(m)
     return True

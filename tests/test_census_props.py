@@ -199,7 +199,7 @@ def search_oracle(k, exp_max, g, budget):
     members, tested, complete = [], 0, True
     for j in range(1, k + 1):
         for w in enumerate_lambda(j, exp_max):
-            if w.sum_betas() == 0 or w.sum_alphas() == 0:
+            if sum(w.betas) == 0 or sum(w.alphas) == 0:
                 continue
             if tested >= budget:
                 complete = False

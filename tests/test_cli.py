@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatzq.cli as cli_mod
-from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, kernels, reports
+from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, kernels, reports, spectral
 from collatzq._version import VERSION
 from collatzq.core import EigenPair
 from collatzq.cli import MAX_FACTOR_LETTERS, main
@@ -47,12 +47,12 @@ def run_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_nk(k):
-    """run_main of `nk --k K`, putting back the int-to-str digit limit that
-    main lifts."""
+def run_nk(k, command=("nk",)):
+    """run_main of `nk --k K` (or of another command with --k K), putting
+    back the int-to-str digit limit that `nk` lifts."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        return run_main("nk", "--k", str(k))
+        return run_main(*command, "--k", str(k))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -349,6 +349,14 @@ class TestSmallCommands:
         code, out, err = run_nk(k)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["nk"], ["density", "--m-range", "1..1"], ["verify", "--suite", "prefilter"]])
+    def test_k_over_the_certificate_limit_exit_2(self, argv):
+        # refused before the certificate's big-int tests, which grow steeply with k
+        k = spectral.MAX_NK_K + 1
+        assert run_nk(k, argv) == (
+            2, "", f"error: k={k} is over the limit {spectral.MAX_NK_K} for the n(k) certificate\n")
 
     def test_fixed_point(self, capsys):
         assert run_cli(capsys, "fixed-point", "--matrix", "3,1,0,1")[1].strip() == "-1/2"

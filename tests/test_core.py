@@ -1,4 +1,4 @@
-"""Exact primitives: rationals, isqrt, 2x2 matrices, eigen/fixed-point tests."""
+"""Exact primitives: rationals, perfect squares, 2x2 matrices, eigen/fixed-point tests."""
 
 import random
 from fractions import Fraction
@@ -11,14 +11,10 @@ from collatzq import (
     Mat2,
     integer_eigenvalues,
     is_perfect_square,
-    isqrt,
     mat_pow,
     rational_fixed_points,
 )
-from collatzq.errors import (
-    DegenerateMapError,
-    NegativeInputError,
-)
+from collatzq.errors import DegenerateMapError
 
 R = Mat2(3, 1, 0, 1)
 S = Mat2(1, 0, 1, 2)
@@ -29,22 +25,6 @@ def rand_mat(rng, bound=20):
 
 
 class TestIsqrt:
-    def test_examples(self):
-        assert isqrt(432) == 20
-        assert isqrt(0) == 0
-        assert isqrt(3**40) == 3**20
-
-    def test_negative(self):
-        with pytest.raises(NegativeInputError):
-            isqrt(-1)
-
-    def test_bracketing_random(self):
-        rng = random.Random(2)
-        for _ in range(300):
-            n = rng.randint(0, 10 ** rng.randint(1, 40))
-            r = isqrt(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-
     def test_perfect_square(self):
         assert is_perfect_square(3**40) == (True, 3**20)
         assert is_perfect_square(432)[0] is False

@@ -117,7 +117,6 @@ class TestOrbit:
     def test_orbit_phi(self):
         rec = orbit(F(3, 5), PHI, 100)
         assert [str(x) for x in rec.points] == ["3/5", "3/2", "1/2", "1", "0"]
-        assert rec.heights() == (8, 5, 3, 2, 1)
 
     def test_zero_start(self):
         rec = orbit(F(0), THETA)

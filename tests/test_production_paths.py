@@ -8,7 +8,10 @@ re-evaluation, a second eigenvalue test, the word enumerator or the
 prefilter.  Imports are not uses: ``perfbench/spans.py`` patches some of
 these names on ``collatzq.census``, so they stay imported there.  Nor does
 any module reach for private CPython APIs: no underscore attribute of
-``Fraction`` and no underscore keyword argument.
+``Fraction`` and no underscore keyword argument.  And every public
+function, class and method is read somewhere in ``src/collatzq`` (its
+re-exports in ``__init__`` aside) or in ``perfbench/``, or is kept on a
+list with its reason.
 """
 
 import ast
@@ -19,6 +22,7 @@ import pytest
 import collatzq
 
 SRC = Path(collatzq.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ORACLES = {"orbit_pq", "replay_word_pq", "mat_pow", "reduced_fractions"}
 NOT_IN_CENSUS = {
@@ -30,26 +34,89 @@ NOT_IN_CENSUS = {
 }
 
 
-def uses(path: Path) -> set[str]:
+def uses(source: str, strings: bool = False) -> set[str]:
     """Names a module reads as values (calls, arguments, attributes), not
-    the names it imports or defines."""
+    the names it imports or defines; with ``strings`` also its string
+    constants, for a module that patches functions by name."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
     return found
+
+
+def read(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_oracles_are_not_used_in_src(path):
-    assert uses(path) & ORACLES == set()
+    assert uses(read(path)) & ORACLES == set()
 
 
 @pytest.mark.parametrize("name", ["census.py", "sieve.py"])
 def test_census_modules_neither_reevaluate_nor_retest(name):
-    assert uses(SRC / name) & NOT_IN_CENSUS == set()
+    assert uses(read(SRC / name)) & NOT_IN_CENSUS == set()
+
+
+# public names that neither src/collatzq nor perfbench/ reads, and why they stay
+KEPT = {
+    "mat_pow": "test oracle: powers by repeated multiplication",
+    "word_eval_general": "test oracle: word products over any generator pair",
+    "sigma_term": "test oracle: one term of the subset-pair sums",
+    "mobius_apply": "test oracle: a matrix acting on a rational",
+    "read_members_jsonl": "API: reads back the members JSONL that search and density write",
+    "complete_to_sl2": "API: SL2 completion, listed in the README",
+    "NkCertificate.product_value": "API: the product witness as a Fraction",
+}
+
+
+def public_names(source: str) -> set[str]:
+    """Top-level functions and classes, and methods as ``Class.method``,
+    whose names have no leading underscore."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                found |= {f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+    return found
+
+
+def unread(modules: list[str], readers: list[str], patchers: list[str]) -> set[str]:
+    """The public names of ``modules`` (a method by its own name) that no
+    reader reads and no patcher reads or names in a string."""
+    seen = set().union(*map(uses, readers), *(uses(s, strings=True) for s in patchers))
+    return {name for source in modules for name in public_names(source)
+            if name.rpartition(".")[2] not in seen}
+
+
+def test_every_public_name_is_read_or_kept():
+    modules = {p.name: read(p) for p in SRC.glob("*.py")}
+    readers = [source for name, source in modules.items() if name != "__init__.py"]
+    patchers = [read(p) for p in PERFBENCH.glob("*.py")]
+    assert unread(list(modules.values()), readers, patchers) == set(KEPT)
+
+
+def test_unread_scan_flags_a_planted_method():
+    module = (
+        "class Word:\n"
+        "    def k(self):\n"
+        "        return 1\n"
+        "    def in_box(self, M):\n"
+        "        return self.k() <= M\n"
+        "def _helper():\n"
+        "    pass\n"
+    )
+    caller = "print(Word().k())\n"
+    assert unread([module], [module, caller], []) == {"Word.in_box"}
+    assert unread([module], [module], []) == {"Word", "Word.in_box"}
+    assert unread([module], [caller], ['patch(words, "in_box", wrap)']) == set()
 
 
 def private_uses(source: str) -> list[str]:

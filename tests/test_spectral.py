@@ -296,6 +296,16 @@ class TestNkCertificate:
                 compute_nk(40)
         assert calls == [44, 45]
 
+    def test_k_over_the_limit_is_refused_before_the_tests(self, monkeypatch):
+        calls = []
+        real = spectral.nk_conditions
+        monkeypatch.setattr(spectral, "nk_conditions", lambda k, n: calls.append(n) or real(k, n))
+        monkeypatch.setattr(spectral, "MAX_NK_K", 40)
+        assert compute_nk(40).n == 45
+        with pytest.raises(SizeLimitError, match="k=41 is over the limit 40"):
+            compute_nk(41)
+        assert calls == [44, 45]
+
 
 class TestPrefilter:
     def test_excludes_all_large(self):

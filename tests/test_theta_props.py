@@ -88,7 +88,6 @@ def stepwise_sweep(height, cap):
         height_bound=height,
         step_cap=cap,
         total_tested=len(rows),
-        all_terminated=not nonterminated,
         max_stopping_time=best,
         argmax=argmax,
         nonterminated=tuple(nonterminated),

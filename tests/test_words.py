@@ -2,9 +2,11 @@
 
 import importlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatzq import (
     DEFAULT_GENERATORS,
@@ -13,7 +15,6 @@ from collatzq import (
     Word,
     enumerate_lambda,
     enumerate_lambda_block,
-    format_word,
     format_word_compact,
     freeness_check,
     lambda_count,
@@ -24,6 +25,7 @@ from collatzq import (
     word_eval,
     word_eval_general,
 )
+from collatzq.cli import main
 from collatzq.errors import BudgetExceededError
 from collatzq.verify import suite_freeness
 from collatzq.words import R, S, _exponent_ranges
@@ -94,7 +96,7 @@ class TestWordEval:
         for _ in range(100):
             w = random_canonical_word(rng, rng.randint(1, 4), 6)
             m = word_eval(w)
-            assert m.det() == word_det(w) == 2 ** w.sum_alphas() * 3 ** w.sum_betas()
+            assert m.det() == word_det(w) == 2 ** sum(w.alphas) * 3 ** sum(w.betas)
             assert min(m.entries()) >= 0
 
     def test_huge_exponents_stay_exact(self):
@@ -193,9 +195,11 @@ class TestCounting:
         assert by_blocks == list(enumerate_lambda(k, M))
 
     def test_canonical_invariant(self):
+        # only the boundary exponents beta_1 and alpha_k may be 0
+        ranges = _exponent_ranges(3, 2)
+        assert [(r.start, r.stop) for r in ranges] == [(0, 3)] + [(1, 3)] * 4 + [(0, 3)]
         for w in enumerate_lambda(3, 2):
-            assert w.is_canonical()
-            assert w.in_box(2)
+            assert all(e in r for e, r in zip(w.exponents(), ranges, strict=True))
 
 
 class TestFreeness:
@@ -216,18 +220,59 @@ class TestFreeness:
         with pytest.raises(BudgetExceededError):
             suite_freeness(3, 30)
 
-    def test_reduced_blocks_identification(self):
-        # R^0 S^2 R^1 S^0 and the same word padded across k levels
-        w2 = Word((0, 1), (2, 0))
-        assert w2.reduced_blocks() == (("S", 2), ("R", 1))
-        assert Word((0,), (3,)).reduced_blocks() == (("S", 3),)
-        assert Word((0,), (0,)).reduced_blocks() == ()
+    def test_collision_is_found(self, monkeypatch, capsys):
+        # S^1 evaluated as R^1: two words of the (1, 2) box share a matrix,
+        # so the check fails and `verify` reports the collision as a finding
+        real = words_mod.word_eval
+        monkeypatch.setattr(words_mod, "word_eval",
+                            lambda w: real(Word((1,), (0,)) if w == Word((0,), (1,)) else w))
+        assert freeness_check(1, 2) is False
+        assert main(["verify", "--suite", "freeness", "--k", "2", "--m", "2"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["failures"], report["first_failure_witness"]) == (
+            1, {"collision": "duplicate matrix in boxes up to (k=2, M=2)"})
+
+
+def reduced_blocks(w):
+    """(letter, exponent) blocks of w's product: zero exponents dropped and
+    equal neighbours merged, so two tuples with the same blocks denote the
+    same semigroup word."""
+    blocks = []
+    for letter, e in zip("RS" * w.k, w.exponents()):
+        if e == 0:
+            continue
+        if blocks and blocks[-1][0] == letter:
+            blocks[-1] = (letter, blocks[-1][1] + e)
+        else:
+            blocks.append((letter, e))
+    return tuple(blocks)
+
+
+# the largest M per k whose union of boxes j <= k stays near 10^4 tuples
+BOX_M = {1: 30, 2: 8, 3: 4, 4: 3, 5: 2, 6: 2}
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, BOX_M[k]))))
+def test_boxes_name_distinct_reduced_words(km):
+    # freeness_check compares the tuples' matrices with no identification
+    # step, which is sound because no two tuples reduce to one word
+    k, M = km
+    words = [w for j in range(1, k + 1) for w in enumerate_lambda(j, M)]
+    assert len({reduced_blocks(w) for w in words}) == len(words)
+
+
+def test_reduced_blocks_identify_tuples_outside_the_boxes():
+    # an interior 0 lets two tuples name one word: R^1 S^0 R^2 S^1 = R^3 S^1
+    assert reduced_blocks(Word((1, 2), (0, 1))) == reduced_blocks(Word((3,), (1,))) == (
+        ("R", 3), ("S", 1))
+    assert reduced_blocks(Word((0, 1), (2, 0))) == (("S", 2), ("R", 1))
+    assert reduced_blocks(Word((0,), (0,))) == ()
 
 
 class TestTextFormats:
     def test_format(self):
         w = Word((3, 2), (1, 4))
-        assert format_word(w) == "R^3 S^1 R^2 S^4"
         assert format_word_compact(w) == "3,1,2,4"
 
     def test_word_validation(self):
