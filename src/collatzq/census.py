@@ -12,8 +12,9 @@ order, and its unit is a sieve chunk of at most ``SIEVE_CHUNK_WORDS``
 words.  Census ranges, sampled draws and search boxes all go through the
 leaf pipeline of ``sieve``: an exact int64 modular sieve in numpy, then an
 exact test of its few survivors on raw Python integers.  Only a confirmed
-hit becomes a member, with the matrix and eigenvalues the leaf built from
-those integers.  A search cuts its budget at a word.
+hit becomes an object: the leaf builds its ``OmegaMember`` (re-exported
+here), with the matrix and eigenvalues from those integers.  A search cuts
+its budget at a word.
 
 A ``density_sweep`` is one census of its largest box, since every smaller
 box is the words of that box with no exponent above its M; each row is
@@ -23,8 +24,9 @@ so the worker count changes neither output bytes nor the checkpoint
 saves; the pool never has more workers than cores or chunks left.  The
 checkpoint, saved after every merged chunk, holds one cursor (words
 tested, members so far) into the census, and the final save adds the
-finished rows.  Resuming from any word reproduces the uninterrupted result
-bit for bit; a cursor that does not fit the box is refused.
+finished rows as counts, so each member is stored once.  Resuming from any
+word reproduces the uninterrupted result bit for bit; a cursor that does
+not fit the box is refused.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ import random
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .core import EigenPair, Mat2
+from .core import EigenPair, Mat2, unlimited_int_digits
 from .core import integer_eigenvalues  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import BudgetExceededError, CorruptCheckpointError
-from .sieve import Hit, chunk_words, sample_hits, sieve_words
+from .sieve import OmegaMember, chunk_words, sample_hits, sieve_words
 from .spectral import compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
@@ -60,15 +63,6 @@ DEFAULT_CENSUS_BUDGET = 10**8
 DEFAULT_SEARCH_BUDGET = 10**6
 
 MODE_EXHAUSTIVE = "exhaustive"
-
-
-@dataclass(frozen=True)
-class OmegaMember:
-    """A word whose matrix has integer eigenvalues, with its witnesses."""
-
-    word: Word
-    matrix: Mat2
-    eigen: EigenPair
 
 
 @dataclass(frozen=True)
@@ -106,17 +100,10 @@ class DensityRow:
         return f"sampled(size={self.sample_size};seed={self.seed})"
 
 
-def _member(hit: Hit) -> OmegaMember:
-    """The member for a leaf hit (exponents, matrix, eigenvalues)."""
-    exponents, m, eig = hit
-    return OmegaMember(Word(exponents[0::2], exponents[1::2]), m, eig)
-
-
 def _census_words(k: int, M: int, n: int, start: int, stop: int):
     """(words tested, members) of each sieve chunk of census words [start, stop),
     skipping the words whose exponents all exceed ``n``."""
-    for tested, hits in sieve_words(r_power, s_power, _exponent_ranges(k, M), n, start, stop):
-        yield tested, list(map(_member, hits))
+    return sieve_words(r_power, s_power, _exponent_ranges(k, M), n, start, stop)
 
 
 def _census_run(task: tuple[int, int, int, int, int]):
@@ -155,7 +142,7 @@ def census_sampled(
         raise ValueError("sample_size must be >= 1")
     n = compute_nk(k).n if use_prefilter else M
     rng = random.Random(seed)
-    members = tuple(map(_member, sample_hits(r_power, s_power, rng, k, M, sample_size, n)))
+    members = tuple(sample_hits(r_power, s_power, rng, k, M, sample_size, n))
     return DensityRow(k, M, members, sample_size, seed)
 
 
@@ -223,10 +210,7 @@ def density_sweep(
             members.extend(chunk_members)
             if checkpoint_path:
                 # while the census runs the file holds only its cursor
-                save_checkpoint(
-                    checkpoint_path, params=params, rows=[], active_m=m_hi,
-                    tested=tested, members=members,
-                )
+                save_checkpoint(checkpoint_path, params=params, tested=tested, members=members)
 
     chunk = chunk_words(_exponent_ranges(k, m_hi))
     # a fork pool starts every worker at its first task, so it gets no more
@@ -254,9 +238,7 @@ def density_sweep(
         for M in range(m_lo, m_hi + 1)
     ]
     if checkpoint_path:
-        save_checkpoint(
-            checkpoint_path, params=params, rows=rows, active_m=None, tested=box, members=members
-        )
+        save_checkpoint(checkpoint_path, params=params, tested=box, members=members, rows=rows)
     return rows
 
 
@@ -297,9 +279,9 @@ def search_counterexamples(
         ranges = [range(1, exp_max + 1)] * 2 if j == 1 else _exponent_ranges(j, exp_max)
         total = math.prod(map(len, ranges))
         stop = min(total, budget - tested)
-        for words, hits in sieve_words(g.b_power, g.a_power, ranges, exp_max, 0, stop):
+        for words, found in sieve_words(g.b_power, g.a_power, ranges, exp_max, 0, stop):
             tested += words
-            members.extend(map(_member, hits))
+            members.extend(found)
         if stop < total:
             return SearchResult(tuple(members), tested, False, generators)
     return SearchResult(tuple(members), tested, True, generators)
@@ -339,7 +321,6 @@ def _row_to_json(row: DensityRow) -> dict:
         "omega_count": row.omega_count,
         "density_num": row.density.numerator,
         "density_den": row.density.denominator,
-        "members": [_member_to_json(m) for m in row.omega_members],
         "mode": row.mode,
         "sample_size": row.sample_size,
         "seed": row.seed,
@@ -353,20 +334,23 @@ def _payload_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+@unlimited_int_digits()
 def save_checkpoint(
     path: str,
     *,
     params: dict,
-    rows: list[DensityRow],
-    active_m: int | None,
     tested: int,
     members: list[OmegaMember],
+    rows: Sequence[DensityRow] = (),
 ) -> None:
+    """Save the census cursor (words tested, members so far) and, at the
+    end, the finished rows, which count the members but do not repeat them;
+    ``active_m`` is the box still being censused, None once rows are saved."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "params": params,
         "rows": [_row_to_json(r) for r in rows],
-        "active_m": active_m,
+        "active_m": None if rows else params["m_hi"],
         "tested": tested,
         "members": [_member_to_json(m) for m in members],
     }
@@ -388,6 +372,7 @@ def save_checkpoint(
         raise
 
 
+@unlimited_int_digits()
 def load_checkpoint(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:

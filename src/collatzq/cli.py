@@ -31,7 +31,7 @@ from .census import (
     density_sweep,
     search_counterexamples,
 )
-from .core import Mat2, rational_fixed_points, FixedPointKind
+from .core import Mat2, rational_fixed_points, FixedPointKind, unlimited_int_digits
 from .errors import CollatzqError, SizeLimitError
 from .verify import SUITES
 from .words import (
@@ -352,10 +352,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_nk(args) -> int:
-    # det_floor = 6^(k(n+1)) passes Python's default 4,300 digits from k = 72;
-    # the certificate is printed in full (the limit is absent before 3.11)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     cert = spectral.compute_nk(args.k)
     # the reduced pair, denominator > 1 for every n >= 1: no gcd, no Fraction
     num, den = spectral.nk_product_value(cert.k, cert.n)
@@ -408,6 +404,9 @@ _HANDLERS = {
 }
 
 
+# exact values are parsed and printed in full, past Python's 4,300 digits
+# (det_floor of `nk` passes it from k = 72)
+@unlimited_int_digits()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ from typing import IO, Iterable
 
 from ._version import VERSION
 from .census import DensityRow, OmegaMember, _member_to_json
+from .core import unlimited_int_digits
 from .dynamics import SweepReport
 
 # sweep CSV rows rendered per write, from one slice of each column.  16,384
@@ -59,6 +60,7 @@ def write_density_csv(rows: Iterable[DensityRow], fh: IO[str], invocation: str) 
         )
 
 
+@unlimited_int_digits()
 def write_members_jsonl(
     members: Iterable[OmegaMember], fh: IO[str], invocation: str
 ) -> None:
@@ -69,6 +71,7 @@ def write_members_jsonl(
         fh.write(json.dumps(_member_to_json(m), sort_keys=True) + "\n")
 
 
+@unlimited_int_digits()
 def read_members_jsonl(fh: IO[str]) -> list[dict]:
     return [json.loads(line) for line in fh if line.strip() and not line.startswith("#")]
 

@@ -18,14 +18,16 @@ survive.  A survivor whose exponents all exceed the prefilter threshold is
 dropped; the others are confirmed on raw Python integers: the product is
 rebuilt from the exponent tuple and its trace and discriminant go through
 ``core.eigen_from_disc`` (``isqrt`` and the parity test).  Objects are
-built only for a confirmed hit: its ``Mat2`` and ``EigenPair``, from those
-integers.
+built only for a confirmed hit: the leaf makes its ``OmegaMember``, whose
+``Mat2`` and ``EigenPair`` come from those integers.
 
+A box whose largest exponent is at most a chunk gets power tables of
+every exponent; past that no chunk has tails, and each call's tables cover
+its own heads' exponents only, so memory follows the chunk, not the box.
 Sampled words are drawn with the same ``getrandbits`` calls as
-``Random.randint`` and sieved in batches with no tails; their power tables
-cover only the exponents each batch draws.  The tests' oracle for the
-sieve is the plain one: every word of a block, multiplied out and given to
-``core.integer_eigenvalues``.
+``Random.randint`` and sieved in batches with no tails.  The tests' oracle
+for the sieve is the plain one: every word of a block, multiplied out and
+given to ``core.integer_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ import functools
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .core import EigenPair, Mat2, eigen_from_disc
-from .words import _exponent_ranges
+from .words import Word, _exponent_ranges
 
 
 def _square_residues(m: int) -> bytes:
@@ -70,8 +73,14 @@ SIEVE_CHUNK_WORDS = 1 << 14
 # A generator is a function n -> G^n as a Mat2, in closed form.
 PowerFn = Callable[[int], Mat2]
 
-# A confirmed hit: its exponent tuple, its matrix and its eigenvalues
-Hit = tuple[tuple[int, ...], Mat2, EigenPair]
+
+@dataclass(frozen=True)
+class OmegaMember:
+    """A word whose matrix has integer eigenvalues, with its witnesses."""
+
+    word: Word
+    matrix: Mat2
+    eigen: EigenPair
 
 
 def _times(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -156,19 +165,22 @@ def _sieve(
 
 
 class _Leaves:
-    """The leaf pipeline for words left^e0 right^e1 left^e2 ... .
+    """The leaf pipeline for words left^e0 right^e1 left^e2 ... with no
+    exponent above ``top``.
 
-    With ``top`` the power tables cover the exponents 0..top, and a table
-    column is its exponent; without it each call builds tables for the
-    exponents of its own heads only, so memory follows the batch, not M.
+    With ``top`` at most a chunk the power tables cover the exponents
+    0..top, and a table column is its exponent.  Past a chunk every range
+    of a box is longer than a chunk, so no call has tails, and each call
+    builds tables for the exponents of its own heads only.
     """
 
-    def __init__(self, left: PowerFn, right: PowerFn, top: int | None = None) -> None:
+    def __init__(self, left: PowerFn, right: PowerFn, top: int) -> None:
         self.generators = (left(1), right(1))
-        self.tables = None if top is None else self._tables(np.arange(top + 1))
+        self.tables = self._tables(np.arange(top + 1)) if top <= SIEVE_CHUNK_WORDS else None
         powers = [lambda e, g=g: g(e).entries() for g in (left, right)]
-        # exponents up to top recur from word to word; drawn ones need not
-        self.powers = tuple(powers if top is None else map(functools.cache, powers))
+        # exponents up to a chunk recur from word to word; past it a cache
+        # would grow with the box
+        self.powers = tuple(powers if self.tables is None else map(functools.cache, powers))
 
     def _tables(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_power_table(g, exponents) for g in self.generators)
@@ -188,10 +200,11 @@ class _Leaves:
 
     def hits(
         self, heads: np.ndarray, tails: list[range], n: int, lo: int, hi: int
-    ) -> Iterator[Hit]:
+    ) -> Iterator[OmegaMember]:
         """The hits among words ``lo`` to ``hi - 1`` of ``heads`` x ``tails``,
         in order; a word whose exponents all exceed ``n`` is not tested."""
         if self.tables is None:
+            assert not tails, "per-call power tables cover heads only"
             values, columns = np.unique(heads.ravel(), return_inverse=True)
             index = _sieve(self._tables(values), columns.reshape(heads.shape), tails)
         else:
@@ -201,7 +214,7 @@ class _Leaves:
         words = np.concatenate([heads[index // tail], _exponents(index % tail, tails)], axis=1)
         for exponents in words.tolist():
             if min(exponents) <= n and (found := self.confirm(exponents)):
-                yield tuple(exponents), *found
+                yield OmegaMember(Word(exponents[0::2], exponents[1::2]), *found)
 
 
 def _exponents(index: np.ndarray, ranges: list[range]) -> np.ndarray:
@@ -231,8 +244,8 @@ def chunk_words(ranges: list[range]) -> int:
 
 def sieve_words(
     left: PowerFn, right: PowerFn, ranges: list[range], n: int, start: int, stop: int
-) -> Iterator[tuple[int, list[Hit]]]:
-    """(words, hits) of each sieve chunk of words ``start`` to ``stop - 1``,
+) -> Iterator[tuple[int, list[OmegaMember]]]:
+    """(words, members) of each sieve chunk of words ``start`` to ``stop - 1``,
     in order.
 
     Words are left^e0 right^e1 left^e2 ... with exponent i in ``ranges[i]``,
@@ -270,12 +283,10 @@ def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray
 
 def sample_hits(
     left: PowerFn, right: PowerFn, rng: random.Random, k: int, M: int, size: int, n: int
-) -> Iterator[Hit]:
-    """The hits among ``size`` words of the (k, M) box drawn with ``rng``,
+) -> Iterator[OmegaMember]:
+    """The members among ``size`` words of the (k, M) box drawn with ``rng``,
     in draw order; a word whose exponents all exceed ``n`` is never a hit."""
-    # a box whose exponents fit a chunk gets whole tables, no larger than the
-    # tables of a batch's own exponents would be
-    leaves = _Leaves(left, right, M if M < SIEVE_CHUNK_WORDS else None)
+    leaves = _Leaves(left, right, M)
     # a batch of draws holds as many exponents as a chunk holds words
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
     for start in range(0, size, batch):

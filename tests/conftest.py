@@ -2,10 +2,13 @@
 
 pytest finds the package through ``pythonpath`` in ``pyproject.toml``, which
 does not reach a ``python -m collatzq`` subprocess; the session puts the
-package's parent directory at the front of ``PYTHONPATH`` for those.
+package's parent directory at the front of ``PYTHONPATH`` for those.  No
+test may leave Python's int-to-str digit limit changed, so that no test
+passes or fails by the order it runs in.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,24 @@ def package_on_child_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", root, prepend=os.pathsep)
         yield
+
+
+@pytest.fixture(autouse=True)
+def digit_limit_unchanged():
+    """Fail a test that leaves the limit changed (Python 3.11 on has one)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if limit is not None and (after := sys.get_int_max_str_digits()) != limit:
+        sys.set_int_max_str_digits(limit)
+        pytest.fail(f"the test left the int-to-str digit limit at {after}, not {limit}")
+
+
+@pytest.fixture
+def low_digit_limit():
+    """The int-to-str digit limit lowered to 640 digits for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.11 has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)

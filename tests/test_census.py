@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from collatzq import (
     GeneratorPair,
     Mat2,
+    OmegaMember,
+    Word,
     census,
     census_sampled,
     density_sweep,
@@ -25,6 +28,7 @@ from collatzq import (
     save_checkpoint,
     search_counterexamples,
     theorem_density_bound,
+    word_eval,
     word_eval_general,
 )
 from collatzq.census import _census_words, _member_to_json
@@ -181,8 +185,6 @@ class TestPoolSize:
         save_checkpoint(
             path,
             params={"k": 1, "m_lo": 200, "m_hi": 200, "prefilter": True},
-            rows=[],
-            active_m=200,
             tested=40000,
             members=[m for _, found in _census_words(1, 200, 200, 0, 40000) for m in found],
         )
@@ -253,8 +255,6 @@ class TestCheckpoints:
             save_checkpoint(
                 path,
                 params={"k": 1, "m_lo": 6, "m_hi": 6, "prefilter": True},
-                rows=[],
-                active_m=6,
                 tested=cut,
                 members=members,
             )
@@ -268,8 +268,6 @@ class TestCheckpoints:
         save_checkpoint(
             path,
             params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
-            rows=[],
-            active_m=None,
             tested=0,
             members=[],
         )
@@ -422,13 +420,13 @@ class TestCheckpoints:
         real_save = census_mod.save_checkpoint
 
         def counting(path, **state):
-            saved.append(state["active_m"])
+            saved.append(len(state.get("rows", ())))
             real_save(path, **state)
 
         monkeypatch.setattr(census_mod, "save_checkpoint", counting)
         density_sweep(2, (1, 14), checkpoint_path=str(tmp_path / "ck.json"))
         chunks = -(-lambda_count(2, 14) // sieve_mod.chunk_words(_exponent_ranges(2, 14)))
-        assert saved == [14] * chunks + [None]
+        assert saved == [0] * chunks + [14]  # the rows, M = 1..14, at the end
         assert len(saved) == 4
 
     def test_final_file_holds_every_row(self, tmp_path):
@@ -440,6 +438,36 @@ class TestCheckpoints:
         assert state["rows"] == [census_mod._row_to_json(r) for r in rows]
         assert state["tested"] == lambda_count(1, 7)
         assert state["members"] == [_member_to_json(m) for m in rows[-1].omega_members]
+
+    def test_final_file_holds_each_member_once(self, tmp_path):
+        # the rows of M = 1..40 nest, so their 40 * 41 + 40 member slots are
+        # 81 members; the file holds only the cursor's list of them
+        path = str(tmp_path / "ck.json")
+        rows = density_sweep(1, (1, 40), checkpoint_path=path)
+        text = open(path, encoding="utf-8").read()
+        assert text.count('"betas"') == rows[-1].omega_count == 81
+        assert [r["omega_count"] for r in load_checkpoint(path)["rows"]] == [
+            row.omega_count for row in rows
+        ]
+        assert density_sweep(1, (1, 40), checkpoint_path=path, resume=True) == rows
+
+    def test_members_past_the_digit_limit_save_and_resume(self, tmp_path, low_digit_limit):
+        # R^1400 has the entry 3^1400, of 668 digits: a cursor just past its
+        # word (1400, 0) of the (1, 1400) box holds every member of the box
+        M = 1400
+        words = [Word((0,), (a,)) for a in range(M + 1)] + [
+            Word((b,), (0,)) for b in range(1, M + 1)
+        ]
+        members = [OmegaMember(w, word_eval(w), integer_eigenvalues(word_eval(w)))
+                   for w in words]
+        assert members[-1].matrix.a > 10**low_digit_limit
+        path = str(tmp_path / "ck.json")
+        params = {"k": 1, "m_lo": M, "m_hi": M, "prefilter": True}
+        save_checkpoint(path, params=params, tested=M * (M + 1) + 1, members=members)
+        [row] = density_sweep(1, (M, M), checkpoint_path=path, resume=True)
+        assert row.omega_members == tuple(members)
+        state = load_checkpoint(path)
+        assert (state["tested"], len(state["members"])) == (lambda_count(1, M), 2 * M + 1)
 
     def test_over_budget_box_refused_before_the_first_save(self, tmp_path, monkeypatch):
         # the boxes of M = 1..3 fit a budget of 200 words, the 400 of M = 4 do not
@@ -459,8 +487,6 @@ class TestCheckpoints:
         save_checkpoint(
             path,
             params={"k": 1, "m_lo": 1, "m_hi": 1, "prefilter": True},
-            rows=[],
-            active_m=1,
             tested=tested,
             members=list(census(1, 1).omega_members)[:members],
         )
@@ -475,8 +501,6 @@ class TestCheckpoints:
         save_checkpoint(
             path,
             params={"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
-            rows=[],
-            active_m=3,
             tested=16,
             members=list(fresh[-1].omega_members),
         )
@@ -511,7 +535,8 @@ class TestCheckpoints:
                 seen = states[workers] = []
 
                 def recording(path, seen=seen, **state):
-                    seen.append((state["active_m"], state["tested"], list(state["members"])))
+                    rows = len(state.get("rows", ()))
+                    seen.append((rows, state["tested"], list(state["members"])))
                     real_save(path, **state)
 
                 monkeypatch.setattr(census_mod, "save_checkpoint", recording)
@@ -524,6 +549,18 @@ class TestCheckpoints:
 
 
 class TestSearch:
+    def test_tables_follow_the_budget_not_the_box(self):
+        # past a chunk each call tabulates only its own words' exponents;
+        # tables of every exponent up to 10^6 would hold 80 MB
+        tracemalloc.start()
+        try:
+            result = search_counterexamples(1, 10**6, budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.words_tested, result.complete) == (10, False)
+        assert peak < 4 * 2**20
+
     def test_defaults_empty_k2(self):
         result = search_counterexamples(2, 6)
         assert result.members == ()

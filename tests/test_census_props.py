@@ -256,17 +256,14 @@ def test_sieve_survivors_cover_oracle_hits(k, g, swap, data):
     start, size = block_range(k, M, b1, a1)
     limit = data.draw(st.integers(0, size + 2))
     block = [w.exponents() for w in enumerate_lambda_block(k, M, b1, a1)][:limit]
-    # each hit carries the word's product and its eigenvalues
-    expected = []
-    for exponents in block:
-        m = product(left, right, exponents)
-        if (eigen := integer_eigenvalues(m)) is not None:
-            expected.append((exponents, m, eigen))
+    # the leaf builds each member: its word, product and eigenvalues
+    words = [Word(e[0::2], e[1::2]) for e in block]
+    expected = oracle_members(words, lambda w: product(left, right, w.exponents()))
 
     leaves = sieve_mod._Leaves(left, right, M)
     ranges = _exponent_ranges(k, M)
     survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), ranges[2:])
-    assert {block.index(h[0]) for h in expected} <= set(survivors.tolist())
+    assert {words.index(h.word) for h in expected} <= set(survivors.tolist())
 
     chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + len(block)))
     found = [h for _, chunk in chunks for h in chunk]
@@ -342,12 +339,78 @@ def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
     assert rows == [math.ceil(5000 / 1640)]
     block = itertools.islice(enumerate_lambda_block(3, 40, 0, 1), 5000)
     expected = oracle_members(block, word_eval)
-    assert (tested, [h[0] for h in found]) == (5000, [m.word.exponents() for m in expected])
+    assert (tested, found) == (5000, expected)
     # words 3,000 to 7,999 of a chunk inside the box: its heads 1 to 4
     rows.clear()
     start = 9 * 1640 * 1000 + 3000
     [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 40, start, start + 5000)
     assert tested == 5000 and rows == [4]
+
+
+@pytest.fixture
+def whole_tables(monkeypatch):
+    """For each leaf pipeline built, whether it has whole power tables."""
+    built = []
+    init = sieve_mod._Leaves.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self.tables is not None)
+
+    monkeypatch.setattr(sieve_mod._Leaves, "__init__", recording)
+    return built
+
+
+def table_edges(top):
+    """(chunk, whole tables?) about a box's largest exponent ``top``:
+    per-call tables at top = chunk + 1, whole ones from top = chunk down."""
+    return [(top - 1, False), (top, True), (top + 1, True)]
+
+
+@pytest.mark.parametrize("k,M", [(1, 9), (2, 5), (3, 3)])
+def test_census_same_with_whole_and_per_call_tables(k, M, whole_tables, monkeypatch):
+    expected = oracle_members(enumerate_lambda(k, M), word_eval)
+    for chunk, whole in table_edges(M):
+        monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
+        for prefilter in (True, False):
+            assert list(census(k, M, prefilter).omega_members) == expected, chunk
+        assert whole_tables == [whole, whole]
+        whole_tables.clear()
+
+
+@pytest.mark.parametrize("g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(2, 1, 1, 2)])
+@pytest.mark.parametrize("k,exp_max,budget", [(1, 12, 200), (2, 4, 120), (3, 3, 1000)])
+def test_search_same_with_whole_and_per_call_tables(
+    g, k, exp_max, budget, whole_tables, monkeypatch
+):
+    expected = search_oracle(k, exp_max, g, budget)
+    for chunk, whole in table_edges(exp_max):
+        monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
+        result = search_counterexamples(k, exp_max, g, budget)
+        assert (result.members, result.words_tested, result.complete) == expected, chunk
+        assert set(whole_tables) == {whole}
+        whole_tables.clear()
+
+
+@pytest.mark.parametrize("g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(2, 1, 1, 2)])
+@pytest.mark.parametrize("exp_max", [16384, 16385])
+def test_search_at_a_chunk_of_exponents(g, exp_max, whole_tables):
+    # the real chunk: a one-block box of top 16,384 has tails of 16,384
+    # words and whole tables; one more exponent and every word is a head
+    result = search_counterexamples(1, exp_max, g, 300)
+    assert (result.members, result.words_tested, result.complete) == search_oracle(
+        1, exp_max, g, 300
+    )
+    assert whole_tables == [exp_max == sieve_mod.SIEVE_CHUNK_WORDS]
+
+
+@pytest.mark.parametrize("k,M", [(1, 30), (2, 8), (3, 5)])
+def test_sampled_same_with_whole_and_per_call_tables(k, M, whole_tables, monkeypatch):
+    for chunk, whole in table_edges(M):
+        monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
+        check_sampled_against_oracle(k, M, 200, seed=k * M)
+        assert whole_tables == [whole, whole]
+        whole_tables.clear()
 
 
 @pytest.mark.parametrize("k,M", [(1, 9), (2, 7), (3, 4)])

@@ -15,9 +15,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatzq.cli as cli_mod
-from collatzq import DensityRow, Mat2, OmegaMember, Word, compute_nk, kernels, reports, spectral
+from collatzq import (
+    DensityRow,
+    GeneratorPair,
+    Mat2,
+    OmegaMember,
+    Word,
+    compute_nk,
+    kernels,
+    reports,
+    search_counterexamples,
+    spectral,
+)
+from collatzq.census import _member_to_json
 from collatzq._version import VERSION
-from collatzq.core import EigenPair
+from collatzq.core import EigenPair, unlimited_int_digits
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
 from test_dynamics import subtractive_factor, word_matrix
@@ -45,17 +57,6 @@ def run_main(*argv):
         except SystemExit as exc:  # argparse refusals
             code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-def run_nk(k, command=("nk",)):
-    """run_main of `nk --k K` (or of another command with --k K), putting
-    back the int-to-str digit limit that `nk` lifts."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    try:
-        return run_main(*command, "--k", str(k))
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 @st.composite
@@ -330,14 +331,32 @@ class TestSmallCommands:
 
     def test_nk_prints_certificates_past_the_digit_limit(self):
         # det_floor = 6^(100 * 107) has 8,327 digits, past Python's default
-        # limit of 4,300 on int-to-str conversion; main lifts it, and run_nk
-        # puts it back
-        code, out, err = run_nk(100)
-        payload = json.loads(out)
+        # limit of 4,300 on int-to-str conversion; main lifts it while it
+        # runs, and so must the reader
+        code, out, err = run_main("nk", "--k", "100")
+        with unlimited_int_digits():
+            payload = json.loads(out)
         cert = compute_nk(100)
         assert (code, err) == (0, "")
         assert payload["n"] == cert.n == 106
         assert payload["det_floor"] == cert.det_floor == 6 ** (100 * 107)
+
+    def test_integers_past_the_digit_limit_in_and_out(self, low_digit_limit, tmp_path):
+        # with the limit at 640 digits: the members of B A^a over the pair
+        # (2, 1, 1, 2) reach 3^2200, of 1,050 digits
+        out = tmp_path / "hits.jsonl"
+        code, _, err = run_main("search", "--k", "1", "--exp-max", "2200", "--budget", "2200",
+                                "--generators", "2,1,1,2", "--out", str(out))
+        assert (code, err.splitlines()[-1]) == (
+            0, "tested 2200 words, found 2200 with integer eigenvalues")
+        result = search_counterexamples(1, 2200, GeneratorPair(2, 1, 1, 2), 2200)
+        assert max(result.members[-1].matrix.entries()) > 10**low_digit_limit
+        with open(out, encoding="utf-8") as fh:
+            assert reports.read_members_jsonl(fh) == list(map(_member_to_json, result.members))
+        # a start of 701 digits parses and prints
+        start = "1/1" + "0" * 700
+        code, out, _ = run_main("orbit", "--value", start, "--max-steps", "1")
+        assert (code, out.splitlines()[0]) == (1, start)
 
     @pytest.mark.parametrize("k, digest", [
         (72, "ff07ec34734fc75b583fe33967d37a62e8f565865bf3fa050e40548da50273f0"),
@@ -346,7 +365,7 @@ class TestSmallCommands:
     def test_nk_output_bytes_are_pinned(self, k, digest):
         # sha256 of the stdout of `nk --k K` as printed through Fraction and
         # frac_str; the reduced pair must print the same bytes
-        code, out, err = run_nk(k)
+        code, out, err = run_main("nk", "--k", str(k))
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -355,7 +374,7 @@ class TestSmallCommands:
     def test_k_over_the_certificate_limit_exit_2(self, argv):
         # refused before the certificate's big-int tests, which grow steeply with k
         k = spectral.MAX_NK_K + 1
-        assert run_nk(k, argv) == (
+        assert run_main(*argv, "--k", str(k)) == (
             2, "", f"error: k={k} is over the limit {spectral.MAX_NK_K} for the n(k) certificate\n")
 
     def test_fixed_point(self, capsys):
