@@ -8,13 +8,9 @@ may skip words it certifies, never admit any, so results are identical with
 it on or off.
 
 Work is addressed by word ranges [start, stop) of the box's lexicographic
-order, and its unit is a sieve chunk of at most ``SIEVE_CHUNK_WORDS``
-words.  Census ranges, sampled draws and search boxes all go through the
-leaf pipeline of ``sieve``: an exact int64 modular sieve in numpy, then an
-exact test of its few survivors on raw Python integers.  Only a confirmed
-hit becomes an object: the leaf builds its ``OmegaMember`` (re-exported
-here), with the matrix and eigenvalues from those integers.  A search cuts
-its budget at a word.
+order, in sieve chunks.  Census ranges, sampled draws and search boxes all
+go through the leaf pipeline of ``sieve``, which builds each confirmed
+hit's ``OmegaMember`` (re-exported here).  A search cuts its budget at a word.
 
 A ``density_sweep`` is one census of its largest box, since every smaller
 box is the words of that box with no exponent above its M; each row is
@@ -23,10 +19,10 @@ dispatched to a process pool in contiguous runs and merged in word order,
 so the worker count changes neither output bytes nor the checkpoint
 saves; the pool never has more workers than cores or chunks left.  The
 checkpoint, saved after every merged chunk, holds one cursor (words
-tested, members so far) into the census, and the final save adds the
-finished rows as counts, so each member is stored once.  Resuming from any
-word reproduces the uninterrupted result bit for bit; a cursor that does
-not fit the box is refused.
+tested, members so far as words) into the census, and the final save adds
+the finished rows as counts.  Resuming from any word reproduces the
+uninterrupted result bit for bit: the leaf re-proves and builds every
+stored member, and refuses the file unless each is a member before the cursor.
 """
 
 from __future__ import annotations
@@ -41,16 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import EigenPair, Mat2, unlimited_int_digits
 from .core import integer_eigenvalues  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import BudgetExceededError, CorruptCheckpointError
-from .sieve import OmegaMember, chunk_words, sample_hits, sieve_words
+from .sieve import OmegaMember, chunk_words, confirm_words, sample_hits, sieve_words
 from .spectral import compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
     DEFAULT_GENERATORS,
     GeneratorPair,
-    Word,
     _exponent_ranges,
     enumerate_lambda_block,  # noqa: F401  (traced here by perfbench/spans.py)
     lambda_count,
@@ -61,8 +55,6 @@ from .words import (
 
 DEFAULT_CENSUS_BUDGET = 10**8
 DEFAULT_SEARCH_BUDGET = 10**6
-
-MODE_EXHAUSTIVE = "exhaustive"
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ class DensityRow:
     @property
     def mode(self) -> str:
         if self.sample_size is None:
-            return MODE_EXHAUSTIVE
+            return "exhaustive"
         return f"sampled(size={self.sample_size};seed={self.seed})"
 
 
@@ -127,11 +119,7 @@ def census(k: int, M: int, use_prefilter: bool = True, *, workers: int = 1) -> D
 
 
 def census_sampled(
-    k: int,
-    M: int,
-    sample_size: int,
-    seed: int,
-    use_prefilter: bool = True,
+    k: int, M: int, sample_size: int, seed: int, use_prefilter: bool = True
 ) -> DensityRow:
     """Seeded uniform draw over the exponent box, for sizes beyond budget.
 
@@ -154,13 +142,8 @@ def theorem_density_bound(k: int, M: int, n: int) -> Fraction | None:
 
 
 def density_sweep(
-    k: int,
-    m_range: tuple[int, int],
-    use_prefilter: bool = True,
-    *,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    resume: bool = False,
+    k: int, m_range: tuple[int, int], use_prefilter: bool = True, *, workers: int = 1,
+    checkpoint_path: str | None = None, resume: bool = False,
 ) -> list[DensityRow]:
     """One row per M in ascending order, with the proof's bound attached.
 
@@ -190,13 +173,8 @@ def density_sweep(
             raise CorruptCheckpointError(
                 f"checkpoint parameters {state['params']} do not match {params}"
             )
-        tested, members = state["tested"], list(map(_member_from_json, state["members"]))
-        # a cursor outside the census would end in wrong counts
-        if type(tested) is not int or not len(members) <= tested <= box:
-            raise CorruptCheckpointError(
-                f"checkpoint cursor ({tested} words, {len(members)} members) "
-                f"does not fit the {box} words of census M={m_hi}"
-            )
+        tested = state["tested"]
+        members = _resumed_members(state["members"], _exponent_ranges(k, m_hi), n, tested)
     if box > DEFAULT_CENSUS_BUDGET:
         raise BudgetExceededError(
             f"|box(k={k}, M={m_hi})| = {box} exceeds budget {DEFAULT_CENSUS_BUDGET}"
@@ -291,7 +269,11 @@ def search_counterexamples(
 # Checkpoint files
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+# the payload's keys and the JSON types of their values (a bool is no int)
+_PAYLOAD_TYPES = {"version": (int,), "params": (dict,), "rows": (list,),
+                  "active_m": (int, type(None)), "tested": (int,), "members": (list,)}
 
 
 def _member_to_json(m: OmegaMember) -> dict:
@@ -303,14 +285,6 @@ def _member_to_json(m: OmegaMember) -> dict:
         "lambda": m.eigen.lam,
         "mu": m.eigen.mu,
     }
-
-
-def _member_from_json(d: dict) -> OmegaMember:
-    return OmegaMember(
-        Word(tuple(d["betas"]), tuple(d["alphas"])),
-        Mat2(*d["matrix"]),
-        EigenPair(d["lambda"], d["mu"]),
-    )
 
 
 def _row_to_json(row: DensityRow) -> dict:
@@ -329,39 +303,59 @@ def _row_to_json(row: DensityRow) -> dict:
     }
 
 
-def _payload_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _resumed_members(words: list, ranges: list[range], n: int, tested: int) -> list[OmegaMember]:
+    """The members a checkpoint lists as words, re-proved and built by the
+    sieve's leaf; refused unless they are members of the box, in its order,
+    and the cursor ``tested`` passes the last of them and stays in the box."""
+    # checked before any table lookup, where a negative exponent indexes from the end
+    for w in words:
+        if type(w) is not list or len(w) != len(ranges) or not all(
+                type(e) is int and e in r for e, r in zip(w, ranges)):
+            raise CorruptCheckpointError(f"checkpoint member {w!r} is not a word of the box")
+    if any(a >= b for a, b in zip(words, words[1:])):
+        raise CorruptCheckpointError("checkpoint members are not in increasing box order")
+    last = -1  # the last member's index in box order
+    if words:
+        last = 0
+        for e, r in zip(words[-1], ranges):
+            last = last * len(r) + e - r.start
+    box = math.prod(map(len, ranges))
+    if not last < tested <= box:
+        raise CorruptCheckpointError(
+            f"checkpoint cursor ({tested} words) does not pass its last member, "
+            f"word {last}, or does not fit the {box} words of the box"
+        )
+    members = list(confirm_words(r_power, s_power, ranges, n, words))
+    if len(members) != len(words):
+        raise CorruptCheckpointError("checkpoint lists a word that is not a member")
+    return members
 
 
-@unlimited_int_digits()
 def save_checkpoint(
-    path: str,
-    *,
-    params: dict,
-    tested: int,
-    members: list[OmegaMember],
+    path: str, *, params: dict, tested: int, members: list[OmegaMember],
     rows: Sequence[DensityRow] = (),
 ) -> None:
-    """Save the census cursor (words tested, members so far) and, at the
-    end, the finished rows, which count the members but do not repeat them;
-    ``active_m`` is the box still being censused, None once rows are saved."""
+    """Save the census cursor (words tested, members so far as exponent
+    lists) and, at the end, the finished rows, which count the members but do
+    not repeat them; ``active_m`` is the box still being censused, None once
+    rows are saved.  The file is a header line, the version and the sha256
+    of the second line, then the payload's canonical JSON on that line."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "params": params,
         "rows": [_row_to_json(r) for r in rows],
         "active_m": None if rows else params["m_hi"],
         "tested": tested,
-        "members": [_member_to_json(m) for m in members],
+        "members": [m.word.exponents() for m in members],
     }
-    payload["sha256"] = _payload_hash(payload)
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    header = {"sha256": hashlib.sha256(body).hexdigest(), "version": CHECKPOINT_VERSION}
     # a complete temp file replaces the old one, so a crash mid-write leaves
     # the previous checkpoint intact
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        with open(fd, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + body + b"\n")
             # on disk before it replaces the old file, so a power loss
             # cannot leave a renamed but empty checkpoint
             fh.flush()
@@ -372,16 +366,22 @@ def save_checkpoint(
         raise
 
 
-@unlimited_int_digits()
 def load_checkpoint(path: str) -> dict:
+    """The payload of a checkpoint file, once its version, its digest and
+    the keys and JSON types of the payload check out."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            header, body = json.loads(fh.readline()), fh.readline().removesuffix(b"\n")
+        if type(header) is not dict or header.get("version") != CHECKPOINT_VERSION:
+            raise CorruptCheckpointError(f"unsupported checkpoint version in {path}")
+        if header.get("sha256") != hashlib.sha256(body).hexdigest():
+            raise CorruptCheckpointError(f"checkpoint {path} failed its content hash")
+        # a ValueError here is malformed JSON or an integer past the digit limit
+        payload = json.loads(body)
+    except (OSError, ValueError) as exc:
         raise CorruptCheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
-        raise CorruptCheckpointError(f"unsupported checkpoint version in {path}")
-    recorded = payload.pop("sha256", None)
-    if recorded != _payload_hash(payload):
-        raise CorruptCheckpointError(f"checkpoint {path} failed its content hash")
+    if type(payload) is not dict or payload.keys() != _PAYLOAD_TYPES.keys() or not all(
+            type(payload[key]) in types for key, types in _PAYLOAD_TYPES.items()
+    ) or payload["version"] != CHECKPOINT_VERSION:
+        raise CorruptCheckpointError(f"checkpoint {path} does not hold a census cursor's fields")
     return payload

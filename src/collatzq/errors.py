@@ -42,4 +42,4 @@ class BudgetExceededError(CollatzqError, RuntimeError):
 
 
 class CorruptCheckpointError(CollatzqError, RuntimeError):
-    """Checkpoint file failed hash, version, or parameter validation."""
+    """Checkpoint file failed its version, hash, fields, parameters or members."""

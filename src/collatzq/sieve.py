@@ -24,8 +24,8 @@ built only for a confirmed hit: the leaf makes its ``OmegaMember``, whose
 A box whose largest exponent is at most a chunk gets power tables of
 every exponent; past that no chunk has tails, and each call's tables cover
 its own heads' exponents only, so memory follows the chunk, not the box.
-Sampled words are drawn with the same ``getrandbits`` calls as
-``Random.randint`` and sieved in batches with no tails.  The tests' oracle
+Sampled words (drawn by the ``getrandbits`` calls of ``Random.randint``)
+and a checkpoint's stored words are heads with no tails.  The tests' oracle
 for the sieve is the plain one: every word of a block, multiplied out and
 given to ``core.integer_eigenvalues``.
 """
@@ -38,7 +38,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -185,19 +185,6 @@ class _Leaves:
     def _tables(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_power_table(g, exponents) for g in self.generators)
 
-    def confirm(self, exponents: Iterable[int]) -> tuple[Mat2, EigenPair] | None:
-        """The word's matrix and integer eigenvalues, or None: the exact
-        test, on the raw-integer product of the word."""
-        xa, xb, xc, xd = 1, 0, 0, 1
-        for i, e in enumerate(exponents):
-            ga, gb, gc, gd = self.powers[i % 2](e)
-            xa, xb, xc, xd = (
-                xa * ga + xb * gc, xa * gb + xb * gd, xc * ga + xd * gc, xc * gb + xd * gd
-            )
-        tr = xa + xd
-        eigen = eigen_from_disc(tr, tr * tr - 4 * (xa * xd - xb * xc))
-        return None if eigen is None else (Mat2(xa, xb, xc, xd), eigen)
-
     def hits(
         self, heads: np.ndarray, tails: list[range], n: int, lo: int, hi: int
     ) -> Iterator[OmegaMember]:
@@ -213,8 +200,19 @@ class _Leaves:
         tail = math.prod(map(len, tails))
         words = np.concatenate([heads[index // tail], _exponents(index % tail, tails)], axis=1)
         for exponents in words.tolist():
-            if min(exponents) <= n and (found := self.confirm(exponents)):
-                yield OmegaMember(Word(exponents[0::2], exponents[1::2]), *found)
+            if min(exponents) > n:
+                continue
+            # the exact test, on the raw-integer product of the word
+            xa, xb, xc, xd = 1, 0, 0, 1
+            for i, e in enumerate(exponents):
+                ga, gb, gc, gd = self.powers[i % 2](e)
+                xa, xb, xc, xd = (
+                    xa * ga + xb * gc, xa * gb + xb * gd, xc * ga + xd * gc, xc * gb + xd * gd
+                )
+            tr = xa + xd
+            if (eigen := eigen_from_disc(tr, tr * tr - 4 * (xa * xd - xb * xc))) is not None:
+                word = Word(exponents[0::2], exponents[1::2])
+                yield OmegaMember(word, Mat2(xa, xb, xc, xd), eigen)
 
 
 def _exponents(index: np.ndarray, ranges: list[range]) -> np.ndarray:
@@ -263,6 +261,15 @@ def sieve_words(
         h = lo // tail  # the first head the range reaches in this chunk
         heads = _exponents(np.arange(h, -(-hi // tail)), ranges[:p])
         yield hi - lo, list(leaves.hits(heads, ranges[p:], n, lo - h * tail, hi - h * tail))
+
+
+def confirm_words(
+    left: PowerFn, right: PowerFn, ranges: list[range], n: int, words: list[list[int]]
+) -> Iterator[OmegaMember]:
+    """The members among ``words``, exponent lists of the box ``ranges``, in
+    order, each re-proved and built by the leaf as a sieved word is."""
+    heads = np.array(words, dtype=np.int64).reshape(-1, len(ranges))
+    return _Leaves(left, right, max(r.stop for r in ranges) - 1).hits(heads, [], n, 0, len(heads))
 
 
 def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:

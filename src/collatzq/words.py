@@ -48,11 +48,7 @@ class Word:
 
     def exponents(self) -> tuple[int, ...]:
         """Interleaved (beta_1, alpha_1, ..., beta_k, alpha_k)."""
-        out = []
-        for b, a in zip(self.betas, self.alphas):
-            out.append(b)
-            out.append(a)
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(zip(self.betas, self.alphas)))
 
 
 def format_word_compact(w: Word) -> str:
@@ -125,11 +121,8 @@ def lambda_count(k: int, M: int) -> int:
 
 
 def _exponent_ranges(k: int, M: int) -> list[range]:
-    ranges: list[range] = []
-    for i in range(k):
-        ranges.append(range(0, M + 1) if i == 0 else range(1, M + 1))
-        ranges.append(range(1, M + 1) if i < k - 1 else range(0, M + 1))
-    return ranges
+    """beta_1 and alpha_k run over [0, M], the interior exponents over [1, M]."""
+    return [range(0, M + 1), *[range(1, M + 1)] * (2 * k - 2), range(0, M + 1)]
 
 
 def enumerate_lambda(k: int, M: int) -> Iterator[Word]:

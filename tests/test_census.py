@@ -1,15 +1,17 @@
 """Census engine: exact counts, prefilter transparency, checkpoints, search."""
 
 import concurrent.futures
+import contextlib
+import hashlib
 import importlib
 import io
-import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,8 @@ from collatzq import (
     word_eval_general,
 )
 from collatzq.census import _census_words, _member_to_json
+from collatzq.cli import main
+from collatzq.core import unlimited_int_digits
 from collatzq.errors import BudgetExceededError, CorruptCheckpointError
 from collatzq.reports import read_members_jsonl, write_density_csv, write_members_jsonl
 from collatzq.spectral import compute_nk
@@ -212,33 +216,124 @@ class TestPoolSize:
         assert sizes == [2]  # an unknown core count runs in this process
 
 
+class Crash(RuntimeError):
+    """A kill injected into a checkpoint save."""
+
+
+@pytest.fixture
+def kill_save(monkeypatch):
+    """``kill_save(n, at)`` kills the n-th checkpoint save from then on (none
+    for n = None) and returns the (active_m, tested) of every save begun,
+    read from its temp file as it is synced.  At "write" the temp file is
+    torn to half its bytes; at "replace" it is whole and synced, but has not
+    replaced the checkpoint yet."""
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def arm(n=None, at="write"):
+        saves = []
+
+        def fsync(fd):
+            size = os.fstat(fd).st_size
+            state = json.loads(os.pread(fd, size, 0).split(b"\n")[1])
+            saves.append((state["active_m"], state["tested"]))
+            if len(saves) == n and at == "write":
+                os.ftruncate(fd, size // 2)
+                raise Crash
+            real_fsync(fd)
+
+        def replace(src, dst):
+            if len(saves) == n and at == "replace":
+                raise Crash
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return saves
+
+    return arm
+
+
+def write_checkpoint(path, payload, version=None):
+    """A file of the checkpoint format with a valid digest, for any payload:
+    version 4's header and canonical JSON line, or with ``version`` < 4 the
+    single line of versions 1 to 3, whose sha256 sat inside the payload."""
+    with unlimited_int_digits():  # for a planted integer past the limit
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    if version is None:
+        header = json.dumps({"sha256": digest, "version": 4}, sort_keys=True)
+        text = f"{header}\n{body}\n"
+    else:
+        text = json.dumps({**payload, "sha256": digest}) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def cursor(k, m_hi, tested, members, **changes):
+    """A mid-census payload of the (k, 1..m_hi) sweep, with ``changes``."""
+    payload = {"version": 4, "params": {"k": k, "m_lo": 1, "m_hi": m_hi, "prefilter": True},
+               "rows": [], "active_m": m_hi, "tested": tested, "members": members}
+    payload.update(changes)
+    return payload
+
+
+def without(payload, key):
+    return {name: value for name, value in payload.items() if name != key}
+
+
+# checkpoints with valid digests that a resume refuses: (payload, message)
+REFUSED_CHECKPOINTS = {
+    # (1,1,1,1) is no k = 2 member; at the parent its stored "matrix" was
+    # trusted, and the run exited 1 with a counterexample
+    "fake k=2 member": (cursor(2, 2, 36, [[1, 1, 1, 1]]), "not a member"),
+    "negative exponent": (cursor(1, 3, 16, [[-1, 0]]), "not a word of the box"),
+    "exponent above m_hi": (cursor(1, 3, 16, [[0, 4]]), "not a word of the box"),
+    "too few exponents": (cursor(1, 3, 16, [[0]]), "not a word of the box"),
+    "bool exponent": (cursor(1, 3, 16, [[0, True]]), "not a word of the box"),
+    "unsorted members": (cursor(1, 3, 16, [[0, 1], [0, 0]]), "box order"),
+    "duplicate member": (cursor(1, 3, 16, [[0, 0], [0, 0]]), "box order"),
+    "member at the cursor": (cursor(1, 3, 1, [[0, 0], [0, 1]]), "cursor"),
+    "member past the cursor": (cursor(1, 3, 1, [[1, 0]]), "cursor"),
+    "non-member": (cursor(1, 3, 16, [[1, 1]]), "not a member"),
+    # all exponents above n(1) = 2: the prefilter proves it is no member
+    "member the prefilter excludes": (cursor(1, 3, 16, [[3, 3]]), "not a member"),
+    "missing members": (without(cursor(1, 3, 16, []), "members"), "fields"),
+    "extra key": (cursor(1, 3, 16, [], sha256="0"), "fields"),
+    "members not a list": (cursor(1, 3, 16, {}), "fields"),
+    "rows not a list": (cursor(1, 3, 16, [], rows=None), "fields"),
+    "payload version 3": (cursor(1, 3, 16, [], version=3), "fields"),
+    # past the digit limit the library cannot parse it; the CLI, which lifts
+    # the limit, finds it past the box
+    "cursor past the digit limit": (cursor(1, 3, 10**5000, []), "cannot read|cursor"),
+}
+
+
+def run_density(path, k, m_hi):
+    """(exit code, stdout, stderr) of the `density` CLI resumed from ``path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["density", "--k", str(k), "--m-range", f"1..{m_hi}", "--threads", "1",
+                     "--checkpoint", str(path), "--resume"])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestCheckpoints:
-    def test_interrupt_and_resume_identical(self, tmp_path, monkeypatch):
+    def test_interrupt_and_resume_identical(self, tmp_path, monkeypatch, kill_save):
         # a crash at the final save leaves the complete cursor, and resuming
         # from it reads the rows off its members without sieving a word
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(2, (1, 4))
-        real_dump = json.dump
-
-        class Crash(RuntimeError):
-            pass
-
-        def dump_or_crash(obj, fh, *args, **kwargs):
-            if obj["active_m"] is None:
-                raise Crash
-            real_dump(obj, fh, *args, **kwargs)
-
-        monkeypatch.setattr(json, "dump", dump_or_crash)
+        saves = kill_save(2, "replace")
         with pytest.raises(Crash):
             density_sweep(2, (1, 4), checkpoint_path=path)
-        monkeypatch.setattr(json, "dump", real_dump)
+        assert saves == [(4, 400), (None, 400)]  # the box's one chunk, then the rows
         state = load_checkpoint(path)
         assert (state["active_m"], state["tested"], state["rows"]) == (4, lambda_count(2, 4), [])
 
-        def no_sieve(*args):
-            raise AssertionError("resume sieved a word")
+        def no_sieve(left, right, ranges, n, start, stop):
+            assert start == stop, "resume sieved a word"
+            return iter(())
 
-        monkeypatch.setattr(sieve_mod, "_Leaves", no_sieve)
+        monkeypatch.setattr(census_mod, "sieve_words", no_sieve)
         resumed = density_sweep(2, (1, 4), checkpoint_path=path, resume=True)
         assert resumed == fresh
         # and from the finished file as well
@@ -283,22 +378,29 @@ class TestCheckpoints:
             density_sweep(2, (1, 2), checkpoint_path=path, resume=True)
 
     def test_hash_tamper_detected(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        density_sweep(1, (1, 2), checkpoint_path=path)
-        payload = json.loads(open(path).read())
-        payload["tested"] = 999
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(CorruptCheckpointError):
-            load_checkpoint(path)
+        path = tmp_path / "ck.json"
+        density_sweep(1, (1, 2), checkpoint_path=str(path))
+        header, body = path.read_text().splitlines()
+        path.write_text(header + "\n" + body.replace('"tested":9', '"tested":999') + "\n")
+        with pytest.raises(CorruptCheckpointError, match="hash"):
+            load_checkpoint(str(path))
+
+    def test_file_is_a_header_and_one_canonical_line(self, tmp_path):
+        path = tmp_path / "ck.json"
+        rows = density_sweep(1, (1, 3), checkpoint_path=str(path))
+        header, body = path.read_bytes().decode().splitlines()
+        payload = json.loads(body)
+        assert body == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert json.loads(header) == {
+            "sha256": hashlib.sha256(body.encode()).hexdigest(), "version": 4}
+        assert payload["members"] == [list(m.word.exponents()) for m in rows[-1].omega_members]
 
     def test_version_1_file_refused(self, tmp_path):
         # version 1 counted its cursor in (beta_1, alpha_1) blocks
         path = tmp_path / "ck.json"
         payload = {"version": 1, "params": {}, "rows": [], "active_m": None,
                    "cursor": 0, "tested": 0, "members": []}
-        payload["sha256"] = census_mod._payload_hash(payload)
-        path.write_text(json.dumps(payload))
+        write_checkpoint(path, payload, version=1)
         with pytest.raises(CorruptCheckpointError, match="version"):
             load_checkpoint(str(path))
 
@@ -310,61 +412,63 @@ class TestCheckpoints:
         payload = {"version": 2, "params": {"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
                    "rows": [census_mod._row_to_json(fresh[0])], "active_m": 2,
                    "tested": 9, "members": [_member_to_json(m) for m in fresh[1].omega_members]}
-        payload["sha256"] = census_mod._payload_hash(payload)
-        path.write_text(json.dumps(payload))
+        write_checkpoint(path, payload, version=2)
         with pytest.raises(CorruptCheckpointError, match="version"):
             density_sweep(1, (1, 3), checkpoint_path=str(path), resume=True)
+
+    def test_version_3_file_refused(self, tmp_path):
+        # version 3 stored each member with its matrix and eigenvalues
+        path = tmp_path / "ck.json"
+        fresh = density_sweep(1, (1, 3))
+        payload = {"version": 3, "params": {"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
+                   "rows": [], "active_m": 3, "tested": 16,
+                   "members": [_member_to_json(m) for m in fresh[-1].omega_members]}
+        write_checkpoint(path, payload, version=3)
+        with pytest.raises(CorruptCheckpointError, match="version"):
+            density_sweep(1, (1, 3), checkpoint_path=str(path), resume=True)
+        code, out, err = run_density(path, 1, 3)
+        assert (code, out) == (2, "") and "version" in err
+
+    @pytest.mark.parametrize("payload, message", REFUSED_CHECKPOINTS.values(),
+                             ids=REFUSED_CHECKPOINTS.keys())
+    def test_refused_checkpoint_exits_2(self, tmp_path, payload, message):
+        # every member of a resumed census is re-proved, so a file can claim
+        # no finding; each refusal is a usage error, never exit 1 or 3
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, payload)
+        k, m_hi = payload["params"]["k"], payload["params"]["m_hi"]
+        with pytest.raises(CorruptCheckpointError, match=message):
+            density_sweep(k, (1, m_hi), checkpoint_path=str(path), resume=True)
+        code, out, err = run_density(path, k, m_hi)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(str(tmp_path / "absent.json"))
 
-    def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        # the sweep is one census of the M = 8 box, 24 sieve chunks; crash
-        # inside it
-        path = str(tmp_path / "ck.json")
+    def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, kill_save):
+        # the sweep is one census of the M = 8 box, 24 sieve chunks of
+        # 13,824 words; kill its eighth save, torn or synced
         fresh = density_sweep(3, (1, 8))
-        real_dump = json.dump
-        saves = []
+        for at in ("write", "replace"):
+            path = tmp_path / at / "ck.json"
+            path.parent.mkdir()
+            saves = kill_save(8, at)
+            with pytest.raises(Crash):
+                density_sweep(3, (1, 8), checkpoint_path=str(path))
+            state = load_checkpoint(str(path))  # the last complete save, intact
+            assert (state["active_m"], state["tested"]) == saves[-2] == (8, 7 * 13824)
+            assert [p.name for p in path.parent.iterdir()] == ["ck.json"]  # no temp file left
+            resumed = density_sweep(3, (1, 8), checkpoint_path=str(path), resume=True)
+            assert resumed == fresh
 
-        class Crash(RuntimeError):
-            pass
-
-        def dump_then_crash(obj, fh, *args, **kwargs):
-            saves.append((obj["active_m"], obj["tested"]))
-            if obj["active_m"] == 8 and obj["tested"] > 100_000:
-                fh.write(json.dumps(obj)[:100])  # a torn, partial file
-                raise Crash
-            real_dump(obj, fh, *args, **kwargs)
-
-        monkeypatch.setattr(json, "dump", dump_then_crash)
-        with pytest.raises(Crash):
-            density_sweep(3, (1, 8), checkpoint_path=path)
-        monkeypatch.setattr(json, "dump", real_dump)
-
-        state = load_checkpoint(path)  # the last complete save, intact
-        assert (state["active_m"], state["tested"]) == saves[-2]
-        assert saves[-2][0] == 8 and 0 < saves[-2][1] < 100_000
-        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]  # no temp file left
-        resumed = density_sweep(3, (1, 8), checkpoint_path=path, resume=True)
-        assert resumed == fresh
-
-    def test_resume_with_members_and_bounded_rows(self, tmp_path, monkeypatch):
+    def test_resume_with_members_and_bounded_rows(self, tmp_path, monkeypatch, kill_save):
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (1, 6))
-        real_dump = json.dump
-
-        class Crash(RuntimeError):
-            pass
-
-        def dump_or_crash(obj, fh, *args, **kwargs):
-            if obj["tested"] == 24:
-                raise Crash
-            real_dump(obj, fh, *args, **kwargs)
-
-        # chunks of six words of the M = 6 box
+        # chunks of six words of the M = 6 box; the fourth save (24 words) dies
         monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 6)
-        monkeypatch.setattr(json, "dump", dump_or_crash)
+        kill_save(4)
         with pytest.raises(Crash):
             density_sweep(1, (1, 6), checkpoint_path=path)
         monkeypatch.undo()
@@ -379,41 +483,23 @@ class TestCheckpoints:
         assert [r["bound_num"] is not None for r in rows] == [M > 2 for M in range(1, 7)]
         assert [r["omega_count"] for r in rows] == [2 * M + 1 for M in range(1, 7)]
 
-    def test_resume_after_a_crash_at_any_save(self, tmp_path, monkeypatch):
+    def test_resume_after_a_crash_at_any_save(self, tmp_path, monkeypatch, kill_save):
         # chunks of at most five words: several saves inside the census
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (1, 5))
         monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 5)
-        real_dump = json.dump
-        saves = []
-
-        def recording(obj, fh, *args, **kwargs):
-            saves.append((obj["active_m"], obj["tested"]))
-            real_dump(obj, fh, *args, **kwargs)
-
-        monkeypatch.setattr(json, "dump", recording)
+        saves = kill_save()
         density_sweep(1, (1, 5), checkpoint_path=path)
         # the 36 words of the M = 5 box in chunks of five, then the rows
         assert saves == [(5, t) for t in (5, 10, 15, 20, 25, 30, 35, 36)] + [(None, 36)]
-
-        class Crash(RuntimeError):
-            pass
-
-        for done in range(1, len(saves)):
-            count = itertools.count(1)
-
-            def dump_or_crash(obj, fh, *args, **kwargs):
-                if next(count) > done:
-                    raise Crash
-                real_dump(obj, fh, *args, **kwargs)
-
-            monkeypatch.setattr(json, "dump", dump_or_crash)
-            with pytest.raises(Crash):
-                density_sweep(1, (1, 5), checkpoint_path=path)
-            monkeypatch.setattr(json, "dump", real_dump)
-            state = load_checkpoint(path)
-            assert (state["active_m"], state["tested"]) == saves[done - 1]
-            assert density_sweep(1, (1, 5), checkpoint_path=path, resume=True) == fresh
+        for at in ("write", "replace"):
+            for done in range(1, len(saves)):
+                kill_save(done + 1, at)
+                with pytest.raises(Crash):
+                    density_sweep(1, (1, 5), checkpoint_path=path)
+                state = load_checkpoint(path)
+                assert (state["active_m"], state["tested"]) == saves[done - 1], (at, done)
+                assert density_sweep(1, (1, 5), checkpoint_path=path, resume=True) == fresh
 
     def test_one_save_per_chunk_and_a_final_save(self, tmp_path, monkeypatch):
         saved = []
@@ -437,18 +523,17 @@ class TestCheckpoints:
         assert [r["M"] for r in state["rows"]] == list(range(3, 8))
         assert state["rows"] == [census_mod._row_to_json(r) for r in rows]
         assert state["tested"] == lambda_count(1, 7)
-        assert state["members"] == [_member_to_json(m) for m in rows[-1].omega_members]
+        assert state["members"] == [list(m.word.exponents()) for m in rows[-1].omega_members]
 
     def test_final_file_holds_each_member_once(self, tmp_path):
         # the rows of M = 1..40 nest, so their 40 * 41 + 40 member slots are
         # 81 members; the file holds only the cursor's list of them
         path = str(tmp_path / "ck.json")
         rows = density_sweep(1, (1, 40), checkpoint_path=path)
-        text = open(path, encoding="utf-8").read()
-        assert text.count('"betas"') == rows[-1].omega_count == 81
-        assert [r["omega_count"] for r in load_checkpoint(path)["rows"]] == [
-            row.omega_count for row in rows
-        ]
+        state = load_checkpoint(path)
+        assert len(state["members"]) == rows[-1].omega_count == 81
+        assert all("members" not in r for r in state["rows"])
+        assert [r["omega_count"] for r in state["rows"]] == [row.omega_count for row in rows]
         assert density_sweep(1, (1, 40), checkpoint_path=path, resume=True) == rows
 
     def test_members_past_the_digit_limit_save_and_resume(self, tmp_path, low_digit_limit):

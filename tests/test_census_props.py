@@ -124,6 +124,36 @@ def test_k1_box_hits_found_by_leaf():
     assert len(found) == 2 * M + 1
 
 
+def test_k1_members_are_the_words_with_a_zero_exponent():
+    for M in (*range(1, 41), 200):
+        members = [m.word.exponents() for m in census(1, M).omega_members]
+        zero = [(b, a) for b in range(M + 1) for a in range(M + 1) if 0 in (b, a)]
+        assert members == zero and len(members) == 2 * M + 1, M
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 400), st.integers(1, 400))
+def test_k1_words_without_a_zero_exponent_are_no_members(beta, alpha):
+    """The hand proof that the k = 1 members are the words with a zero exponent.
+
+    With a zero exponent, R^beta S^alpha is triangular and its eigenvalues
+    are its diagonal entries.  Otherwise let beta, alpha >= 1 and
+    w = R^beta S^alpha, with det = 2^alpha 3^beta and
+    2 tr = (3^beta + 1)(2^alpha + 1), checked here.  Integer eigenvalues
+    lambda >= mu are positive (their product and sum are), and mu <= 4:
+    lambda >= tr/2 > det/4, since 2 tr > 2^alpha 3^beta, so mu = det/lambda < 4.
+    But mu is a root of p(x) = 2x^2 - 2 tr x + 2 det, and
+    p(1) = (3^beta - 1)(2^alpha - 1) > 0, while p(2) = 6 - 2*3^beta - 2^(alpha+1),
+    p(3) = 15 - 2^alpha 3^beta - 3^(beta+1) - 3*2^alpha and
+    p(4) = 28 - 2^(alpha+1) 3^beta - 4*3^beta - 2^(alpha+2) are all negative.
+    So no mu in 1..4 is a root, and ``integer_eigenvalues`` must say None.
+    """
+    m = word_eval(Word((beta,), (alpha,)))
+    assert 2 * m.trace() == (3**beta + 1) * (2**alpha + 1)
+    assert m.det() == 2**alpha * 3**beta
+    assert integer_eigenvalues(m) is None
+
+
 words = st.integers(1, 4).flatmap(
     lambda k: st.tuples(
         st.lists(st.integers(0, 40), min_size=k, max_size=k),

@@ -6,7 +6,10 @@ nowhere there, and the census
 modules reach members through the sieve's leaf alone, never through a word
 re-evaluation, a second eigenvalue test, the word enumerator or the
 prefilter.  Imports are not uses: ``perfbench/spans.py`` patches some of
-these names on ``collatzq.census``, so they stay imported there.  Nor does
+these names on ``collatzq.census``, so they stay imported there.  The leaf
+alone builds a member, resumed ones included: ``census.py`` calls no member,
+matrix, eigenvalue pair or word constructor, and no digit-limit lift, since
+its checkpoints hold no large integer.  Nor does
 any module reach for private CPython APIs: no underscore attribute of
 ``Fraction`` and no underscore keyword argument.  And every public
 function, class and method is read somewhere in ``src/collatzq`` (its
@@ -32,6 +35,24 @@ NOT_IN_CENSUS = {
     "enumerate_lambda_block",
     "prefilter_excludes",
 }
+
+
+NOT_CALLED_IN_CENSUS = {"OmegaMember", "Mat2", "EigenPair", "Word", "unlimited_int_digits"}
+
+
+def calls(source: str) -> set[str]:
+    """Names a module calls, by name or as an attribute, or decorates with."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        targets = [node.func] if isinstance(node, ast.Call) else []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets += node.decorator_list
+        for target in targets:
+            if isinstance(target, ast.Name):
+                found.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                found.add(target.attr)
+    return found
 
 
 def uses(source: str, strings: bool = False) -> set[str]:
@@ -61,6 +82,28 @@ def test_oracles_are_not_used_in_src(path):
 @pytest.mark.parametrize("name", ["census.py", "sieve.py"])
 def test_census_modules_neither_reevaluate_nor_retest(name):
     assert uses(read(SRC / name)) & NOT_IN_CENSUS == set()
+
+
+def test_census_builds_no_member_and_lifts_no_digit_limit():
+    assert calls(read(SRC / "census.py")) & NOT_CALLED_IN_CENSUS == set()
+
+
+def test_call_scan_flags_planted_constructors():
+    source = (
+        "from .core import EigenPair, Mat2, unlimited_int_digits\n"
+        "member: OmegaMember | None = None\n"
+        "@unlimited_int_digits()\n"
+        "def load(d):\n"
+        "    word = words.Word(d['betas'], d['alphas'])\n"
+        "    return OmegaMember(word, Mat2(*d['matrix']), EigenPair(d['lambda'], d['mu']))\n"
+        "@unlimited_int_digits\n"
+        "def save(d):\n"
+        "    pass\n"
+    )
+    assert calls(source) & NOT_CALLED_IN_CENSUS == NOT_CALLED_IN_CENSUS
+    # imports and annotations are not calls
+    assert calls(source.split("@")[0]) & NOT_CALLED_IN_CENSUS == set()
+    assert calls("@unlimited_int_digits\ndef f():\n    pass\n") == {"unlimited_int_digits"}
 
 
 # public names that neither src/collatzq nor perfbench/ reads, and why they stay
