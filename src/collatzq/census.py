@@ -28,6 +28,7 @@ stored member, and refuses the file unless each is a member before the cursor.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -207,14 +208,17 @@ def density_sweep(
     if tested != box:
         raise AssertionError(f"enumerated {tested} words, closed form says {box}")
 
+    # row M marks the members of level <= M, as the rows before it did, and
+    # selects the marked ones in box order with one C-level compress
     levels = [max(m.word.betas + m.word.alphas) for m in members]
-    rows = [
-        DensityRow(
-            k, M, tuple(m for m, level in zip(members, levels) if level <= M),
-            density_bound=theorem_density_bound(k, M, cert.n),
-        )
-        for M in range(m_lo, m_hi + 1)
-    ]
+    unmarked = sorted(range(len(members)), key=levels.__getitem__, reverse=True)
+    marked = bytearray(len(members))
+    rows = []
+    for M in range(m_lo, m_hi + 1):
+        while unmarked and levels[unmarked[-1]] <= M:
+            marked[unmarked.pop()] = 1
+        rows.append(DensityRow(k, M, tuple(itertools.compress(members, marked)),
+                               density_bound=theorem_density_bound(k, M, cert.n)))
     if checkpoint_path:
         save_checkpoint(checkpoint_path, params=params, tested=box, members=members, rows=rows)
     return rows

@@ -24,6 +24,13 @@ length and end point are one exact big-int step (`theta_runs`,
 `replay_theta_runs_pq`).  Letters appear only when a run list is rendered
 as text (`reports.word_str`).
 
+Word recovery runs those run formulas in the int64 kernels
+`kernels.theta_recovery` and `kernels.phi_recovery`: a forward pass of
+array waves, one run per wave for every live row of a band, and a backward
+replay of the band's waves, compared exactly with the starts.  The
+per-start big-int functions are the tests' oracle and redo the theta rows
+the kernel's guard stops.
+
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
 (see `kernels`), in bands of rows that bound their working memory.  The
 starts come from a prime sieve over the (p+q, p) triangle, as arrays in
@@ -487,27 +494,31 @@ def verify_word_recovery(
     """Replay the recovered word of every terminated orbit; exact comparison.
 
     Returns (orbits checked, starts whose replay failed or that never
-    terminated under the cap).  Both maps recover their words run length by
-    run length on big-int pairs, one exact step per run: theta by
-    `theta_runs` / `replay_theta_runs_pq`, phi by one Euclid division per
-    run (`phi_runs` / `replay_runs_pq`).
+    terminated under the cap), in sweep order; a start over the cap is not
+    checked.  The int64 kernels `kernels.theta_recovery` and
+    `kernels.phi_recovery` recover the words in array waves, one run per
+    wave, with the run formulas of `theta_runs` and `phi_runs`, and replay
+    them backwards with those of `replay_theta_runs_pq` and
+    `replay_runs_pq`.  Theta rows the kernel's guard stops are redone one
+    by one on big-int pairs by `theta_runs` / `replay_theta_runs_pq`, so
+    results never depend on the word size; phi rows never overflow.
     """
     if map_name not in (THETA, PHI):
         raise ValueError(f"unknown map {map_name!r}")
-    checked = 0
-    failures: list[Fraction] = []
     ps, qs = reduced_fraction_arrays(height_bound)
-    for p, q in zip(ps.tolist(), qs.tolist()):
-        if map_name == THETA:
+    if map_name == PHI:
+        flags = kernels.phi_recovery(ps, qs, step_cap)
+    else:
+        flags = kernels.theta_recovery(ps, qs, step_cap)
+        for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
+            p, q = int(ps[i]), int(qs[i])
             runs = theta_runs(p, q, step_cap)
-            replayed = replay_theta_runs_pq(runs) if runs is not None else None
-        else:
-            runs = phi_runs(p, q)
-            replayed = replay_runs_pq(runs) if sum(runs) <= step_cap else None
-        if replayed is None:
-            failures.append(Fraction(p, q))
-            continue
-        checked += 1
-        if replayed != (p, q):
-            failures.append(Fraction(p, q))
-    return checked, failures
+            if runs is None:
+                flags[i] = kernels.FLAG_CAP
+            elif replay_theta_runs_pq(runs) != (p, q):
+                flags[i] = kernels.FLAG_MISMATCH
+            else:
+                flags[i] = kernels.FLAG_DONE
+    failed = flags != kernels.FLAG_DONE
+    checked = int(np.count_nonzero(flags != kernels.FLAG_CAP))
+    return checked, list(map(Fraction, ps[failed].tolist(), qs[failed].tolist()))

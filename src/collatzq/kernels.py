@@ -1,4 +1,4 @@
-"""int64 numpy sweep kernels.
+"""int64 numpy sweep and word recovery kernels.
 
 The sweep inner loops run on raw (p, q) pairs in int64, in vectorized waves
 over at most BAND_ROWS rows at a time.  Both kernels have one shape: the
@@ -33,6 +33,15 @@ a whole run, so a row needs about as many waves as its continued fraction
 has terms, not p+q steps, and its stopping time is the quotient sum.  phi
 rows never grow, so they cannot overflow.  Its bands are consecutive slices
 of the rows; they only bound its arrays.
+
+Word recovery (`theta_recovery`, `phi_recovery`) also runs in consecutive
+bands.  A forward pass advances every live row by one whole run per wave,
+with `dynamics.theta_runs`'s or `dynamics.phi_runs`'s formulas, and keeps
+each wave's record: its row numbers (int32) and run lengths (int8 for
+theta).  A backward pass walks the band's records from the last wave to the
+first, replaying every finished row's word from 0/1, and the replayed pairs
+must equal the starts.  The records hold the band's runs, so this memory too
+is bounded by the band.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ FLAG_DONE = 0  # reached 0
 FLAG_CAP = 1  # step cap exhausted without terminating
 FLAG_OVERFLOW = 2  # values left the int64-safe range; redo exactly
 FLAG_VIOLATION = 3  # phi: a run failed to lower p+q, or steps exceeded p+q
+FLAG_MISMATCH = 4  # recovery: the replayed word did not give the start back
 
 # 3*q and 2*p must stay below 2^63; one shared conservative guard
 INT64_GUARD = (2**63 - 1) // 3
@@ -57,6 +67,10 @@ _UNKNOWN = -1  # no start at this pair has finished, or it overflowed
 _CAPPED = -2  # the start spent the cap
 _INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
+
+# run-length tables: 3^39 and 2^62 are the largest powers below 2^63
+_POW3 = 3 ** np.arange(40, dtype=np.int64)
+_POW2 = 1 << np.arange(63, dtype=np.int64)
 
 
 def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,3 +198,172 @@ def _phi_band(p, q, steps, flags) -> None:
         live = np.flatnonzero(rem)
         rows, x, y = rows[live], y[live], rem[live]
     flags[steps > p + q] = FLAG_VIOLATION
+
+
+def theta_recovery(ps: np.ndarray, qs: np.ndarray, cap: int) -> np.ndarray:
+    """Per-row theta word recovery.  Returns int8 flags.
+
+    Rows are reduced p/q with p >= 0 and q >= 1.  FLAG_DONE: the orbit
+    reached 0 within the cap and its word, replayed from 0, gave p/q back.
+    FLAG_MISMATCH: it reached 0 within the cap, but the replay did not.
+    FLAG_CAP: its stopping time exceeds the cap.  FLAG_OVERFLOW: the guard
+    stopped it; redo the row in big-int arithmetic.
+
+    The forward pass takes one whole run per wave with the formulas of
+    `dynamics.theta_runs`: R runs on even waves, S runs on odd ones, and a
+    row below 1 opens with an empty R run, so a run's kind is its wave's
+    parity.  An R run from p >= q has n = (index of the largest 3^n <=
+    (2p+q)//q in a table of 3^0..3^39) and ends at (p - q(3^n-1)/2)/(3^n q);
+    an S run from 0 < p < q has the largest n with 2^n <= (p+q-1)//p and
+    ends at 2^n p/(p + q - 2^n p); np.gcd with 3^n, or the lowest set bit
+    capped at 2^n, reduces each end point.  A row leaves when it reaches 0,
+    when its run total passes the cap, or at the guard.  The start 0/1 takes
+    no wave.  The replay then walks the band's waves backwards from 0/1 with
+    the formulas of `dynamics.replay_theta_runs_pq`.
+
+    The guard, with G = INT64_GUARD = (2^63-1)//3:
+      forward: a row takes a run only from p, q <= G.  Then 2p + q and
+        p + q - 1 are at most 3G < 2^63, and so are the run's products:
+        3^n q <= 2p + q, and 2^n p <= p + q - 1.
+      replay: undoing a run from its end point (p', q') back to its start
+        (p, q), the replay holds, before dividing by its gcd g, the start
+        scaled by the end point's ratio to it: g*p = 3^n p' + q'(3^n-1)/2
+        for an R run (g = q'/q), g*q = (2^n-1)p' + 2^n q' for an S run
+        (g = p'/p); every term is at most that, and g <= 3^n or 2^n.  So
+        the forward pass also stops a row, before it takes an R run, unless
+        p <= 3G // 3^n, and before an S run unless q <= 3G // 2^n.  The
+        run that reaches 0 is exempt: undoing it from 0/1 gives g = 1 and
+        holds only the start itself.
+    The forward arithmetic is then exact, so the recorded runs are the
+    orbit's, and the replay's pairs are the forward pass's, within bounds.
+    """
+    return _recovery(ps, qs, cap, _theta_forward, _theta_replay)
+
+
+def phi_recovery(ps: np.ndarray, qs: np.ndarray, cap: int) -> np.ndarray:
+    """Per-row phi word recovery, flagged as `theta_recovery`'s rows.
+
+    Each wave takes a G run and then an F run, with the two divisions of
+    `dynamics.phi_runs`: n = (q-1)//p G steps to p/(q - n p), then
+    (n', p) = divmod(p, q) F steps.  From p >= q the G run is empty, so a
+    row's word is its waves' runs in order.  The replay undoes them with the
+    formulas of `dynamics.replay_runs_pq`.  phi rows never grow, and the
+    replay's pairs are the forward pass's, so no row is flagged
+    FLAG_OVERFLOW.  The start 0/1 takes no wave; its word is empty.
+    """
+    return _recovery(ps, qs, cap, _phi_forward, _phi_replay)
+
+
+def _recovery(ps, qs, cap, forward, replay) -> np.ndarray:
+    """Run forward and replay a band of consecutive rows at a time."""
+    p = np.asarray(ps, dtype=np.int64)
+    q = np.asarray(qs, dtype=np.int64)
+    flags = np.empty(p.shape[0], dtype=np.int8)
+    cap = max(-1, min(cap, _INT64_MAX))  # run totals are >= 0 and below 2^63
+    for lo in range(0, p.shape[0], BAND_ROWS):
+        band = slice(lo, lo + BAND_ROWS)
+        bp, bq = p[band], q[band]
+        f, waves = forward(bp, bq, cap)
+        rp, rq = replay(waves, f == FLAG_DONE)
+        f[(f == FLAG_DONE) & ((rp != bp) | (rq != bq))] = FLAG_MISMATCH
+        flags[band] = f
+    return flags
+
+
+def _theta_forward(p0, q0, cap):
+    """(flags, waves) of one band; a wave is (row numbers, run lengths)."""
+    guard = INT64_GUARD
+    r_limit = 3 * guard // _POW3
+    s_limit = 3 * guard // _POW2
+    big = (p0 > guard) | (q0 > guard)
+    flags = np.where(big, FLAG_OVERFLOW, FLAG_DONE).astype(np.int8)
+    rows = np.flatnonzero((p0 != 0) & ~big).astype(np.int32)
+    p, q = p0[rows], q0[rows]
+    total = np.zeros(rows.size, dtype=np.int64)
+    waves = []
+    while rows.size:
+        if len(waves) & 1:  # S runs
+            n = np.searchsorted(_POW2, (p + q - 1) // p, side="right") - 1
+            t = _POW2[n]
+            unsafe = q > s_limit[n]
+            q = q + p - t * p
+            g = np.minimum(q & -q, t)  # only 2s are common
+            p = p * (t // g)
+            q //= g
+        else:  # R runs
+            n = np.searchsorted(_POW3, (2 * p + q) // q, side="right") - 1
+            t = _POW3[n]
+            unsafe = p > r_limit[n]
+            p = p - q * (t >> 1)
+            g = np.gcd(p, t)  # only 3s are common
+            p //= g
+            q = q * (t // g)
+        waves.append((rows, n.astype(np.int8)))
+        total += n
+        capped = total > cap
+        finished = p == 0
+        out = capped | unsafe | finished | (p > guard) | (q > guard)
+        if out.any():
+            ended = np.where(finished, FLAG_DONE, FLAG_OVERFLOW)
+            flags[rows[out]] = np.where(capped, FLAG_CAP, ended)[out]
+            live = ~out
+            rows, p, q, total = rows[live], p[live], q[live], total[live]
+    return flags, waves
+
+
+def _theta_replay(waves, done):
+    """The band's pairs replayed from 0/1 on its `done` rows (0/1 elsewhere)."""
+    p = np.zeros(done.shape[0], dtype=np.int64)
+    q = np.ones(done.shape[0], dtype=np.int64)
+    for w in range(len(waves) - 1, -1, -1):
+        rows, n = waves[w]
+        keep = done[rows]
+        rows, n = rows[keep], n[keep]
+        a, b = p[rows], q[rows]
+        if w & 1:  # S^n: a/((2^n - 1)a + 2^n b), reducible only by gcd(a, 2^n)
+            t = _POW2[n]
+            g = np.minimum(a & -a, t)
+            p[rows] = a // g
+            q[rows] = ((t - 1) * a + t * b) // g
+        else:  # R^n: (3^n a + b(3^n - 1)/2)/b, reducible only by gcd(b, 3^n)
+            t = _POW3[n]
+            g = np.gcd(b, t)
+            p[rows] = (t * a + b * (t >> 1)) // g
+            q[rows] = b // g
+    return p, q
+
+
+def _phi_forward(p0, q0, cap):
+    """(flags, waves) of one band; a wave is (row numbers, G runs, F runs)."""
+    # 0/1 takes no wave: its empty word is within any cap >= 0
+    flags = np.full(p0.shape[0], FLAG_DONE if cap >= 0 else FLAG_CAP, dtype=np.int8)
+    rows = np.flatnonzero(p0).astype(np.int32)
+    p, q = p0[rows], q0[rows]
+    total = np.zeros(rows.size, dtype=np.int64)
+    waves = []
+    while rows.size:
+        g_run = (q - 1) // p
+        q = q - g_run * p
+        f_run, p = np.divmod(p, q)
+        waves.append((rows, g_run, f_run))
+        total += g_run + f_run
+        capped = total > cap
+        out = capped | (p == 0)
+        if out.any():
+            flags[rows[out]] = np.where(capped[out], FLAG_CAP, FLAG_DONE)
+            live = ~out
+            rows, p, q, total = rows[live], p[live], q[live], total[live]
+    return flags, waves
+
+
+def _phi_replay(waves, done):
+    """The band's pairs replayed from 0/1 on its `done` rows (0/1 elsewhere)."""
+    p = np.zeros(done.shape[0], dtype=np.int64)
+    q = np.ones(done.shape[0], dtype=np.int64)
+    for rows, g_run, f_run in reversed(waves):
+        keep = done[rows]
+        rows = rows[keep]
+        a = p[rows] + f_run[keep] * q[rows]  # F^n: (a + n b)/b
+        q[rows] += g_run[keep] * a  # G^n: a/(b + n a)
+        p[rows] = a
+    return p, q

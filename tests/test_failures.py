@@ -17,9 +17,9 @@ from collatzq import (
     census_sampled,
     compute_nk,
     density_sweep,
-    dynamics,
     enumerate_lambda,
     enumerate_lambda_block,
+    kernels,
     lambda_count,
     mat_pow,
     orbit,
@@ -38,7 +38,7 @@ from collatzq.core import (
     integer_eigenvalues,
     rational_fixed_points,
 )
-from collatzq.dynamics import THETA, reduced_fraction_arrays
+from collatzq.dynamics import PHI, THETA, reduced_fraction_arrays
 from collatzq.errors import CorruptCheckpointError, NegativeInputError
 from collatzq.spectral import trace_fast
 from collatzq.words import format_word_compact
@@ -160,17 +160,29 @@ def test_fixedpoint_faults(monkeypatch, name, fault, c_zero, why):
     assert witness["why"].startswith(why)
 
 
-def test_word_recovery_reports_a_wrong_replay(monkeypatch):
+def assert_reports_a_wrong_replay(monkeypatch, map_name, replay, entry):
+    # corrupt one entry of the third row of the first band's replayed pairs:
+    # that start, and no other, fails, and it still counts as checked
     ps, qs = reduced_fraction_arrays(10)
-    real = dynamics.replay_theta_runs_pq
-    calls = []
+    real = getattr(kernels, replay)
+    bands = []
 
-    def off_on_third(runs):
-        calls.append(runs)
-        p, q = real(runs)
-        return (p + 1, q) if len(calls) == 3 else (p, q)
+    def off_on_third(waves, done):
+        pair = real(waves, done)
+        if not bands:
+            pair[entry][2] += 1
+        bands.append(done.size)
+        return pair
 
-    monkeypatch.setattr(dynamics, "replay_theta_runs_pq", off_on_third)
-    checked, failures = verify_word_recovery(10, THETA)
-    assert checked == len(calls) == ps.size
+    monkeypatch.setattr(kernels, replay, off_on_third)
+    checked, failures = verify_word_recovery(10, map_name)
+    assert checked == sum(bands) == ps.size
     assert failures == [Fraction(int(ps[2]), int(qs[2]))]
+
+
+def test_word_recovery_reports_a_wrong_replay(monkeypatch):
+    assert_reports_a_wrong_replay(monkeypatch, THETA, "_theta_replay", 0)
+
+
+def test_phi_word_recovery_reports_a_wrong_replay(monkeypatch):
+    assert_reports_a_wrong_replay(monkeypatch, PHI, "_phi_replay", 1)

@@ -1,4 +1,4 @@
-"""int64 kernels: agreement with exact orbits, flags, the big-int escape hatch and memory."""
+"""int64 kernels: exact orbits, flags, the big-int escape hatch, the recovery guard, memory."""
 
 import tracemalloc
 from unittest import mock
@@ -13,7 +13,9 @@ from collatzq.kernels import (
     FLAG_OVERFLOW,
     FLAG_VIOLATION,
     INT64_GUARD,
+    phi_recovery,
     phi_sweep,
+    theta_recovery,
     theta_sweep,
 )
 
@@ -81,7 +83,8 @@ def test_zero_start():
 
 def test_working_memory_is_bounded_by_the_band():
     # 304,192 starts against 4,096-row bands: one int64 array the size of
-    # the rows would be 74 band arrays
+    # the rows would be 74 band arrays.  The recovery kernels return int8
+    # flags; their wave records count as working memory.
     ps, qs = reduced_fraction_arrays(1000)
     n = ps.size
     band_array = 8 * 4096
@@ -89,7 +92,9 @@ def test_working_memory_is_bounded_by_the_band():
     table = 4 * 2 * n  # at most 2n int32 entries
     with mock.patch.object(kernels, "BAND_ROWS", 4096):
         for run, kept in ((lambda: theta_sweep(ps, qs, 10_000), outputs + table),
-                          (lambda: phi_sweep(ps, qs), outputs)):
+                          (lambda: phi_sweep(ps, qs), outputs),
+                          (lambda: theta_recovery(ps, qs, 10_000), n),
+                          (lambda: phi_recovery(ps, qs, 10_000), n)):
             tracemalloc.start()
             try:
                 run()
@@ -97,3 +102,18 @@ def test_working_memory_is_bounded_by_the_band():
             finally:
                 tracemalloc.stop()
             assert peak - kept < 32 * band_array
+
+
+def test_recovery_guard_covers_the_replay():
+    # x = (3^n + 1)/2 takes one R run of n to 1/3^n, within the guard, but
+    # undoing that run holds 3^n x before its gcd: the row must go to the
+    # big-int redo exactly when 3^n x > 3 INT64_GUARD (n >= 21), never come
+    # back as a wrapped mismatch.  x = (3^n - 1)/2 reaches 0 in one run, whose
+    # replay from 0/1 holds only x, so it never needs the redo.
+    ns = range(1, 40)
+    up = [(3**n + 1) // 2 for n in ns]
+    down = [(3**n - 1) // 2 for n in ns]
+    ps = np.array(up + down, dtype=np.int64)
+    flags = theta_recovery(ps, np.ones_like(ps), 10_000)
+    assert flags.tolist() == [FLAG_OVERFLOW if 3**n * x > 3 * INT64_GUARD else FLAG_DONE
+                              for n, x in zip(ns, up)] + [FLAG_DONE] * len(ns)

@@ -1,12 +1,14 @@
 """Property tests: phi on continued fractions against the stepwise orbit.
 
 The fast paths are the divmod sweep kernel (also with its band size patched
-to 1 and 7 rows), the run-length word and its replay, phi word recovery and
-the array sweep starts.  Their oracles are ``orbit_pq(..., PHI)``, whose
-branch string the runs must render to, ``replay_word_pq`` and
-``reduced_fractions``.  Pairs with small quotient sums are built from drawn
-continued fractions, so the stepwise oracle stays cheap however large p and
-q are.  A fixed derandomized profile keeps these fast and repeatable.
+to 1 and 7 rows), the run-length word and its replay, phi word recovery by
+the wave kernel ``kernels.phi_recovery`` (also banded), and the array sweep
+starts.  Their oracles are ``orbit_pq(..., PHI)``, whose branch string the
+runs must render to, ``replay_word_pq``, the per-start recovery loop over
+``phi_runs`` and ``reduced_fractions``.  Pairs with small quotient sums are
+built from drawn continued fractions, so the stepwise oracle stays cheap
+however large p and q are.  A fixed derandomized profile keeps these fast
+and repeatable.
 """
 
 import math
@@ -28,7 +30,7 @@ from collatzq.dynamics import (
     replay_runs_pq,
     replay_word_pq,
 )
-from collatzq.kernels import FLAG_DONE, FLAG_VIOLATION, phi_sweep
+from collatzq.kernels import FLAG_CAP, FLAG_DONE, FLAG_VIOLATION, phi_recovery, phi_sweep
 from collatzq.reports import word_str
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -128,6 +130,47 @@ def test_phi_recovery_fails_exactly_the_starts_over_the_cap(height, cap):
             if not orbit_pq(p, q, PHI, cap)[1]]
     assert failures == over
     assert checked + len(over) == sum(1 for _ in reduced_fractions(height))
+
+
+def per_start_recovery(height, cap):
+    """(checked, failures) of the per-start loop over ``phi_runs`` and
+    ``replay_runs_pq``, the form word recovery had before its kernel."""
+    checked, failures = 0, []
+    for p, q in reduced_fractions(height):
+        runs = phi_runs(p, q)
+        if sum(runs) > cap:
+            failures.append(Fraction(p, q))
+            continue
+        checked += 1
+        if replay_runs_pq(runs) != (p, q):
+            failures.append(Fraction(p, q))
+    return checked, failures
+
+
+@PROPS
+@given(st.integers(2, 120), st.integers(0, 70), st.sampled_from((1, 7, kernels.BAND_ROWS)),
+       st.one_of(st.just(kernels.INT64_GUARD), st.integers(1, 200)))
+def test_array_recovery_matches_the_per_start_loop(height, cap, band, guard):
+    # caps up to 50 leave rows unfinished; phi rows never grow, so the guard
+    # must change nothing
+    with mock.patch.object(kernels, "INT64_GUARD", guard), \
+            mock.patch.object(kernels, "BAND_ROWS", band):
+        assert verify_word_recovery(height, PHI, cap) == per_start_recovery(height, cap)
+
+
+def test_array_recovery_under_a_negative_cap():
+    # every start fails, 0/1 too: its empty word totals 0 > -1
+    assert verify_word_recovery(20, PHI, -1) == per_start_recovery(20, -1)
+
+
+@PROPS
+@given(st.lists(big_pairs(), min_size=1, max_size=20), st.integers(0, 400))
+def test_recovery_kernel_up_to_2_62(pairs, cap):
+    ps = np.array([p for p, _ in pairs], dtype=np.int64)
+    qs = np.array([q for _, q in pairs], dtype=np.int64)
+    flags = phi_recovery(ps, qs, cap)
+    assert flags.tolist() == [FLAG_CAP if sum(phi_runs(p, q)) > cap else FLAG_DONE
+                              for p, q in pairs]
 
 
 @PROPS

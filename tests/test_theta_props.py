@@ -1,16 +1,18 @@
-"""Property tests: theta kernel, report and run-length words against stepwise orbits.
+"""Property tests: theta kernels, report and run-length words against stepwise orbits.
 
 The fast paths are the banded kernel ``kernels.theta_sweep`` with its
-stopping-time table, the array report of ``theta_sweep_full``, and the
-run-length word ``theta_runs`` with its replay and word recovery.  Their
-oracles are the stepwise big-int ``orbit_pq(..., THETA)``, whose branch
-string the runs must render to, and ``replay_word_pq``, a stepwise orbit
-that stops at the kernel's int64 guard, the per-start first-maximum loop,
-and the right column of ``word_eval``.  Rows are drawn both small and
-around ``INT64_GUARD``.  The kernel is also run with its band size patched
-to 1 and 7 rows, on shuffled rows with duplicates, under caps below the
-longest orbit and under a low guard, so rows end on capped and overflowed
-starts.  A fixed derandomized profile keeps these fast and repeatable.
+stopping-time table, the array report of ``theta_sweep_full``, the
+run-length word ``theta_runs`` with its replay, and word recovery by the
+wave kernel ``kernels.theta_recovery``.  Their oracles are the stepwise
+big-int ``orbit_pq(..., THETA)``, whose branch string the runs must render
+to, and ``replay_word_pq``, a stepwise orbit that stops at the kernel's
+int64 guard, the per-start first-maximum loop, the right column of
+``word_eval``, and the per-start recovery loop over ``theta_runs``.  Rows
+are drawn both small and around ``INT64_GUARD``.  The kernels are also run
+with their band size patched to 1 and 7 rows, under caps below the longest
+orbit and under a low guard, so rows end capped and overflowed; the sweep
+kernel also on shuffled rows with duplicates.  A fixed derandomized profile
+keeps these fast and repeatable.
 """
 
 import math
@@ -34,7 +36,14 @@ from collatzq.dynamics import (
     theta_step_pq,
     theta_sweep_full,
 )
-from collatzq.kernels import FLAG_CAP, FLAG_DONE, FLAG_OVERFLOW, INT64_GUARD, theta_sweep
+from collatzq.kernels import (
+    FLAG_CAP,
+    FLAG_DONE,
+    FLAG_OVERFLOW,
+    INT64_GUARD,
+    theta_recovery,
+    theta_sweep,
+)
 from collatzq.reports import word_str
 from collatzq.words import Word, word_eval
 
@@ -232,6 +241,48 @@ def test_theta_recovery_fails_exactly_the_starts_over_the_cap(height, cap):
             if not orbit_pq(p, q, THETA, cap)[1]]
     assert failures == over
     assert checked + len(over) == sum(1 for _ in reduced_fractions(height))
+
+
+def per_start_recovery(height, cap):
+    """(checked, failures) of the per-start loop over ``theta_runs`` and
+    ``replay_theta_runs_pq``, the form word recovery had before its kernel."""
+    checked, failures = 0, []
+    for p, q in reduced_fractions(height):
+        runs = theta_runs(p, q, cap)
+        if runs is None:
+            failures.append(Fraction(p, q))
+            continue
+        checked += 1
+        if replay_theta_runs_pq(runs) != (p, q):
+            failures.append(Fraction(p, q))
+    return checked, failures
+
+
+@PROPS
+@given(st.integers(2, 120), st.integers(0, 70), st.sampled_from(BANDS),
+       st.one_of(st.just(INT64_GUARD), st.integers(1, 200)))
+def test_array_recovery_matches_the_per_start_loop(height, cap, band, guard):
+    # caps up to 50 leave rows unfinished; a low guard sends rows to the
+    # big-int redo, both at the forward guard and at the replay's
+    with mock.patch.object(kernels, "INT64_GUARD", guard), banded(band):
+        assert verify_word_recovery(height, THETA, cap) == per_start_recovery(height, cap)
+
+
+def test_array_recovery_under_a_negative_cap():
+    # every start fails but 0/1, whose run list [0, 0] takes no run
+    assert verify_word_recovery(20, THETA, -1) == per_start_recovery(20, -1)
+
+
+@PROPS
+@given(st.lists(pairs(), min_size=1, max_size=20),
+       st.one_of(st.integers(0, 50), st.just(DEFAULT_STEP_CAP)))
+def test_recovery_kernel_near_the_guard(rows, cap):
+    # a row the kernel does not hand to the redo is over the cap exactly when
+    # theta_runs is, and otherwise replays to its start
+    flags = theta_recovery(*arrays(rows), cap)
+    for (p, q), flag in zip(rows, flags.tolist()):
+        if flag != FLAG_OVERFLOW:
+            assert flag == (FLAG_CAP if theta_runs(p, q, cap) is None else FLAG_DONE)
 
 
 @PROPS
