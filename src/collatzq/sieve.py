@@ -7,27 +7,39 @@ coprime to the determinant 2^(sum alpha) 3^(sum beta), so the determinant
 is a unit mod m.  A chunk of at most ``SIEVE_CHUNK_WORDS`` consecutive words
 of a box is a run of exponent prefixes (the heads) times the full ranges of
 the remaining positions (the tails); chunks start at multiples of their
-size, and heads are made only as far as a word range reaches.  The heads'
-products are carried as int64 residues (four entries plus the determinant)
-and extended one tail position at a time as outer products with tables of
-generator powers mod m, in lexicographic order.  Residues stay below m, so every product is below
-2^52 and every sum below 2^55: the int64 arithmetic is exact.  At the last
-position only the trace is formed, and disc = tr^2 - 4 det mod m must be a
-square mod 5005 = 5*7*11*13 and mod 7429 = 17*19*23.  About 1% of words
-survive.  A survivor whose exponents all exceed the prefilter threshold is
-dropped; the others are confirmed on raw Python integers: the product is
-rebuilt from the exponent tuple and its trace and discriminant go through
-``core.eigen_from_disc`` (``isqrt`` and the parity test).  Objects are
-built only for a confirmed hit: the leaf makes its ``OmegaMember``, whose
-``Mat2`` and ``EigenPair`` come from those integers.
+size, and heads are made only as far as a word range reaches.  Products are
+carried as int64 residues, four entries plus the determinant, built from
+tables of generator powers mod m.  Residues stay below m, so every product
+of two is below 2^52 and every sum of four below 2^54: the int64 arithmetic
+is exact.  A word goes through five stages, and only the last decides:
+
+1. Tail product.  Every chunk of a box has the same tail words, so the
+   residues T of their products (at most a chunk of them, in lexicographic
+   order) are built once per box.  A chunk builds only its heads' products
+   H, then tr(H T) as four outer products and det(H T) as one.
+2. Square test.  disc = tr^2 - 4 det mod m must be a square mod
+   5005 = 5*7*11*13 and mod 7429 = 17*19*23.  About 1% of words survive.
+3. Small-eigenvalue congruence, for words of R and S only.  A survivor
+   stays only if mu (tr - mu) = det mod m for some mu in S(k), the
+   {2, 3}-units up to 2^(k+1); ``small_eigenvalues`` proves that every hit
+   passes.  No bound on mu is proved for other generator pairs, so their
+   words skip this stage.
+4. Prefilter.  A survivor whose exponents all exceed the prefilter
+   threshold is dropped, by a numpy mask.
+5. Exact confirmation.  The product is rebuilt from the exponent tuple on
+   raw Python integers, and its trace and discriminant go through
+   ``core.eigen_from_disc`` (``isqrt`` and the parity test).  Objects are
+   built only for a confirmed hit: the leaf makes its ``OmegaMember``,
+   whose ``Mat2`` and ``EigenPair`` come from those integers.
 
 A box whose largest exponent is at most a chunk gets power tables of
 every exponent; past that no chunk has tails, and each call's tables cover
 its own heads' exponents only, so memory follows the chunk, not the box.
 Sampled words (drawn by the ``getrandbits`` calls of ``Random.randint``)
-and a checkpoint's stored words are heads with no tails.  The tests' oracle
-for the sieve is the plain one: every word of a block, multiplied out and
-given to ``core.integer_eigenvalues``.
+and a checkpoint's stored words are heads whose one tail word is empty,
+with the identity as its product.  The tests' oracle for the sieve is the
+plain one: every word of a block, multiplied out and given to
+``core.integer_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -38,12 +50,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .core import EigenPair, Mat2, eigen_from_disc
-from .words import Word, _exponent_ranges
+from .words import Word, _exponent_ranges, r_power, s_power
 
 
 def _square_residues(m: int) -> bytes:
@@ -112,56 +124,119 @@ def _power_table(g: Mat2, exponents: np.ndarray) -> np.ndarray:
     return table
 
 
-def _discriminants(
-    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: list[range]
-) -> np.ndarray:
-    """tr^2 - 4 det mod m of each word of ``heads`` x ``tails``.
+def small_eigenvalues(k: int) -> np.ndarray:
+    """Residues mod m of S(k) = {2^a 3^b <= 2^(k+1)}: every value the
+    smaller eigenvalue of a hit of at most k blocks of R and S can take.
 
-    A row of ``heads`` fixes the first exponents of a word and ``tails`` are
-    the ranges of the others; words are in lexicographic order, and exponent
-    i indexes ``tables[i % 2]``.
+    Let W = R^b1 S^a1 ... R^bk S^ak, with exponents >= 0 and integer
+    eigenvalues lambda >= mu.  Then lambda mu = det = 2^A 3^B > 0 and
+    lambda + mu = tr > 0, so both are positive and mu = 2^a 3^b.  The trace
+    formula (``spectral.trace_fast``) writes 2^k tr as a sum of one
+    non-negative term per subset of the blocks; the term of all blocks is
+    3^B prod_j (2^aj + 1) >= 3^B 2^A = det.  The formula is an identity of
+    polynomials in the 2^aj and 3^bj, which take infinitely many values
+    with exponents >= 1, so it holds for zero exponents too.  Hence
+    det <= 2^k tr, lambda >= tr / 2 and mu = det / lambda <= 2 det / tr
+    <= 2^(k+1).  As mu (tr - mu) = mu lambda = det, a hit satisfies
+    mu (tr - mu) = det mod m for some mu in S(k).  An S-first word
+    S^a0 R^b1 S^a1 ... R^bk is conjugate to the R-first word
+    R^b1 S^a1 ... R^bk S^a0, so it has the same tr and det.
+    """
+    top = 1 << (k + 1)
+    pow2 = np.array([pow(2, a, SIEVE_MODULUS) for a in range(k + 2)], dtype=np.int64)
+    out, p3 = [], 1
+    while p3 <= top:
+        # the a with 2^a 3^b <= 2^(k+1), for p3 = 3^b
+        out.append(pow2[: (top // p3).bit_length()] * (p3 % SIEVE_MODULUS) % SIEVE_MODULUS)
+        p3 *= 3
+    return np.concatenate(out)
+
+
+def _has_small_eigenvalue(tr: np.ndarray, det: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """True where mu (tr - mu) = det mod m for some residue mu of ``mus``."""
+    keep = np.zeros(tr.shape, dtype=bool)
+    # blocks of mus that pair with every word in about a chunk of entries
+    step = max(1, SIEVE_CHUNK_WORDS // max(1, len(tr)))
+    for i in range(0, len(mus) if len(tr) else 0, step):
+        mu = mus[i : i + step, None]
+        keep |= ((mu * (tr - mu) - det) % SIEVE_MODULUS == 0).any(axis=0)
+    return keep
+
+
+def _tail_product(
+    tables: tuple[np.ndarray, np.ndarray] | None, first: int, tails: list[range]
+) -> np.ndarray:
+    """Rows a, b, c, d, det mod m of the product of each word of ``tails``,
+    in lexicographic order, a (5, words) array; its exponent i indexes
+    ``tables[(first + i) % 2]``.  With no tails, the one empty word's
+    product is the identity."""
+    x = np.array([[1], [0], [0], [1], [1]], dtype=np.int64)
+    for i, r in enumerate(tails, first):
+        x = _times(x[:, :, None], tables[i % 2][:, None, r.start : r.stop]).reshape(5, -1)
+    return x
+
+
+def _traces(
+    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tail: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tr, det) mod m of each word of ``heads`` x ``tail``, flat, in
+    lexicographic order.
+
+    A row of ``heads`` fixes the first exponents of a word, exponent i
+    indexing ``tables[i % 2]``; ``tail`` is a ``_tail_product``.
     """
     x = tables[0][:, heads[:, 0]]
     for i in range(1, heads.shape[1]):
         x = _times(x, tables[i % 2][:, heads[:, i]])
-    if tails:
-        i = heads.shape[1]
-        for r in tails[:-1]:
-            x = _times(x[:, :, None], tables[i % 2][:, None, r.start : r.stop]).reshape(5, -1)
-            i += 1
-        # the last exponent: only the trace, a sum of four products below 2^54
-        xa, xb, xc, xd, xdet = x[:, :, None]
-        ga, gb, gc, gd, gdet = tables[i % 2][:, None, tails[-1].start : tails[-1].stop]
-        disc = xa * ga
-        # one scratch array for the other products, so that few word-sized
-        # arrays are alive at once
-        term = np.empty_like(disc)
-        for u, v in ((xb, gc), (xc, gb), (xd, gd)):
-            disc += np.multiply(u, v, out=term)
-        det = np.multiply(xdet, gdet, out=term)
-    else:
-        disc, det = x[0] + x[3], x[4].copy()
-    disc %= SIEVE_MODULUS
-    disc *= disc
-    det <<= 2
-    disc -= det
-    disc %= SIEVE_MODULUS
-    return disc.ravel()
+    xa, xb, xc, xd, xdet = x[:, :, None]
+    ta, tb, tc, td, tdet = tail[:, None, :]
+    # a sum of four products below 2^54
+    tr = xa * ta
+    # one scratch array for the other products, so that few word-sized
+    # arrays are alive at once
+    term = np.empty_like(tr)
+    for u, v in ((xb, tc), (xc, tb), (xd, td)):
+        tr += np.multiply(u, v, out=term)
+    det = np.multiply(xdet, tdet, out=term)
+    tr %= SIEVE_MODULUS
+    det %= SIEVE_MODULUS
+    return tr.ravel(), det.ravel()
 
 
 def _sieve(
-    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: list[range]
+    tables: tuple[np.ndarray, np.ndarray],
+    heads: np.ndarray,
+    tail: np.ndarray,
+    mus: np.ndarray | None,
 ) -> np.ndarray:
-    """Flat indices of the words of ``heads`` x ``tails`` that pass the sieve.
+    """Flat indices of the words of ``heads`` x ``tail`` that pass the
+    square test and, unless ``mus`` is None, the small-eigenvalue congruence.
 
     No word outside the result is a hit: a perfect square is a square
-    modulo every factor of m.
+    modulo every factor of m, and ``small_eigenvalues`` shows that a hit
+    of R and S passes the congruence.
     """
-    disc = _discriminants(tables, heads, tails)
+    tr, det = _traces(tables, heads, tail)
+    disc = tr * tr
+    disc -= det << 2
+    disc %= SIEVE_MODULUS
     keep = np.ones(disc.shape, dtype=bool)
     for q, squares in zip(SIEVE_FACTORS, _sieve_squares()):
         keep &= squares[disc % q]
-    return np.flatnonzero(keep)
+    index = np.flatnonzero(keep)
+    if mus is not None:
+        index = index[_has_small_eigenvalue(tr[index], det[index], mus)]
+    return index
+
+
+class _Tails(NamedTuple):
+    """What every chunk of a box shares: the ranges of its tail exponents,
+    the ``_tail_product`` of their words, and ``small_eigenvalues`` of its
+    block count when that stage applies, else None."""
+
+    ranges: list[range]
+    product: np.ndarray
+    mus: np.ndarray | None
 
 
 class _Leaves:
@@ -176,6 +251,8 @@ class _Leaves:
 
     def __init__(self, left: PowerFn, right: PowerFn, top: int) -> None:
         self.generators = (left(1), right(1))
+        # the small-eigenvalue bound is proved for R and S, in either order
+        self.small_eigenvalue = set(self.generators) == {r_power(1), s_power(1)}
         self.tables = self._tables(np.arange(top + 1)) if top <= SIEVE_CHUNK_WORDS else None
         powers = [lambda e, g=g: g(e).entries() for g in (left, right)]
         # exponents up to a chunk recur from word to word; past it a cache
@@ -185,23 +262,30 @@ class _Leaves:
     def _tables(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_power_table(g, exponents) for g in self.generators)
 
+    def tails(self, ranges: list[range], p: int) -> _Tails:
+        """The tails of the box ``ranges`` whose heads fix its first ``p``
+        exponents."""
+        assert p == len(ranges) or self.tables is not None, "per-call tables cover heads only"
+        mus = small_eigenvalues((len(ranges) + 1) // 2) if self.small_eigenvalue else None
+        return _Tails(ranges[p:], _tail_product(self.tables, p, ranges[p:]), mus)
+
     def hits(
-        self, heads: np.ndarray, tails: list[range], n: int, lo: int, hi: int
+        self, heads: np.ndarray, tails: _Tails, n: int, lo: int, hi: int
     ) -> Iterator[OmegaMember]:
         """The hits among words ``lo`` to ``hi - 1`` of ``heads`` x ``tails``,
         in order; a word whose exponents all exceed ``n`` is not tested."""
         if self.tables is None:
-            assert not tails, "per-call power tables cover heads only"
             values, columns = np.unique(heads.ravel(), return_inverse=True)
-            index = _sieve(self._tables(values), columns.reshape(heads.shape), tails)
+            tables, rows = self._tables(values), columns.reshape(heads.shape)
         else:
-            index = _sieve(self.tables, heads, tails)
+            tables, rows = self.tables, heads
+        index = _sieve(tables, rows, tails.product, tails.mus)
         index = index[(index >= lo) & (index < hi)]
-        tail = math.prod(map(len, tails))
-        words = np.concatenate([heads[index // tail], _exponents(index % tail, tails)], axis=1)
-        for exponents in words.tolist():
-            if min(exponents) > n:
-                continue
+        tail = tails.product.shape[1]
+        words = np.concatenate(
+            [heads[index // tail], _exponents(index % tail, tails.ranges)], axis=1
+        )
+        for exponents in words[words.min(axis=1) <= n].tolist():
             # the exact test, on the raw-integer product of the word
             xa, xb, xc, xd = 1, 0, 0, 1
             for i, e in enumerate(exponents):
@@ -256,11 +340,12 @@ def sieve_words(
     p, tail = _split(ranges)
     chunk = chunk_words(ranges)
     leaves = _Leaves(left, right, max(r.stop for r in ranges) - 1)
+    tails = leaves.tails(ranges, p)
     for first in range(start - start % chunk, stop, chunk):
         lo, hi = max(start, first), min(stop, first + chunk)
         h = lo // tail  # the first head the range reaches in this chunk
         heads = _exponents(np.arange(h, -(-hi // tail)), ranges[:p])
-        yield hi - lo, list(leaves.hits(heads, ranges[p:], n, lo - h * tail, hi - h * tail))
+        yield hi - lo, list(leaves.hits(heads, tails, n, lo - h * tail, hi - h * tail))
 
 
 def confirm_words(
@@ -269,7 +354,8 @@ def confirm_words(
     """The members among ``words``, exponent lists of the box ``ranges``, in
     order, each re-proved and built by the leaf as a sieved word is."""
     heads = np.array(words, dtype=np.int64).reshape(-1, len(ranges))
-    return _Leaves(left, right, max(r.stop for r in ranges) - 1).hits(heads, [], n, 0, len(heads))
+    leaves = _Leaves(left, right, max(r.stop for r in ranges) - 1)
+    return leaves.hits(heads, leaves.tails(ranges, len(ranges)), n, 0, len(heads))
 
 
 def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:
@@ -294,8 +380,9 @@ def sample_hits(
     """The members among ``size`` words of the (k, M) box drawn with ``rng``,
     in draw order; a word whose exponents all exceed ``n`` is never a hit."""
     leaves = _Leaves(left, right, M)
+    tails = leaves.tails(_exponent_ranges(k, M), 2 * k)
     # a batch of draws holds as many exponents as a chunk holds words
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
     for start in range(0, size, batch):
         heads = _draw_exponents(rng, k, M, min(batch, size - start))
-        yield from leaves.hits(heads, [], n, 0, len(heads))
+        yield from leaves.hits(heads, tails, n, 0, len(heads))

@@ -292,7 +292,8 @@ def test_sieve_survivors_cover_oracle_hits(k, g, swap, data):
 
     leaves = sieve_mod._Leaves(left, right, M)
     ranges = _exponent_ranges(k, M)
-    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), ranges[2:])
+    tails = leaves.tails(ranges, 2)
+    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails.product, tails.mus)
     assert {words.index(h.word) for h in expected} <= set(survivors.tolist())
 
     chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + len(block)))
@@ -503,6 +504,120 @@ def test_sieve_arithmetic_is_exact_in_int64():
         assert len(squares) == q
         for s in range(q):
             assert squares[s * s % q], (q, s)
+
+
+# ---------------------------------------------------------------------------
+# The tail product and the small-eigenvalue stage
+# ---------------------------------------------------------------------------
+
+tail_pairs = st.sampled_from([GeneratorPair(3, 1, 1, 2), GeneratorPair(5, 3, 2, 7)])
+
+
+@st.composite
+def boxes_and_heads(draw):
+    """(ranges, p, heads): a box of 1 to 6 exponent ranges within 0..8 and
+    1 to 4 heads fixing its first p exponents; p = len(ranges) leaves heads
+    only, as sampled draws and checkpoint words are."""
+    ranges = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = draw(st.integers(0, 8))
+        ranges.append(range(lo, draw(st.integers(lo + 1, 9))))
+    p = draw(st.integers(1, len(ranges)))
+    heads = draw(st.lists(st.tuples(*map(st.sampled_from, ranges[:p])), min_size=1, max_size=4))
+    return ranges, p, np.array(heads, dtype=np.int64).reshape(-1, p)
+
+
+def residues_by_oracle(left, right, heads, tails):
+    """(tr, det) mod m of each word of ``heads`` x ``tails``, multiplied out."""
+    m = sieve_mod.SIEVE_MODULUS
+    out = []
+    for head in heads.tolist():
+        for tail in itertools.product(*tails):
+            w = product(left, right, [*head, *tail])
+            out.append((w.trace() % m, w.det() % m))
+    return out
+
+
+@PROPS
+@given(tail_pairs, st.booleans(), boxes_and_heads())
+def test_traces_of_heads_and_tails_are_products_mod_m(g, swap, box):
+    ranges, p, heads = box
+    left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
+    leaves = sieve_mod._Leaves(left, right, 8)
+    tails = leaves.tails(ranges, p)
+    assert tails.product.shape == (5, math.prod(map(len, ranges[p:])))
+    tr, det = sieve_mod._traces(leaves.tables, heads, tails.product)
+    expected = residues_by_oracle(left, right, heads, ranges[p:])
+    assert list(zip(tr.tolist(), det.tolist())) == expected
+
+
+@PROPS
+@given(tail_pairs, st.booleans(), st.integers(1, 3), st.data())
+def test_traces_of_heads_with_tables_of_their_own_exponents(g, swap, k, data):
+    # past a chunk of exponents each call tabulates its heads' exponents
+    left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
+    top = sieve_mod.SIEVE_CHUNK_WORDS + 3000
+    row = st.lists(st.integers(0, top), min_size=2 * k, max_size=2 * k)
+    heads = np.array(data.draw(st.lists(row, min_size=1, max_size=3)), dtype=np.int64)
+    leaves = sieve_mod._Leaves(left, right, top)
+    assert leaves.tables is None
+    values, columns = np.unique(heads.ravel(), return_inverse=True)
+    tails = leaves.tails([range(top + 1)] * (2 * k), 2 * k)
+    tables = leaves._tables(values)
+    tr, det = sieve_mod._traces(tables, columns.reshape(heads.shape), tails.product)
+    assert list(zip(tr.tolist(), det.tolist())) == residues_by_oracle(left, right, heads, [])
+
+
+@settings(PROPS, max_examples=300)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.integers(0, 12), min_size=2 * k, max_size=2 * k)
+    ),
+    st.booleans(),
+)
+def test_det_is_at_most_2_to_the_k_times_the_trace(exponents, s_first):
+    # the bound behind the small-eigenvalue stage, on words of k blocks of
+    # R and S in either order, zero exponents included
+    left, right = (s_power, r_power) if s_first else (r_power, s_power)
+    w = product(left, right, exponents)
+    assert w.det() <= 2 ** (len(exponents) // 2) * w.trace()
+
+
+@pytest.mark.parametrize("k,size", [(1, 4), (2, 6), (4, 13), (6, 22), (40, None)])
+def test_small_eigenvalues_match_brute_force(k, size):
+    top = 2 ** (k + 1)
+    brute = [2**a * 3**b for a in range(k + 2) for b in range(k + 2) if 2**a * 3**b <= top]
+    residues = sieve_mod.small_eigenvalues(k).tolist()
+    assert sorted(residues) == sorted(v % sieve_mod.SIEVE_MODULUS for v in brute)
+    assert size is None or len(brute) == size
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 40])
+def test_hits_of_r_and_s_have_a_small_eigenvalue(M):
+    # the k = 1 hits: both orders of R and S, smaller eigenvalue in S(1)
+    small = set(sieve_mod.small_eigenvalues(1).tolist())
+    ranges = _exponent_ranges(1, M)
+    for left, right in ((r_power, s_power), (s_power, r_power)):
+        words = [Word(e[0::2], e[1::2]) for e in itertools.product(*ranges)]
+        expected = oracle_members(words, lambda w: product(left, right, w.exponents()))
+        assert expected and all(h.eigen.lam in small for h in expected)
+        chunks = sieve_mod.sieve_words(left, right, ranges, M, 0, lambda_count(1, M))
+        assert [h for _, found in chunks for h in found] == expected
+
+
+@pytest.mark.parametrize(
+    "g,k,exp_max,size",
+    # hits whose smaller eigenvalue lies outside S(j) for their block count
+    # j; and a pair whose every word is a hit
+    [(GeneratorPair(5, 1, 1, 3), 3, 6, 7), (GeneratorPair(2, 1, 1, 2), 2, 6, 1800)],
+)
+def test_search_over_other_pairs_skips_the_small_eigenvalue_stage(g, k, exp_max, size):
+    result = search_counterexamples(k, exp_max, g)
+    assert (result.members, result.words_tested, result.complete) == search_oracle(
+        k, exp_max, g, 10**6
+    )
+    assert len(result.members) == size
+    assert not sieve_mod._Leaves(g.b_power, g.a_power, exp_max).small_eigenvalue
 
 
 @pytest.mark.parametrize("g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(5, 3, 2, 7)])
