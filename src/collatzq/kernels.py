@@ -4,9 +4,9 @@ The sweep inner loops run on raw (p, q) pairs in int64, in vectorized waves
 over at most BAND_ROWS rows at a time.  Both kernels have one shape: the
 live rows ride along as compacted arrays (their row numbers and orbit
 state), each wave advances all of them, and the rows that finish leave
-through one mask.  Besides those arrays a kernel allocates only its
-(steps, flags) outputs and, for theta, its table, so its working memory does
-not grow with the number of rows.
+through one mask.  Besides those arrays a sweep kernel allocates only its
+(steps, flags) outputs and its stopping-time table, so its working memory
+does not grow with the number of rows.
 
 theta advances one step per wave with the same step rule as
 `dynamics.theta_step_pq`.  Rows enter in input order, a band at a time:
@@ -25,14 +25,18 @@ of stepped; callers redo those rows in big-int arithmetic.  The table never
 holds an overflowed start, so a row that reaches one steps on by itself and
 meets the same flags it always did.
 
-phi advances one branch run per wave.  Under phi a reduced p/q descends the
-Stern-Brocot tree: its orbit is a run of F steps (x -> x-1) then a run of G
-steps (x -> x/(1-x)), alternating, and the run lengths are the
-continued-fraction partial quotients of p/q.  One `np.divmod` per wave takes
-a whole run, so a row needs about as many waves as its continued fraction
-has terms, not p+q steps, and its stopping time is the quotient sum.  phi
-rows never grow, so they cannot overflow.  Its bands are consecutive slices
-of the rows; they only bound its arrays.
+phi has the same shape and the same kind of table.  Under phi a reduced p/q
+descends the Stern-Brocot tree: its orbit is a run of F steps (x -> x-1)
+then a run of G steps (x -> x/(1-x)), alternating, and the run lengths are
+the continued-fraction partial quotients of p/q, so its stopping time is
+the quotient sum.  A phi row advances one branch run per wave, by one
+`np.divmod` of its point's unordered pair (x, y) = (max, min), on which
+alone the rest of its orbit depends; the table is keyed by that pair, in
+the slot of (y, x+y).  A run ends at (y, x mod y): at 0, or on a smaller
+pair, so a row leaves as soon as that pair's start has finished.  Every run
+of every orbit is then the first run of some start, and in height order
+nearly every row leaves after its first wave.  phi rows never grow, so they
+cannot overflow, and no row reads past the highest start.
 
 Word recovery (`theta_recovery`, `phi_recovery`) also runs in consecutive
 bands.  A forward pass advances every live row by one whole run per wave,
@@ -62,9 +66,10 @@ INT64_GUARD = (2**63 - 1) // 3
 # rows per band: the kernels' working arrays hold at most this many rows
 BAND_ROWS = 1 << 14
 
-# theta table entries besides a finished start's steps
+# table entries besides a finished start's steps
 _UNKNOWN = -1  # no start at this pair has finished, or it overflowed
-_CAPPED = -2  # the start spent the cap
+_CAPPED = -2  # theta: the start spent the cap
+_VIOLATED = -2  # phi: the start was flagged FLAG_VIOLATION
 _INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -81,8 +86,7 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
     that order, and its steps are the steps taken to there; a row over the
     guard at its start ends with steps 0.  A row that ends early on a start
     in the table (see the module docstring) gets the same result.  The
-    table covers the heights below `top`, with top*(top-1)/2 <= 2n entries
-    for n rows: every height of a full sweep, and O(n) memory on any input.
+    table covers the heights below `_table_top(n)`.
     """
     p_in = np.asarray(ps, dtype=np.int64)
     q_in = np.asarray(qs, dtype=np.int64)
@@ -90,7 +94,7 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
     cap = min(cap, _INT64_MAX)  # a larger cap is never reached
-    top = (1 + math.isqrt(1 + 16 * n)) // 2
+    top = _table_top(n)
     # a finished start's steps are at most the cap, so they fit the entries
     table = np.full(top * (top - 1) // 2, _UNKNOWN, np.int32 if cap <= _INT32_MAX else np.int64)
     # live rows: row number, wave it entered at, table slot of its start
@@ -102,11 +106,10 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
             band = np.arange(entered, min(n, entered + BAND_ROWS - rows.size))
             entered += band.size
             bp, bq = p_in[band], q_in[band]
-            bh = bp + bq
-            tabled = (bp >= 0) & (bp < bh) & (bh < top)
+            at, tabled = _slot(bp, bp + bq, top)
             rows = np.concatenate((rows, band))
             born = np.concatenate((born, np.full(band.size, wave)))
-            slot = np.concatenate((slot, np.where(tabled, bh * (bh - 1) // 2 + bp, -1)))
+            slot = np.concatenate((slot, np.where(tabled, at, -1)))
             p = np.concatenate((p, bp))
             q = np.concatenate((q, bq))
         t = wave - born
@@ -120,10 +123,9 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
         h = p + q
         near = np.flatnonzero((h < top) & ~out)
         if near.size:
-            # (p, p+q) is a slot when 0 <= p < p+q < top
-            hn, pn = h[near], p[near]
-            found = table.take(hn * (hn - 1) // 2 + pn, mode="clip")
-            known = (found != _UNKNOWN) & (pn >= 0) & (pn < hn)
+            at, tabled = _slot(p[near], h[near], top)
+            found = table.take(at, mode="clip")
+            known = (found != _UNKNOWN) & tabled
             near, found = near[known], found[known]
             total = t[near] + found
             fin = (found >= 0) & (total <= cap)
@@ -167,37 +169,82 @@ def phi_sweep(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point the run ends at.  The last wave, on (k, 1), also covers the final
     F step when the point is 1/k (a G run of k-1 steps, then F).  A row is
     flagged FLAG_VIOLATION if a wave takes no step or fails to strictly
-    lower p+q, or if its steps exceed p+q.  Bands are consecutive slices of
-    the rows; each writes into its slice of the outputs.
+    lower p+q, or if its steps exceed p+q.  A row leaves when its run ends
+    at 0, when its run is flagged, or when the run's end pair has an entry
+    in the table: it adds that entry's steps, or is flagged too if that
+    start was.  Every leaving row enters its steps, or that it was flagged,
+    under its start's pair.  Rows enter as in `theta_sweep`, so the results
+    depend on neither the order of the rows nor the band size.  The table
+    covers the heights up to the highest start, within theta's 2n entries.
     """
-    p = np.asarray(ps, dtype=np.int64)
-    q = np.asarray(qs, dtype=np.int64)
-    n = p.shape[0]
+    p_in = np.asarray(ps, dtype=np.int64)
+    q_in = np.asarray(qs, dtype=np.int64)
+    n = p_in.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, BAND_ROWS):
-        band = slice(lo, lo + BAND_ROWS)
-        _phi_band(p[band], q[band], steps[band], flags[band])
+    bands = [slice(lo, lo + BAND_ROWS) for lo in range(0, n, BAND_ROWS)]
+    highest = max((int((p_in[b] + q_in[b]).max()) for b in bands), default=0)
+    top = min(_table_top(n), max(2, highest + 1))  # one slot at least, for take
+    # an entry is a pair's quotient sum, at most its max < top: int32 holds it
+    table = np.full(top * (top - 1) // 2, _UNKNOWN, np.int32)
+    # live rows: row number, table slot of its start (-1 when it has none),
+    # steps so far, and orbit point as its pair (x, y)
+    rows = slot = acc = x = y = np.zeros(0, dtype=np.int64)
+    entered = 0
+    while rows.size or entered < n:
+        if rows.size <= BAND_ROWS // 2 and entered < n:
+            band = slice(entered, min(n, entered + BAND_ROWS - rows.size))
+            bp, bq = p_in[band], q_in[band]
+            go = np.flatnonzero(bp)  # 0/q is the end already: 0 steps
+            bp, bq = bp[go], bq[go]
+            bx, by = np.maximum(bp, bq), np.minimum(bp, bq)
+            at, tabled = _slot(by, bx + by, top)
+            rows = np.concatenate((rows, go + entered))
+            slot = np.concatenate((slot, np.where(tabled, at, -1)))
+            acc = np.concatenate((acc, np.zeros(go.size, dtype=np.int64)))
+            x = np.concatenate((x, bx))
+            y = np.concatenate((y, by))
+            entered = band.stop
+        quot, rem = np.divmod(x, y)
+        acc += quot
+        # the next pair (y, rem) has the lower sum iff rem < x.  A wave that
+        # passes this check lowers a positive sum, so every row leaves.
+        bad = (quot < 1) | (rem >= x)
+        at, tabled = _slot(rem, y + rem, top)
+        found = np.where(tabled, table.take(at, mode="clip"), _UNKNOWN)
+        out = bad | (rem == 0) | (found != _UNKNOWN)
+        if out.any():
+            gone, sl, f = rows[out], slot[out], found[out]
+            violated = bad[out] | (f == _VIOLATED)
+            total = acc[out] + np.maximum(f, 0)
+            steps[gone] = total
+            flags[gone[violated]] = FLAG_VIOLATION  # the rest stay FLAG_DONE
+            put = sl >= 0
+            table[sl[put]] = np.where(violated[put], _VIOLATED, total[put])
+            live = ~out
+            rows, slot, acc, y, rem = rows[live], slot[live], acc[live], y[live], rem[live]
+        x, y = y, rem
+    for b in bands:
+        flags[b][steps[b] > p_in[b] + q_in[b]] = FLAG_VIOLATION
     return steps, flags
 
 
-def _phi_band(p, q, steps, flags) -> None:
-    """Run one band of phi rows, writing into the band's output views."""
-    rows = np.flatnonzero(p != 0)
-    x = np.maximum(p[rows], q[rows])
-    y = np.minimum(p[rows], q[rows])
-    while rows.size:
-        quot, rem = np.divmod(x, y)
-        steps[rows] += quot
-        # the next pair (y, rem) has the lower sum iff rem < x.  A wave that
-        # passes this check lowers a positive sum, so the loop terminates.
-        bad = (quot < 1) | (rem >= x)
-        if bad.any():
-            flags[rows[bad]] = FLAG_VIOLATION
-            rem[bad] = 0  # end the flagged rows here
-        live = np.flatnonzero(rem)
-        rows, x, y = rows[live], y[live], rem[live]
-    flags[steps > p + q] = FLAG_VIOLATION
+def _table_top(n: int) -> int:
+    """The height `top` at which the stopping-time table of n rows stops.
+
+    The heights below it have top*(top-1)/2 <= 2n slots: every height of a
+    full sweep, and O(n) memory on any input.
+    """
+    return (1 + math.isqrt(1 + 16 * n)) // 2
+
+
+def _slot(p, h, top):
+    """A table slot of the pairs (p, h), and whether each has one.
+
+    The slots are the triangle 0 < p < h < top, laid out by rows of h.
+    p = 0 is an orbit's end, which no row looks up.
+    """
+    return h * (h - 1) // 2 + p, (p > 0) & (p < h) & (h < top)
 
 
 def theta_recovery(ps: np.ndarray, qs: np.ndarray, cap: int) -> np.ndarray:

@@ -83,8 +83,9 @@ def test_zero_start():
 
 def test_working_memory_is_bounded_by_the_band():
     # 304,192 starts against 4,096-row bands: one int64 array the size of
-    # the rows would be 74 band arrays.  The recovery kernels return int8
-    # flags; their wave records count as working memory.
+    # the rows would be 74 band arrays.  Both sweeps keep a stopping-time
+    # table.  The recovery kernels return int8 flags; their wave records
+    # count as working memory.
     ps, qs = reduced_fraction_arrays(1000)
     n = ps.size
     band_array = 8 * 4096
@@ -92,7 +93,7 @@ def test_working_memory_is_bounded_by_the_band():
     table = 4 * 2 * n  # at most 2n int32 entries
     with mock.patch.object(kernels, "BAND_ROWS", 4096):
         for run, kept in ((lambda: theta_sweep(ps, qs, 10_000), outputs + table),
-                          (lambda: phi_sweep(ps, qs), outputs),
+                          (lambda: phi_sweep(ps, qs), outputs + table),
                           (lambda: theta_recovery(ps, qs, 10_000), n),
                           (lambda: phi_recovery(ps, qs, 10_000), n)):
             tracemalloc.start()

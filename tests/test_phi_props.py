@@ -1,14 +1,15 @@
 """Property tests: phi on continued fractions against the stepwise orbit.
 
-The fast paths are the divmod sweep kernel (also with its band size patched
-to 1 and 7 rows), the run-length word and its replay, phi word recovery by
-the wave kernel ``kernels.phi_recovery`` (also banded), and the array sweep
-starts.  Their oracles are ``orbit_pq(..., PHI)``, whose branch string the
-runs must render to, ``replay_word_pq``, the per-start recovery loop over
-``phi_runs`` and ``reduced_fractions``.  Pairs with small quotient sums are
-built from drawn continued fractions, so the stepwise oracle stays cheap
-however large p and q are.  A fixed derandomized profile keeps these fast
-and repeatable.
+The fast paths are the divmod sweep kernel with its stopping-time table
+(also with its band size patched to 1 and 7 rows), the run-length word and
+its replay, phi word recovery by the wave kernel ``kernels.phi_recovery``
+(also banded), and the array sweep starts.  Their oracles are
+``orbit_pq(..., PHI)``, whose branch string the runs must render to, the
+Euclid-per-wave sweep ``euclid_per_wave_sweep``, ``replay_word_pq``, the
+per-start recovery loop over ``phi_runs`` and ``reduced_fractions``.  Pairs
+with small quotient sums are built from drawn continued fractions, so the
+stepwise oracle stays cheap however large p and q are.  A fixed
+derandomized profile keeps these fast and repeatable.
 """
 
 import math
@@ -99,6 +100,113 @@ def test_divmod_kernel_does_not_depend_on_band_size(picks, band, rnd):
                     continue
                 exact, term, _ = orbit_pq(p, q, PHI, p + q)
                 assert term and (st_, flag) == (exact, FLAG_DONE)
+
+
+def euclid_per_wave_sweep(ps, qs):
+    """(steps, flags) of every row stepped by Euclid divisions to its end.
+
+    The form ``phi_sweep`` had before its table: each wave divides every
+    live row's pair, and no row reads another's result.
+    """
+    p = np.asarray(ps, dtype=np.int64)
+    q = np.asarray(qs, dtype=np.int64)
+    steps = np.zeros(p.shape[0], dtype=np.int64)
+    flags = np.zeros(p.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(p != 0)
+    x = np.maximum(p[rows], q[rows])
+    y = np.minimum(p[rows], q[rows])
+    while rows.size:
+        quot, rem = np.divmod(x, y)
+        steps[rows] += quot
+        bad = (quot < 1) | (rem >= x)
+        if bad.any():
+            flags[rows[bad]] = FLAG_VIOLATION
+            rem[bad] = 0
+        live = np.flatnonzero(rem)
+        rows, x, y = rows[live], y[live], rem[live]
+    flags[steps > p + q] = FLAG_VIOLATION
+    return steps, flags
+
+
+SMALL = list(reduced_fractions(40))
+
+
+@st.composite
+def mixed_rows(draw):
+    """One row: a sweep start, its other orientation, a multiple of one, or
+    a pair below 2^62, reduced or not, far above any table's top."""
+    p, q = draw(st.sampled_from(SMALL))
+    kind = draw(st.sampled_from(("start", "swapped", "multiple", "big", "big multiple")))
+    if kind == "swapped" and p:
+        return q, p
+    if kind == "multiple":
+        k = draw(st.integers(2, 5))
+        return k * p, k * q
+    if kind == "big":
+        return draw(big_pairs())
+    if kind == "big multiple":
+        return draw(st.integers(0, LIMIT - 1)), draw(st.integers(1, LIMIT - 1))
+    return p, q
+
+
+@PROPS
+@given(st.lists(st.integers(1, 50), max_size=4), st.lists(mixed_rows(), max_size=60),
+       st.integers(0, 30), st.sampled_from((1, 7, kernels.BAND_ROWS)),
+       st.randoms(use_true_random=False))
+def test_table_kernel_matches_euclid_per_wave(negatives, picks, height, band, rnd):
+    # -1/q and 0/-q rows first, then a sweep in height order, so the table
+    # fills and is read, then the picks shuffled with duplicates and the
+    # sweep's rows
+    ps, qs = reduced_fraction_arrays(height)
+    rest = picks + picks[: len(picks) // 2] + list(zip(ps.tolist(), qs.tolist()))[::3]
+    rnd.shuffle(rest)
+    rows = [(-1, q) for q in negatives] + [(0, -q) for q in negatives]
+    rows += list(zip(ps.tolist(), qs.tolist())) + rest
+    ps = np.array([p for p, _ in rows], dtype=np.int64)
+    qs = np.array([q for _, q in rows], dtype=np.int64)
+    with mock.patch.object(kernels, "BAND_ROWS", band):
+        steps, flags = phi_sweep(ps, qs)
+    expected = euclid_per_wave_sweep(ps, qs)
+    assert steps.dtype == flags.dtype == np.int64
+    assert steps.tolist() == expected[0].tolist() and flags.tolist() == expected[1].tolist()
+
+
+def test_table_kernel_matches_euclid_per_wave_on_the_full_sweep():
+    ps, qs = reduced_fraction_arrays(2000)
+    steps, flags = phi_sweep(ps, qs)
+    expected_steps, expected_flags = euclid_per_wave_sweep(ps, qs)
+    assert np.array_equal(steps, expected_steps) and np.array_equal(flags, expected_flags)
+
+
+def test_a_flagged_start_flags_every_row_that_ends_a_run_on_it():
+    # the division of the pair (5, 3) is made to take no step, so its starts
+    # 3/5 and 5/3 are flagged.  One row at a time, each later row ends its
+    # first run on a finished start: only those two divide (5, 3), and every
+    # other row whose orbit passes it must read the flag from the table.
+    ps, qs = reduced_fraction_arrays(60)
+    real = np.divmod
+    faults = []
+
+    def faulty(x, y):
+        quot, rem = real(x, y)
+        hit = (x == 5) & (y == 3)
+        faults.append(int(hit.sum()))
+        quot[hit] = 0
+        return quot, rem
+
+    def passes(p, q):
+        x, y = max(p, q), min(p, q)
+        while y:
+            if (x, y) == (5, 3):
+                return True
+            x, y = y, x % y
+        return False
+
+    with mock.patch.object(kernels, "BAND_ROWS", 1), mock.patch.object(kernels.np, "divmod", faulty):
+        _, flags = phi_sweep(ps, qs)
+    through = [passes(p, q) for p, q in zip(ps.tolist(), qs.tolist())]
+    assert sum(faults) == 2 and sum(through) > 2
+    assert flags.tolist() == [FLAG_VIOLATION if t else FLAG_DONE for t in through]
 
 
 @PROPS
