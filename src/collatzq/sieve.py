@@ -35,18 +35,17 @@ is exact.  A word goes through five stages, and only the last decides:
 A box whose largest exponent is at most a chunk gets power tables of
 every exponent; past that no chunk has tails, and each call's tables cover
 its own heads' exponents only, so memory follows the chunk, not the box.
-Sampled words (drawn by the ``getrandbits`` calls of ``Random.randint``)
-and a checkpoint's stored words are heads whose one tail word is empty,
-with the identity as its product.  The tests' oracle for the sieve is the
+Sampled words are ``Random.randint``'s exponents, read in bulk as blocks
+of the generator's 32-bit words (``_draw_exponents``); they and a
+checkpoint's stored words are heads whose one tail word is empty, with the
+identity as its product.  The tests' oracle for the sieve is the
 plain one: every word of a block, multiplied out and given to
 ``core.integer_eigenvalues``.
 """
 
 from __future__ import annotations
 
-import array
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -359,19 +358,84 @@ def confirm_words(
 
 
 def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:
-    """``size`` words of the (k, M) box, one exponent row each, drawn as
-    ``rng.randint`` draws them exponent by exponent."""
-    # randint(lo, hi) = lo + the first getrandbits(n.bit_length()) below n = hi - lo + 1
-    spec = [(r.start, len(r), len(r).bit_length()) for r in _exponent_ranges(k, M)]
-    getrandbits = rng.getrandbits
-    out = array.array("q")
-    append = out.append
-    for lo, n, bits in itertools.chain.from_iterable(itertools.repeat(spec, size)):
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        append(lo + r)
-    return np.frombuffer(out, dtype=np.int64).reshape(size, 2 * k)
+    """``size`` words of the (k, M) box, one exponent row each: the exponents
+    that ``rng.randint`` draws exponent by exponent, read from the stream in
+    bulk, and ``rng`` left where those draws leave it.
+
+    Three facts of CPython 3.11's ``Random``, an MT19937 generator, make a
+    bulk read exact:
+
+    - ``randint(lo, hi)`` is lo + r, where r is the first ``getrandbits(b)``
+      below n = hi - lo + 1, with b = n.bit_length().
+    - For b <= 32, ``getrandbits(b)`` takes one 32-bit word w and returns
+      w >> (32 - b).  For b > 32 it takes ceil(b/32) words, least
+      significant first, and shifts the last right by 32 ceil(b/32) - b.
+    - ``getrandbits(32 N).to_bytes(4 N, "little")`` holds N words in the
+      order they were generated.
+
+    A box has two kinds of range: 0..M at both ends of a word and 1..M
+    inside it.  A round reads one attempt's words per missing exponent, up
+    to the first position whose attempts take another number of words (for
+    int64 exponents the kinds differ in it only at M + 1 = 2^32).  Every
+    missing exponent takes at least one attempt, so no round reads past the
+    words that the ``randint`` loop reads.  An attempt accepted at every
+    position of the round, or rejected at every one, is resolved in bulk;
+    one whose fate depends on its position is walked in order, carrying the
+    position.  The j-th accepted attempt of a round fills the j-th missing
+    position, so each value is lo + r of that position's kind, as arrays.
+    """
+    ranges = _exponent_ranges(k, M)
+    # 0..M, then 1..M for k > 1: kind i is the range that starts at i
+    kinds = list(dict.fromkeys(ranges))
+    kind = [kinds.index(r) for r in ranges]
+    bits = [len(r).bit_length() for r in kinds]
+    words = [-(-b // 32) for b in bits]
+    period, out = len(ranges), np.empty(size * len(ranges), dtype=np.int64)
+    # the kinds of the missing positions, from any first one of the period
+    cycle = np.tile(np.array(kind, dtype=np.int8), size + 1)
+    done = 0
+    while done < len(out):
+        o = done % period
+        c = words[kind[o]]
+        change = (j for j in range(1, period) if words[kind[(o + j) % period]] != c)
+        attempts = min(next(change, len(out)), len(out) - done)
+        w = np.frombuffer(
+            rng.getrandbits(32 * c * attempts).to_bytes(4 * c * attempts, "little"), dtype="<u4"
+        ).reshape(attempts, c)
+        # r of every attempt at each kind of the round, and where it is taken
+        present = sorted(set(cycle[o : o + min(attempts, period)].tolist()))
+        r = {}
+        for b in {bits[i] for i in present}:
+            r[b] = w[:, -1] >> (32 * c - b)
+            for j in range(c - 2, -1, -1):
+                r[b] = r[b].astype(np.uint64) << 32 | w[:, j]
+        fate = [r[bits[i]] < len(kinds[i]) for i in present]
+        taken = fate[0] & fate[-1]
+        walked = np.flatnonzero(fate[0] ^ fate[-1])
+        if len(walked):
+            # taken at the ends of a word or inside it, not both.  Its
+            # position is o plus the attempts taken before it, in bulk and
+            # (e) by the walk; the table's half for its fate says, byte by
+            # position mod period, whether the position takes it.
+            span = period + len(walked)
+            inner = np.resize(np.array(kind, dtype=np.uint8), span)
+            table = np.concatenate([inner, 1 - inner]).tobytes()
+            x = (o + np.cumsum(taken)[walked]) % period + fate[0][walked] * span
+            e, seen = 0, []
+            for i in x.tolist():
+                e += table[i + e]
+                seen.append(e)
+            taken[walked] = np.diff(seen, prepend=0)
+        index = np.flatnonzero(taken)
+        at = cycle[o : o + len(index)]
+        first, last = r[bits[present[0]]], r[bits[present[-1]]]
+        got = first[index]
+        if first is not last:
+            got = np.where(at == present[0], got, last[index])
+        # lo + r, with lo the kind and taken r below 2^63
+        np.add(got, at, out=out[done : done + len(index)], dtype=np.int64, casting="unsafe")
+        done += len(index)
+    return out.reshape(size, 2 * k)
 
 
 def sample_hits(

@@ -630,8 +630,10 @@ def test_power_tables_are_powers_mod_m(g):
             assert table[:, e].tolist() == [v % m for v in (*p.entries(), p.det())]
 
 
-# M or M + 1 a power of two: randint's rejection loop at its edges
-DRAW_TOPS = [1, 2, 3, 7, 8, 15, 16, 24, 31, 32, 63, 64, 1000, 1023, 1024]
+# M or M + 1 a power of two: randint's rejection loop at its edges; past
+# 2^32 an attempt takes two words, and at M + 1 = 2^32 only the end ones do
+DRAW_TOPS = [1, 2, 3, 7, 8, 15, 16, 24, 31, 32, 63, 64, 1000, 1023, 1024,
+             2**32 - 1, 2**32, 2**32 + 1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -646,4 +648,22 @@ def test_draws_match_randint(k, M, size, seed):
         ref.randint(r.start, r.stop - 1) for _ in range(size) for r in _exponent_ranges(k, M)
     ]
     assert drawn.ravel().tolist() == expected
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_draws_over_batches_match_randint(seed):
+    # M = 1 rejects half the attempts, so the draws take many rounds, and
+    # sample_hits draws them in three batches
+    k, M = 3, 1
+    size = 2 * (sieve_mod.SIEVE_CHUNK_WORDS // (2 * k)) + 1
+    ref = random.Random(seed)
+    expected = [
+        ref.randint(r.start, r.stop - 1) for _ in range(size) for r in _exponent_ranges(k, M)
+    ]
+    rng = random.Random(seed)
+    assert sieve_mod._draw_exponents(rng, k, M, size).ravel().tolist() == expected
+    assert rng.getstate() == ref.getstate()
+    rng = random.Random(seed)
+    list(sieve_mod.sample_hits(r_power, s_power, rng, k, M, size, M))
     assert rng.getstate() == ref.getstate()

@@ -263,6 +263,19 @@ class TestDensity:
         assert code == 0
         assert out.splitlines()[-1].endswith("sampled(size=50;seed=3)")
 
+    def test_sampled_rows_with_members_are_pinned(self, capsys):
+        # each row draws in three batches, and M = 31 is a power-of-two edge
+        code, out, _ = run_cli(capsys, "density", "--k", "1", "--m-range", "30..32",
+                               "--sample", "20000", "--seed", "12345")
+        assert code == 0
+        assert out == (
+            HEADER + "density --k 1 --m-range 30..32 --prefilter on --sample 20000 --seed 12345\n"
+            + DENSITY_COLUMNS
+            + "1,30,961,1290,129,2000,sampled(size=20000;seed=12345)\n"
+            + "1,31,1024,1217,1217,20000,sampled(size=20000;seed=12345)\n"
+            + "1,32,1089,1184,37,625,sampled(size=20000;seed=12345)\n"
+        )
+
     def test_candidate_reported_once_across_nested_rows(self, monkeypatch, capsys, tmp_path):
         # a fake member of level 1 sits in each nested row M = 1..3
         member = OmegaMember(Word((1, 1), (1, 0)), Mat2(1, 0, 0, 1), EigenPair(1, 1))
