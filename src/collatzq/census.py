@@ -39,8 +39,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import integer_eigenvalues  # noqa: F401  (traced here by perfbench/spans.py)
-from .errors import BudgetExceededError, CorruptCheckpointError
-from .sieve import OmegaMember, chunk_words, confirm_words, sample_hits, sieve_words
+from .errors import BudgetExceededError, CorruptCheckpointError, SizeLimitError
+from .sieve import (
+    MAX_SAMPLED_M,
+    OmegaMember,
+    chunk_words,
+    confirm_words,
+    sample_hits,
+    sieve_words,
+)
 from .spectral import compute_nk
 from .spectral import prefilter_excludes  # noqa: F401  (traced here by perfbench/spans.py)
 from .words import (
@@ -129,6 +136,10 @@ def census_sampled(
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
+    if M > MAX_SAMPLED_M:
+        raise SizeLimitError(
+            f"sampled M={M} is over {MAX_SAMPLED_M}: exponents are drawn as int64"
+        )
     n = compute_nk(k).n if use_prefilter else M
     rng = random.Random(seed)
     members = tuple(sample_hits(r_power, s_power, rng, k, M, sample_size, n))

@@ -15,10 +15,22 @@ is exact.  A word goes through five stages, and only the last decides:
 
 1. Tail product.  Every chunk of a box has the same tail words, so the
    residues T of their products (at most a chunk of them, in lexicographic
-   order) are built once per box.  A chunk builds only its heads' products
-   H, then tr(H T) as four outer products and det(H T) as one.
-2. Square test.  disc = tr^2 - 4 det mod m must be a square mod
-   5005 = 5*7*11*13 and mod 7429 = 17*19*23.  About 1% of words survive.
+   order) are built once per box, mod m and, as int32, mod q1 = 5005.  A
+   chunk builds only its heads' products H mod m.
+2. Square test.  disc = tr^2 - 4 det must be a square mod
+   q1 = 5005 = 5*7*11*13 and mod q2 = 7429 = 17*19*23.
+   a. On every word, in int32 mod q1.  H and T reduced mod q1 are below
+      5005, so each product of two is below 5005^2 < 2^25, and tr1, the sum
+      of the four outer products of tr(H T), is below 2^27.  tr1 is reduced;
+      det1, one product, is not, so disc1 = tr1^2 - 4 det1 lies in
+      (-2^27, 2^25).  Its residue is looked up in the squares mod 5005.
+      About 10% of words survive, (3/5)(4/7)(6/11)(7/13).
+   b. On those survivors only, in int64.  Their head and tail columns give
+      tr(H T) and det(H T) mod m exactly, and disc mod 7429 must be a
+      square.  About 1.5% of words survive both.
+   Reductions are x - (x // q) q: numpy's ``%`` by a scalar takes several
+   times as long as its ``//``, and floor division gives ``%``'s residue in
+   [0, q) for a negative x, such as a disc.
 3. Small-eigenvalue congruence, for words of R and S only.  A survivor
    stays only if mu (tr - mu) = det mod m for some mu in S(k), the
    {2, 3}-units up to 2^(k+1); ``small_eigenvalues`` proves that every hit
@@ -32,6 +44,8 @@ is exact.  A word goes through five stages, and only the last decides:
    built only for a confirmed hit: the leaf makes its ``OmegaMember``,
    whose ``Mat2`` and ``EigenPair`` come from those integers.
 
+The stages form a conjunction of tests, each of which every hit passes, so
+the order and the split of stage 2 do not change which words survive.
 A box whose largest exponent is at most a chunk gets power tables of
 every exponent; past that no chunk has tails, and each call's tables cover
 its own heads' exponents only, so memory follows the chunk, not the box.
@@ -94,6 +108,32 @@ class OmegaMember:
     eigen: EigenPair
 
 
+# Bytes per scratch array of ``_reduce``: below glibc's default mmap
+# threshold of 128 KiB, and a whole chunk of int32 residues
+REDUCE_BLOCK_BYTES = 1 << 16
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q, in [0, q), in place as x - (x // q) q; x is contiguous.
+
+    Floor division rounds toward minus infinity, so a negative x gets the
+    residue that ``%`` gives.  Where (x // q) q overflows the dtype it
+    wraps, and the subtraction, whose exact value fits, wraps back.  The
+    quotients go to one scratch array per block of ``REDUCE_BLOCK_BYTES``:
+    scratch as large as x can take the heap past glibc's trim threshold,
+    so that every call faults its pages in afresh.
+    """
+    assert x.flags.forc, "reduced in place through a flat view"
+    flat = x.ravel(order="K")
+    step = REDUCE_BLOCK_BYTES // x.itemsize
+    for i in range(0, len(flat), step):
+        part = flat[i : i + step]
+        y = part // q
+        y *= q
+        part -= y
+    return x
+
+
 def _times(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Residues of x g: rows a, b, c, d, det of two (5, ...) arrays, broadcast."""
     xa, xb, xc, xd, xdet = x
@@ -104,8 +144,7 @@ def _times(x: np.ndarray, g: np.ndarray) -> np.ndarray:
         np.multiply(u, v, out=row)
         row += w * z
     np.multiply(xdet, gdet, out=out[4])
-    out %= SIEVE_MODULUS
-    return out
+    return _reduce(out, SIEVE_MODULUS)
 
 
 def _power_table(g: Mat2, exponents: np.ndarray) -> np.ndarray:
@@ -158,7 +197,7 @@ def _has_small_eigenvalue(tr: np.ndarray, det: np.ndarray, mus: np.ndarray) -> n
     step = max(1, SIEVE_CHUNK_WORDS // max(1, len(tr)))
     for i in range(0, len(mus) if len(tr) else 0, step):
         mu = mus[i : i + step, None]
-        keep |= ((mu * (tr - mu) - det) % SIEVE_MODULUS == 0).any(axis=0)
+        keep |= (_reduce(mu * (tr - mu) - det, SIEVE_MODULUS) == 0).any(axis=0)
     return keep
 
 
@@ -175,21 +214,61 @@ def _tail_product(
     return x
 
 
-def _traces(
-    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tail: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tr, det) mod m of each word of ``heads`` x ``tail``, flat, in
-    lexicographic order.
+class _Tails(NamedTuple):
+    """What every chunk of a box shares: the ranges of its tail exponents,
+    the ``_tail_product`` of their words, mod m and as int32 mod
+    ``SIEVE_FACTORS[0]``, and ``small_eigenvalues`` of its block count when
+    that stage applies, else None."""
 
-    A row of ``heads`` fixes the first exponents of a word, exponent i
-    indexing ``tables[i % 2]``; ``tail`` is a ``_tail_product``.
-    """
+    ranges: list[range]
+    product: np.ndarray
+    product_q1: np.ndarray
+    mus: np.ndarray | None
+
+
+def _head_products(tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray) -> np.ndarray:
+    """Rows a, b, c, d, det mod m of the product of each row of ``heads``, a
+    (5, len(heads)) array; exponent i of a row indexes ``tables[i % 2]``."""
     x = tables[0][:, heads[:, 0]]
     for i in range(1, heads.shape[1]):
         x = _times(x, tables[i % 2][:, heads[:, i]])
-    xa, xb, xc, xd, xdet = x[:, :, None]
-    ta, tb, tc, td, tdet = tail[:, None, :]
+    return x
+
+
+def _traces(
+    head: np.ndarray, tail: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tr, det) mod m of the words at flat ``index`` of the words
+    ``head`` x ``tail``, numbered in lexicographic order; both are products
+    mod m, a ``_head_products`` and a ``_tail_product``."""
+    h = index // tail.shape[1]
+    t = index - h * tail.shape[1]
+    xa, xb, xc, xd, xdet = head.take(h, axis=1)
+    ta, tb, tc, td, tdet = tail.take(t, axis=1)
     # a sum of four products below 2^54
+    tr = xa * ta
+    tr += xb * tc
+    tr += xc * tb
+    tr += xd * td
+    return _reduce(tr, SIEVE_MODULUS), _reduce(xdet * tdet, SIEVE_MODULUS)
+
+
+def _sieve(
+    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: _Tails
+) -> np.ndarray:
+    """Flat indices of the words of ``heads`` x ``tails`` that pass the
+    square test and, unless ``tails.mus`` is None, the small-eigenvalue
+    congruence.
+
+    No word outside the result is a hit: a perfect square is a square
+    modulo every factor of m, and ``small_eigenvalues`` shows that a hit
+    of R and S passes the congruence.
+    """
+    (q1, q2), (squares1, squares2) = SIEVE_FACTORS, _sieve_squares()
+    head = _head_products(tables, heads)
+    # 2a, every word in int32 mod q1: products below 2^25, tr1 below 2^27
+    xa, xb, xc, xd, xdet = _reduce(head.astype(np.int32), q1)[:, :, None]
+    ta, tb, tc, td, tdet = tails.product_q1[:, None, :]
     tr = xa * ta
     # one scratch array for the other products, so that few word-sized
     # arrays are alive at once
@@ -197,45 +276,19 @@ def _traces(
     for u, v in ((xb, tc), (xc, tb), (xd, td)):
         tr += np.multiply(u, v, out=term)
     det = np.multiply(xdet, tdet, out=term)
-    tr %= SIEVE_MODULUS
-    det %= SIEVE_MODULUS
-    return tr.ravel(), det.ravel()
-
-
-def _sieve(
-    tables: tuple[np.ndarray, np.ndarray],
-    heads: np.ndarray,
-    tail: np.ndarray,
-    mus: np.ndarray | None,
-) -> np.ndarray:
-    """Flat indices of the words of ``heads`` x ``tail`` that pass the
-    square test and, unless ``mus`` is None, the small-eigenvalue congruence.
-
-    No word outside the result is a hit: a perfect square is a square
-    modulo every factor of m, and ``small_eigenvalues`` shows that a hit
-    of R and S passes the congruence.
-    """
-    tr, det = _traces(tables, heads, tail)
-    disc = tr * tr
-    disc -= det << 2
-    disc %= SIEVE_MODULUS
-    keep = np.ones(disc.shape, dtype=bool)
-    for q, squares in zip(SIEVE_FACTORS, _sieve_squares()):
-        keep &= squares[disc % q]
-    index = np.flatnonzero(keep)
-    if mus is not None:
-        index = index[_has_small_eigenvalue(tr[index], det[index], mus)]
+    det <<= 2
+    # disc1 = tr1^2 - 4 det1 in (-2^27, 2^25)
+    disc = _reduce(tr, q1)
+    disc *= disc
+    disc -= det
+    index = np.flatnonzero(squares1.take(_reduce(disc, q1)))
+    # 2b, the survivors in int64 mod m
+    tr, det = _traces(head, tails.product, index)
+    keep = squares2.take(_reduce(tr * tr - (det << 2), q2))
+    index, tr, det = index[keep], tr[keep], det[keep]
+    if tails.mus is not None:
+        index = index[_has_small_eigenvalue(tr, det, tails.mus)]
     return index
-
-
-class _Tails(NamedTuple):
-    """What every chunk of a box shares: the ranges of its tail exponents,
-    the ``_tail_product`` of their words, and ``small_eigenvalues`` of its
-    block count when that stage applies, else None."""
-
-    ranges: list[range]
-    product: np.ndarray
-    mus: np.ndarray | None
 
 
 class _Leaves:
@@ -266,7 +319,9 @@ class _Leaves:
         exponents."""
         assert p == len(ranges) or self.tables is not None, "per-call tables cover heads only"
         mus = small_eigenvalues((len(ranges) + 1) // 2) if self.small_eigenvalue else None
-        return _Tails(ranges[p:], _tail_product(self.tables, p, ranges[p:]), mus)
+        product = _tail_product(self.tables, p, ranges[p:])
+        product_q1 = _reduce(product.astype(np.int32), SIEVE_FACTORS[0])
+        return _Tails(ranges[p:], product, product_q1, mus)
 
     def hits(
         self, heads: np.ndarray, tails: _Tails, n: int, lo: int, hi: int
@@ -278,7 +333,7 @@ class _Leaves:
             tables, rows = self._tables(values), columns.reshape(heads.shape)
         else:
             tables, rows = self.tables, heads
-        index = _sieve(tables, rows, tails.product, tails.mus)
+        index = _sieve(tables, rows, tails)
         index = index[(index >= lo) & (index < hi)]
         tail = tails.product.shape[1]
         words = np.concatenate(
@@ -355,6 +410,11 @@ def confirm_words(
     heads = np.array(words, dtype=np.int64).reshape(-1, len(ranges))
     leaves = _Leaves(left, right, max(r.stop for r in ranges) - 1)
     return leaves.hits(heads, leaves.tails(ranges, len(ranges)), n, 0, len(heads))
+
+
+# The largest M whose box can be sampled: exponents are drawn as int64, and
+# the size M + 1 of the range 0..M must fit a C ssize_t
+MAX_SAMPLED_M = 2**63 - 2
 
 
 def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:

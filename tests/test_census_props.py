@@ -293,7 +293,7 @@ def test_sieve_survivors_cover_oracle_hits(k, g, swap, data):
     leaves = sieve_mod._Leaves(left, right, M)
     ranges = _exponent_ranges(k, M)
     tails = leaves.tails(ranges, 2)
-    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails.product, tails.mus)
+    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails)
     assert {words.index(h.word) for h in expected} <= set(survivors.tolist())
 
     chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + len(block)))
@@ -500,6 +500,11 @@ def test_sieve_arithmetic_is_exact_in_int64():
     assert math.gcd(m, 6) == 1
     # the largest intermediate: a trace, a sum of four products of residues
     assert 4 * (m - 1) ** 2 < 2**63
+    # stage 2a in int32 mod q1: a product of two residues, a trace of four,
+    # and disc1 = tr1^2 - 4 det1 with tr1 reduced and det1 a product
+    q1 = sieve_mod.SIEVE_FACTORS[0]
+    assert (q1 - 1) ** 2 < 2**25 and 4 * (q1 - 1) ** 2 < 2**27
+    assert -(2**27) < -4 * (q1 - 1) ** 2 and (q1 - 1) ** 2 < 2**25 < 2**31
     for q, squares in zip(sieve_mod.SIEVE_FACTORS, sieve_mod._sieve_squares()):
         assert len(squares) == q
         for s in range(q):
@@ -538,6 +543,12 @@ def residues_by_oracle(left, right, heads, tails):
     return out
 
 
+def traces_of_every_word(tables, heads, tail):
+    """``_traces`` of every word of ``heads`` x ``tail``, in order."""
+    words = np.arange(len(heads) * tail.shape[1])
+    return sieve_mod._traces(sieve_mod._head_products(tables, heads), tail, words)
+
+
 @PROPS
 @given(tail_pairs, st.booleans(), boxes_and_heads())
 def test_traces_of_heads_and_tails_are_products_mod_m(g, swap, box):
@@ -546,7 +557,7 @@ def test_traces_of_heads_and_tails_are_products_mod_m(g, swap, box):
     leaves = sieve_mod._Leaves(left, right, 8)
     tails = leaves.tails(ranges, p)
     assert tails.product.shape == (5, math.prod(map(len, ranges[p:])))
-    tr, det = sieve_mod._traces(leaves.tables, heads, tails.product)
+    tr, det = traces_of_every_word(leaves.tables, heads, tails.product)
     expected = residues_by_oracle(left, right, heads, ranges[p:])
     assert list(zip(tr.tolist(), det.tolist())) == expected
 
@@ -564,8 +575,120 @@ def test_traces_of_heads_with_tables_of_their_own_exponents(g, swap, k, data):
     values, columns = np.unique(heads.ravel(), return_inverse=True)
     tails = leaves.tails([range(top + 1)] * (2 * k), 2 * k)
     tables = leaves._tables(values)
-    tr, det = sieve_mod._traces(tables, columns.reshape(heads.shape), tails.product)
+    tr, det = traces_of_every_word(tables, columns.reshape(heads.shape), tails.product)
     assert list(zip(tr.tolist(), det.tolist())) == residues_by_oracle(left, right, heads, [])
+
+
+def sieve_by_oracle(tables, heads, tails):
+    """Flat indices of the words of ``heads`` x ``tails.ranges`` that pass
+    the square tests mod both factors and, unless ``tails.mus`` is None, the
+    small-eigenvalue congruence.  Each word's tr and det are multiplied out
+    from the columns of ``tables`` on Python integers, then taken mod m."""
+    m = sieve_mod.SIEVE_MODULUS
+    squares = [{s * s % q for s in range(q)} for q in sieve_mod.SIEVE_FACTORS]
+    mus = [] if tails.mus is None else tails.mus.tolist()
+    words = (h + t for h in map(tuple, heads.tolist()) for t in itertools.product(*tails.ranges))
+    out = []
+    for i, word in enumerate(words):
+        a, b, c, d, det = 1, 0, 0, 1, 1
+        for j, e in enumerate(word):
+            ga, gb, gc, gd, gdet = tables[j % 2][:, e].tolist()
+            a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+            det *= gdet
+        tr, det = (a + d) % m, det % m
+        disc = tr * tr - 4 * det
+        squared = all(disc % q in sq for q, sq in zip(sieve_mod.SIEVE_FACTORS, squares))
+        small = tails.mus is None or any((mu * (tr - mu) - det) % m == 0 for mu in mus)
+        if squared and small:
+            out.append(i)
+    return out
+
+
+M_RESIDUES = st.one_of(
+    # small entries make small discriminants, squares more often
+    st.integers(0, 2),
+    # 5004 mod 5005, m - 1 among them: the largest terms of stage 2a
+    st.integers(0, sieve_mod.SIEVE_FACTORS[1] - 1).map(lambda j: 5005 * j + 5004),
+    st.integers(0, sieve_mod.SIEVE_MODULUS - 1),
+)
+
+
+@st.composite
+def sieve_boxes(draw):
+    """(ranges, p, heads) as ``boxes_and_heads`` gives them, with 2 to 4
+    exponent ranges of at least 4 exponents and up to 8 heads, so that some
+    words pass the square test."""
+    ranges = []
+    for _ in range(draw(st.integers(2, 4))):
+        lo = draw(st.integers(0, 5))
+        ranges.append(range(lo, draw(st.integers(lo + 4, 9))))
+    p = draw(st.integers(1, len(ranges)))
+    heads = draw(st.lists(st.tuples(*map(st.sampled_from, ranges[:p])), min_size=1, max_size=8))
+    return ranges, p, np.array(heads, dtype=np.int64).reshape(-1, p)
+
+
+@settings(PROPS, max_examples=60)
+@given(pairs, st.booleans(), sieve_boxes(), st.booleans(), st.booleans(), st.data())
+def test_sieve_survivors_match_oracle(g, swap, box, with_mus, residues, data):
+    # generator powers, or any residues with 5004 mod 5005 frequent, in the
+    # power tables; with and without the small-eigenvalue stage
+    ranges, p, heads = box
+    left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
+    leaves = sieve_mod._Leaves(left, right, 8)
+    if residues:
+        column = st.lists(M_RESIDUES, min_size=9, max_size=9)
+        leaves.tables = tuple(
+            np.array(data.draw(st.lists(column, min_size=5, max_size=5)), dtype=np.int64)
+            for _ in range(2)
+        )
+    mus = sieve_mod.small_eigenvalues((len(ranges) + 1) // 2) if with_mus else None
+    tails = leaves.tails(ranges, p)._replace(mus=mus)
+    survivors = sieve_mod._sieve(leaves.tables, heads, tails)
+    assert survivors.tolist() == sieve_by_oracle(leaves.tables, heads, tails)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_sieve_survivors_at_the_int32_bounds(p):
+    # every entry and determinant of the one-letter heads and tails is
+    # 5004 - r mod 5005 for r < 8, so tr1 before its reduction is near
+    # 4 * 5004^2 and disc1 after it near -4 * 5004^2
+    rng = np.random.default_rng(27)
+    q1, q2 = sieve_mod.SIEVE_FACTORS
+    tables = tuple(q1 * rng.integers(0, q2, (5, 40)) + q1 - 1 - rng.integers(0, 8, (5, 40))
+                   for _ in range(2))
+    ranges = [range(40), range(40)]
+    heads = np.array(list(itertools.product(*ranges[:p])), dtype=np.int64).reshape(-1, p)
+    leaves = sieve_mod._Leaves(r_power, s_power, 39)
+    leaves.tables = tables
+    # random residues almost never pass the small-eigenvalue congruence
+    tails = leaves.tails(ranges, p)._replace(mus=None)
+    expected = sieve_by_oracle(tables, heads, tails)
+    assert 0 < len(expected) < 1600
+    assert sieve_mod._sieve(tables, heads, tails).tolist() == expected
+
+
+@pytest.mark.parametrize("dtype,bound", [(np.int32, 2**31), (np.int64, 2**54)])
+@settings(PROPS, max_examples=100)
+@given(st.data())
+def test_reduce_matches_remainder(dtype, bound, data):
+    # a C- or F-ordered x, reduced in blocks of one or two entries, a few or
+    # the default
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 10))
+    values = data.draw(st.lists(st.integers(-bound, bound - 1), min_size=rows * cols,
+                                max_size=rows * cols))
+    q = data.draw(
+        st.one_of(st.sampled_from([*sieve_mod.SIEVE_FACTORS, sieve_mod.SIEVE_MODULUS]),
+                  st.integers(1, 2**26))
+    )
+    order = data.draw(st.sampled_from("CF"))
+    x = np.array(np.reshape(values, (rows, cols)), dtype=dtype, order=order)
+    expected = x % q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_mod, "REDUCE_BLOCK_BYTES", data.draw(st.sampled_from([8, 56, 1 << 16])))
+        out = sieve_mod._reduce(x, q)
+    assert out is x and out.dtype == dtype
+    assert out.tolist() == expected.tolist()
+    assert np.ravel(out).tolist() == [v % q for v in values]
 
 
 @settings(PROPS, max_examples=300)

@@ -276,6 +276,21 @@ class TestDensity:
             + "1,32,1089,1184,37,625,sampled(size=20000;seed=12345)\n"
         )
 
+    @pytest.mark.parametrize("M,code", [(2**63 - 1, 2), (2**63 - 2, 0)])
+    def test_sampled_m_past_int64_exponents_is_refused(self, M, code):
+        # exponents are drawn as int64: the range 0..2^63 - 1 has no size
+        got, out, err = run_main("density", "--k", "1", "--m-range", f"{M}..{M}",
+                                 "--sample", "3", "--seed", "3")
+        assert got == code
+        assert "Traceback" not in err
+        if code == 2:
+            assert err == (
+                f"error: sampled M={M} is over {2**63 - 2}: exponents are drawn as int64\n"
+            )
+            assert out == ""
+        else:
+            assert out.splitlines()[-1] == f"1,{M},{(M + 1) ** 2},0,0,1,sampled(size=3;seed=3)"
+
     def test_candidate_reported_once_across_nested_rows(self, monkeypatch, capsys, tmp_path):
         # a fake member of level 1 sits in each nested row M = 1..3
         member = OmegaMember(Word((1, 1), (1, 0)), Mat2(1, 0, 0, 1), EigenPair(1, 1))
