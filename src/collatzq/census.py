@@ -245,7 +245,6 @@ class SearchResult:
     members: tuple[OmegaMember, ...]
     words_tested: int
     complete: bool
-    generators: GeneratorPair
 
 
 def search_counterexamples(
@@ -276,8 +275,8 @@ def search_counterexamples(
             tested += words
             members.extend(found)
         if stop < total:
-            return SearchResult(tuple(members), tested, False, generators)
-    return SearchResult(tuple(members), tested, True, generators)
+            return SearchResult(tuple(members), tested, False)
+    return SearchResult(tuple(members), tested, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,28 @@
 """int64 numpy sweep and word recovery kernels.
 
-The sweep inner loops run on raw (p, q) pairs in int64, in vectorized waves
-over at most BAND_ROWS rows at a time.  Both kernels have one shape: the
-live rows ride along as compacted arrays (their row numbers and orbit
-state), each wave advances all of them, and the rows that finish leave
-through one mask.  Besides those arrays a sweep kernel allocates only its
-(steps, flags) outputs and its stopping-time table, so its working memory
-does not grow with the number of rows.
+The kernels run on raw (p, q) pairs in int64, in vectorized waves over at
+most BAND_ROWS rows at a time, and all four take one whole branch run per
+wave (phi recovery a G run and then an F run), never single steps.  The
+sweeps have one shape: the live rows ride along as compacted arrays (their
+row numbers, steps so far and orbit point), each wave advances all of them,
+and the rows that finish leave through one mask.  Besides those arrays a
+sweep kernel allocates only its (steps, flags) outputs and its stopping-time
+table, so its working memory does not grow with the number of rows.
 
-theta advances one step per wave with the same step rule as
-`dynamics.theta_step_pq`.  Rows enter in input order, a band at a time:
-whenever at most half of BAND_ROWS rows are live, the next band tops them up
-to BAND_ROWS.  Every start that leaves enters its result in a stopping-time
-table indexed by (p, p+q).  An entry is written only when its start has
-left, so it is final.  Each wave every live row looks its point y up: if
-y's entry is written, the row's orbit from y on is y's, so the row leaves
-with steps(y) added to its own steps, or capped if that sum passes the cap
-or y was capped.  Results depend on neither the order of the rows nor the
-band size.  The sweeps pass their rows in height order, so an orbit's first
-drop below its start (after about 4 steps) mostly lands on a finished
-start, and few rows step all the way to 0.  A theta orbit can grow, so any
-row whose values approach the int64 range is flagged FLAG_OVERFLOW instead
-of stepped; callers redo those rows in big-int arithmetic.  The table never
-holds an overflowed start, so a row that reaches one steps on by itself and
-meets the same flags it always did.
+theta takes one R or S run per wave with `_theta_run`, the run step of
+word recovery too.  Waves alternate R and S, and rows enter only on R waves
+(a row below 1 opens with an empty R run), in input order, a band at a
+time: whenever at most half of BAND_ROWS rows are live, the next band tops
+them up to BAND_ROWS.  Every start that leaves enters its result in a
+stopping-time table indexed by (p, p+q), so an entry is final.  Each wave a
+live row looks up the point y its run ended at: if y has an entry, the
+row's orbit from y on is y's, so the row leaves with steps(y) added to its
+own, or capped if that sum passes the cap or y was capped.  Results depend
+on neither the order of the rows nor the band size; in height order an
+orbit's first drop below its start mostly lands on a finished start.  A
+theta orbit can grow, so a row whose entries pass INT64_GUARD is flagged
+FLAG_OVERFLOW, for callers to redo in big-int arithmetic, and the table
+never holds such a start.
 
 phi has the same shape and the same kind of table.  Under phi a reduced p/q
 descends the Stern-Brocot tree: its orbit is a run of F steps (x -> x-1)
@@ -39,13 +38,12 @@ nearly every row leaves after its first wave.  phi rows never grow, so they
 cannot overflow, and no row reads past the highest start.
 
 Word recovery (`theta_recovery`, `phi_recovery`) also runs in consecutive
-bands.  A forward pass advances every live row by one whole run per wave,
-with `dynamics.theta_runs`'s or `dynamics.phi_runs`'s formulas, and keeps
-each wave's record: its row numbers (int32) and run lengths (int8 for
-theta).  A backward pass walks the band's records from the last wave to the
-first, replaying every finished row's word from 0/1, and the replayed pairs
-must equal the starts.  The records hold the band's runs, so this memory too
-is bounded by the band.
+bands.  A forward pass advances every live row by one whole run per wave
+and keeps each wave's record: its row numbers (int32) and run lengths (int8
+for theta).  A backward pass walks the band's records from the last wave to
+the first, replaying every finished row's word from 0/1, and the replayed
+pairs must equal the starts.  The records hold the band's runs, so this
+memory too is bounded by the band.
 """
 
 from __future__ import annotations
@@ -83,56 +81,64 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
 
     A row's orbit ends when it reaches 0 (FLAG_DONE), else when the cap is
     spent (FLAG_CAP), else when p or q is past the guard (FLAG_OVERFLOW), in
-    that order, and its steps are the steps taken to there; a row over the
-    guard at its start ends with steps 0.  A row that ends early on a start
-    in the table (see the module docstring) gets the same result.  The
-    table covers the heights below `_table_top(n)`.
+    that order, with the steps taken to there (0 for a start past the
+    guard).  The table covers the heights below `_table_top(n)`.
+
+    A row takes a whole R or S run per wave, and the wave tests the point
+    the run ended at, in this order: 0 with steps <= cap is done; steps >=
+    cap is capped, with the cap as its steps; then the guard; then the
+    table.  That gives every row the stepwise orbit's result, because:
+      - every point of an R run but the last has q <= p <= p0, and of an S
+        run p < q <= q0, so the guard can be crossed only at a run's end;
+      - the table holds only starts whose whole orbit (up to the cap, if
+        capped) stayed inside the guard, so a run that passes a finished
+        start ends as that start's entry says;
+      - 0 too is met only at a run's end, so the cap test made there,
+        after the test for 0, keeps the per-step precedence.
     """
     p_in = np.asarray(ps, dtype=np.int64)
     q_in = np.asarray(qs, dtype=np.int64)
     n = p_in.shape[0]
     steps = np.zeros(n, dtype=np.int64)
     flags = np.zeros(n, dtype=np.int64)
-    cap = min(cap, _INT64_MAX)  # a larger cap is never reached
+    cap = min(max(cap, 0), _INT64_MAX)  # below 0 acts as 0; above is never reached
     top = _table_top(n)
     # a finished start's steps are at most the cap, so they fit the entries
     table = np.full(top * (top - 1) // 2, _UNKNOWN, np.int32 if cap <= _INT32_MAX else np.int64)
-    # live rows: row number, wave it entered at, table slot of its start
-    # (-1 when it has none), and orbit point
-    rows = born = slot = p = q = np.zeros(0, dtype=np.int64)
-    entered = wave = 0
+    # live rows: row number, table slot of its start (-1 when it has none),
+    # steps so far, and orbit point
+    rows = slot = acc = p = q = np.zeros(0, dtype=np.int64)
+    entered, r_wave = 0, True
     while rows.size or entered < n:
-        if rows.size <= BAND_ROWS // 2 and entered < n:
+        if r_wave and rows.size <= BAND_ROWS // 2 and entered < n:
             band = np.arange(entered, min(n, entered + BAND_ROWS - rows.size))
             entered += band.size
             bp, bq = p_in[band], q_in[band]
             at, tabled = _slot(bp, bp + bq, top)
             rows = np.concatenate((rows, band))
-            born = np.concatenate((born, np.full(band.size, wave)))
             slot = np.concatenate((slot, np.where(tabled, at, -1)))
+            acc = np.concatenate((acc, np.zeros(band.size, dtype=np.int64)))
             p = np.concatenate((p, bp))
             q = np.concatenate((q, bq))
-        t = wave - born
-        done = p == 0
-        capped = t >= cap
+        done = (p == 0) & (acc <= cap)
+        capped = (acc >= cap) & ~done
         out = done | capped | (p > INT64_GUARD) | (q > INT64_GUARD)
         if out.any():
             gone = rows[out]
-            steps[gone] = t[out]
+            steps[gone] = np.where(capped[out], cap, acc[out])
             flags[gone] = np.where(done[out], FLAG_DONE, np.where(capped[out], FLAG_CAP, FLAG_OVERFLOW))
         h = p + q
         near = np.flatnonzero((h < top) & ~out)
-        if near.size:
-            at, tabled = _slot(p[near], h[near], top)
-            found = table.take(at, mode="clip")
-            known = (found != _UNKNOWN) & tabled
-            near, found = near[known], found[known]
-            total = t[near] + found
-            fin = (found >= 0) & (total <= cap)
-            hit = rows[near]
-            steps[hit] = np.where(fin, total, cap)
-            flags[hit] = np.where(fin, FLAG_DONE, FLAG_CAP)
-            out[near] = True
+        at, tabled = _slot(p[near], h[near], top)
+        found = table.take(at, mode="clip")
+        known = (found != _UNKNOWN) & tabled
+        near, found = near[known], found[known]
+        total = acc[near] + found
+        fin = (found >= 0) & (total <= cap)
+        hit = rows[near]
+        steps[hit] = np.where(fin, total, cap)
+        flags[hit] = np.where(fin, FLAG_DONE, FLAG_CAP)
+        out[near] = True
         if out.any():
             # every leaving start is final: enter it, unless it overflowed
             gone, sl = rows[out], slot[out]
@@ -140,20 +146,11 @@ def theta_sweep(ps: np.ndarray, qs: np.ndarray, cap: int) -> tuple[np.ndarray, n
             put = (sl >= 0) & (f != FLAG_OVERFLOW)
             table[sl[put]] = np.where(f[put] == FLAG_CAP, _CAPPED, steps[gone[put]])
             live = ~out
-            rows, born, slot, p, q = rows[live], born[live], slot[live], p[live], q[live]
-        ge = p >= q
-        # the guard makes 3*q and 2*p exact for every live row
-        p2 = np.where(ge, p - q, 2 * p)
-        q2 = np.where(ge, 3 * q, q - p)
-        red3 = ge & (p2 % 3 == 0)
-        p2 = np.where(red3, p2 // 3, p2)
-        q2 = np.where(red3, q, q2)
-        zero = ge & (p2 == 0)
-        q2 = np.where(zero, 1, q2)
-        red2 = ~ge & ((q2 & 1) == 0)
-        q2 = np.where(red2, q2 >> 1, q2)
-        p, q = np.where(red2, p, p2), q2
-        wave += 1
+            rows, slot, acc, p, q = rows[live], slot[live], acc[live], p[live], q[live]
+        # the guard makes the run's arithmetic exact for every live row
+        run, p, q = _theta_run(p, q, r_wave)
+        acc += run
+        r_wave = not r_wave
     return steps, flags
 
 
@@ -173,9 +170,9 @@ def phi_sweep(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at 0, when its run is flagged, or when the run's end pair has an entry
     in the table: it adds that entry's steps, or is flagged too if that
     start was.  Every leaving row enters its steps, or that it was flagged,
-    under its start's pair.  Rows enter as in `theta_sweep`, so the results
-    depend on neither the order of the rows nor the band size.  The table
-    covers the heights up to the highest start, within theta's 2n entries.
+    under its start's pair.  Rows enter in bands as in `theta_sweep`, but on
+    any wave; the results depend on neither their order nor the band size.
+    The table covers the heights up to the highest start, within 2n entries.
     """
     p_in = np.asarray(ps, dtype=np.int64)
     q_in = np.asarray(qs, dtype=np.int64)
@@ -256,17 +253,13 @@ def theta_recovery(ps: np.ndarray, qs: np.ndarray, cap: int) -> np.ndarray:
     FLAG_CAP: its stopping time exceeds the cap.  FLAG_OVERFLOW: the guard
     stopped it; redo the row in big-int arithmetic.
 
-    The forward pass takes one whole run per wave with the formulas of
-    `dynamics.theta_runs`: R runs on even waves, S runs on odd ones, and a
-    row below 1 opens with an empty R run, so a run's kind is its wave's
-    parity.  An R run from p >= q has n = (index of the largest 3^n <=
-    (2p+q)//q in a table of 3^0..3^39) and ends at (p - q(3^n-1)/2)/(3^n q);
-    an S run from 0 < p < q has the largest n with 2^n <= (p+q-1)//p and
-    ends at 2^n p/(p + q - 2^n p); np.gcd with 3^n, or the lowest set bit
-    capped at 2^n, reduces each end point.  A row leaves when it reaches 0,
-    when its run total passes the cap, or at the guard.  The start 0/1 takes
-    no wave.  The replay then walks the band's waves backwards from 0/1 with
-    the formulas of `dynamics.replay_theta_runs_pq`.
+    The forward pass takes one whole run per wave with `_theta_run`, as
+    the sweep does: R runs on even waves, S runs on odd ones, and a row
+    below 1 opens with an empty R run, so a run's kind is its wave's
+    parity.  A row leaves when it reaches 0, when its run total passes the
+    cap, or at the guard.  The start 0/1 takes no wave.  The replay then
+    walks the band's waves backwards from 0/1 with the formulas of
+    `dynamics.replay_theta_runs_pq`.
 
     The guard, with G = INT64_GUARD = (2^63-1)//3:
       forward: a row takes a run only from p, q <= G.  Then 2p + q and
@@ -329,22 +322,10 @@ def _theta_forward(p0, q0, cap):
     total = np.zeros(rows.size, dtype=np.int64)
     waves = []
     while rows.size:
-        if len(waves) & 1:  # S runs
-            n = np.searchsorted(_POW2, (p + q - 1) // p, side="right") - 1
-            t = _POW2[n]
-            unsafe = q > s_limit[n]
-            q = q + p - t * p
-            g = np.minimum(q & -q, t)  # only 2s are common
-            p = p * (t // g)
-            q //= g
-        else:  # R runs
-            n = np.searchsorted(_POW3, (2 * p + q) // q, side="right") - 1
-            t = _POW3[n]
-            unsafe = p > r_limit[n]
-            p = p - q * (t >> 1)
-            g = np.gcd(p, t)  # only 3s are common
-            p //= g
-            q = q * (t // g)
+        r_wave = not len(waves) & 1
+        n, p1, q1 = _theta_run(p, q, r_wave)
+        unsafe = p > r_limit[n] if r_wave else q > s_limit[n]
+        p, q = p1, q1
         waves.append((rows, n.astype(np.int8)))
         total += n
         capped = total > cap
@@ -356,6 +337,24 @@ def _theta_forward(p0, q0, cap):
             live = ~out
             rows, p, q, total = rows[live], p[live], q[live], total[live]
     return flags, waves
+
+
+def _theta_run(p, q, r_wave):
+    """(n, p, q): each row's R run (r_wave; empty from p < q) or S run, and
+    the pair it ends at, by `dynamics.theta_runs`'s formulas with n looked up
+    in _POW3 or _POW2.  Exact for p, q <= INT64_GUARD.
+    """
+    if r_wave:
+        n = np.searchsorted(_POW3, (2 * p + q) // q, side="right") - 1
+        t = _POW3[n]
+        p = p - q * (t >> 1)
+        g = np.gcd(p, t)  # only 3s are common
+        return n, p // g, q * (t // g)
+    n = np.searchsorted(_POW2, (p + q - 1) // p, side="right") - 1
+    t = _POW2[n]
+    q = q + p - t * p
+    g = np.minimum(q & -q, t)  # only 2s are common
+    return n, p * (t // g), q // g
 
 
 def _theta_replay(waves, done):

@@ -681,9 +681,10 @@ class TestSearch:
         assert expected  # this pair does produce small-exponent members
 
     def test_members_carry_exact_witnesses(self):
-        result = search_counterexamples(1, 4, GeneratorPair(2, 1, 1, 2))
+        pair = GeneratorPair(2, 1, 1, 2)
+        result = search_counterexamples(1, 4, pair)
         for m in result.members:
-            assert m.matrix == word_eval_general(m.word, result.generators)
+            assert m.matrix == word_eval_general(m.word, pair)
             assert integer_eigenvalues(m.matrix) == m.eigen
 
 

@@ -20,6 +20,7 @@ from collatzq import (
     GeneratorPair,
     Mat2,
     OmegaMember,
+    SearchResult,
     Word,
     compute_nk,
     kernels,
@@ -329,6 +330,21 @@ class TestSearch:
         assert members
         assert {"k", "betas", "alphas", "matrix", "lambda", "mu"} == set(members[0])
 
+    @pytest.mark.parametrize("extra,code", [((), 1), (("--generators", "5,1,1,3"), 0)])
+    def test_a_member_is_a_finding_only_over_the_default_generators(
+            self, monkeypatch, capsys, extra, code):
+        # no small default-pair word has integer eigenvalues, so a fake
+        # search returns a member of the pair (2,1,1,2)
+        found = search_counterexamples(1, 4, GeneratorPair(2, 1, 1, 2)).members[:1]
+        monkeypatch.setattr(cli_mod, "search_counterexamples",
+                            lambda *args: SearchResult(found, 1, True))
+        got, out, err = run_cli(capsys, "search", "--k", "1", "--exp-max", "1", *extra)
+        assert got == code
+        assert "found 1 with integer eigenvalues" in err
+        assert ("COUNTEREXAMPLE" in err) == (code == 1)
+        members = [json.loads(l) for l in out.splitlines() if not l.startswith("#")]
+        assert members == [_member_to_json(found[0])]
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite,extra", [
@@ -531,6 +547,26 @@ def test_numeric_flags_checked_by_the_parser(argv, code, out):
     assert (got_code, got_out) == (code, out)
     if code == 2:
         assert "error: argument --" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("orbit --value abc", "argument --value: cannot parse rational 'abc'"),
+    ("orbit --value 1/0", "argument --value: cannot parse rational '1/0'"),
+    ("orbit --value -1", "argument --value: starting value must be >= 0"),
+    ("sweep --height x", "argument --height: invalid int value: 'x'"),
+    ("fixed-point --matrix 1,2,3", "argument --matrix: matrix must be a,b,c,d"),
+    ("factor --matrix 1,2,3,x", "argument --matrix: bad matrix '1,2,3,x'"),
+    ("density --k 2 --m-range 1..x", "argument --m-range: bad range '1..x'"),
+    ("search --k 1 --exp-max 1 --generators 1,2,3",
+     "argument --generators: generators must be a,u,v,b"),
+    # a diagonal entry below 2 is refused by GeneratorPair itself
+    ("search --k 1 --exp-max 1 --generators 1,1,1,2",
+     "argument --generators: bad generators '1,1,1,2'"),
+])
+def test_unparsable_flag_values_are_refused_with_the_parsers_message(argv, message):
+    code, out, err = run_main(*argv.split())
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: {message}")
 
 
 class TestDeterminism:

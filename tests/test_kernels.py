@@ -35,6 +35,16 @@ def test_theta_matches_exact_orbits():
         assert orbit_pq(p, q, THETA, 10_000)[0] == st
 
 
+def test_theta_caps_past_int32_use_an_int64_table():
+    # a cap past 2^31 - 1 switches the table to int64 entries; 2^63 - 1 and
+    # past it are clamped to int64's largest, which no orbit reaches
+    _, ps, qs = start_arrays(80)
+    steps, flags = theta_sweep(ps, qs, 10_000)
+    for cap in (2**31, 2**40, 2**63 - 1, 2**70):
+        got_steps, got_flags = theta_sweep(ps, qs, cap)
+        assert np.array_equal(got_steps, steps) and np.array_equal(got_flags, flags)
+
+
 def test_phi_matches_exact_orbits():
     pairs, ps, qs = start_arrays(150)
     steps, flags = phi_sweep(ps, qs)

@@ -11,7 +11,8 @@ int64 guard, the per-start first-maximum loop, the right column of
 are drawn both small and around ``INT64_GUARD``.  The kernels are also run
 with their band size patched to 1 and 7 rows, under caps below the longest
 orbit and under a low guard, so rows end capped and overflowed; the sweep
-kernel also on shuffled rows with duplicates.  A fixed derandomized profile
+kernel also on shuffled rows with duplicates, and on runs that spend the
+cap or pass a finished start partway.  A fixed derandomized profile
 keeps these fast and repeatable.
 """
 
@@ -199,6 +200,55 @@ def test_low_guard_overflow_with_the_table(height, cap, guard, band, rnd):
     with mock.patch.object(kernels, "INT64_GUARD", guard), banded(band):
         assert_matches_stepwise(rows, cap)
         assert_sweep_matches_stepwise(height, cap)
+
+
+# one whole run from inside the guard to past it: (3^39 + 1)/2 takes an R
+# run of 39 to 1/3^39, and p/((2^20 - 1)p + 1) an S run of 20 to 2^20 p
+R_PAST_GUARD = ((3**39 + 1) // 2, 1)
+S_PAST_GUARD_P = INT64_GUARD // (2**20 - 1)
+S_PAST_GUARD = (S_PAST_GUARD_P, (2**20 - 1) * S_PAST_GUARD_P + 1)
+
+
+@pytest.mark.parametrize("start,run", [(R_PAST_GUARD, 39), (S_PAST_GUARD, 20)])
+@pytest.mark.parametrize("below", [1, 2, 19])
+def test_cap_crossed_inside_a_run_that_ends_past_the_guard(start, run, below):
+    # the kernel sees the run's end only, past the guard, but the cap was
+    # spent inside the run: capped at the cap, not flagged as overflowing
+    assert guarded_orbit(*start, DEFAULT_STEP_CAP) == (run, FLAG_OVERFLOW)
+    letters = orbit_pq(*start, THETA, DEFAULT_STEP_CAP)[2]
+    assert len(set(letters[:run])) == 1 and letters[run] != letters[0]
+    cap = run - below
+    assert_matches_stepwise([start], cap)
+    steps, flags = theta_sweep(*arrays([start]), cap)
+    assert (steps[0], flags[0]) == (cap, FLAG_CAP)
+    # on the run's last step the cap still comes first; past it, the guard
+    assert theta_sweep(*arrays([start]), run)[1][0] == FLAG_CAP
+    steps, flags = theta_sweep(*arrays([start]), run + 1)
+    assert (steps[0], flags[0]) == (run, FLAG_OVERFLOW)
+
+
+# chains of starts that one run passes through in order: (3^n - 1)/2 falls
+# by R steps through every (3^i - 1)/2 to 0, and 1/(2^n - 1) rises by S
+# steps through every 1/(2^i - 1) to 1
+CHAINS = [((3**n - 1) // 2, 1) for n in range(1, 6)] + [(1, 2**n - 1) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 5, 6, DEFAULT_STEP_CAP])
+def test_low_guard_run_passes_a_finished_start(band, cap):
+    # under a guard of 50, 121 and 1/63 start past it and 41 = (3^4 + 1)/2
+    # runs past it to 1/81.  The 490 starts of height <= 40 after the
+    # chains widen the table to every chain start inside the guard, and
+    # with one row per band each start finishes before the next enters: the
+    # R run of 40 passes the finished 13 and 4, and the S run of 1/31
+    # passes 1/15, 1/7 and 1/3.
+    # The table would end those rows there; the runs go on to their ends,
+    # and every row must still get the stepwise result
+    rows = CHAINS + [(41, 1)] + SWEEP_40
+    with mock.patch.object(kernels, "INT64_GUARD", 50), banded(band):
+        assert [guarded_orbit(*r, DEFAULT_STEP_CAP) for r in [(121, 1), (1, 63), (41, 1)]] == [
+            (0, FLAG_OVERFLOW), (0, FLAG_OVERFLOW), (4, FLAG_OVERFLOW)]
+        assert_matches_stepwise(rows, cap)
 
 
 @PROPS
