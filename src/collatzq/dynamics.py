@@ -26,8 +26,9 @@ as text (`reports.word_str`).
 
 Word recovery runs those run formulas in the int64 kernels
 `kernels.theta_recovery` and `kernels.phi_recovery`: a forward pass of
-array waves, one run per wave for every live row of a band, and a backward
-replay of the band's waves, compared exactly with the starts.  The
+array waves, one run per wave for every live row of a band, that leaves on
+a stopping-time table as the sweeps do, and a backward replay of the band's
+waves from where each row left, compared exactly with the starts.  The
 per-start big-int functions are the tests' oracle and redo the theta rows
 the kernel's guard stops.
 
@@ -495,16 +496,18 @@ def verify_word_recovery(
 
     Returns (orbits checked, starts whose replay failed or that never
     terminated under the cap), in sweep order; a start over the cap is not
-    checked.  The int64 kernels `kernels.theta_recovery` and
-    `kernels.phi_recovery` recover the words in array waves, one run per
-    wave, with the run formulas of `theta_runs` and `phi_runs`, and replay
-    them backwards with those of `replay_theta_runs_pq` and
-    `replay_runs_pq`.  Theta rows the kernel's guard stops are redone one
+    checked.  A negative `step_cap` is refused, as `orbit` refuses it.  The
+    int64 kernels `kernels.theta_recovery` and `kernels.phi_recovery`
+    recover the words in array waves, one run per wave, with the run
+    formulas of `theta_runs` and `phi_runs`, and replay them backwards with
+    those of `replay_theta_runs_pq` and `replay_runs_pq`.  Theta rows the kernel's guard stops are redone one
     by one on big-int pairs by `theta_runs` / `replay_theta_runs_pq`, so
     results never depend on the word size; phi rows never overflow.
     """
     if map_name not in (THETA, PHI):
         raise ValueError(f"unknown map {map_name!r}")
+    if step_cap < 0:
+        raise ValueError("step_cap must be >= 0")
     ps, qs = reduced_fraction_arrays(height_bound)
     if map_name == PHI:
         flags = kernels.phi_recovery(ps, qs, step_cap)

@@ -161,14 +161,16 @@ def test_fixedpoint_faults(monkeypatch, name, fault, c_zero, why):
 
 
 def assert_reports_a_wrong_replay(monkeypatch, map_name, replay, entry):
-    # corrupt one entry of the third row of the first band's replayed pairs:
-    # that start, and no other, fails, and it still counts as checked
+    # corrupt one entry of the third row of the first band's replayed pairs,
+    # the start 1/2: it fails and still counts as checked, and any other
+    # start that fails left its forward pass on it, a point of its orbit
     ps, qs = reduced_fraction_arrays(10)
+    wrong = Fraction(int(ps[2]), int(qs[2]))
     real = getattr(kernels, replay)
     bands = []
 
-    def off_on_third(waves, done):
-        pair = real(waves, done)
+    def off_on_third(waves, p, q, done):
+        pair = real(waves, p, q, done)
         if not bands:
             pair[entry][2] += 1
         bands.append(done.size)
@@ -177,7 +179,8 @@ def assert_reports_a_wrong_replay(monkeypatch, map_name, replay, entry):
     monkeypatch.setattr(kernels, replay, off_on_third)
     checked, failures = verify_word_recovery(10, map_name)
     assert checked == sum(bands) == ps.size
-    assert failures == [Fraction(int(ps[2]), int(qs[2]))]
+    assert wrong == Fraction(1, 2) and wrong in failures
+    assert all(wrong in orbit(x, map_name).points for x in failures)
 
 
 def test_word_recovery_reports_a_wrong_replay(monkeypatch):

@@ -1,4 +1,5 @@
-"""int64 kernels: exact orbits, flags, the big-int escape hatch, the recovery guard, memory."""
+"""int64 kernels: exact orbits, flags, the big-int escape hatch, the recovery guard, memory,
+the run step's lookups and recovery's table."""
 
 import tracemalloc
 from unittest import mock
@@ -6,10 +7,18 @@ from unittest import mock
 import numpy as np
 
 from collatzq import kernels, reduced_fractions
-from collatzq.dynamics import PHI, THETA, orbit_pq, reduced_fraction_arrays
+from collatzq.dynamics import (
+    PHI,
+    THETA,
+    orbit_pq,
+    reduced_fraction_arrays,
+    theta_runs,
+    theta_step_pq,
+)
 from collatzq.kernels import (
     FLAG_CAP,
     FLAG_DONE,
+    FLAG_MISMATCH,
     FLAG_OVERFLOW,
     FLAG_VIOLATION,
     INT64_GUARD,
@@ -93,9 +102,9 @@ def test_zero_start():
 
 def test_working_memory_is_bounded_by_the_band():
     # 304,192 starts against 4,096-row bands: one int64 array the size of
-    # the rows would be 74 band arrays.  Both sweeps keep a stopping-time
-    # table.  The recovery kernels return int8 flags; their wave records
-    # count as working memory.
+    # the rows would be 74 band arrays.  All four kernels keep a
+    # stopping-time table.  The recovery kernels return int8 flags; their
+    # wave records count as working memory.
     ps, qs = reduced_fraction_arrays(1000)
     n = ps.size
     band_array = 8 * 4096
@@ -104,8 +113,8 @@ def test_working_memory_is_bounded_by_the_band():
     with mock.patch.object(kernels, "BAND_ROWS", 4096):
         for run, kept in ((lambda: theta_sweep(ps, qs, 10_000), outputs + table),
                           (lambda: phi_sweep(ps, qs), outputs + table),
-                          (lambda: theta_recovery(ps, qs, 10_000), n),
-                          (lambda: phi_recovery(ps, qs, 10_000), n)):
+                          (lambda: theta_recovery(ps, qs, 10_000), n + table),
+                          (lambda: phi_recovery(ps, qs, 10_000), n + table)):
             tracemalloc.start()
             try:
                 run()
@@ -128,3 +137,70 @@ def test_recovery_guard_covers_the_replay():
     flags = theta_recovery(ps, np.ones_like(ps), 10_000)
     assert flags.tolist() == [FLAG_OVERFLOW if 3**n * x > 3 * INT64_GUARD else FLAG_DONE
                               for n, x in zip(ns, up)] + [FLAG_DONE] * len(ns)
+
+
+def test_floor_log_matches_searchsorted():
+    # both sides of every power, the table's last index and the one past it,
+    # and the largest int64
+    top = kernels._LOG_TOP
+    for b, pows in ((3, kernels._POW3), (2, kernels._POW2)):
+        near = {int(x) + d for x in pows for d in (-1, 0, 1)}
+        m = np.array(sorted(near | {0, top - 1, top, 2**63 - 1}), dtype=np.int64)
+        assert np.array_equal(kernels._floor_log(m, b), np.searchsorted(pows, m, side="right") - 1)
+
+
+def test_gcd_pow3_matches_np_gcd():
+    # x = 0 and x = c 3^j on both sides of the table's cap of 7 threes
+    xs = [0] + [c * 3**j for j in range(40) for c in (1, 2, 5, 7) if c * 3**j < 2**62]
+    x = np.repeat(np.array(xs, dtype=np.int64), 40)
+    n = np.tile(np.arange(40), len(xs))
+    assert np.array_equal(kernels._gcd_pow3(x, n), np.gcd(x, kernels._POW3[n]))
+
+
+def test_long_r_runs_take_the_fallbacks():
+    # (3^n - 1)/2 falls to 0 in one R run of n: for n >= 8, (2p+q)//q = 3^n
+    # is past the log table and the run ends at 0, whose 3s pass its cap
+    ns = range(8, 40)
+    ps = np.array([(3**n - 1) // 2 for n in ns], dtype=np.int64)
+    qs = np.ones_like(ps)
+    assert all(theta_runs(int(p), 1, 10_000) == [n, 0] for p, n in zip(ps, ns))
+    with mock.patch.object(kernels.np, "gcd", wraps=np.gcd) as gcd, \
+            mock.patch.object(kernels.np, "searchsorted", wraps=np.searchsorted) as search:
+        steps, flags = theta_sweep(ps, qs, 10_000)
+        assert gcd.called and search.called
+    assert steps.tolist() == list(ns) and set(flags.tolist()) == {FLAG_DONE}
+    assert set(theta_recovery(ps, qs, 10_000).tolist()) == {FLAG_DONE}
+
+
+def run_ends(p, q):
+    """The points a theta orbit's runs end at, by ``theta_runs`` and ``theta_step_pq``."""
+    ends = []
+    for n in theta_runs(p, q, 10_000):
+        for _ in range(n):
+            p, q, _ = theta_step_pq(p, q)
+        ends.append((p, q))
+    return ends
+
+
+def test_a_mismatch_passes_to_the_starts_that_landed_on_it():
+    # corrupt the replay of 1/2, the third start of the first band: starts
+    # of later bands whose forward pass left on it inherit the mismatch, and
+    # every start flagged has 1/2 as a run end
+    ps, qs = reduced_fraction_arrays(60)
+    assert (ps[2], qs[2]) == (1, 2)
+    real = kernels._theta_replay
+    bands = []
+
+    def off_on_third(waves, p, q, done):
+        pair = real(waves, p, q, done)
+        if not bands:
+            pair[0][2] += 1
+        bands.append(done.size)
+        return pair
+
+    with mock.patch.object(kernels, "_theta_replay", off_on_third), \
+            mock.patch.object(kernels, "BAND_ROWS", 64):
+        flags = theta_recovery(ps, qs, 10_000)
+    bad = np.flatnonzero(flags == FLAG_MISMATCH).tolist()
+    assert bad[0] == 2 and len(bad) > 1 and set(flags.tolist()) == {FLAG_DONE, FLAG_MISMATCH}
+    assert all((1, 2) in run_ends(int(ps[i]), int(qs[i])) for i in bad[1:])

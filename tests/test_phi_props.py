@@ -267,8 +267,12 @@ def test_array_recovery_matches_the_per_start_loop(height, cap, band, guard):
 
 
 def test_array_recovery_under_a_negative_cap():
-    # every start fails, 0/1 too: its empty word totals 0 > -1
-    assert verify_word_recovery(20, PHI, -1) == per_start_recovery(20, -1)
+    # the library refuses the cap, as `orbit` does; the kernel flags every
+    # start over it, 0/1 too: its empty word totals 0 > -1
+    with pytest.raises(ValueError, match="step_cap"):
+        verify_word_recovery(20, PHI, -1)
+    ps, qs = reduced_fraction_arrays(20)
+    assert set(phi_recovery(ps, qs, -1).tolist()) == {FLAG_CAP}
 
 
 @PROPS

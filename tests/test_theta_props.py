@@ -30,6 +30,7 @@ from collatzq.dynamics import (
     THETA,
     SweepReport,
     orbit_pq,
+    reduced_fraction_arrays,
     reduced_fractions,
     replay_theta_runs_pq,
     replay_word_pq,
@@ -319,8 +320,12 @@ def test_array_recovery_matches_the_per_start_loop(height, cap, band, guard):
 
 
 def test_array_recovery_under_a_negative_cap():
-    # every start fails but 0/1, whose run list [0, 0] takes no run
-    assert verify_word_recovery(20, THETA, -1) == per_start_recovery(20, -1)
+    # the library refuses the cap, as `orbit` does; the kernel flags every
+    # start over it, 0/1 too: its empty word totals 0 > -1
+    with pytest.raises(ValueError, match="step_cap"):
+        verify_word_recovery(20, THETA, -1)
+    ps, qs = reduced_fraction_arrays(20)
+    assert set(theta_recovery(ps, qs, -1).tolist()) == {FLAG_CAP}
 
 
 @PROPS
@@ -331,6 +336,25 @@ def test_recovery_kernel_near_the_guard(rows, cap):
     # theta_runs is, and otherwise replays to its start
     flags = theta_recovery(*arrays(rows), cap)
     for (p, q), flag in zip(rows, flags.tolist()):
+        if flag != FLAG_OVERFLOW:
+            assert flag == (FLAG_CAP if theta_runs(p, q, cap) is None else FLAG_DONE)
+
+
+@PROPS
+@given(st.lists(st.one_of(pairs(), st.sampled_from(SWEEP_40)), min_size=1, max_size=40),
+       st.integers(0, 50), st.sampled_from(BANDS), st.randoms(use_true_random=False))
+def test_recovery_table_matches_the_per_start_oracle(picks, cap, band, rnd):
+    # duplicates and small starts let rows land on finished starts, in this
+    # band or an earlier one.  The guard stops the same rows as when each row
+    # runs alone, with no other start to land on, and every other row's flag
+    # is the per-start big-int oracle's
+    rows = picks + picks[: len(picks) // 2 + 1]
+    rnd.shuffle(rows)
+    with banded(band):
+        flags = theta_recovery(*arrays(rows), cap).tolist()
+    alone = [theta_recovery(*arrays([r]), cap)[0] for r in rows]
+    assert [f == FLAG_OVERFLOW for f in flags] == [f == FLAG_OVERFLOW for f in alone]
+    for (p, q), flag in zip(rows, flags):
         if flag != FLAG_OVERFLOW:
             assert flag == (FLAG_CAP if theta_runs(p, q, cap) is None else FLAG_DONE)
 
