@@ -25,12 +25,11 @@ length and end point are one exact big-int step (`theta_runs`,
 as text (`reports.word_str`).
 
 Word recovery runs those run formulas in the int64 kernels
-`kernels.theta_recovery` and `kernels.phi_recovery`: a forward pass of
-array waves, one run per wave for every live row of a band, that leaves on
-a stopping-time table as the sweeps do, and a backward replay of the band's
-waves from where each row left, compared exactly with the starts.  The
-per-start big-int functions are the tests' oracle and redo the theta rows
-the kernel's guard stops.
+`kernels.theta_recovery` and `kernels.phi_recovery`, the sweeps' loops with
+a check: each run's inverse, by the replay formulas, is taken right after
+the run and must give back the run's start, and the rows leave on the
+sweeps' stopping-time table.  The per-start big-int functions are the
+tests' oracle and redo the theta rows the kernel's guard stops.
 
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
 (see `kernels`), in bands of rows that bound their working memory.  The
@@ -496,16 +495,20 @@ def verify_word_recovery(
 
     Returns (orbits checked, starts whose replay failed or that never
     terminated under the cap), in sweep order; a start over the cap is not
-    checked.  A negative `step_cap` is refused, as `orbit` refuses it.  The
-    int64 kernels `kernels.theta_recovery` and `kernels.phi_recovery`
-    recover the words in array waves, one run per wave, with the run
-    formulas of `theta_runs` and `phi_runs`, and replay them backwards with
-    those of `replay_theta_runs_pq` and `replay_runs_pq`.  Theta rows the kernel's guard stops are redone one
-    by one on big-int pairs by `theta_runs` / `replay_theta_runs_pq`, so
-    results never depend on the word size; phi rows never overflow.
+    checked.  A `height_bound` below 2 is refused, as the sweeps refuse it,
+    and a negative `step_cap`, as `orbit` refuses it.  The int64 kernels
+    `kernels.theta_recovery` and `kernels.phi_recovery` take the words in
+    array waves, one run per wave, with the run formulas of `theta_runs`
+    and `phi_runs`, and check each run right after it with the replay
+    formulas of `replay_theta_runs_pq` and `replay_runs_pq`.  Theta rows
+    the kernel's guard stops are redone one by one on big-int pairs by
+    `theta_runs` / `replay_theta_runs_pq`, so results never depend on the
+    word size; phi rows never overflow.
     """
     if map_name not in (THETA, PHI):
         raise ValueError(f"unknown map {map_name!r}")
+    if height_bound < 2:
+        raise ValueError("need height_bound >= 2")
     if step_cap < 0:
         raise ValueError("step_cap must be >= 0")
     ps, qs = reduced_fraction_arrays(height_bound)

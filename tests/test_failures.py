@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -38,10 +39,11 @@ from collatzq.core import (
     integer_eigenvalues,
     rational_fixed_points,
 )
-from collatzq.dynamics import PHI, THETA, reduced_fraction_arrays
+from collatzq.dynamics import PHI, THETA, reduced_fractions
 from collatzq.errors import CorruptCheckpointError, NegativeInputError
 from collatzq.spectral import trace_fast
 from collatzq.words import format_word_compact
+from test_kernels import inverse_off_at_one_half, passes_one_half
 
 REFUSALS = {
     "census_sampled sample_size=0": (lambda: census_sampled(2, 3, 0, 0), ValueError),
@@ -54,6 +56,8 @@ REFUSALS = {
     "theta_sweep_full(1)": (lambda: theta_sweep_full(1), ValueError),
     "theta_sweep_full(10, 0)": (lambda: theta_sweep_full(10, 0), ValueError),
     "phi_monotonicity_sweep(1)": (lambda: phi_monotonicity_sweep(1), ValueError),
+    "verify_word_recovery(-3, theta)": (lambda: verify_word_recovery(-3, THETA), ValueError),
+    "verify_word_recovery(1, phi)": (lambda: verify_word_recovery(1, PHI), ValueError),
     "compute_nk(0)": (lambda: compute_nk(0), ValueError),
     "lambda_count(0, 1)": (lambda: lambda_count(0, 1), ValueError),
     "enumerate_lambda(1, 0)": (lambda: list(enumerate_lambda(1, 0)), ValueError),
@@ -160,32 +164,22 @@ def test_fixedpoint_faults(monkeypatch, name, fault, c_zero, why):
     assert witness["why"].startswith(why)
 
 
-def assert_reports_a_wrong_replay(monkeypatch, map_name, replay, entry):
-    # corrupt one entry of the third row of the first band's replayed pairs,
-    # the start 1/2: it fails and still counts as checked, and any other
-    # start that fails left its forward pass on it, a point of its orbit
-    ps, qs = reduced_fraction_arrays(10)
-    wrong = Fraction(int(ps[2]), int(qs[2]))
-    real = getattr(kernels, replay)
-    bands = []
-
-    def off_on_third(waves, p, q, done):
-        pair = real(waves, p, q, done)
-        if not bands:
-            pair[entry][2] += 1
-        bands.append(done.size)
-        return pair
-
-    monkeypatch.setattr(kernels, replay, off_on_third)
-    checked, failures = verify_word_recovery(10, map_name)
-    assert checked == sum(bands) == ps.size
-    assert wrong == Fraction(1, 2) and wrong in failures
-    assert all(wrong in orbit(x, map_name).points for x in failures)
+def assert_reports_a_wrong_replay(map_name):
+    # with the run inverse off at 1/2 (for phi, at the pair (2, 1)), 1/2
+    # fails and still counts as checked, and so do exactly the starts that
+    # meet that point at a run end (Euclid pairs for phi), for any band size
+    starts = list(reduced_fractions(10))
+    want = [Fraction(p, q) for p, q in starts if passes_one_half(map_name, p, q)]
+    assert Fraction(1, 2) in want and len(want) > 2
+    for band in (1, 7, kernels.BAND_ROWS):
+        with inverse_off_at_one_half(map_name), mock.patch.object(kernels, "BAND_ROWS", band):
+            checked, failures = verify_word_recovery(10, map_name)
+        assert checked == len(starts) and failures == want
 
 
-def test_word_recovery_reports_a_wrong_replay(monkeypatch):
-    assert_reports_a_wrong_replay(monkeypatch, THETA, "_theta_replay", 0)
+def test_word_recovery_reports_a_wrong_replay():
+    assert_reports_a_wrong_replay(THETA)
 
 
-def test_phi_word_recovery_reports_a_wrong_replay(monkeypatch):
-    assert_reports_a_wrong_replay(monkeypatch, PHI, "_phi_replay", 1)
+def test_phi_word_recovery_reports_a_wrong_replay():
+    assert_reports_a_wrong_replay(PHI)

@@ -103,8 +103,8 @@ def test_zero_start():
 def test_working_memory_is_bounded_by_the_band():
     # 304,192 starts against 4,096-row bands: one int64 array the size of
     # the rows would be 74 band arrays.  All four kernels keep a
-    # stopping-time table.  The recovery kernels return int8 flags; their
-    # wave records count as working memory.
+    # stopping-time table.  The recovery kernels return int8 flags and keep
+    # no steps.
     ps, qs = reduced_fraction_arrays(1000)
     n = ps.size
     band_array = 8 * 4096
@@ -172,6 +172,17 @@ def test_long_r_runs_take_the_fallbacks():
     assert set(theta_recovery(ps, qs, 10_000).tolist()) == {FLAG_DONE}
 
 
+def test_an_unreduced_start_fails_its_replay():
+    # a word replays from 0/1 to a reduced pair, so a start with a common
+    # factor reaches 0 at 0/g, g > 1, or fails a run's inverse, and it is
+    # mismatched whenever it terminates within the cap; 0/1 and 1/2 are not
+    ps = np.array([0, 2, 3, 4, 6, 9, 0, 1], dtype=np.int64)
+    qs = np.array([5, 4, 6, 2, 9, 3, 1, 2], dtype=np.int64)
+    for recovery in (theta_recovery, phi_recovery):
+        assert recovery(ps, qs, 10_000).tolist() == [FLAG_MISMATCH] * 6 + [FLAG_DONE] * 2
+    assert theta_recovery(ps, qs, 0).tolist() == [FLAG_MISMATCH] + [FLAG_CAP] * 5 + [FLAG_DONE, FLAG_CAP]
+
+
 def run_ends(p, q):
     """The points a theta orbit's runs end at, by ``theta_runs`` and ``theta_step_pq``."""
     ends = []
@@ -182,25 +193,55 @@ def run_ends(p, q):
     return ends
 
 
+def euclid_pairs(p, q):
+    """The pairs (max, min) a phi orbit divides, from its start's to the last."""
+    x, y = max(p, q), min(p, q)
+    pairs = []
+    while y:
+        pairs.append((x, y))
+        x, y = y, x % y
+    return pairs
+
+
+def passes_one_half(map_name, p, q):
+    """Whether 1/2 is p/q or one of its theta run ends, or (2, 1) one of its
+    phi Euclid pairs: the points where `inverse_off_at_one_half` strikes."""
+    if map_name == THETA:
+        return (p, q) == (1, 2) or (1, 2) in run_ends(p, q)
+    return (2, 1) in euclid_pairs(p, q)
+
+
+def inverse_off_at_one_half(map_name):
+    """A patch of the map's run inverse that is off by one wherever it gives
+    back 1/2 (theta) or the pair (2, 1) (phi, the pair of 1/2 and 2/1)."""
+    if map_name == THETA:
+        real = kernels._theta_inverse
+
+        def off(n, p, q, r_wave):
+            a, b = real(n, p, q, r_wave)
+            return a + ((a == 1) & (b == 2)), b
+
+        return mock.patch.object(kernels, "_theta_inverse", off)
+    real = kernels._phi_inverse
+
+    def off(quot, y, rem):
+        x = real(quot, y, rem)
+        return x + ((x == 2) & (y == 1))
+
+    return mock.patch.object(kernels, "_phi_inverse", off)
+
+
 def test_a_mismatch_passes_to_the_starts_that_landed_on_it():
-    # corrupt the replay of 1/2, the third start of the first band: starts
-    # of later bands whose forward pass left on it inherit the mismatch, and
-    # every start flagged has 1/2 as a run end
+    # with the inverse off at 1/2, exactly the starts that meet it at a run
+    # end fail: by their own run from it, or by landing on a start that
+    # failed, which one row per band always does
     ps, qs = reduced_fraction_arrays(60)
-    assert (ps[2], qs[2]) == (1, 2)
-    real = kernels._theta_replay
-    bands = []
-
-    def off_on_third(waves, p, q, done):
-        pair = real(waves, p, q, done)
-        if not bands:
-            pair[0][2] += 1
-        bands.append(done.size)
-        return pair
-
-    with mock.patch.object(kernels, "_theta_replay", off_on_third), \
-            mock.patch.object(kernels, "BAND_ROWS", 64):
-        flags = theta_recovery(ps, qs, 10_000)
-    bad = np.flatnonzero(flags == FLAG_MISMATCH).tolist()
-    assert bad[0] == 2 and len(bad) > 1 and set(flags.tolist()) == {FLAG_DONE, FLAG_MISMATCH}
-    assert all((1, 2) in run_ends(int(ps[i]), int(qs[i])) for i in bad[1:])
+    pairs = list(zip(ps.tolist(), qs.tolist()))
+    for map_name, recovery in ((THETA, theta_recovery), (PHI, phi_recovery)):
+        want = [i for i, (p, q) in enumerate(pairs) if passes_one_half(map_name, p, q)]
+        assert pairs.index((1, 2)) in want and len(want) > 2
+        for band in (1, 7, kernels.BAND_ROWS):
+            with inverse_off_at_one_half(map_name), mock.patch.object(kernels, "BAND_ROWS", band):
+                flags = recovery(ps, qs, 10_000)
+            assert np.flatnonzero(flags == FLAG_MISMATCH).tolist() == want
+            assert set(flags.tolist()) == {FLAG_DONE, FLAG_MISMATCH}

@@ -6,10 +6,11 @@ its replay, phi word recovery by the wave kernel ``kernels.phi_recovery``
 (also banded), and the array sweep starts.  Their oracles are
 ``orbit_pq(..., PHI)``, whose branch string the runs must render to, the
 Euclid-per-wave sweep ``euclid_per_wave_sweep``, ``replay_word_pq``, the
-per-start recovery loop over ``phi_runs`` and ``reduced_fractions``.  Pairs
-with small quotient sums are built from drawn continued fractions, so the
-stepwise oracle stays cheap however large p and q are.  A fixed
-derandomized profile keeps these fast and repeatable.
+per-start recovery loop over ``phi_runs``, the sweep kernel for recovery's
+flags, and ``reduced_fractions``.  Pairs with small quotient sums are built
+from drawn continued fractions, so the stepwise oracle stays cheap however
+large p and q are.  A fixed derandomized profile keeps these fast and
+repeatable.
 """
 
 import math
@@ -283,6 +284,36 @@ def test_recovery_kernel_up_to_2_62(pairs, cap):
     flags = phi_recovery(ps, qs, cap)
     assert flags.tolist() == [FLAG_CAP if sum(phi_runs(p, q)) > cap else FLAG_DONE
                               for p, q in pairs]
+
+
+@st.composite
+def guard_pairs(draw):
+    """Reduced (p, q) with entries within a few thousand of INT64_GUARD."""
+    near = st.integers(kernels.INT64_GUARD - 3000, kernels.INT64_GUARD + 3000)
+    p, q = draw(near), draw(near)
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+@PROPS
+@given(st.lists(st.one_of(big_pairs(), guard_pairs(), st.sampled_from(list(reduced_fractions(40)))),
+                min_size=1, max_size=40),
+       st.integers(0, 50), st.sampled_from((1, 7, kernels.BAND_ROWS)),
+       st.one_of(st.just(kernels.INT64_GUARD), st.integers(1, 200)), st.randoms(use_true_random=False))
+def test_recovery_flags_are_the_sweeps(picks, cap, band, guard, rnd):
+    # recovery is the sweep's loop with the check: its flag is the sweep's
+    # under the same cap (capped where the sweep's steps pass it), reduced
+    # rows never mismatch, and the guard changes nothing
+    rows = picks + picks[: len(picks) // 2 + 1]
+    rnd.shuffle(rows)
+    ps = np.array([p for p, _ in rows], dtype=np.int64)
+    qs = np.array([q for _, q in rows], dtype=np.int64)
+    with mock.patch.object(kernels, "INT64_GUARD", guard), \
+            mock.patch.object(kernels, "BAND_ROWS", band):
+        flags = phi_recovery(ps, qs, cap)
+        steps, swept = phi_sweep(ps, qs)
+    swept[steps > cap] = FLAG_CAP
+    assert flags.tolist() == swept.tolist()
 
 
 @PROPS

@@ -7,7 +7,8 @@ wave kernel ``kernels.theta_recovery``.  Their oracles are the stepwise
 big-int ``orbit_pq(..., THETA)``, whose branch string the runs must render
 to, and ``replay_word_pq``, a stepwise orbit that stops at the kernel's
 int64 guard, the per-start first-maximum loop, the right column of
-``word_eval``, and the per-start recovery loop over ``theta_runs``.  Rows
+``word_eval``, the per-start recovery loop over ``theta_runs``, and for
+recovery's flags also the sweep kernel, whose loop recovery shares.  Rows
 are drawn both small and around ``INT64_GUARD``.  The kernels are also run
 with their band size patched to 1 and 7 rows, under caps below the longest
 orbit and under a low guard, so rows end capped and overflowed; the sweep
@@ -41,6 +42,7 @@ from collatzq.dynamics import (
 from collatzq.kernels import (
     FLAG_CAP,
     FLAG_DONE,
+    FLAG_MISMATCH,
     FLAG_OVERFLOW,
     INT64_GUARD,
     theta_recovery,
@@ -357,6 +359,24 @@ def test_recovery_table_matches_the_per_start_oracle(picks, cap, band, rnd):
     for (p, q), flag in zip(rows, flags):
         if flag != FLAG_OVERFLOW:
             assert flag == (FLAG_CAP if theta_runs(p, q, cap) is None else FLAG_DONE)
+
+
+@PROPS
+@given(st.lists(st.one_of(pairs(), st.sampled_from(SWEEP_40)), min_size=1, max_size=40),
+       st.integers(0, 50), st.sampled_from(BANDS),
+       st.one_of(st.just(INT64_GUARD), st.integers(1, 200)), st.randoms(use_true_random=False))
+def test_recovery_flags_are_the_sweeps(picks, cap, band, guard, rnd):
+    # recovery is the sweep's loop with the check: where a row neither
+    # overflows (the replay's guard is the stricter) nor mismatches, its
+    # flag is the sweep's under the same cap, and reduced rows never mismatch
+    rows = picks + picks[: len(picks) // 2 + 1]
+    rnd.shuffle(rows)
+    with mock.patch.object(kernels, "INT64_GUARD", guard), banded(band):
+        flags = theta_recovery(*arrays(rows), cap)
+        swept = theta_sweep(*arrays(rows), cap)[1]
+    assert FLAG_MISMATCH not in flags
+    keep = flags != FLAG_OVERFLOW
+    assert np.array_equal(flags[keep], swept[keep])
 
 
 @PROPS
