@@ -1,11 +1,13 @@
 """Integer-eigenvalue censuses over exponent boxes, and counterexample search.
 
-A census enumerates the (k, M) word box, applies the exact eigenvalue test
-to every word (optionally skipping words the exponent-threshold prefilter
-certifies), and reports exact counts, the exact density, and the complete
-member list.  Membership is decided by the exact test only; the prefilter
-may skip words it certifies, never admit any, so results are identical with
-it on or off.
+A census enumerates the (k, M) word box, decides every word by the sieve
+and the exact eigenvalue test of its survivors, and reports exact counts,
+the exact density, and the complete member list.  The prefilter setting is
+only recorded, in the invocation and the checkpoint's parameters.  A census
+box is within the budget, so its exponents are small, and its few sieve
+survivors that the paper's theorem excludes (all exponents above n(k)) are
+confirmed like any other.  A sampled census, whose exponents go up to
+2^63 - 2, skips the draws that the theorem excludes (``census_sampled``).
 
 Work is addressed by word ranges [start, stop) of the box's lexicographic
 order, in sieve chunks.  Census ranges, sampled draws and search boxes all
@@ -45,7 +47,7 @@ from .sieve import (
     OmegaMember,
     chunk_words,
     confirm_words,
-    sample_hits,
+    sample_words,
     sieve_words,
 )
 from .spectral import compute_nk
@@ -100,13 +102,12 @@ class DensityRow:
         return f"sampled(size={self.sample_size};seed={self.seed})"
 
 
-def _census_words(k: int, M: int, n: int, start: int, stop: int):
-    """(words tested, members) of each sieve chunk of census words [start, stop),
-    skipping the words whose exponents all exceed ``n``."""
-    return sieve_words(r_power, s_power, _exponent_ranges(k, M), n, start, stop)
+def _census_words(k: int, M: int, start: int, stop: int):
+    """(words tested, members) of each sieve chunk of census words [start, stop)."""
+    return sieve_words(r_power, s_power, _exponent_ranges(k, M), start, stop)
 
 
-def _census_run(task: tuple[int, int, int, int, int]):
+def _census_run(task: tuple[int, int, int, int]):
     """Consecutive chunks in one pool task, so dispatch costs are paid per run."""
     return list(_census_words(*task))
 
@@ -133,6 +134,8 @@ def census_sampled(
 
     Sampled rows are labeled as such and must never be mixed with exhaustive
     rows in one file; ``omega_count`` counts hits among the samples.
+    Draws that the paper's theorem excludes are skipped whatever
+    ``use_prefilter`` says, so a k past ``MAX_NK_K`` is refused.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
@@ -140,9 +143,12 @@ def census_sampled(
         raise SizeLimitError(
             f"sampled M={M} is over {MAX_SAMPLED_M}: exponents are drawn as int64"
         )
-    n = compute_nk(k).n if use_prefilter else M
-    rng = random.Random(seed)
-    members = tuple(sample_hits(r_power, s_power, rng, k, M, sample_size, n))
+    n = compute_nk(k).n
+    # By the paper's theorem no draw whose exponents all exceed n(k) is a
+    # member, and at a large M its exact test would multiply out powers of
+    # billions of digits, so those draws are skipped.
+    draws = (w[w.min(axis=1) <= n] for w in sample_words(random.Random(seed), k, M, sample_size))
+    members = tuple(confirm_words(_exponent_ranges(k, M), draws))
     return DensityRow(k, M, members, sample_size, seed)
 
 
@@ -165,14 +171,13 @@ def density_sweep(
     exponent) at most M.  With ``checkpoint_path`` the sweep saves its
     cursor into that census after every sieve chunk, and the finished rows
     at the end; ``resume`` continues from such a file and produces
-    bit-identical rows to an uninterrupted run.
+    bit-identical rows to an uninterrupted run.  ``use_prefilter`` is
+    recorded in the checkpoint's parameters and skips no word.
     """
     m_lo, m_hi = m_range
     if m_lo < 1 or m_hi < m_lo:
         raise ValueError(f"bad M range {m_range}")
     cert = compute_nk(k)
-    # no exponent exceeds m_hi, so n = m_hi never skips a word
-    n = cert.n if use_prefilter else m_hi
     params = {"k": k, "m_lo": m_lo, "m_hi": m_hi, "prefilter": use_prefilter}
     box = lambda_count(k, m_hi)
 
@@ -186,7 +191,7 @@ def density_sweep(
                 f"checkpoint parameters {state['params']} do not match {params}"
             )
         tested = state["tested"]
-        members = _resumed_members(state["members"], _exponent_ranges(k, m_hi), n, tested)
+        members = _resumed_members(state["members"], _exponent_ranges(k, m_hi), tested)
     if box > DEFAULT_CENSUS_BUDGET:
         raise BudgetExceededError(
             f"|box(k={k}, M={m_hi})| = {box} exceeds budget {DEFAULT_CENSUS_BUDGET}"
@@ -210,12 +215,12 @@ def density_sweep(
         # imported here, so that `import collatzq` does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(k, m_hi, n, start, stop) for start, stop in _runs(tested, box, chunk, workers)]
+        tasks = [(k, m_hi, start, stop) for start, stop in _runs(tested, box, chunk, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for results in pool.map(_census_run, tasks):
                 step(results)
     else:
-        step(_census_words(k, m_hi, n, tested, box))
+        step(_census_words(k, m_hi, tested, box))
     if tested != box:
         raise AssertionError(f"enumerated {tested} words, closed form says {box}")
 
@@ -271,7 +276,7 @@ def search_counterexamples(
         ranges = [range(1, exp_max + 1)] * 2 if j == 1 else _exponent_ranges(j, exp_max)
         total = math.prod(map(len, ranges))
         stop = min(total, budget - tested)
-        for words, found in sieve_words(g.b_power, g.a_power, ranges, exp_max, 0, stop):
+        for words, found in sieve_words(g.b_power, g.a_power, ranges, 0, stop):
             tested += words
             members.extend(found)
         if stop < total:
@@ -317,7 +322,7 @@ def _row_to_json(row: DensityRow) -> dict:
     }
 
 
-def _resumed_members(words: list, ranges: list[range], n: int, tested: int) -> list[OmegaMember]:
+def _resumed_members(words: list, ranges: list[range], tested: int) -> list[OmegaMember]:
     """The members a checkpoint lists as words, re-proved and built by the
     sieve's leaf; refused unless they are members of the box, in its order,
     and the cursor ``tested`` passes the last of them and stays in the box."""
@@ -339,7 +344,7 @@ def _resumed_members(words: list, ranges: list[range], n: int, tested: int) -> l
             f"checkpoint cursor ({tested} words) does not pass its last member, "
             f"word {last}, or does not fit the {box} words of the box"
         )
-    members = list(confirm_words(r_power, s_power, ranges, n, words))
+    members = list(confirm_words(ranges, [words]))
     if len(members) != len(words):
         raise CorruptCheckpointError("checkpoint lists a word that is not a member")
     return members

@@ -25,14 +25,11 @@ from .errors import DegenerateMapError, NegativeInputError
 def unlimited_int_digits():
     """Within the block, int <-> str conversion takes integers of any size.
 
-    Python 3.11 refuses decimal text of more than 4,300 digits by default;
-    exact results are printed, saved and parsed in full, so the limit is
-    lifted here and the previous value put back on exit (Python 3.10 has no
-    limit).  A function decorated with it runs inside the block.
+    Python refuses decimal text of more than 4,300 digits by default; exact
+    results are printed, saved and parsed in full, so the limit is lifted
+    here and the previous value put back on exit.  A function decorated
+    with it runs inside the block.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -11,12 +11,13 @@ size, and heads are made only as far as a word range reaches.  Products are
 carried as int64 residues, four entries plus the determinant, built from
 tables of generator powers mod m.  Residues stay below m, so every product
 of two is below 2^52 and every sum of four below 2^54: the int64 arithmetic
-is exact.  A word goes through five stages, and only the last decides:
+is exact.  A word goes through four stages, and only the last decides:
 
 1. Tail product.  Every chunk of a box has the same tail words, so the
    residues T of their products (at most a chunk of them, in lexicographic
-   order) are built once per box, mod m and, as int32, mod q1 = 5005.  A
-   chunk builds only its heads' products H mod m.
+   order) are built once per box, with its power tables, by its one
+   ``_Leaves``, mod m and, as int32, mod q1 = 5005.  A chunk builds only
+   its heads' products H mod m.
 2. Square test.  disc = tr^2 - 4 det must be a square mod
    q1 = 5005 = 5*7*11*13 and mod q2 = 7429 = 17*19*23.
    a. On every word, in int32 mod q1.  H and T reduced mod q1 are below
@@ -36,9 +37,7 @@ is exact.  A word goes through five stages, and only the last decides:
    {2, 3}-units up to 2^(k+1); ``small_eigenvalues`` proves that every hit
    passes.  No bound on mu is proved for other generator pairs, so their
    words skip this stage.
-4. Prefilter.  A survivor whose exponents all exceed the prefilter
-   threshold is dropped, by a numpy mask.
-5. Exact confirmation.  The product is rebuilt from the exponent tuple on
+4. Exact confirmation.  The product is rebuilt from the exponent tuple on
    raw Python integers, and its trace and discriminant go through
    ``core.eigen_from_disc`` (``isqrt`` and the parity test).  Objects are
    built only for a confirmed hit: the leaf makes its ``OmegaMember``,
@@ -46,6 +45,9 @@ is exact.  A word goes through five stages, and only the last decides:
 
 The stages form a conjunction of tests, each of which every hit passes, so
 the order and the split of stage 2 do not change which words survive.
+Words whose exponents all exceed n(k), which the paper's theorem excludes,
+get no test of their own: the few of them that survive stage 3 go to the
+exact test like any other word.
 A box whose largest exponent is at most a chunk gets power tables of
 every exponent; past that no chunk has tails, and each call's tables cover
 its own heads' exponents only, so memory follows the chunk, not the box.
@@ -63,7 +65,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -214,18 +216,6 @@ def _tail_product(
     return x
 
 
-class _Tails(NamedTuple):
-    """What every chunk of a box shares: the ranges of its tail exponents,
-    the ``_tail_product`` of their words, mod m and as int32 mod
-    ``SIEVE_FACTORS[0]``, and ``small_eigenvalues`` of its block count when
-    that stage applies, else None."""
-
-    ranges: list[range]
-    product: np.ndarray
-    product_q1: np.ndarray
-    mus: np.ndarray | None
-
-
 def _head_products(tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray) -> np.ndarray:
     """Rows a, b, c, d, det mod m of the product of each row of ``heads``, a
     (5, len(heads)) array; exponent i of a row indexes ``tables[i % 2]``."""
@@ -254,11 +244,11 @@ def _traces(
 
 
 def _sieve(
-    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, tails: _Tails
+    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, leaves: _Leaves
 ) -> np.ndarray:
-    """Flat indices of the words of ``heads`` x ``tails`` that pass the
-    square test and, unless ``tails.mus`` is None, the small-eigenvalue
-    congruence.
+    """Flat indices of the words of ``heads`` x the tails of ``leaves`` that
+    pass the square test and, unless ``leaves.mus`` is None, the
+    small-eigenvalue congruence.
 
     No word outside the result is a hit: a perfect square is a square
     modulo every factor of m, and ``small_eigenvalues`` shows that a hit
@@ -268,7 +258,7 @@ def _sieve(
     head = _head_products(tables, heads)
     # 2a, every word in int32 mod q1: products below 2^25, tr1 below 2^27
     xa, xb, xc, xd, xdet = _reduce(head.astype(np.int32), q1)[:, :, None]
-    ta, tb, tc, td, tdet = tails.product_q1[:, None, :]
+    ta, tb, tc, td, tdet = leaves.tail_q1[:, None, :]
     tr = xa * ta
     # one scratch array for the other products, so that few word-sized
     # arrays are alive at once
@@ -283,29 +273,39 @@ def _sieve(
     disc -= det
     index = np.flatnonzero(squares1.take(_reduce(disc, q1)))
     # 2b, the survivors in int64 mod m
-    tr, det = _traces(head, tails.product, index)
+    tr, det = _traces(head, leaves.tail, index)
     keep = squares2.take(_reduce(tr * tr - (det << 2), q2))
     index, tr, det = index[keep], tr[keep], det[keep]
-    if tails.mus is not None:
-        index = index[_has_small_eigenvalue(tr, det, tails.mus)]
+    if leaves.mus is not None:
+        index = index[_has_small_eigenvalue(tr, det, leaves.mus)]
     return index
 
 
 class _Leaves:
-    """The leaf pipeline for words left^e0 right^e1 left^e2 ... with no
-    exponent above ``top``.
+    """The leaf pipeline of one box: words left^e0 right^e1 left^e2 ... with
+    exponent i in ``ranges[i]``, whose heads fix the first ``p`` exponents.
 
-    With ``top`` at most a chunk the power tables cover the exponents
-    0..top, and a table column is its exponent.  Past a chunk every range
-    of a box is longer than a chunk, so no call has tails, and each call
-    builds tables for the exponents of its own heads only.
+    Built once per box: the power tables, the ``_tail_product`` of the
+    tail words (``tail_ranges``), mod m and as int32 mod
+    ``SIEVE_FACTORS[0]``, and ``small_eigenvalues`` of the block count
+    when that stage applies, else None.  With a largest exponent of at most
+    a chunk the power tables cover the exponents 0 up to it, and a table
+    column is its exponent.  Past a chunk every range of a box is longer
+    than a chunk, so no word has tail exponents, and each call builds
+    tables for the exponents of its own heads only.
     """
 
-    def __init__(self, left: PowerFn, right: PowerFn, top: int) -> None:
+    def __init__(self, left: PowerFn, right: PowerFn, ranges: list[range], p: int) -> None:
+        top = max(r.stop for r in ranges) - 1
         self.generators = (left(1), right(1))
-        # the small-eigenvalue bound is proved for R and S, in either order
-        self.small_eigenvalue = set(self.generators) == {r_power(1), s_power(1)}
         self.tables = self._tables(np.arange(top + 1)) if top <= SIEVE_CHUNK_WORDS else None
+        assert p == len(ranges) or self.tables is not None, "per-call tables cover heads only"
+        self.tail_ranges = ranges[p:]
+        self.tail = _tail_product(self.tables, p, self.tail_ranges)
+        self.tail_q1 = _reduce(self.tail.astype(np.int32), SIEVE_FACTORS[0])
+        # the small-eigenvalue bound is proved for R and S, in either order
+        small = set(self.generators) == {r_power(1), s_power(1)}
+        self.mus = small_eigenvalues((len(ranges) + 1) // 2) if small else None
         powers = [lambda e, g=g: g(e).entries() for g in (left, right)]
         # exponents up to a chunk recur from word to word; past it a cache
         # would grow with the box
@@ -314,32 +314,21 @@ class _Leaves:
     def _tables(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return tuple(_power_table(g, exponents) for g in self.generators)
 
-    def tails(self, ranges: list[range], p: int) -> _Tails:
-        """The tails of the box ``ranges`` whose heads fix its first ``p``
-        exponents."""
-        assert p == len(ranges) or self.tables is not None, "per-call tables cover heads only"
-        mus = small_eigenvalues((len(ranges) + 1) // 2) if self.small_eigenvalue else None
-        product = _tail_product(self.tables, p, ranges[p:])
-        product_q1 = _reduce(product.astype(np.int32), SIEVE_FACTORS[0])
-        return _Tails(ranges[p:], product, product_q1, mus)
-
-    def hits(
-        self, heads: np.ndarray, tails: _Tails, n: int, lo: int, hi: int
-    ) -> Iterator[OmegaMember]:
-        """The hits among words ``lo`` to ``hi - 1`` of ``heads`` x ``tails``,
-        in order; a word whose exponents all exceed ``n`` is not tested."""
+    def hits(self, heads: np.ndarray, lo: int, hi: int) -> Iterator[OmegaMember]:
+        """The hits among words ``lo`` to ``hi - 1`` of ``heads`` x the tails,
+        in order."""
         if self.tables is None:
             values, columns = np.unique(heads.ravel(), return_inverse=True)
             tables, rows = self._tables(values), columns.reshape(heads.shape)
         else:
             tables, rows = self.tables, heads
-        index = _sieve(tables, rows, tails)
+        index = _sieve(tables, rows, self)
         index = index[(index >= lo) & (index < hi)]
-        tail = tails.product.shape[1]
+        tail = self.tail.shape[1]
         words = np.concatenate(
-            [heads[index // tail], _exponents(index % tail, tails.ranges)], axis=1
+            [heads[index // tail], _exponents(index % tail, self.tail_ranges)], axis=1
         )
-        for exponents in words[words.min(axis=1) <= n].tolist():
+        for exponents in words.tolist():
             # the exact test, on the raw-integer product of the word
             xa, xb, xc, xd = 1, 0, 0, 1
             for i, e in enumerate(exponents):
@@ -379,37 +368,35 @@ def chunk_words(ranges: list[range]) -> int:
 
 
 def sieve_words(
-    left: PowerFn, right: PowerFn, ranges: list[range], n: int, start: int, stop: int
+    left: PowerFn, right: PowerFn, ranges: list[range], start: int, stop: int
 ) -> Iterator[tuple[int, list[OmegaMember]]]:
     """(words, members) of each sieve chunk of words ``start`` to ``stop - 1``,
     in order.
 
     Words are left^e0 right^e1 left^e2 ... with exponent i in ``ranges[i]``,
     numbered in lexicographic order of the exponent tuple; ``stop`` is at
-    most their number.  A word whose exponents all exceed ``n`` is never a
-    hit.
+    most their number.
     """
     if start >= stop:
         return
     p, tail = _split(ranges)
     chunk = chunk_words(ranges)
-    leaves = _Leaves(left, right, max(r.stop for r in ranges) - 1)
-    tails = leaves.tails(ranges, p)
+    leaves = _Leaves(left, right, ranges, p)
     for first in range(start - start % chunk, stop, chunk):
         lo, hi = max(start, first), min(stop, first + chunk)
         h = lo // tail  # the first head the range reaches in this chunk
         heads = _exponents(np.arange(h, -(-hi // tail)), ranges[:p])
-        yield hi - lo, list(leaves.hits(heads, tails, n, lo - h * tail, hi - h * tail))
+        yield hi - lo, list(leaves.hits(heads, lo - h * tail, hi - h * tail))
 
 
-def confirm_words(
-    left: PowerFn, right: PowerFn, ranges: list[range], n: int, words: list[list[int]]
-) -> Iterator[OmegaMember]:
-    """The members among ``words``, exponent lists of the box ``ranges``, in
-    order, each re-proved and built by the leaf as a sieved word is."""
-    heads = np.array(words, dtype=np.int64).reshape(-1, len(ranges))
-    leaves = _Leaves(left, right, max(r.stop for r in ranges) - 1)
-    return leaves.hits(heads, leaves.tails(ranges, len(ranges)), n, 0, len(heads))
+def confirm_words(ranges: list[range], batches: Iterable) -> Iterator[OmegaMember]:
+    """The members among the words of ``batches``, each a list or array of
+    exponent rows of the census box ``ranges``, in order, sieved and
+    confirmed by one leaf as the words of a chunk are."""
+    leaves = _Leaves(r_power, s_power, ranges, len(ranges))
+    for words in batches:
+        heads = np.asarray(words, dtype=np.int64).reshape(-1, len(ranges))
+        yield from leaves.hits(heads, 0, len(heads))
 
 
 # The largest M whose box can be sampled: exponents are drawn as int64, and
@@ -498,15 +485,10 @@ def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray
     return out.reshape(size, 2 * k)
 
 
-def sample_hits(
-    left: PowerFn, right: PowerFn, rng: random.Random, k: int, M: int, size: int, n: int
-) -> Iterator[OmegaMember]:
-    """The members among ``size`` words of the (k, M) box drawn with ``rng``,
-    in draw order; a word whose exponents all exceed ``n`` is never a hit."""
-    leaves = _Leaves(left, right, M)
-    tails = leaves.tails(_exponent_ranges(k, M), 2 * k)
-    # a batch of draws holds as many exponents as a chunk holds words
+def sample_words(rng: random.Random, k: int, M: int, size: int) -> Iterator[np.ndarray]:
+    """``size`` words of the (k, M) box drawn with ``rng``, in draw order,
+    as ``_draw_exponents`` batches of as many exponents as a chunk holds
+    words."""
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
     for start in range(0, size, batch):
-        heads = _draw_exponents(rng, k, M, min(batch, size - start))
-        yield from leaves.hits(heads, tails, n, 0, len(heads))
+        yield _draw_exponents(rng, k, M, min(batch, size - start))

@@ -156,8 +156,12 @@ def trace_fast(w: Word) -> int:
     2^-k * sum over B of 3^(sum_B betas) * prod_{j in Bbar} (2^alpha_j - 1)
     * prod_{j not in Bbar} (2^alpha_j + 1), where Bbar is the symmetric
     difference of B with its cyclic downshift (0 identified with k).
+    A k past twice ``DEFAULT_SUBSET_LIMIT`` is refused before any table is
+    built: its 2^k terms would outnumber the 4^k of ``u_quantities``'s limit.
     """
     k = w.k
+    if k > 2 * DEFAULT_SUBSET_LIMIT:
+        raise SizeLimitError(f"k={k} exceeds fast-trace limit {2 * DEFAULT_SUBSET_LIMIT}")
     _, pow3 = _pow_tables(w)
     minus = [2**a - 1 for a in w.alphas]
     plus = [2**a + 1 for a in w.alphas]
@@ -184,7 +188,8 @@ class BoundsWitness(NamedTuple):
 
 
 def bounds_check(w: Word) -> BoundsWitness:
-    """Evaluate the det <= 2^k tr <= product sandwich exactly."""
+    """Evaluate the det <= 2^k tr <= product sandwich exactly; a k past
+    ``trace_fast``'s limit is refused."""
     det = word_det(w)
     tr = trace_fast(w)
     mid = 2**w.k * tr

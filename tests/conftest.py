@@ -26,10 +26,10 @@ def package_on_child_path():
 
 @pytest.fixture(autouse=True)
 def digit_limit_unchanged():
-    """Fail a test that leaves the limit changed (Python 3.11 on has one)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    """Fail a test that leaves the int-to-str digit limit changed."""
+    limit = sys.get_int_max_str_digits()
     yield
-    if limit is not None and (after := sys.get_int_max_str_digits()) != limit:
+    if (after := sys.get_int_max_str_digits()) != limit:
         sys.set_int_max_str_digits(limit)
         pytest.fail(f"the test left the int-to-str digit limit at {after}, not {limit}")
 
@@ -37,8 +37,6 @@ def digit_limit_unchanged():
 @pytest.fixture
 def low_digit_limit():
     """The int-to-str digit limit lowered to 640 digits for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("Python before 3.11 has no int-to-str digit limit")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     yield 640

@@ -38,7 +38,6 @@ from collatzq.cli import main
 from collatzq.core import unlimited_int_digits
 from collatzq.errors import BudgetExceededError, CorruptCheckpointError
 from collatzq.reports import read_members_jsonl, write_density_csv, write_members_jsonl
-from collatzq.spectral import compute_nk
 from collatzq.words import _exponent_ranges
 
 # collatzq.census is shadowed by the function census in the package namespace
@@ -190,7 +189,7 @@ class TestPoolSize:
             path,
             params={"k": 1, "m_lo": 200, "m_hi": 200, "prefilter": True},
             tested=40000,
-            members=[m for _, found in _census_words(1, 200, 200, 0, 40000) for m in found],
+            members=[m for _, found in _census_words(1, 200, 0, 40000) for m in found],
         )
         resumed = density_sweep(1, (200, 200), workers=1000, checkpoint_path=path, resume=True)
         assert resumed == [base]
@@ -329,7 +328,7 @@ class TestCheckpoints:
         state = load_checkpoint(path)
         assert (state["active_m"], state["tested"], state["rows"]) == (4, lambda_count(2, 4), [])
 
-        def no_sieve(left, right, ranges, n, start, stop):
+        def no_sieve(left, right, ranges, start, stop):
             assert start == stop, "resume sieved a word"
             return iter(())
 
@@ -344,9 +343,8 @@ class TestCheckpoints:
         # under chunk sizes whose boundaries do and do not meet the cursor
         path = str(tmp_path / "ck.json")
         fresh = density_sweep(1, (6, 6))
-        n = compute_nk(1).n
         for cut in (0, 1, 20, 21, 35, 48, 49):
-            members = [m for _, found in _census_words(1, 6, n, 0, cut) for m in found]
+            members = [m for _, found in _census_words(1, 6, 0, cut) for m in found]
             save_checkpoint(
                 path,
                 params={"k": 1, "m_lo": 6, "m_hi": 6, "prefilter": True},

@@ -95,20 +95,18 @@ def boxes_and_blocks(draw):
     return (k, M, *draw_block(draw, k, M))
 
 
-def census_range(k, M, n, start, stop):
-    """(words tested, members) of census words start to stop - 1, skipping
-    those whose exponents all exceed n."""
-    chunks = list(census_mod._census_words(k, M, n, start, stop))
+def census_range(k, M, start, stop):
+    """(words tested, members) of census words start to stop - 1."""
+    chunks = list(census_mod._census_words(k, M, start, stop))
     return sum(t for t, _ in chunks), [m for _, found in chunks for m in found]
 
 
 @PROPS
-@given(boxes_and_blocks(), st.booleans())
-def test_block_leaf_matches_oracle(box, prefilter):
+@given(boxes_and_blocks())
+def test_block_leaf_matches_oracle(box):
     k, M, b1, a1 = box
-    n = compute_nk(k).n if prefilter else M
     start, size = block_range(k, M, b1, a1)
-    tested, members = census_range(k, M, n, start, start + size)
+    tested, members = census_range(k, M, start, start + size)
     block = list(enumerate_lambda_block(k, M, b1, a1))
     assert tested == len(block)
     assert members == oracle_members(block, word_eval)
@@ -119,7 +117,7 @@ def test_k1_box_hits_found_by_leaf():
     M = 9
     found = []
     for i in range(lambda_count(1, M)):  # one word at a time
-        found.extend(census_range(1, M, M, i, i + 1)[1])
+        found.extend(census_range(1, M, i, i + 1)[1])
     assert found == oracle_members(enumerate_lambda(1, M), word_eval)
     assert len(found) == 2 * M + 1
 
@@ -290,13 +288,12 @@ def test_sieve_survivors_cover_oracle_hits(k, g, swap, data):
     words = [Word(e[0::2], e[1::2]) for e in block]
     expected = oracle_members(words, lambda w: product(left, right, w.exponents()))
 
-    leaves = sieve_mod._Leaves(left, right, M)
     ranges = _exponent_ranges(k, M)
-    tails = leaves.tails(ranges, 2)
-    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), tails)
+    leaves = sieve_mod._Leaves(left, right, ranges, 2)
+    survivors = sieve_mod._sieve(leaves.tables, np.array([[b1, a1]]), leaves)
     assert {words.index(h.word) for h in expected} <= set(survivors.tolist())
 
-    chunks = list(sieve_mod.sieve_words(left, right, ranges, M, start, start + len(block)))
+    chunks = list(sieve_mod.sieve_words(left, right, ranges, start, start + len(block)))
     found = [h for _, chunk in chunks for h in chunk]
     assert (sum(t for t, _ in chunks), found) == (len(block), expected)
 
@@ -317,8 +314,8 @@ def test_results_independent_of_chunk_size(box, prefilter, seed):
 
 
 @PROPS
-@given(small_boxes, st.booleans(), st.data())
-def test_any_word_range_matches_oracle(box, prefilter, data):
+@given(small_boxes, st.data())
+def test_any_word_range_matches_oracle(box, data):
     # ranges that start and stop anywhere, under chunks of one word up to
     # the default
     k, M = box
@@ -326,10 +323,9 @@ def test_any_word_range_matches_oracle(box, prefilter, data):
     start = data.draw(st.integers(0, total))
     stop = data.draw(st.integers(start, total))
     chunk = data.draw(st.sampled_from([1, 7, 9, sieve_mod.SIEVE_CHUNK_WORDS]))
-    n = compute_nk(k).n if prefilter else M
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", chunk)
-        tested, members = census_range(k, M, n, start, stop)
+        tested, members = census_range(k, M, start, stop)
     words = list(enumerate_lambda(k, M))[start:stop]
     assert tested == len(words)
     assert members == oracle_members(words, word_eval)
@@ -360,13 +356,13 @@ def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
     rows = []
     hits = sieve_mod._Leaves.hits
 
-    def counting(self, heads, tails, n, lo, hi):
+    def counting(self, heads, lo, hi):
         rows.append(len(heads))
-        return hits(self, heads, tails, n, lo, hi)
+        return hits(self, heads, lo, hi)
 
     monkeypatch.setattr(sieve_mod._Leaves, "hits", counting)
     ranges = _exponent_ranges(3, 40)
-    [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 40, 0, 5000)
+    [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 0, 5000)
     assert rows == [math.ceil(5000 / 1640)]
     block = itertools.islice(enumerate_lambda_block(3, 40, 0, 1), 5000)
     expected = oracle_members(block, word_eval)
@@ -374,7 +370,7 @@ def test_sieve_builds_only_the_heads_its_limit_reaches(monkeypatch):
     # words 3,000 to 7,999 of a chunk inside the box: its heads 1 to 4
     rows.clear()
     start = 9 * 1640 * 1000 + 3000
-    [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, 40, start, start + 5000)
+    [(tested, found)] = sieve_mod.sieve_words(r_power, s_power, ranges, start, start + 5000)
     assert tested == 5000 and rows == [4]
 
 
@@ -554,10 +550,9 @@ def traces_of_every_word(tables, heads, tail):
 def test_traces_of_heads_and_tails_are_products_mod_m(g, swap, box):
     ranges, p, heads = box
     left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
-    leaves = sieve_mod._Leaves(left, right, 8)
-    tails = leaves.tails(ranges, p)
-    assert tails.product.shape == (5, math.prod(map(len, ranges[p:])))
-    tr, det = traces_of_every_word(leaves.tables, heads, tails.product)
+    leaves = sieve_mod._Leaves(left, right, ranges, p)
+    assert leaves.tail.shape == (5, math.prod(map(len, ranges[p:])))
+    tr, det = traces_of_every_word(leaves.tables, heads, leaves.tail)
     expected = residues_by_oracle(left, right, heads, ranges[p:])
     assert list(zip(tr.tolist(), det.tolist())) == expected
 
@@ -570,24 +565,26 @@ def test_traces_of_heads_with_tables_of_their_own_exponents(g, swap, k, data):
     top = sieve_mod.SIEVE_CHUNK_WORDS + 3000
     row = st.lists(st.integers(0, top), min_size=2 * k, max_size=2 * k)
     heads = np.array(data.draw(st.lists(row, min_size=1, max_size=3)), dtype=np.int64)
-    leaves = sieve_mod._Leaves(left, right, top)
+    leaves = sieve_mod._Leaves(left, right, [range(top + 1)] * (2 * k), 2 * k)
     assert leaves.tables is None
     values, columns = np.unique(heads.ravel(), return_inverse=True)
-    tails = leaves.tails([range(top + 1)] * (2 * k), 2 * k)
     tables = leaves._tables(values)
-    tr, det = traces_of_every_word(tables, columns.reshape(heads.shape), tails.product)
+    tr, det = traces_of_every_word(tables, columns.reshape(heads.shape), leaves.tail)
     assert list(zip(tr.tolist(), det.tolist())) == residues_by_oracle(left, right, heads, [])
 
 
-def sieve_by_oracle(tables, heads, tails):
-    """Flat indices of the words of ``heads`` x ``tails.ranges`` that pass
-    the square tests mod both factors and, unless ``tails.mus`` is None, the
-    small-eigenvalue congruence.  Each word's tr and det are multiplied out
-    from the columns of ``tables`` on Python integers, then taken mod m."""
+def sieve_by_oracle(tables, heads, leaves):
+    """Flat indices of the words of ``heads`` x ``leaves.tail_ranges`` that
+    pass the square tests mod both factors and, unless ``leaves.mus`` is
+    None, the small-eigenvalue congruence.  Each word's tr and det are
+    multiplied out from the columns of ``tables`` on Python integers, then
+    taken mod m."""
     m = sieve_mod.SIEVE_MODULUS
     squares = [{s * s % q for s in range(q)} for q in sieve_mod.SIEVE_FACTORS]
-    mus = [] if tails.mus is None else tails.mus.tolist()
-    words = (h + t for h in map(tuple, heads.tolist()) for t in itertools.product(*tails.ranges))
+    mus = [] if leaves.mus is None else leaves.mus.tolist()
+    words = (
+        h + t for h in map(tuple, heads.tolist()) for t in itertools.product(*leaves.tail_ranges)
+    )
     out = []
     for i, word in enumerate(words):
         a, b, c, d, det = 1, 0, 0, 1, 1
@@ -598,10 +595,18 @@ def sieve_by_oracle(tables, heads, tails):
         tr, det = (a + d) % m, det % m
         disc = tr * tr - 4 * det
         squared = all(disc % q in sq for q, sq in zip(sieve_mod.SIEVE_FACTORS, squares))
-        small = tails.mus is None or any((mu * (tr - mu) - det) % m == 0 for mu in mus)
+        small = leaves.mus is None or any((mu * (tr - mu) - det) % m == 0 for mu in mus)
         if squared and small:
             out.append(i)
     return out
+
+
+def leaves_with_tables(left, right, ranges, p, tables):
+    """The ``_Leaves`` of the box ``ranges`` with ``tables`` as its power
+    tables, its tail product built from them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_mod._Leaves, "_tables", lambda self, exponents: tables)
+        return sieve_mod._Leaves(left, right, ranges, p)
 
 
 M_RESIDUES = st.one_of(
@@ -634,17 +639,18 @@ def test_sieve_survivors_match_oracle(g, swap, box, with_mus, residues, data):
     # power tables; with and without the small-eigenvalue stage
     ranges, p, heads = box
     left, right = (g.a_power, g.b_power) if swap else (g.b_power, g.a_power)
-    leaves = sieve_mod._Leaves(left, right, 8)
     if residues:
         column = st.lists(M_RESIDUES, min_size=9, max_size=9)
-        leaves.tables = tuple(
+        tables = tuple(
             np.array(data.draw(st.lists(column, min_size=5, max_size=5)), dtype=np.int64)
             for _ in range(2)
         )
-    mus = sieve_mod.small_eigenvalues((len(ranges) + 1) // 2) if with_mus else None
-    tails = leaves.tails(ranges, p)._replace(mus=mus)
-    survivors = sieve_mod._sieve(leaves.tables, heads, tails)
-    assert survivors.tolist() == sieve_by_oracle(leaves.tables, heads, tails)
+        leaves = leaves_with_tables(left, right, ranges, p, tables)
+    else:
+        leaves = sieve_mod._Leaves(left, right, ranges, p)
+    leaves.mus = sieve_mod.small_eigenvalues((len(ranges) + 1) // 2) if with_mus else None
+    survivors = sieve_mod._sieve(leaves.tables, heads, leaves)
+    assert survivors.tolist() == sieve_by_oracle(leaves.tables, heads, leaves)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -658,13 +664,12 @@ def test_sieve_survivors_at_the_int32_bounds(p):
                    for _ in range(2))
     ranges = [range(40), range(40)]
     heads = np.array(list(itertools.product(*ranges[:p])), dtype=np.int64).reshape(-1, p)
-    leaves = sieve_mod._Leaves(r_power, s_power, 39)
-    leaves.tables = tables
+    leaves = leaves_with_tables(r_power, s_power, ranges, p, tables)
     # random residues almost never pass the small-eigenvalue congruence
-    tails = leaves.tails(ranges, p)._replace(mus=None)
-    expected = sieve_by_oracle(tables, heads, tails)
+    leaves.mus = None
+    expected = sieve_by_oracle(tables, heads, leaves)
     assert 0 < len(expected) < 1600
-    assert sieve_mod._sieve(tables, heads, tails).tolist() == expected
+    assert sieve_mod._sieve(tables, heads, leaves).tolist() == expected
 
 
 @pytest.mark.parametrize("dtype,bound", [(np.int32, 2**31), (np.int64, 2**54)])
@@ -724,8 +729,41 @@ def test_hits_of_r_and_s_have_a_small_eigenvalue(M):
         words = [Word(e[0::2], e[1::2]) for e in itertools.product(*ranges)]
         expected = oracle_members(words, lambda w: product(left, right, w.exponents()))
         assert expected and all(h.eigen.lam in small for h in expected)
-        chunks = sieve_mod.sieve_words(left, right, ranges, M, 0, lambda_count(1, M))
+        chunks = sieve_mod.sieve_words(left, right, ranges, 0, lambda_count(1, M))
         assert [h for _, found in chunks for h in found] == expected
+
+
+def test_cube_survivors_are_rejected_by_the_exact_test(monkeypatch):
+    # the six words of the (2, 40) box that pass stage 3 have every exponent
+    # above n(2) = 3, so the paper's theorem excludes them; no mask drops
+    # them, and the exact test finds that none is a member
+    k, M = 2, 40
+    ranges = _exponent_ranges(k, M)
+    p, tail = sieve_mod._split(ranges)
+    leaves = sieve_mod._Leaves(r_power, s_power, ranges, p)
+    heads = sieve_mod._exponents(np.arange(math.prod(map(len, ranges[:p]))), ranges[:p])
+    survivors = []
+    for part in np.array_split(heads, len(heads) // 9):
+        index = sieve_mod._sieve(leaves.tables, part, leaves)
+        rows = np.concatenate(
+            [part[index // tail], sieve_mod._exponents(index % tail, leaves.tail_ranges)], axis=1
+        )
+        survivors += [Word(e[0::2], e[1::2]) for e in rows.tolist()]
+    assert len(survivors) == 6
+    assert all(min(w.exponents()) > compute_nk(k).n for w in survivors)
+    assert oracle_members(survivors, word_eval) == []
+
+    tested = []
+
+    def recording(tr, disc):
+        tested.append(tr)
+        return eigen_from_disc(tr, disc)
+
+    monkeypatch.setattr(sieve_mod, "eigen_from_disc", recording)
+    chunks = list(sieve_mod.sieve_words(r_power, s_power, ranges, 0, lambda_count(k, M)))
+    assert sum(t for t, _ in chunks) == lambda_count(k, M)
+    assert [h for _, found in chunks for h in found] == []
+    assert tested == [word_eval(w).trace() for w in survivors]
 
 
 @pytest.mark.parametrize(
@@ -740,7 +778,8 @@ def test_search_over_other_pairs_skips_the_small_eigenvalue_stage(g, k, exp_max,
         k, exp_max, g, 10**6
     )
     assert len(result.members) == size
-    assert not sieve_mod._Leaves(g.b_power, g.a_power, exp_max).small_eigenvalue
+    ranges = _exponent_ranges(k, exp_max)
+    assert sieve_mod._Leaves(g.b_power, g.a_power, ranges, len(ranges)).mus is None
 
 
 @pytest.mark.parametrize("g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(5, 3, 2, 7)])
@@ -777,7 +816,7 @@ def test_draws_match_randint(k, M, size, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_draws_over_batches_match_randint(seed):
     # M = 1 rejects half the attempts, so the draws take many rounds, and
-    # sample_hits draws them in three batches
+    # sample_words draws them in three batches
     k, M = 3, 1
     size = 2 * (sieve_mod.SIEVE_CHUNK_WORDS // (2 * k)) + 1
     ref = random.Random(seed)
@@ -788,5 +827,29 @@ def test_draws_over_batches_match_randint(seed):
     assert sieve_mod._draw_exponents(rng, k, M, size).ravel().tolist() == expected
     assert rng.getstate() == ref.getstate()
     rng = random.Random(seed)
-    list(sieve_mod.sample_hits(r_power, s_power, rng, k, M, size, M))
+    list(sieve_mod.sample_words(rng, k, M, size))
     assert rng.getstate() == ref.getstate()
+
+
+def test_sampled_census_skips_the_draws_the_theorem_excludes(monkeypatch):
+    # among 400 draws of the (2, 10^9) box, seed 3 draws one word that passes
+    # the sieve, every exponent above 10^8: its exact test would multiply
+    # out powers of hundreds of millions of digits.  The census skips it,
+    # with the prefilter on or off.
+    k, M, n = 2, 10**9, compute_nk(2).n
+    draws = np.concatenate(list(sieve_mod.sample_words(random.Random(3), k, M, 400)))
+    leaves = sieve_mod._Leaves(r_power, s_power, _exponent_ranges(k, M), 2 * k)
+    values, columns = np.unique(draws.ravel(), return_inverse=True)
+    index = sieve_mod._sieve(leaves._tables(values), columns.reshape(draws.shape), leaves)
+    assert len(index) == 1 and draws[index].min() > n
+
+    hits = sieve_mod._Leaves.hits
+
+    def checked(self, heads, lo, hi):
+        # before the exact test, which would not finish
+        assert (heads.min(axis=1) <= n).all(), "an excluded draw reached the leaf"
+        return hits(self, heads, lo, hi)
+
+    monkeypatch.setattr(sieve_mod._Leaves, "hits", checked)
+    rows = [census_sampled(k, M, 400, 3, prefilter) for prefilter in (True, False)]
+    assert rows[0] == rows[1] and rows[0].omega_count == 0

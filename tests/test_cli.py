@@ -414,12 +414,19 @@ class TestSmallCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [
-        ["nk"], ["density", "--m-range", "1..1"], ["verify", "--suite", "prefilter"]])
+        ["nk"], ["density", "--m-range", "1..1"], ["verify", "--suite", "prefilter"],
+        # a sampled census skips the draws n(k) excludes, whatever --prefilter says
+        ["density", "--m-range", "2..2", "--sample", "5", "--prefilter", "off"]])
     def test_k_over_the_certificate_limit_exit_2(self, argv):
         # refused before the certificate's big-int tests, which grow steeply with k
         k = spectral.MAX_NK_K + 1
         assert run_main(*argv, "--k", str(k)) == (
             2, "", f"error: k={k} is over the limit {spectral.MAX_NK_K} for the n(k) certificate\n")
+
+    def test_bounds_suite_over_the_fast_trace_limit_exit_2(self):
+        # refused before the fast trace's tables of 2^k entries are built
+        assert run_main("verify", "--suite", "bounds", "--k", "25", "--samples", "1") == (
+            2, "", "error: k=25 exceeds fast-trace limit 24\n")
 
     def test_fixed_point(self, capsys):
         assert run_cli(capsys, "fixed-point", "--matrix", "3,1,0,1")[1].strip() == "-1/2"

@@ -1,4 +1,5 @@
-"""Packaging: every third-party import is a declared dependency.
+"""Packaging: every third-party import is a declared dependency, and CI
+tests the Python version that the package declares as its floor.
 
 The library's imports must be in ``dependencies`` and the tests' in those or
 the ``test`` extra, which CI installs, so the two lists cannot drift apart.
@@ -7,11 +8,8 @@ the ``test`` extra, which CI installs, so the two lists cannot drift apart.
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +41,13 @@ def test_every_third_party_import_is_declared():
     assert third_party_imports("src") <= library
     assert third_party_imports("tests") - {"collatzq"} <= tests
     assert {"numpy", "pytest"} <= third_party_imports("tests")  # the scan sees imports
+
+
+def test_ci_runs_the_declared_python_floor():
+    # requires-python = ">=3.11" and python-version: "3.11"; the workflow is
+    # read as text, as no YAML parser is a dependency
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    floor = re.fullmatch(r">=\s*(\d+\.\d+)", project["requires-python"]).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    versions = re.findall(r"""python-version:\s*["']?([\d.]+)["']?""", workflow)
+    assert versions == [floor]
