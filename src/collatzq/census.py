@@ -2,12 +2,10 @@
 
 A census enumerates the (k, M) word box, decides every word by the sieve
 and the exact eigenvalue test of its survivors, and reports exact counts,
-the exact density, and the complete member list.  The prefilter setting is
-only recorded, in the invocation and the checkpoint's parameters.  A census
-box is within the budget, so its exponents are small, and its few sieve
-survivors that the paper's theorem excludes (all exponents above n(k)) are
-confirmed like any other.  A sampled census, whose exponents go up to
-2^63 - 2, skips the draws that the theorem excludes (``census_sampled``).
+the exact density, and the complete member list.  The leaf skips the
+words of R and S that the paper's theorem excludes (all exponents above
+n(k)) in every census, resume and sampled run; the prefilter setting is
+only recorded, in the invocation and the checkpoint's parameters.
 
 Work is addressed by word ranges [start, stop) of the box's lexicographic
 order, in sieve chunks.  Census ranges, sampled draws and search boxes all
@@ -47,7 +45,7 @@ from .sieve import (
     OmegaMember,
     chunk_words,
     confirm_words,
-    sample_words,
+    sample_hits,
     sieve_words,
 )
 from .spectral import compute_nk
@@ -134,8 +132,8 @@ def census_sampled(
 
     Sampled rows are labeled as such and must never be mixed with exhaustive
     rows in one file; ``omega_count`` counts hits among the samples.
-    Draws that the paper's theorem excludes are skipped whatever
-    ``use_prefilter`` says, so a k past ``MAX_NK_K`` is refused.
+    ``use_prefilter`` is only recorded, and a k past ``MAX_NK_K`` is
+    refused either way, as by the exhaustive census.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
@@ -143,12 +141,8 @@ def census_sampled(
         raise SizeLimitError(
             f"sampled M={M} is over {MAX_SAMPLED_M}: exponents are drawn as int64"
         )
-    n = compute_nk(k).n
-    # By the paper's theorem no draw whose exponents all exceed n(k) is a
-    # member, and at a large M its exact test would multiply out powers of
-    # billions of digits, so those draws are skipped.
-    draws = (w[w.min(axis=1) <= n] for w in sample_words(random.Random(seed), k, M, sample_size))
-    members = tuple(confirm_words(_exponent_ranges(k, M), draws))
+    compute_nk(k)
+    members = tuple(sample_hits(random.Random(seed), k, M, sample_size))
     return DensityRow(k, M, members, sample_size, seed)
 
 
@@ -171,8 +165,8 @@ def density_sweep(
     exponent) at most M.  With ``checkpoint_path`` the sweep saves its
     cursor into that census after every sieve chunk, and the finished rows
     at the end; ``resume`` continues from such a file and produces
-    bit-identical rows to an uninterrupted run.  ``use_prefilter`` is
-    recorded in the checkpoint's parameters and skips no word.
+    bit-identical rows to an uninterrupted run.  ``use_prefilter`` is only
+    recorded, in the checkpoint's parameters.
     """
     m_lo, m_hi = m_range
     if m_lo < 1 or m_hi < m_lo:
@@ -344,7 +338,7 @@ def _resumed_members(words: list, ranges: list[range], tested: int) -> list[Omeg
             f"checkpoint cursor ({tested} words) does not pass its last member, "
             f"word {last}, or does not fit the {box} words of the box"
         )
-    members = list(confirm_words(ranges, [words]))
+    members = list(confirm_words(ranges, words))
     if len(members) != len(words):
         raise CorruptCheckpointError("checkpoint lists a word that is not a member")
     return members

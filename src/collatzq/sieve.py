@@ -11,7 +11,7 @@ size, and heads are made only as far as a word range reaches.  Products are
 carried as int64 residues, four entries plus the determinant, built from
 tables of generator powers mod m.  Residues stay below m, so every product
 of two is below 2^52 and every sum of four below 2^54: the int64 arithmetic
-is exact.  A word goes through four stages, and only the last decides:
+is exact.  A word goes through five stages, and only the last decides:
 
 1. Tail product.  Every chunk of a box has the same tail words, so the
    residues T of their products (at most a chunk of them, in lexicographic
@@ -37,7 +37,12 @@ is exact.  A word goes through four stages, and only the last decides:
    {2, 3}-units up to 2^(k+1); ``small_eigenvalues`` proves that every hit
    passes.  No bound on mu is proved for other generator pairs, so their
    words skip this stage.
-4. Exact confirmation.  The product is rebuilt from the exponent tuple on
+4. The paper's theorem, for words of R and S only.  A survivor whose
+   exponents all exceed n(k) (``spectral.nk_threshold``) has no integer
+   eigenvalues and is dropped by a numpy mask, before its exact test.  At
+   k = 1 many such words pass stages 2 and 3, since the mod-m tests repeat
+   along each exponent, and their exact tests grow with the exponents.
+5. Exact confirmation.  The product is rebuilt from the exponent tuple on
    raw Python integers, and its trace and discriminant go through
    ``core.eigen_from_disc`` (``isqrt`` and the parity test).  Objects are
    built only for a confirmed hit: the leaf makes its ``OmegaMember``,
@@ -45,9 +50,6 @@ is exact.  A word goes through four stages, and only the last decides:
 
 The stages form a conjunction of tests, each of which every hit passes, so
 the order and the split of stage 2 do not change which words survive.
-Words whose exponents all exceed n(k), which the paper's theorem excludes,
-get no test of their own: the few of them that survive stage 3 go to the
-exact test like any other word.
 A box whose largest exponent is at most a chunk gets power tables of
 every exponent; past that no chunk has tails, and each call's tables cover
 its own heads' exponents only, so memory follows the chunk, not the box.
@@ -65,11 +67,12 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import EigenPair, Mat2, eigen_from_disc
+from .spectral import nk_threshold
 from .words import Word, _exponent_ranges, r_power, s_power
 
 
@@ -287,12 +290,14 @@ class _Leaves:
 
     Built once per box: the power tables, the ``_tail_product`` of the
     tail words (``tail_ranges``), mod m and as int32 mod
-    ``SIEVE_FACTORS[0]``, and ``small_eigenvalues`` of the block count
-    when that stage applies, else None.  With a largest exponent of at most
-    a chunk the power tables cover the exponents 0 up to it, and a table
-    column is its exponent.  Past a chunk every range of a box is longer
-    than a chunk, so no word has tail exponents, and each call builds
-    tables for the exponents of its own heads only.
+    ``SIEVE_FACTORS[0]``, ``small_eigenvalues`` of the block count when
+    that stage applies, else None, and the threshold ``n`` of stage 4:
+    n(k) for R and S, else the largest exponent, which drops nothing.
+    With a largest exponent of at most a chunk the power tables cover the
+    exponents 0 up to it, and a table column is its exponent.  Past a
+    chunk every range of a box is longer than a chunk, so no word has tail
+    exponents, and each call builds tables for the exponents of its own
+    heads only.
     """
 
     def __init__(self, left: PowerFn, right: PowerFn, ranges: list[range], p: int) -> None:
@@ -303,9 +308,13 @@ class _Leaves:
         self.tail_ranges = ranges[p:]
         self.tail = _tail_product(self.tables, p, self.tail_ranges)
         self.tail_q1 = _reduce(self.tail.astype(np.int32), SIEVE_FACTORS[0])
-        # the small-eigenvalue bound is proved for R and S, in either order
+        # the small-eigenvalue bound and the paper's theorem are proved for
+        # R and S, in either order (an S-first word is conjugate to an
+        # R-first one)
         small = set(self.generators) == {r_power(1), s_power(1)}
-        self.mus = small_eigenvalues((len(ranges) + 1) // 2) if small else None
+        k = (len(ranges) + 1) // 2
+        self.mus = small_eigenvalues(k) if small else None
+        self.n = nk_threshold(k) if small else top
         powers = [lambda e, g=g: g(e).entries() for g in (left, right)]
         # exponents up to a chunk recur from word to word; past it a cache
         # would grow with the box
@@ -316,7 +325,7 @@ class _Leaves:
 
     def hits(self, heads: np.ndarray, lo: int, hi: int) -> Iterator[OmegaMember]:
         """The hits among words ``lo`` to ``hi - 1`` of ``heads`` x the tails,
-        in order."""
+        in order; a word whose exponents all exceed ``n`` is not tested."""
         if self.tables is None:
             values, columns = np.unique(heads.ravel(), return_inverse=True)
             tables, rows = self._tables(values), columns.reshape(heads.shape)
@@ -328,7 +337,7 @@ class _Leaves:
         words = np.concatenate(
             [heads[index // tail], _exponents(index % tail, self.tail_ranges)], axis=1
         )
-        for exponents in words.tolist():
+        for exponents in words[words.min(axis=1) <= self.n].tolist():
             # the exact test, on the raw-integer product of the word
             xa, xb, xc, xd = 1, 0, 0, 1
             for i, e in enumerate(exponents):
@@ -389,14 +398,12 @@ def sieve_words(
         yield hi - lo, list(leaves.hits(heads, lo - h * tail, hi - h * tail))
 
 
-def confirm_words(ranges: list[range], batches: Iterable) -> Iterator[OmegaMember]:
-    """The members among the words of ``batches``, each a list or array of
-    exponent rows of the census box ``ranges``, in order, sieved and
-    confirmed by one leaf as the words of a chunk are."""
-    leaves = _Leaves(r_power, s_power, ranges, len(ranges))
-    for words in batches:
-        heads = np.asarray(words, dtype=np.int64).reshape(-1, len(ranges))
-        yield from leaves.hits(heads, 0, len(heads))
+def confirm_words(ranges: list[range], words: list[list[int]]) -> Iterator[OmegaMember]:
+    """The members among ``words``, exponent lists of the census box
+    ``ranges``, in order, each re-proved and built by the leaf as a sieved
+    word is."""
+    heads = np.array(words, dtype=np.int64).reshape(-1, len(ranges))
+    return _Leaves(r_power, s_power, ranges, len(ranges)).hits(heads, 0, len(heads))
 
 
 # The largest M whose box can be sampled: exponents are drawn as int64, and
@@ -485,10 +492,12 @@ def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray
     return out.reshape(size, 2 * k)
 
 
-def sample_words(rng: random.Random, k: int, M: int, size: int) -> Iterator[np.ndarray]:
-    """``size`` words of the (k, M) box drawn with ``rng``, in draw order,
-    as ``_draw_exponents`` batches of as many exponents as a chunk holds
-    words."""
+def sample_hits(rng: random.Random, k: int, M: int, size: int) -> Iterator[OmegaMember]:
+    """The members among ``size`` words of the (k, M) census box drawn with
+    ``rng``, in draw order."""
+    leaves = _Leaves(r_power, s_power, _exponent_ranges(k, M), 2 * k)
+    # a batch of draws holds as many exponents as a chunk holds words
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
     for start in range(0, size, batch):
-        yield _draw_exponents(rng, k, M, min(batch, size - start))
+        heads = _draw_exponents(rng, k, M, min(batch, size - start))
+        yield from leaves.hits(heads, 0, len(heads))

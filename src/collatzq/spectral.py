@@ -267,6 +267,13 @@ def nk_conditions(k: int, n: int) -> tuple[bool, bool]:
     return cond_i, cond_ii
 
 
+def nk_threshold(k: int) -> int:
+    """n(k) = k + L - 1 with L = k.bit_length(), and n(1) = 2: the least
+    exponent threshold for k >= 1 blocks, by the proof in ``compute_nk``,
+    which also tests it exactly."""
+    return 2 if k == 1 else k + k.bit_length() - 1
+
+
 def compute_nk(k: int) -> NkCertificate:
     """The certificate of the least n making both exclusion conditions hold:
     n = k + L - 1 with L = k.bit_length(), and n = 2 at k = 1.
@@ -287,7 +294,7 @@ def compute_nk(k: int) -> NkCertificate:
         raise ValueError("need k >= 1")
     if k > MAX_NK_K:
         raise SizeLimitError(f"k={k} is over the limit {MAX_NK_K} for the n(k) certificate")
-    n = 2 if k == 1 else k + k.bit_length() - 1
+    n = nk_threshold(k)
     if [all(nk_conditions(k, m)) for m in (n - 1, n)] != [False, True]:
         raise AssertionError(f"n = {n} is not the least exponent threshold for k = {k}")
     # the trace lower bound also needs 3^(k(n+1)) > 4^k, automatic for n >= 1

@@ -733,26 +733,8 @@ def test_hits_of_r_and_s_have_a_small_eigenvalue(M):
         assert [h for _, found in chunks for h in found] == expected
 
 
-def test_cube_survivors_are_rejected_by_the_exact_test(monkeypatch):
-    # the six words of the (2, 40) box that pass stage 3 have every exponent
-    # above n(2) = 3, so the paper's theorem excludes them; no mask drops
-    # them, and the exact test finds that none is a member
-    k, M = 2, 40
-    ranges = _exponent_ranges(k, M)
-    p, tail = sieve_mod._split(ranges)
-    leaves = sieve_mod._Leaves(r_power, s_power, ranges, p)
-    heads = sieve_mod._exponents(np.arange(math.prod(map(len, ranges[:p]))), ranges[:p])
-    survivors = []
-    for part in np.array_split(heads, len(heads) // 9):
-        index = sieve_mod._sieve(leaves.tables, part, leaves)
-        rows = np.concatenate(
-            [part[index // tail], sieve_mod._exponents(index % tail, leaves.tail_ranges)], axis=1
-        )
-        survivors += [Word(e[0::2], e[1::2]) for e in rows.tolist()]
-    assert len(survivors) == 6
-    assert all(min(w.exponents()) > compute_nk(k).n for w in survivors)
-    assert oracle_members(survivors, word_eval) == []
-
+def recorded_exact_tests(monkeypatch):
+    """The traces given to the leaf's exact test from now on, in order."""
     tested = []
 
     def recording(tr, disc):
@@ -760,10 +742,37 @@ def test_cube_survivors_are_rejected_by_the_exact_test(monkeypatch):
         return eigen_from_disc(tr, disc)
 
     monkeypatch.setattr(sieve_mod, "eigen_from_disc", recording)
+    return tested
+
+
+@pytest.mark.parametrize("k,M,cube", [(1, 1000, 1120), (2, 40, 6)])
+def test_cube_survivors_skip_the_exact_test(k, M, cube, monkeypatch):
+    # words whose exponents all exceed n(k) pass stage 3: at k = 1 the mod-m
+    # tests repeat along each exponent, so 1,120 of the (1, 1000) box do,
+    # and all 6 survivors of the (2, 40) box are such words.  None is a
+    # member, as the paper's theorem says, and the leaf drops them before
+    # the exact test, whose cost grows with the exponents.
+    ranges = _exponent_ranges(k, M)
+    p, tail = sieve_mod._split(ranges)
+    leaves = sieve_mod._Leaves(r_power, s_power, ranges, p)
+    heads = sieve_mod._exponents(np.arange(math.prod(map(len, ranges[:p]))), ranges[:p])
+    words, in_cube = [], []
+    for part in np.array_split(heads, len(heads) // 9):
+        index = sieve_mod._sieve(leaves.tables, part, leaves)
+        rows = np.concatenate(
+            [part[index // tail], sieve_mod._exponents(index % tail, leaves.tail_ranges)], axis=1
+        )
+        words += [Word(e[0::2], e[1::2]) for e in rows.tolist()]
+        in_cube += (rows.min(axis=1) > compute_nk(k).n).tolist()
+    assert sum(in_cube) == cube
+    assert oracle_members(list(itertools.compress(words, in_cube)), word_eval) == []
+
+    rest = [w for w, c in zip(words, in_cube) if not c]
+    tested = recorded_exact_tests(monkeypatch)
     chunks = list(sieve_mod.sieve_words(r_power, s_power, ranges, 0, lambda_count(k, M)))
     assert sum(t for t, _ in chunks) == lambda_count(k, M)
-    assert [h for _, found in chunks for h in found] == []
-    assert tested == [word_eval(w).trace() for w in survivors]
+    assert [h for _, found in chunks for h in found] == oracle_members(rest, word_eval)
+    assert tested == [word_eval(w).trace() for w in rest]
 
 
 @pytest.mark.parametrize(
@@ -816,7 +825,7 @@ def test_draws_match_randint(k, M, size, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_draws_over_batches_match_randint(seed):
     # M = 1 rejects half the attempts, so the draws take many rounds, and
-    # sample_words draws them in three batches
+    # sample_hits draws them in three batches
     k, M = 3, 1
     size = 2 * (sieve_mod.SIEVE_CHUNK_WORDS // (2 * k)) + 1
     ref = random.Random(seed)
@@ -827,29 +836,23 @@ def test_draws_over_batches_match_randint(seed):
     assert sieve_mod._draw_exponents(rng, k, M, size).ravel().tolist() == expected
     assert rng.getstate() == ref.getstate()
     rng = random.Random(seed)
-    list(sieve_mod.sample_words(rng, k, M, size))
+    list(sieve_mod.sample_hits(rng, k, M, size))
     assert rng.getstate() == ref.getstate()
 
 
 def test_sampled_census_skips_the_draws_the_theorem_excludes(monkeypatch):
     # among 400 draws of the (2, 10^9) box, seed 3 draws one word that passes
     # the sieve, every exponent above 10^8: its exact test would multiply
-    # out powers of hundreds of millions of digits.  The census skips it,
-    # with the prefilter on or off.
+    # out powers of hundreds of millions of digits.  The leaf skips it, with
+    # the prefilter on or off.
     k, M, n = 2, 10**9, compute_nk(2).n
-    draws = np.concatenate(list(sieve_mod.sample_words(random.Random(3), k, M, 400)))
+    draws = sieve_mod._draw_exponents(random.Random(3), k, M, 400)
     leaves = sieve_mod._Leaves(r_power, s_power, _exponent_ranges(k, M), 2 * k)
     values, columns = np.unique(draws.ravel(), return_inverse=True)
     index = sieve_mod._sieve(leaves._tables(values), columns.reshape(draws.shape), leaves)
     assert len(index) == 1 and draws[index].min() > n
 
-    hits = sieve_mod._Leaves.hits
-
-    def checked(self, heads, lo, hi):
-        # before the exact test, which would not finish
-        assert (heads.min(axis=1) <= n).all(), "an excluded draw reached the leaf"
-        return hits(self, heads, lo, hi)
-
-    monkeypatch.setattr(sieve_mod._Leaves, "hits", checked)
+    tested = recorded_exact_tests(monkeypatch)
     rows = [census_sampled(k, M, 400, 3, prefilter) for prefilter in (True, False)]
     assert rows[0] == rows[1] and rows[0].omega_count == 0
+    assert tested == []
