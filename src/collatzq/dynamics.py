@@ -37,9 +37,16 @@ starts come from a prime sieve over the (p+q, p) triangle, as arrays in
 that order (`reduced_fraction_arrays`), so a theta row that first drops
 below its start mostly lands on a start whose stopping time is already in
 the kernel's table, and ends there.  A theta row that could overflow is
-redone here by `theta_runs`.  Both sweep reports are array code over the
-kernel's (steps, flags): one first-maximum helper gives the longest orbit
-and the starts that failed.  The theta sweep's per-start rows stay those
+redone here by `theta_runs`.  A phi orbit depends only on its start's
+unordered pair, so p/q and its twin q/p have the same stopping time and
+the same recovered-word check: the phi sweep and phi recovery run only the
+starts p <= q, the half of the starts taken by one mask, which keeps
+their order (`_lower_half`).  Only 0/1 and 1/1 are their own twins.  The
+counts are the full sweep's, and each failed start's twin is added back to
+the failures, which are re-sorted in sweep order (`_with_twins`).  Both
+sweep reports are array code over the kernel's (steps, flags): one
+first-maximum helper gives the longest orbit, the first in sweep order,
+which for phi is a p <= q twin.  The theta sweep's per-start rows stay those
 arrays up to the CSV writer, which renders them as digits with no per-row
 Python.  The stepwise forms on reduced pairs, `orbit` (which records each
 point as a `Fraction`), `orbit_pq` and `replay_word_pq`, and the start
@@ -424,8 +431,8 @@ class PhiSweepReport:
 
 def _first_maximum(
     ps: np.ndarray, qs: np.ndarray, stopping_times: np.ndarray
-) -> tuple[int, Fraction, tuple[Fraction, ...]]:
-    """(max stopping time, its first row as p/q, the rows at -1 as p/q).
+) -> tuple[int, Fraction]:
+    """(max stopping time, its first row as p/q).
 
     stopping_times is -1 on the rows that failed.  The first maximum is the
     least (p+q, p) among ties in sweep order.  With no row at 0 or more the
@@ -433,10 +440,29 @@ def _first_maximum(
     """
     i = int(np.argmax(stopping_times))
     best = int(stopping_times[i])
-    argmax = Fraction(int(ps[i]), int(qs[i])) if best >= 0 else Fraction(0)
-    miss = stopping_times < 0
-    misses = tuple(map(Fraction, ps[miss].tolist(), qs[miss].tolist()))
-    return best, argmax, misses
+    return best, Fraction(int(ps[i]), int(qs[i])) if best >= 0 else Fraction(0)
+
+
+def _lower_half(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starts p <= q of a sweep's (ps, qs), one per pair {p/q, q/p}.
+
+    A phi orbit depends only on its start's unordered pair, so a start's
+    twin q/p has its stopping time, flag and recovered-word check.  The
+    p <= q twin comes first in (p+q, p) order, and the half keeps that
+    order; 0/1 and 1/1, its first two rows, are their own twins.
+    """
+    lower = ps <= qs
+    return ps[lower], qs[lower]
+
+
+def _with_twins(ps: np.ndarray, qs: np.ndarray) -> list[Fraction]:
+    """Starts p/q of a lower half, each with its twin q/p added (for 0 < p
+    < q), as Fractions in (p+q, p) order."""
+    twin = (ps > 0) & (ps < qs)
+    p = np.concatenate((ps, qs[twin]))
+    q = np.concatenate((qs, ps[twin]))
+    order = np.lexsort((p, p + q))
+    return list(map(Fraction, p[order].tolist(), q[order].tolist()))
 
 
 def theta_sweep_full(
@@ -459,32 +485,40 @@ def theta_sweep_full(
     for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
         runs = theta_runs(int(ps[i]), int(qs[i]), step_cap)
         steps[i] = -1 if runs is None else sum(runs)
-    max_stop, argmax, nonterminated = _first_maximum(ps, qs, steps)
+    max_stop, argmax = _first_maximum(ps, qs, steps)
+    miss = steps < 0
     report = SweepReport(
         height_bound=height_bound,
         step_cap=step_cap,
         total_tested=int(ps.size),
         max_stopping_time=max_stop,
         argmax=argmax,
-        nonterminated=nonterminated,
+        nonterminated=tuple(map(Fraction, ps[miss].tolist(), qs[miss].tolist())),
     )
     return report, (ps, qs, steps)
 
 
 def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
-    """Check strict decrease of p+q and termination within p+q steps for phi."""
+    """Check strict decrease of p+q and termination within p+q steps for phi.
+
+    The kernel runs one start per twin pair {p/q, q/p} (`_lower_half`); the
+    first maximum is a p <= q twin, and each violation's twin is added back.
+    """
     if height_bound < 2:
         raise ValueError("need height_bound >= 2")
     ps, qs = reduced_fraction_arrays(height_bound)
+    total = int(ps.size)
+    ps, qs = _lower_half(ps, qs)
     steps, flags = kernels.phi_sweep(ps, qs)
     steps[flags != kernels.FLAG_DONE] = -1
-    max_stop, argmax, violations = _first_maximum(ps, qs, steps)
+    max_stop, argmax = _first_maximum(ps, qs, steps)
+    miss = steps < 0
     return PhiSweepReport(
         height_bound=height_bound,
-        total_tested=int(ps.size),
+        total_tested=total,
         max_stopping_time=max_stop,
         argmax=argmax,
-        violations=violations,
+        violations=tuple(_with_twins(ps[miss], qs[miss])),
     )
 
 
@@ -503,7 +537,9 @@ def verify_word_recovery(
     formulas of `replay_theta_runs_pq` and `replay_runs_pq`.  Theta rows
     the kernel's guard stops are redone one by one on big-int pairs by
     `theta_runs` / `replay_theta_runs_pq`, so results never depend on the
-    word size; phi rows never overflow.
+    word size; phi rows never overflow.  phi runs one start per twin pair
+    {p/q, q/p}, as its sweep does: each twin of a p <= q start but 0/1 and
+    1/1 counts again, and fails with it.
     """
     if map_name not in (THETA, PHI):
         raise ValueError(f"unknown map {map_name!r}")
@@ -513,18 +549,23 @@ def verify_word_recovery(
         raise ValueError("step_cap must be >= 0")
     ps, qs = reduced_fraction_arrays(height_bound)
     if map_name == PHI:
+        ps, qs = _lower_half(ps, qs)
         flags = kernels.phi_recovery(ps, qs, step_cap)
-    else:
-        flags = kernels.theta_recovery(ps, qs, step_cap)
-        for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
-            p, q = int(ps[i]), int(qs[i])
-            runs = theta_runs(p, q, step_cap)
-            if runs is None:
-                flags[i] = kernels.FLAG_CAP
-            elif replay_theta_runs_pq(runs) != (p, q):
-                flags[i] = kernels.FLAG_MISMATCH
-            else:
-                flags[i] = kernels.FLAG_DONE
+        failed = flags != kernels.FLAG_DONE
+        uncapped = flags != kernels.FLAG_CAP
+        # 0/1 and 1/1, the half's first two rows, are their own twins
+        checked = 2 * int(np.count_nonzero(uncapped)) - int(np.count_nonzero(uncapped[:2]))
+        return checked, _with_twins(ps[failed], qs[failed])
+    flags = kernels.theta_recovery(ps, qs, step_cap)
+    for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
+        p, q = int(ps[i]), int(qs[i])
+        runs = theta_runs(p, q, step_cap)
+        if runs is None:
+            flags[i] = kernels.FLAG_CAP
+        elif replay_theta_runs_pq(runs) != (p, q):
+            flags[i] = kernels.FLAG_MISMATCH
+        else:
+            flags[i] = kernels.FLAG_DONE
     failed = flags != kernels.FLAG_DONE
     checked = int(np.count_nonzero(flags != kernels.FLAG_CAP))
     return checked, list(map(Fraction, ps[failed].tolist(), qs[failed].tolist()))

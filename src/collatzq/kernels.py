@@ -34,11 +34,16 @@ the continued-fraction partial quotients of p/q, so its stopping time is
 the quotient sum.  A phi row advances one branch run per wave, by one
 `np.divmod` of its point's unordered pair (x, y) = (max, min), on which
 alone the rest of its orbit depends; the table is keyed by that pair, in
-the slot of (y, x+y).  A run ends at (y, x mod y): at 0, or on a smaller
-pair, so a row leaves as soon as that pair's start has finished.  Every run
-of every orbit is then the first run of some start, and in height order
-nearly every row leaves after its first wave.  phi rows never grow, so they
-cannot overflow, and no row reads past the highest start.
+the slot of (y, x+y).  As y <= (x+y)/2, the slots are laid out on that
+half of the (p, p+q) triangle (`_phi_slot`): its 2n entries cover every
+height of a sweep of n starts that holds one start per twin pair.  A run
+ends at (y, x mod y): at 0, or on a smaller pair, so a row leaves as soon
+as that pair's start has finished.  Every run of every orbit is then the
+first run of some start, and in height order nearly every row leaves after
+its first wave.  phi rows never grow, so they cannot overflow, and no row
+reads past the highest start.  A start p/q and its twin q/p have the same
+pair and so the same steps and flags, in the sweep and in recovery alike:
+`dynamics` runs only the p <= q twin of each sweep start through `_phi`.
 
 Word recovery is the loop with the check on.  Right after each run, the
 run's inverse is taken from its end point, by the replay formulas of
@@ -267,7 +272,8 @@ def phi_sweep(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     start was.  Every leaving row enters its steps, or that it was flagged,
     under its start's pair.  Rows enter in bands as in `theta_sweep`, but on
     any wave; the results depend on neither their order nor the band size.
-    The table covers the heights up to the highest start, within 2n entries.
+    The table covers the heights up to the highest start, within 2n entries
+    on the half triangle of `_phi_slot`.
     """
     return _phi(ps, qs, _INT64_MAX, False)
 
@@ -295,9 +301,11 @@ def _phi(ps, qs, cap, check):
     flags = np.zeros(n, dtype=np.int8 if check else np.int64)
     bands = [slice(lo, lo + BAND_ROWS) for lo in range(0, n, BAND_ROWS)]
     highest = max((int((p_in[b] + q_in[b]).max()) for b in bands), default=0)
-    top = min(_table_top(n), max(2, highest + 1))  # one slot at least, for take
+    # the heights below top have (top-1)^2/4 <= 2n slots (`_phi_slot`), and
+    # any rows at least one, for take
+    top = min(1 + math.isqrt(8 * n + 3), max(3, highest + 1))
     # an entry is a pair's quotient sum, at most its max < top: int32 holds it
-    table = np.full(top * (top - 1) // 2, _UNKNOWN, np.int32)
+    table = np.full((top - 1) ** 2 // 4, _UNKNOWN, np.int32)
     # live rows: row number, table slot of its start (-1 when it has none),
     # steps so far, and orbit point as its pair (x, y)
     rows = slot = acc = x = y = np.zeros(0, dtype=np.int64)
@@ -311,7 +319,7 @@ def _phi(ps, qs, cap, check):
                 flags[np.flatnonzero((bp == 0) & (bq != 1)) + entered] = FLAG_MISMATCH
             bp, bq = bp[go], bq[go]
             bx, by = np.maximum(bp, bq), np.minimum(bp, bq)
-            at, tabled = _slot(by, bx + by, top)
+            at, tabled = _phi_slot(by, bx + by, top)
             rows = np.concatenate((rows, go + entered))
             slot = np.concatenate((slot, np.where(tabled, at, -1)))
             acc = np.concatenate((acc, np.zeros(go.size, dtype=np.int64)))
@@ -325,7 +333,7 @@ def _phi(ps, qs, cap, check):
         # the next pair (y, rem) has the lower sum iff rem < x.  A wave that
         # passes this check lowers a positive sum, so every row leaves.
         bad = (quot < 1) | (rem >= x)
-        at, tabled = _slot(rem, y + rem, top)
+        at, tabled = _phi_slot(rem, y + rem, top)
         found = np.where(tabled, table.take(at, mode="clip"), _UNKNOWN)
         out = bad | (rem == 0) | (found != _UNKNOWN)
         if out.any():
@@ -364,12 +372,25 @@ def _table_top(n: int) -> int:
 
 
 def _slot(p, h, top):
-    """A table slot of the pairs (p, h), and whether each has one.
+    """A theta table slot of the pairs (p, h), and whether each has one.
 
     The slots are the triangle 0 < p < h < top, laid out by rows of h.
     p = 0 is an orbit's end, which no row looks up.
     """
     return h * (h - 1) // 2 + p, (p > 0) & (p < h) & (h < top)
+
+
+def _phi_slot(y, h, top):
+    """A phi table slot of the pairs (y, h) = (min, max + min), and whether
+    each has one.
+
+    A pair's min is at most half its sum, so the slots are the half
+    triangle 0 < y <= h/2, h < top, laid out by rows of h: row h starts
+    after the (h-1)^2/4 slots of the rows below it.  y = 0 is an orbit's
+    end, which no row looks up, and y < 0 only a start below 0, which its
+    first run flags.
+    """
+    return ((h - 1) * (h - 1) >> 2) + y - 1, (y > 0) & (h < top)
 
 
 def _theta_run(p, q, r_wave):

@@ -25,6 +25,10 @@ from .errors import KMismatchError, NonIntegerEntryError, SizeLimitError
 from .words import Word, word_det
 
 DEFAULT_SUBSET_LIMIT = 12  # 4^k terms; the reference path refuses beyond this
+# largest k `trace_fast` takes: its tables hold 2^k big ints, and a
+# `verify --suite bounds` sample at k = 20 takes 2.4-4 s and peaks at 143 MB
+# resident (Python 3.11, one core of a 2 vCPU host); each k doubles both
+FAST_TRACE_LIMIT = 20
 # largest k `compute_nk` certifies: its two exact tests take about 1 s at
 # k = 1,000 and 8-11 s at 2,000 (Python 3.11, one core of a 2 vCPU host)
 MAX_NK_K = 1_000
@@ -156,12 +160,11 @@ def trace_fast(w: Word) -> int:
     2^-k * sum over B of 3^(sum_B betas) * prod_{j in Bbar} (2^alpha_j - 1)
     * prod_{j not in Bbar} (2^alpha_j + 1), where Bbar is the symmetric
     difference of B with its cyclic downshift (0 identified with k).
-    A k past twice ``DEFAULT_SUBSET_LIMIT`` is refused before any table is
-    built: its 2^k terms would outnumber the 4^k of ``u_quantities``'s limit.
+    A k past ``FAST_TRACE_LIMIT`` is refused before any table is built.
     """
     k = w.k
-    if k > 2 * DEFAULT_SUBSET_LIMIT:
-        raise SizeLimitError(f"k={k} exceeds fast-trace limit {2 * DEFAULT_SUBSET_LIMIT}")
+    if k > FAST_TRACE_LIMIT:
+        raise SizeLimitError(f"k={k} exceeds fast-trace limit {FAST_TRACE_LIMIT}")
     _, pow3 = _pow_tables(w)
     minus = [2**a - 1 for a in w.alphas]
     plus = [2**a + 1 for a in w.alphas]

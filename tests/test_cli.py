@@ -426,7 +426,13 @@ class TestSmallCommands:
     def test_bounds_suite_over_the_fast_trace_limit_exit_2(self):
         # refused before the fast trace's tables of 2^k entries are built
         assert run_main("verify", "--suite", "bounds", "--k", "25", "--samples", "1") == (
-            2, "", "error: k=25 exceeds fast-trace limit 24\n")
+            2, "", "error: k=25 exceeds fast-trace limit 20\n")
+
+    def test_bounds_suite_just_over_the_fast_trace_limit_exit_2(self):
+        # k = 21 would build two tables of 2^21 big ints per sample, twice
+        # k = 20's; it is refused up front
+        assert run_main("verify", "--suite", "bounds", "--k", "21", "--samples", "1") == (
+            2, "", "error: k=21 exceeds fast-trace limit 20\n")
 
     def test_fixed_point(self, capsys):
         assert run_cli(capsys, "fixed-point", "--matrix", "3,1,0,1")[1].strip() == "-1/2"

@@ -7,10 +7,12 @@ its replay, phi word recovery by the wave kernel ``kernels.phi_recovery``
 ``orbit_pq(..., PHI)``, whose branch string the runs must render to, the
 Euclid-per-wave sweep ``euclid_per_wave_sweep``, ``replay_word_pq``, the
 per-start recovery loop over ``phi_runs``, the sweep kernel for recovery's
-flags, and ``reduced_fractions``.  Pairs with small quotient sums are built
-from drawn continued fractions, so the stepwise oracle stays cheap however
-large p and q are.  A fixed derandomized profile keeps these fast and
-repeatable.
+flags, and ``reduced_fractions``.  The sweep and recovery run one start
+per twin pair {p/q, q/p}: the kernels must give both twins one result,
+and the reports must add each listed start's twin back.  Pairs with small
+quotient sums are built from drawn continued fractions, so the stepwise
+oracle stays cheap however large p and q are.  A fixed derandomized
+profile keeps these fast and repeatable.
 """
 
 import math
@@ -179,14 +181,10 @@ def test_table_kernel_matches_euclid_per_wave_on_the_full_sweep():
     assert np.array_equal(steps, expected_steps) and np.array_equal(flags, expected_flags)
 
 
-def test_a_flagged_start_flags_every_row_that_ends_a_run_on_it():
-    # the division of the pair (5, 3) is made to take no step, so its starts
-    # 3/5 and 5/3 are flagged.  One row at a time, each later row ends its
-    # first run on a finished start: only those two divide (5, 3), and every
-    # other row whose orbit passes it must read the flag from the table.
-    ps, qs = reduced_fraction_arrays(60)
+def divmod_fails_at_5_3(faults):
+    """A patch of np.divmod under which the division of the pair (5, 3)
+    takes no step, a violation; it appends the rows it strikes per call."""
     real = np.divmod
-    faults = []
 
     def faulty(x, y):
         quot, rem = real(x, y)
@@ -195,19 +193,88 @@ def test_a_flagged_start_flags_every_row_that_ends_a_run_on_it():
         quot[hit] = 0
         return quot, rem
 
-    def passes(p, q):
-        x, y = max(p, q), min(p, q)
-        while y:
-            if (x, y) == (5, 3):
-                return True
-            x, y = y, x % y
-        return False
+    return mock.patch.object(kernels.np, "divmod", faulty)
 
-    with mock.patch.object(kernels, "BAND_ROWS", 1), mock.patch.object(kernels.np, "divmod", faulty):
+
+def passes_5_3(p, q):
+    """Whether the phi orbit of p/q divides the pair (5, 3)."""
+    x, y = max(p, q), min(p, q)
+    while y:
+        if (x, y) == (5, 3):
+            return True
+        x, y = y, x % y
+    return False
+
+
+def test_a_flagged_start_flags_every_row_that_ends_a_run_on_it():
+    # the division of the pair (5, 3) is made to take no step, so its starts
+    # 3/5 and 5/3 are flagged.  One row at a time, each later row ends its
+    # first run on a finished start: only those two divide (5, 3), and every
+    # other row whose orbit passes it must read the flag from the table.
+    ps, qs = reduced_fraction_arrays(60)
+    faults = []
+    with mock.patch.object(kernels, "BAND_ROWS", 1), divmod_fails_at_5_3(faults):
         _, flags = phi_sweep(ps, qs)
-    through = [passes(p, q) for p, q in zip(ps.tolist(), qs.tolist())]
+    through = [passes_5_3(p, q) for p, q in zip(ps.tolist(), qs.tolist())]
     assert sum(faults) == 2 and sum(through) > 2
     assert flags.tolist() == [FLAG_VIOLATION if t else FLAG_DONE for t in through]
+
+
+def test_sweep_and_recovery_list_both_twins_of_a_flagged_start():
+    # the kernel runs only 3/5 of the twins 3/5 and 5/3, and only the p <= q
+    # twin of every other start: the reports must add each flagged start's
+    # twin back, in sweep order, and count every start
+    ps, qs = reduced_fraction_arrays(60)
+    through = [Fraction(p, q) for p, q in zip(ps.tolist(), qs.tolist()) if passes_5_3(p, q)]
+    assert {Fraction(3, 5), Fraction(5, 3)} <= set(through) and len(through) > 2
+    assert sorted(through) == sorted(1 / x for x in through)
+    with divmod_fails_at_5_3([]):
+        report = phi_monotonicity_sweep(60)
+        checked, failures = verify_word_recovery(60, PHI)
+    assert report.violations == tuple(through) and report.total_tested == ps.size
+    assert failures == through and checked == ps.size
+
+
+@pytest.mark.parametrize("height, starts, rows", [(2000, 1_216_588, 608_295), (500, 76_116, 38_059)])
+def test_the_kernels_get_one_start_per_twin_pair(height, starts, rows):
+    # the p <= q half of the sweep's starts, in sweep order: the twins q/p
+    # are derived, and only 0/1 and 1/1 are their own
+    ps, qs = reduced_fraction_arrays(height)
+    lower = ps <= qs
+    assert ps.size == starts == 2 * rows - 2 and np.count_nonzero(lower) == rows
+    with mock.patch.object(kernels, "phi_sweep", wraps=kernels.phi_sweep) as sweep, \
+            mock.patch.object(kernels, "phi_recovery", wraps=kernels.phi_recovery) as recovery:
+        report = phi_monotonicity_sweep(height)
+        assert verify_word_recovery(height, PHI) == (starts, [])
+    for kernel in (sweep, recovery):
+        (got_ps, got_qs, *_), _ = kernel.call_args
+        assert np.array_equal(got_ps, ps[lower]) and np.array_equal(got_qs, qs[lower])
+    assert report.total_tested == starts and report.all_monotone
+    assert (report.max_stopping_time, report.argmax) == (height - 1, Fraction(1, height - 1))
+
+
+@PROPS
+@given(st.lists(st.one_of(big_pairs(), cf_pairs().map(lambda t: t[:2]), st.sampled_from(SMALL)),
+                min_size=1, max_size=30),
+       st.integers(0, 400), st.sampled_from((1, 7, kernels.BAND_ROWS)),
+       st.randoms(use_true_random=False))
+def test_a_start_and_its_twin_get_the_same_steps_and_flag(picks, cap, band, rnd):
+    # the phi sweep and recovery run one start per twin pair {p/q, q/p} and
+    # give the other the same result: the kernels must give q/p exactly
+    # p/q's steps and flags, in one call, in any row order and band size
+    pairs = [(p, q) for p, q in picks if p]  # 0/q has no twin
+    rows = pairs + [(q, p) for p, q in pairs]
+    rnd.shuffle(rows)
+    ps = np.array([p for p, _ in rows], dtype=np.int64)
+    qs = np.array([q for _, q in rows], dtype=np.int64)
+    with mock.patch.object(kernels, "BAND_ROWS", band):
+        steps, flags = phi_sweep(ps, qs)
+        recovered = phi_recovery(ps, qs, cap)
+    result = {}
+    for row, *got in zip(rows, steps.tolist(), flags.tolist(), recovered.tolist()):
+        assert result.setdefault(row, got) == got
+    for p, q in pairs:
+        assert result[(q, p)] == result[(p, q)]
 
 
 @PROPS

@@ -143,8 +143,8 @@ class TestTraces:
             trace_subsetpair(Word((1,) * 13, (1,) * 13))
 
     def test_fast_size_limit(self, monkeypatch):
-        # k = 24 (2^24 terms, as many as u_quantities' 4^12) reaches the
-        # tables; k = 25 and beyond are refused before they are built
+        # k = 20 reaches the tables; k = 21 and beyond are refused before
+        # they are built
         class Tables(Exception):
             pass
 
@@ -152,14 +152,14 @@ class TestTraces:
             raise Tables
 
         monkeypatch.setattr(spectral, "_pow_tables", tables)
-        limit = 2 * spectral.DEFAULT_SUBSET_LIMIT
-        assert limit == 24
+        limit = spectral.FAST_TRACE_LIMIT
+        assert limit == 20
         with pytest.raises(Tables):
             trace_fast(Word((1,) * limit, (1,) * limit))
         for k in (limit + 1, 40):
             w = Word((1,) * k, (1,) * k)
             for fn in (trace_fast, bounds_check):
-                with pytest.raises(SizeLimitError, match=f"k={k} exceeds fast-trace limit 24"):
+                with pytest.raises(SizeLimitError, match=f"k={k} exceeds fast-trace limit 20"):
                     fn(w)
 
     def test_fast_handles_larger_k(self):
