@@ -10,7 +10,7 @@ only recorded, in the invocation and the checkpoint's parameters.
 Work is addressed by word ranges [start, stop) of the box's lexicographic
 order, in sieve chunks.  Census ranges, sampled draws and search boxes all
 go through the leaf pipeline of ``sieve``, which builds each confirmed
-hit's ``OmegaMember`` (re-exported here).  A search cuts its budget at a word.
+hit's ``OmegaMember``.  A search cuts its budget at a word.
 
 A ``density_sweep`` is one census of its largest box, since every smaller
 box is the words of that box with no exponent above its M; each row is
@@ -166,7 +166,7 @@ def density_sweep(
     cursor into that census after every sieve chunk, and the finished rows
     at the end; ``resume`` continues from such a file and produces
     bit-identical rows to an uninterrupted run.  ``use_prefilter`` is only
-    recorded, in the checkpoint's parameters.
+    recorded, in the checkpoint's parameters, and a resume may change it.
     """
     m_lo, m_hi = m_range
     if m_lo < 1 or m_hi < m_lo:
@@ -180,7 +180,7 @@ def density_sweep(
         if not checkpoint_path:
             raise CorruptCheckpointError("resume requested without a checkpoint file")
         state = load_checkpoint(checkpoint_path)
-        if state["params"] != params:
+        if {**state["params"], "prefilter": use_prefilter} != params:
             raise CorruptCheckpointError(
                 f"checkpoint parameters {state['params']} do not match {params}"
             )
@@ -287,17 +287,6 @@ CHECKPOINT_VERSION = 4
 # the payload's keys and the JSON types of their values (a bool is no int)
 _PAYLOAD_TYPES = {"version": (int,), "params": (dict,), "rows": (list,),
                   "active_m": (int, type(None)), "tested": (int,), "members": (list,)}
-
-
-def _member_to_json(m: OmegaMember) -> dict:
-    return {
-        "k": m.word.k,
-        "betas": list(m.word.betas),
-        "alphas": list(m.word.alphas),
-        "matrix": list(m.matrix.entries()),
-        "lambda": m.eigen.lam,
-        "mu": m.eigen.mu,
-    }
 
 
 def _row_to_json(row: DensityRow) -> dict:

@@ -26,7 +26,6 @@ from ._version import VERSION
 from . import dynamics, reports, spectral
 from .census import (
     DEFAULT_SEARCH_BUDGET,
-    _member_to_json,
     census_sampled,
     density_sweep,
     search_counterexamples,
@@ -296,7 +295,7 @@ def _cmd_density(args) -> int:
             file=sys.stderr,
         )
         for m in exceptional:
-            print(json.dumps(_member_to_json(m), sort_keys=True), file=sys.stderr)
+            print(json.dumps(reports.member_json(m), sort_keys=True), file=sys.stderr)
         if args.out:
             with open(args.out + ".members.jsonl", "w", encoding="utf-8") as f:
                 reports.write_members_jsonl(exceptional, f, invocation)

@@ -13,10 +13,13 @@ import json
 from fractions import Fraction
 from typing import IO, Iterable
 
+import numpy as np
+
 from ._version import VERSION
-from .census import DensityRow, OmegaMember, _member_to_json
+from .census import DensityRow
 from .core import unlimited_int_digits
 from .dynamics import SweepReport
+from .sieve import OmegaMember
 
 # sweep CSV rows rendered per write, from one slice of each column.  16,384
 # measured fastest for the 304,192 rows of H = 1000 (best of 5, 2 vCPUs:
@@ -60,6 +63,17 @@ def write_density_csv(rows: Iterable[DensityRow], fh: IO[str], invocation: str) 
         )
 
 
+def member_json(m: OmegaMember) -> dict:
+    return {
+        "k": m.word.k,
+        "betas": list(m.word.betas),
+        "alphas": list(m.word.alphas),
+        "matrix": list(m.matrix.entries()),
+        "lambda": m.eigen.lam,
+        "mu": m.eigen.mu,
+    }
+
+
 @unlimited_int_digits()
 def write_members_jsonl(
     members: Iterable[OmegaMember], fh: IO[str], invocation: str
@@ -68,7 +82,7 @@ def write_members_jsonl(
     for line in header_lines(invocation):
         fh.write(line + "\n")
     for m in members:
-        fh.write(json.dumps(_member_to_json(m), sort_keys=True) + "\n")
+        fh.write(json.dumps(member_json(m), sort_keys=True) + "\n")
 
 
 @unlimited_int_digits()
@@ -101,8 +115,6 @@ def _sweep_csv_text(ps, qs, stopping_times) -> str:
     are then filled right to left from their ends: the true/false tail (false
     on a -1 stopping time), then per field a comma and its digits.
     """
-    import numpy as np
-
     neg = stopping_times < 0
     fields = (ps, qs, np.where(neg, 1, stopping_times))
     pow10 = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -133,8 +145,6 @@ def _put_digits(buf, v, d, end) -> None:
     times faster than on int64; a value of more than 9 digits is split into
     its high part, written first, and a zero-padded low 9-digit limb.
     """
-    import numpy as np
-
     big = d > 9
     if big.any():
         hi, lo = np.divmod(v[big], 10**9)

@@ -15,34 +15,31 @@ from itertools import product
 import numpy as np
 import pytest
 
-from collatzq import (
-    FixedPointKind,
-    Mat2,
-    Word,
-    bounds_check,
-    census,
-    compute_nk,
-    entries_from_u,
-    freeness_check,
-    integer_eigenvalues,
-    lambda_count,
-    enumerate_lambda,
-    nk_conditions,
-    nk_product_value,
+from collatzq.census import census
+from collatzq.core import FixedPointKind, Mat2, integer_eigenvalues, rational_fixed_points
+from collatzq.dynamics import (
+    PHI,
+    THETA,
     orbit,
     phi_monotonicity_sweep,
-    prefilter_excludes,
-    rational_fixed_points,
+    reduced_fractions,
     theta_sweep_full,
+    verify_word_recovery,
+)
+from collatzq.kernels import phi_sweep
+from collatzq.spectral import (
+    bounds_check,
+    compute_nk,
+    entries_from_u,
+    nk_conditions,
+    nk_product_value,
+    prefilter_excludes,
     trace_fast,
     trace_subsetpair,
     u_quantities,
-    verify_word_recovery,
-    word_eval,
 )
-from collatzq.dynamics import PHI, THETA, reduced_fractions
-from collatzq.kernels import phi_sweep
 from collatzq.verify import random_word
+from collatzq.words import Word, enumerate_lambda, freeness_check, lambda_count, word_eval
 
 
 class Timer:

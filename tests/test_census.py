@@ -3,7 +3,6 @@
 import concurrent.futures
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -15,34 +14,36 @@ from pathlib import Path
 
 import pytest
 
-from collatzq import (
-    GeneratorPair,
-    Mat2,
-    OmegaMember,
-    Word,
+import collatzq.census as census_mod
+import collatzq.sieve as sieve_mod
+from collatzq.census import (
+    _census_words,
     census,
     census_sampled,
     density_sweep,
-    integer_eigenvalues,
-    lambda_count,
     load_checkpoint,
-    mat_pow,
     save_checkpoint,
     search_counterexamples,
     theorem_density_bound,
+)
+from collatzq.cli import main
+from collatzq.core import Mat2, integer_eigenvalues, mat_pow, unlimited_int_digits
+from collatzq.errors import BudgetExceededError, CorruptCheckpointError
+from collatzq.reports import (
+    member_json,
+    read_members_jsonl,
+    write_density_csv,
+    write_members_jsonl,
+)
+from collatzq.sieve import OmegaMember
+from collatzq.words import (
+    GeneratorPair,
+    Word,
+    _exponent_ranges,
+    lambda_count,
     word_eval,
     word_eval_general,
 )
-from collatzq.census import _census_words, _member_to_json
-from collatzq.cli import main
-from collatzq.core import unlimited_int_digits
-from collatzq.errors import BudgetExceededError, CorruptCheckpointError
-from collatzq.reports import read_members_jsonl, write_density_csv, write_members_jsonl
-from collatzq.words import _exponent_ranges
-
-# collatzq.census is shadowed by the function census in the package namespace
-census_mod = importlib.import_module("collatzq.census")
-sieve_mod = importlib.import_module("collatzq.sieve")
 
 
 class TestCensus:
@@ -375,6 +376,27 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError):
             density_sweep(2, (1, 2), checkpoint_path=path, resume=True)
 
+    def test_resume_may_change_the_prefilter_setting(self, tmp_path, monkeypatch, kill_save):
+        # the setting changes no work: a --prefilter off census cut at a save
+        # resumes under --prefilter on to the bytes of a fresh --prefilter on run
+        ck, resumed, fresh = (str(tmp_path / name) for name in ("ck.json", "r.csv", "f.csv"))
+        monkeypatch.setattr(sieve_mod, "SIEVE_CHUNK_WORDS", 5)
+        kill_save(3)
+        with pytest.raises(Crash):
+            density_sweep(1, (1, 5), False, checkpoint_path=ck)
+        monkeypatch.undo()
+        state = load_checkpoint(ck)
+        assert (state["tested"], state["params"]["prefilter"]) == (10, False)
+
+        args = ["density", "--k", "1", "--m-range", "1..5", "--threads", "1", "--prefilter", "on"]
+        assert main(args + ["--checkpoint", ck, "--resume", "--out", resumed]) == 0
+        assert main(args + ["--out", fresh]) == 0
+        assert Path(resumed).read_bytes() == Path(fresh).read_bytes()
+        assert load_checkpoint(ck)["params"]["prefilter"] is True
+        # every other parameter must still match
+        with pytest.raises(CorruptCheckpointError):
+            density_sweep(1, (2, 5), checkpoint_path=ck, resume=True)
+
     def test_hash_tamper_detected(self, tmp_path):
         path = tmp_path / "ck.json"
         density_sweep(1, (1, 2), checkpoint_path=str(path))
@@ -409,7 +431,7 @@ class TestCheckpoints:
         fresh = density_sweep(1, (1, 3))
         payload = {"version": 2, "params": {"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
                    "rows": [census_mod._row_to_json(fresh[0])], "active_m": 2,
-                   "tested": 9, "members": [_member_to_json(m) for m in fresh[1].omega_members]}
+                   "tested": 9, "members": [member_json(m) for m in fresh[1].omega_members]}
         write_checkpoint(path, payload, version=2)
         with pytest.raises(CorruptCheckpointError, match="version"):
             density_sweep(1, (1, 3), checkpoint_path=str(path), resume=True)
@@ -420,7 +442,7 @@ class TestCheckpoints:
         fresh = density_sweep(1, (1, 3))
         payload = {"version": 3, "params": {"k": 1, "m_lo": 1, "m_hi": 3, "prefilter": True},
                    "rows": [], "active_m": 3, "tested": 16,
-                   "members": [_member_to_json(m) for m in fresh[-1].omega_members]}
+                   "members": [member_json(m) for m in fresh[-1].omega_members]}
         write_checkpoint(path, payload, version=3)
         with pytest.raises(CorruptCheckpointError, match="version"):
             density_sweep(1, (1, 3), checkpoint_path=str(path), resume=True)
@@ -704,13 +726,13 @@ class TestWriters:
         write_members_jsonl(members, buf, "density --k 1 --m-range 3..3 --prefilter on")
         buf.seek(0)
         parsed = read_members_jsonl(buf)
-        assert parsed == [_member_to_json(m) for m in members]
+        assert parsed == [member_json(m) for m in members]
         keys = {"k", "betas", "alphas", "matrix", "lambda", "mu"}
         assert all(set(p) == keys for p in parsed)
 
     def test_member_json_shape(self):
         member = census(1, 2).omega_members[-1]
-        d = _member_to_json(member)
+        d = member_json(member)
         assert d["matrix"] == list(member.matrix.entries())
         assert isinstance(d["betas"], list) and isinstance(d["alphas"], list)
 

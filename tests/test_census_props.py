@@ -16,7 +16,6 @@ A fixed derandomized profile keeps these fast and repeatable.
 """
 
 import dataclasses
-import importlib
 import itertools
 import math
 import random
@@ -25,22 +24,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzq import (
-    GeneratorPair,
-    Mat2,
-    OmegaMember,
+import collatzq.census as census_mod
+import collatzq.sieve as sieve_mod
+from collatzq.census import (
     census,
     census_sampled,
-    compute_nk,
     density_sweep,
-    integer_eigenvalues,
     search_counterexamples,
     theorem_density_bound,
-    word_eval,
-    word_eval_general,
 )
-from collatzq.core import eigen_from_disc
+from collatzq.core import Mat2, eigen_from_disc, integer_eigenvalues
+from collatzq.sieve import OmegaMember
+from collatzq.spectral import compute_nk
 from collatzq.words import (
+    GeneratorPair,
     Word,
     _exponent_ranges,
     enumerate_lambda,
@@ -48,11 +45,9 @@ from collatzq.words import (
     lambda_count,
     r_power,
     s_power,
+    word_eval,
+    word_eval_general,
 )
-
-# collatzq.census is shadowed by the function census in the package namespace
-census_mod = importlib.import_module("collatzq.census")
-sieve_mod = importlib.import_module("collatzq.sieve")
 
 PROPS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 

@@ -15,24 +15,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatzq.cli as cli_mod
-from collatzq import (
-    DensityRow,
-    GeneratorPair,
-    Mat2,
-    OmegaMember,
-    SearchResult,
-    Word,
-    compute_nk,
-    kernels,
-    reports,
-    search_counterexamples,
-    spectral,
-)
-from collatzq.census import _member_to_json
+from collatzq import kernels, reports, spectral
 from collatzq._version import VERSION
-from collatzq.core import EigenPair, unlimited_int_digits
+from collatzq.census import DensityRow, SearchResult, search_counterexamples
+from collatzq.core import EigenPair, Mat2, unlimited_int_digits
 from collatzq.cli import MAX_FACTOR_LETTERS, main
 from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
+from collatzq.reports import member_json
+from collatzq.sieve import OmegaMember
+from collatzq.spectral import compute_nk
+from collatzq.words import GeneratorPair, Word
 from test_dynamics import subtractive_factor, word_matrix
 from test_theta_props import stepwise_sweep
 
@@ -343,7 +335,7 @@ class TestSearch:
         assert "found 1 with integer eigenvalues" in err
         assert ("COUNTEREXAMPLE" in err) == (code == 1)
         members = [json.loads(l) for l in out.splitlines() if not l.startswith("#")]
-        assert members == [_member_to_json(found[0])]
+        assert members == [member_json(found[0])]
 
 
 class TestVerify:
@@ -396,7 +388,7 @@ class TestSmallCommands:
         result = search_counterexamples(1, 2200, GeneratorPair(2, 1, 1, 2), 2200)
         assert max(result.members[-1].matrix.entries()) > 10**low_digit_limit
         with open(out, encoding="utf-8") as fh:
-            assert reports.read_members_jsonl(fh) == list(map(_member_to_json, result.members))
+            assert reports.read_members_jsonl(fh) == list(map(member_json, result.members))
         # a start of 701 digits parses and prints
         start = "1/1" + "0" * 700
         code, out, _ = run_main("orbit", "--value", start, "--max-steps", "1")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from collatzq import (
+from collatzq.core import (
     EigenPair,
     FixedPointKind,
     Mat2,

@@ -6,28 +6,26 @@ from fractions import Fraction
 
 import pytest
 
-from collatzq import (
-    Mat2,
-    complete_to_sl2,
-    mobius_apply,
-    orbit,
-    phi_monotonicity_sweep,
-    reduced_fractions,
-    sl2_factor,
-    theta_sweep_full,
-    verify_word_recovery,
-)
+from collatzq.core import Mat2
 from collatzq.dynamics import (
     PHI,
     THETA,
+    complete_to_sl2,
+    mobius_apply,
+    orbit,
     orbit_pq,
+    phi_monotonicity_sweep,
     phi_runs,
     phi_step_pq,
+    reduced_fractions,
     replay_runs_pq,
     replay_theta_runs_pq,
     replay_word_pq,
+    sl2_factor,
     theta_runs,
     theta_step_pq,
+    theta_sweep_full,
+    verify_word_recovery,
 )
 from collatzq.errors import NegativeInputError, NotCoprimeError, NotFactorableError
 from collatzq.reports import word_str

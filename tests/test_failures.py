@@ -14,22 +14,8 @@ from unittest import mock
 
 import pytest
 
-from collatzq import (
-    census_sampled,
-    compute_nk,
-    density_sweep,
-    enumerate_lambda,
-    enumerate_lambda_block,
-    kernels,
-    lambda_count,
-    mat_pow,
-    orbit,
-    phi_monotonicity_sweep,
-    theta_sweep_full,
-    verify,
-    verify_word_recovery,
-    words,
-)
+from collatzq import kernels, verify, words
+from collatzq.census import census_sampled, density_sweep
 from collatzq.cli import main
 from collatzq.core import (
     EigenPair,
@@ -37,12 +23,26 @@ from collatzq.core import (
     FixedPointResult,
     Mat2,
     integer_eigenvalues,
+    mat_pow,
     rational_fixed_points,
 )
-from collatzq.dynamics import PHI, THETA, reduced_fractions
+from collatzq.dynamics import (
+    PHI,
+    THETA,
+    orbit,
+    phi_monotonicity_sweep,
+    reduced_fractions,
+    theta_sweep_full,
+    verify_word_recovery,
+)
 from collatzq.errors import CorruptCheckpointError, NegativeInputError
-from collatzq.spectral import trace_fast
-from collatzq.words import format_word_compact
+from collatzq.spectral import compute_nk, trace_fast
+from collatzq.words import (
+    enumerate_lambda,
+    enumerate_lambda_block,
+    format_word_compact,
+    lambda_count,
+)
 from test_kernels import inverse_off_at_one_half, passes_one_half
 
 REFUSALS = {

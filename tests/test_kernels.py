@@ -6,12 +6,13 @@ from unittest import mock
 
 import numpy as np
 
-from collatzq import kernels, reduced_fractions
+from collatzq import kernels
 from collatzq.dynamics import (
     PHI,
     THETA,
     orbit_pq,
     reduced_fraction_arrays,
+    reduced_fractions,
     theta_runs,
     theta_step_pq,
 )

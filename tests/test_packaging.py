@@ -1,11 +1,13 @@
-"""Packaging: every third-party import is a declared dependency, and CI
-tests the Python version that the package declares as its floor.
+"""Packaging: every third-party import is a declared dependency, CI tests
+the Python version that the package declares as its floor, and the package
+root holds only its modules.
 
 The library's imports must be in ``dependencies`` and the tests' in those or
 the ``test`` extra, which CI installs, so the two lists cannot drift apart.
 """
 
 import ast
+import inspect
 import re
 import sys
 import tomllib
@@ -51,3 +53,21 @@ def test_ci_runs_the_declared_python_floor():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     versions = re.findall(r"""python-version:\s*["']?([\d.]+)["']?""", workflow)
     assert versions == [floor]
+
+
+def test_census_is_the_module():
+    import collatzq.census as c
+
+    assert inspect.ismodule(c)
+    assert c.census(2, 6).omega_count == 0
+
+
+def test_package_root_holds_only_modules_and_the_version():
+    # every public name is reached at one path, collatzq.<module>.<name>
+    import collatzq
+
+    public = {name: value for name, value in vars(collatzq).items() if not name.startswith("_")}
+    assert {"census", "core", "dynamics", "spectral", "words"} <= public.keys()
+    assert all(inspect.ismodule(value) for value in public.values()), public
+    assert not hasattr(collatzq, "__all__")
+    assert isinstance(collatzq.__version__, str)

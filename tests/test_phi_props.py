@@ -24,15 +24,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import totient
 
-from collatzq import kernels, phi_monotonicity_sweep, verify_word_recovery
+from collatzq import kernels
 from collatzq.dynamics import (
     PHI,
     orbit_pq,
+    phi_monotonicity_sweep,
     phi_runs,
     reduced_fraction_arrays,
     reduced_fractions,
     replay_runs_pq,
     replay_word_pq,
+    verify_word_recovery,
 )
 from collatzq.kernels import FLAG_CAP, FLAG_DONE, FLAG_VIOLATION, phi_recovery, phi_sweep
 from collatzq.reports import word_str

@@ -6,28 +6,26 @@ from itertools import product
 
 import pytest
 
-from collatzq import (
-    Mat2,
+from collatzq import spectral
+from collatzq.core import Mat2, integer_eigenvalues
+from collatzq.errors import KMismatchError, SizeLimitError
+from collatzq.spectral import (
+    NkCertificate,
     SubsetPair,
-    Word,
     bounds_check,
     compute_nk,
     entries_from_u,
-    integer_eigenvalues,
     nk_conditions,
     nk_product_value,
     prefilter_excludes,
     sigma_sign,
     sigma_term,
-    spectral,
     trace_fast,
     trace_subsetpair,
     u_quantities,
-    word_eval,
 )
-from collatzq.errors import KMismatchError, SizeLimitError
-from collatzq.spectral import NkCertificate
 from collatzq.verify import random_word
+from collatzq.words import Word, word_eval
 
 
 class TestSigmaSign:

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzq import kernels, verify_word_recovery
+from collatzq import kernels
 from collatzq.dynamics import (
     DEFAULT_STEP_CAP,
     THETA,
@@ -38,6 +38,7 @@ from collatzq.dynamics import (
     theta_runs,
     theta_step_pq,
     theta_sweep_full,
+    verify_word_recovery,
 )
 from collatzq.kernels import (
     FLAG_CAP,

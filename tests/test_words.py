@@ -8,27 +8,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatzq import (
+from collatzq.cli import main
+from collatzq.core import Mat2, mat_pow
+from collatzq.errors import BudgetExceededError
+from collatzq.verify import suite_freeness
+from collatzq.words import (
     DEFAULT_GENERATORS,
+    R,
+    S,
     GeneratorPair,
-    Mat2,
     Word,
+    _exponent_ranges,
     enumerate_lambda,
     enumerate_lambda_block,
     format_word_compact,
     freeness_check,
     lambda_count,
-    mat_pow,
     r_power,
     s_power,
     word_det,
     word_eval,
     word_eval_general,
 )
-from collatzq.cli import main
-from collatzq.errors import BudgetExceededError
-from collatzq.verify import suite_freeness
-from collatzq.words import R, S, _exponent_ranges
 
 words_mod = importlib.import_module("collatzq.words")
 verify_mod = importlib.import_module("collatzq.verify")
@@ -105,7 +106,8 @@ class TestWordEval:
         m = word_eval(w)
         assert m.det() == word_det(w) == 2**1000 * 3**1000
         assert r_power(1000).a == 3**1000
-        from collatzq import integer_eigenvalues, trace_fast
+        from collatzq.core import integer_eigenvalues
+        from collatzq.spectral import trace_fast
 
         assert trace_fast(w) == m.trace()
         assert integer_eigenvalues(m) is None
