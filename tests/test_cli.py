@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from collatzq._version import VERSION
 from collatzq.census import DensityRow, SearchResult, search_counterexamples
 from collatzq.core import EigenPair, Mat2, unlimited_int_digits
 from collatzq.cli import MAX_FACTOR_LETTERS, main
-from collatzq.dynamics import PHI, THETA, orbit_pq, theta_sweep_full
+from collatzq.dynamics import MAX_SWEEP_HEIGHT, PHI, THETA, orbit_pq, theta_sweep_full
 from collatzq.reports import member_json
 from collatzq.sieve import OmegaMember
 from collatzq.spectral import compute_nk
@@ -31,8 +32,9 @@ from test_theta_props import stepwise_sweep
 PROPS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
 # decimal digit-count boundaries of the sweep CSV fields, up to int64's largest
-# (the writer splits a value of more than 9 digits at 10**9)
-DIGIT_EDGES = [0, 9, 10, 99, 100, 10**9 - 1, 10**9, 10**18 - 1, 10**18, 2**63 - 1]
+# (the writer takes the digits in groups of 4, by divmod by 10**4)
+DIGIT_EDGES = [0, 9, 10, 99, 100, 9999, 10**4, 10**8 - 1, 10**8, 10**9 - 1, 10**9,
+               10**16 - 1, 10**16, 10**18 - 1, 10**18, 2**63 - 1]
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +208,28 @@ class TestSweep:
         header, body = fh.getvalue().split("p,q,stopping_time,terminated\n")
         assert header == "# collatzq {}\n# invocation: sweep --height 2\n".format(VERSION)
         assert body == "".join(f"{p},{q},{t},{str(t >= 0).lower()}\n" for p, q, t in rows)
+
+    def test_csv_and_summary_bytes_at_height_2000(self, capsys, tmp_path):
+        # 1,216,588 rows, every start terminated, the longest 130 steps at
+        # 193/1598; both digests pin the bytes
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--height", "2000", "--out", str(out_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["total_tested"], payload["max_stopping_time"], payload["argmax"]) == (
+            1_216_588, 130, "193/1598")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "fe8379f4eed10bb9890b3cb677e62cf0ff46690a8f7f5f0f66950a085beef5e9")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6ea21dc02063d3fcc31405fc144fb6b20b337bd5053fb3b2e65e22384dd17113")
+
+    def test_a_height_over_the_limit_is_refused_at_once(self):
+        # refused before the start sieve allocates its triangle (9.31 GiB)
+        start = time.perf_counter()
+        code, out, err = run_main("sweep", "--height", "100000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: height 100000 is over the sweep height limit {MAX_SWEEP_HEIGHT}\n"
 
     def test_candidate_counterexample_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--height", "40", "--max-steps", "3")

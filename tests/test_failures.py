@@ -27,6 +27,7 @@ from collatzq.core import (
     rational_fixed_points,
 )
 from collatzq.dynamics import (
+    MAX_SWEEP_HEIGHT,
     PHI,
     THETA,
     orbit,
@@ -35,7 +36,7 @@ from collatzq.dynamics import (
     theta_sweep_full,
     verify_word_recovery,
 )
-from collatzq.errors import CorruptCheckpointError, NegativeInputError
+from collatzq.errors import CorruptCheckpointError, NegativeInputError, SizeLimitError
 from collatzq.spectral import compute_nk, trace_fast
 from collatzq.words import (
     enumerate_lambda,
@@ -58,6 +59,13 @@ REFUSALS = {
     "phi_monotonicity_sweep(1)": (lambda: phi_monotonicity_sweep(1), ValueError),
     "verify_word_recovery(-3, theta)": (lambda: verify_word_recovery(-3, THETA), ValueError),
     "verify_word_recovery(1, phi)": (lambda: verify_word_recovery(1, PHI), ValueError),
+    # heights over the limit are refused before the start sieve allocates
+    "theta_sweep_full over the height limit": (
+        lambda: theta_sweep_full(MAX_SWEEP_HEIGHT + 1), SizeLimitError),
+    "phi_monotonicity_sweep over the height limit": (
+        lambda: phi_monotonicity_sweep(MAX_SWEEP_HEIGHT + 1), SizeLimitError),
+    "verify_word_recovery over the height limit": (
+        lambda: verify_word_recovery(3_000_000_000, THETA), SizeLimitError),
     "compute_nk(0)": (lambda: compute_nk(0), ValueError),
     "lambda_count(0, 1)": (lambda: lambda_count(0, 1), ValueError),
     "enumerate_lambda(1, 0)": (lambda: list(enumerate_lambda(1, 0)), ValueError),

@@ -151,11 +151,23 @@ def test_floor_log_matches_searchsorted():
 
 
 def test_gcd_pow3_matches_np_gcd():
-    # x = 0 and x = c 3^j on both sides of the table's cap of 7 threes
+    # x = 0 and x = c 3^j on both sides of the table's cap of 7 threes: the
+    # exponent e of the run step's gcd gives gcd(x, 3^n) = 3^e
     xs = [0] + [c * 3**j for j in range(40) for c in (1, 2, 5, 7) if c * 3**j < 2**62]
     x = np.repeat(np.array(xs, dtype=np.int64), 40)
-    n = np.tile(np.arange(40), len(xs))
-    assert np.array_equal(kernels._gcd_pow3(x, n), np.gcd(x, kernels._POW3[n]))
+    n = np.tile(np.arange(40, dtype=np.int8), len(xs))
+    e = kernels._pow3_exponent(x, n)
+    assert np.array_equal(kernels._POW3[e], np.gcd(x, kernels._POW3[n]))
+
+
+def test_gcd_pow2_matches_np_gcd():
+    # x = +-c 2^j for every j < 63, past the floor-log table too: 2^e = gcd(x, 2^n)
+    xs = [s * c << j for j in range(63) for c in (1, 3, 5, 7) for s in (1, -1)
+          if c << j < 2**63]
+    x = np.repeat(np.array(xs, dtype=np.int64), 63)
+    n = np.tile(np.arange(63, dtype=np.int8), len(xs))
+    e = kernels._pow2_exponent(x, n)
+    assert np.array_equal(kernels._POW2[e], np.gcd(x, kernels._POW2[n]))
 
 
 def test_long_r_runs_take_the_fallbacks():

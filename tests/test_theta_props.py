@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatzq import kernels
 from collatzq.dynamics import (
@@ -388,3 +388,105 @@ def test_long_runs_end_exactly_at_power_boundaries(n):
     assert theta_runs((3**n - 1) // 2, 1, n) == [n, 0]
     assert theta_runs((3**n - 1) // 2, 1, n - 1) is None
     assert theta_runs(1, 2 ** (n + 1) - 1, n + 1) == [0, n, 1, 0]
+
+
+def first_run(p, q, r_wave):
+    """(n, p', q'): the first R run (r_wave; empty from p < q) or S run of
+    reduced p/q's word by ``theta_runs``, and the point p'/q' it ends at, the
+    rest of the word replayed by ``replay_theta_runs_pq``."""
+    runs = theta_runs(p, q, DEFAULT_STEP_CAP)
+    if r_wave:
+        return runs[0], *replay_theta_runs_pq([0] + runs[1:])
+    return runs[1], *replay_theta_runs_pq(runs[2:])
+
+
+def undo_run(n, p, q, r_wave):
+    """The start of an R run (r_wave) or S run of n steps that ends at
+    reduced p/q: the run put in front of p/q's word by ``theta_runs``,
+    replayed by ``replay_theta_runs_pq``."""
+    runs = theta_runs(p, q, DEFAULT_STEP_CAP)
+    if r_wave:
+        return replay_theta_runs_pq([runs[0] + n] + runs[1:])
+    if runs[0] == 0:
+        return replay_theta_runs_pq([0, runs[1] + n] + runs[2:])
+    return replay_theta_runs_pq([0, n] + runs)
+
+
+def reduced(p, q):
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+@st.composite
+def r_run_starts(draw):
+    """Reduced p/q <= INT64_GUARD whose R run has n <= 39 steps: p/q lies in
+    [(3^n - 1)/2, (3^(n+1) - 1)/2), so p = q(3^n - 1)/2 + k, 0 <= k < q 3^n.
+    k = 0 ends the run at 0, and k a multiple of 3^7 or more with n > 7
+    sends the run step's valuation to np.gcd."""
+    n = draw(st.integers(0, 39))
+    t = 3**n
+    q = draw(st.integers(1, max(1, INT64_GUARD // (2 * t))))
+    base = q * (t - 1) // 2
+    top = min(q * t, INT64_GUARD - base + 1)
+    k = draw(st.one_of(st.integers(0, top - 1), st.just(0),
+                       st.integers(7, 39).map(lambda j: 3**j).filter(lambda x: x < top)))
+    return reduced(base + k, q)
+
+
+@st.composite
+def s_run_starts(draw):
+    """Reduced 0 < p < q <= INT64_GUARD whose S run has 1 <= n <= 61 steps:
+    2^n <= (p + q - 1) // p < 2^(n+1), so q is in [(2^n - 1)p + 1, (2^(n+1) - 1)p]."""
+    n = draw(st.integers(1, 61))
+    p = draw(st.integers(1, max(1, (INT64_GUARD - 1) // ((1 << n) - 1))))
+    lo = ((1 << n) - 1) * p + 1
+    q = draw(st.integers(lo, min(INT64_GUARD, ((2 << n) - 1) * p)))
+    return reduced(p, q)
+
+
+@PROPS
+@given(st.lists(r_run_starts(), min_size=1, max_size=20),
+       st.lists(pairs().filter(lambda pq: 0 < pq[0] < pq[1]) | s_run_starts(),
+                min_size=1, max_size=20))
+@example(  # R runs of 39 and 13 to 0, v3 >= 7 with n > 7, and S runs of 61
+    r_rows=[((3**39 - 1) // 2, 1), ((3**13 - 1) // 2, 1), ((3**10 - 1) // 2 + 3**8, 1),
+            reduced(5 * (3**20 - 1) // 2 + 3**15, 5), (3, 7)],
+    s_rows=[(1, 2**61), (1, INT64_GUARD), (3, INT64_GUARD), (1, 2)],
+)
+def test_run_step_matches_the_big_int_run(r_rows, s_rows):
+    # _theta_run's shifts and inverse multiplies against theta_runs' run
+    # and the point it ends at; _theta_inverse gives the start back where
+    # recovery's guard lets a row undo its run (`theta_recovery`)
+    for rows, r_wave in ((r_rows, True), (s_rows, False)):
+        p, q = arrays(rows)
+        n, p1, q1 = kernels._theta_run(p, q, r_wave)
+        got = list(zip(n.tolist(), p1.tolist(), q1.tolist()))
+        assert got == [first_run(a, b, r_wave) for a, b in rows]
+        a, b = kernels._theta_inverse(n, p1, q1, r_wave)
+        pows = kernels._POW3 if r_wave else kernels._POW2
+        fits = ((p if r_wave else q) <= 3 * INT64_GUARD // pows[n]) | (p1 == 0)
+        assert np.array_equal(a[fits], p[fits]) and np.array_equal(b[fits], q[fits])
+
+
+@st.composite
+def undone_runs(draw, r_wave):
+    """(n, p, q): a run length, R (r_wave: n <= 39) or S (n <= 62), and a
+    reduced end point whose undoing stays below 2^63 before its gcd is
+    divided out: 3^n p + q(3^n - 1)/2 (p >= 0) or (2^n - 1)p + 2^n q (p >= 1)."""
+    n = draw(st.integers(0, 39) if r_wave else st.integers(0, 62))
+    bound = (2**63 - 1) // (2 * 3**n) if r_wave else (2**63 - 1) >> (n + 1)
+    p = draw(st.integers(0 if r_wave else 1, max(1, bound)))
+    return (n, *reduced(p, draw(st.integers(1, max(1, bound)))))
+
+
+@PROPS
+@given(st.lists(undone_runs(True), min_size=1, max_size=20),
+       st.lists(undone_runs(False), min_size=1, max_size=20))
+@example(  # undoing runs of 39 and 62 steps from 1/1, and an R run from 0
+    r_rows=[(39, 1, 1), (39, 0, 1), (8, 0, 1), (20, 2, 3**9)], s_rows=[(62, 1, 1), (61, 1, 1)])
+def test_run_inverse_matches_the_big_int_replay(r_rows, s_rows):
+    for rows, r_wave in ((r_rows, True), (s_rows, False)):
+        n, p, q = (np.array(c, dtype=np.int64) for c in zip(*rows))
+        a, b = kernels._theta_inverse(n.astype(np.int8), p, q, r_wave)
+        assert list(zip(a.tolist(), b.tolist())) == [undo_run(*row, r_wave) for row in rows]
+
