@@ -40,8 +40,9 @@ the kernel's table, and ends there.  A theta row that could overflow is
 redone here by `theta_runs`.  A phi orbit depends only on its start's
 unordered pair, so p/q and its twin q/p have the same stopping time and
 the same recovered-word check: the phi sweep and phi recovery run only the
-starts p <= q, the half of the starts taken by one mask, which keeps
-their order (`_lower_half`).  Only 0/1 and 1/1 are their own twins.  The
+starts p <= q, in sweep order, and build only those: the sieve's triangle
+loses its entries p > q before it is turned into pairs (`_lower_half`).
+Only 0/1 and 1/1 are their own twins.  The
 counts are the full sweep's, and each failed start's twin is added back to
 the failures, which are re-sorted in sweep order (`_with_twins`).  Both
 sweep reports are array code over the kernel's (steps, flags): one
@@ -370,14 +371,21 @@ def reduced_fractions(height_bound: int) -> Iterator[tuple[int, int]]:
 def reduced_fraction_arrays(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
     """`reduced_fractions(height_bound)` as int64 arrays (ps, qs), same order.
 
-    A prime sieve over the flat triangle of every (s, p) with
-    0 <= p < s <= bound, where (s, p) sits at index s(s-1)/2 + p: for each
-    prime r <= bound, one fancy-index write strikes every (s, p) that r
-    divides both of, p = 0 included.  What is left is gcd(p, s) =
-    gcd(p, s - p) = 1, and 0/1.  The kept indices are sorted, so a
-    searchsorted of the row bases counts each row's survivors, and repeats
-    of the bases and sums turn the indices back into p and q = s - p.
-    A bound over MAX_SWEEP_HEIGHT is refused with SizeLimitError.
+    The starts are the kept entries of the sieved triangle
+    (`_coprime_triangle`), turned back into pairs by `_triangle_pairs`.  A
+    bound over MAX_SWEEP_HEIGHT is refused with SizeLimitError.
+    """
+    return _triangle_pairs(_coprime_triangle(height_bound), height_bound)
+
+
+def _coprime_triangle(height_bound: int) -> np.ndarray:
+    """The flat triangle of every (s, p) with 0 <= p < s <= bound, where
+    (s, p) sits at index s(s-1)/2 + p, as a bool mask of the reduced p/(s-p).
+
+    A prime sieve: for each prime r <= bound, one fancy-index write strikes
+    every (s, p) that r divides both of, p = 0 included.  What is left is
+    gcd(p, s) = gcd(p, s - p) = 1, and 0/1.  A bound over MAX_SWEEP_HEIGHT
+    is refused before anything is allocated.
     """
     if height_bound > MAX_SWEEP_HEIGHT:
         raise SizeLimitError(
@@ -395,6 +403,16 @@ def reduced_fraction_arrays(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
         struck = np.repeat((bases[r * a - 1] - r * (a * (a - 1) // 2)).astype(index), a)
         struck += r * np.arange(struck.size, dtype=index)
         keep[struck] = False
+    return keep
+
+
+def _triangle_pairs(keep: np.ndarray, height_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kept (s, p) of a flat triangle as int64 arrays (p, q = s - p), in
+    index order.  The kept indices are sorted, so a searchsorted of the row
+    bases counts each row's survivors, and repeats of the bases and sums
+    turn the indices back into p and q."""
+    sums = np.arange(1, height_bound + 1, dtype=np.int64)
+    bases = sums * (sums - 1) // 2
     p = np.flatnonzero(keep)
     counts = np.diff(np.searchsorted(p, bases), append=p.size)
     p -= np.repeat(bases, counts)
@@ -455,16 +473,21 @@ def _first_maximum(
     return best, Fraction(int(ps[i]), int(qs[i])) if best >= 0 else Fraction(0)
 
 
-def _lower_half(ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The starts p <= q of a sweep's (ps, qs), one per pair {p/q, q/p}.
+def _lower_half(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts p <= q of the sweep up to height_bound, one per pair
+    {p/q, q/p}, as int64 arrays (ps, qs) in sweep order.
 
     A phi orbit depends only on its start's unordered pair, so a start's
-    twin q/p has its stopping time, flag and recovered-word check.  The
-    p <= q twin comes first in (p+q, p) order, and the half keeps that
-    order; 0/1 and 1/1, its first two rows, are their own twins.
+    twin q/p has its stopping time, flag and recovered-word check.  Row s of
+    the sieved triangle loses its entries p > s/2 before the triangle is
+    turned into pairs, so the half's arrays are all that is built.  0/1 and
+    1/1, the half's first two rows, are their own twins, so the sweep has
+    2n - 2 starts for a half of n.
     """
-    lower = ps <= qs
-    return ps[lower], qs[lower]
+    keep = _coprime_triangle(height_bound)
+    for s in range(3, height_bound + 1):
+        keep[s * (s - 1) // 2 + s // 2 + 1:s * (s + 1) // 2] = False
+    return _triangle_pairs(keep, height_bound)
 
 
 def _with_twins(ps: np.ndarray, qs: np.ndarray) -> list[Fraction]:
@@ -518,16 +541,14 @@ def phi_monotonicity_sweep(height_bound: int) -> PhiSweepReport:
     """
     if height_bound < 2:
         raise ValueError("need height_bound >= 2")
-    ps, qs = reduced_fraction_arrays(height_bound)
-    total = int(ps.size)
-    ps, qs = _lower_half(ps, qs)
+    ps, qs = _lower_half(height_bound)
     steps, flags = kernels.phi_sweep(ps, qs)
     steps[flags != kernels.FLAG_DONE] = -1
     max_stop, argmax = _first_maximum(ps, qs, steps)
     miss = steps < 0
     return PhiSweepReport(
         height_bound=height_bound,
-        total_tested=total,
+        total_tested=2 * int(ps.size) - 2,
         max_stopping_time=max_stop,
         argmax=argmax,
         violations=tuple(_with_twins(ps[miss], qs[miss])),
@@ -559,15 +580,15 @@ def verify_word_recovery(
         raise ValueError("need height_bound >= 2")
     if step_cap < 0:
         raise ValueError("step_cap must be >= 0")
-    ps, qs = reduced_fraction_arrays(height_bound)
     if map_name == PHI:
-        ps, qs = _lower_half(ps, qs)
+        ps, qs = _lower_half(height_bound)
         flags = kernels.phi_recovery(ps, qs, step_cap)
         failed = flags != kernels.FLAG_DONE
         uncapped = flags != kernels.FLAG_CAP
         # 0/1 and 1/1, the half's first two rows, are their own twins
         checked = 2 * int(np.count_nonzero(uncapped)) - int(np.count_nonzero(uncapped[:2]))
         return checked, _with_twins(ps[failed], qs[failed])
+    ps, qs = reduced_fraction_arrays(height_bound)
     flags = kernels.theta_recovery(ps, qs, step_cap)
     for i in np.flatnonzero(flags == kernels.FLAG_OVERFLOW).tolist():
         p, q = int(ps[i]), int(qs[i])

@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from collatzq.core import Mat2
 from collatzq.dynamics import (
     PHI,
     THETA,
+    _lower_half,
     complete_to_sl2,
     mobius_apply,
     orbit,
@@ -308,6 +310,16 @@ class TestReducedFractions:
     def test_count_small(self):
         # heights 1..3 hold 0/1, 1/1, 1/2, 2/1
         assert len(list(reduced_fractions(3))) == 4
+
+    @pytest.mark.parametrize("height", [2, 3, 4, 7, 60, 211])
+    def test_lower_half_is_the_starts_p_at_most_q(self, height):
+        # the phi sweeps' half, struck in the sieve's triangle, against the
+        # start generator: same pairs, same order, 2n - 2 starts in all
+        starts = list(reduced_fractions(height))
+        ps, qs = _lower_half(height)
+        assert ps.dtype == qs.dtype == np.int64
+        assert list(zip(ps.tolist(), qs.tolist())) == [(p, q) for p, q in starts if p <= q]
+        assert 2 * ps.size - 2 == len(starts)
 
 
 class TestSweeps:
