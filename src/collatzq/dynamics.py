@@ -42,14 +42,13 @@ unordered pair, so p/q and its twin q/p have the same stopping time and
 the same recovered-word check: the phi sweep and phi recovery run only the
 starts p <= q, in sweep order, and build only those: the sieve's triangle
 loses its entries p > q before it is turned into pairs (`_lower_half`).
-Only 0/1 and 1/1 are their own twins.  The
-counts are the full sweep's, and each failed start's twin is added back to
-the failures, which are re-sorted in sweep order (`_with_twins`).  Both
-sweep reports are array code over the kernel's (steps, flags): one
-first-maximum helper gives the longest orbit, the first in sweep order,
-which for phi is a p <= q twin.  The theta sweep's per-start rows stay those
-arrays up to the CSV writer, which renders them as digits with no per-row
-Python.  The stepwise forms on reduced pairs, `orbit` (which records each
+Only 0/1 and 1/1 are their own twins.  The counts are the full sweep's,
+and each failed start's twin is added back to the failures, which are
+re-sorted in sweep order (`_with_twins`).  Both sweep reports are array
+code over the kernel's (steps, flags): one first-maximum helper gives the
+longest orbit, the first in sweep order, which for phi is a p <= q twin.
+The theta sweep's per-start rows stay those arrays up to the CSV writer,
+which renders them as digits with no per-row Python.  The stepwise forms on reduced pairs, `orbit` (which records each
 point as a `Fraction`), `orbit_pq` and `replay_word_pq`, and the start
 generator `reduced_fractions` are the reference paths the tests check the
 run and array forms against.

@@ -158,8 +158,8 @@ def _sweep_csv_text(ps, qs, stopping_times) -> str:
 
 
 # "true" and "alse" as little-endian uint32 words
-_LE_TRUE = int.from_bytes(b"true", "little")
-_LE_ALSE = int.from_bytes(b"alse", "little")
+_LE_TRUE = 0x65757274
+_LE_ALSE = 0x65736C61
 
 
 @functools.cache
