@@ -33,25 +33,26 @@ tests' oracle and redo the theta rows the kernel's guard stops.
 
 Sweeps run on raw reduced (p, q) integer pairs in the int64 numpy kernels
 (see `kernels`), in bands of rows that bound their working memory.  The
-starts come from a prime sieve over the (p+q, p) triangle, as arrays in
-that order (`reduced_fraction_arrays`), so a theta row that first drops
-below its start mostly lands on a start whose stopping time is already in
-the kernel's table, and ends there.  A theta row that could overflow is
-redone here by `theta_runs`.  A phi orbit depends only on its start's
-unordered pair, so p/q and its twin q/p have the same stopping time and
-the same recovered-word check: the phi sweep and phi recovery run only the
-starts p <= q, in sweep order, and build only those: the sieve's triangle
-loses its entries p > q before it is turned into pairs (`_lower_half`).
+starts come from a row sieve, a bool mask with one row per height p + q,
+as arrays in (p+q, p) order (`reduced_fraction_arrays`), so a theta row
+that first drops below its start mostly lands on a start whose stopping
+time is already in the kernel's table, and ends there.  A theta row that
+could overflow is redone here by `theta_runs`.  A phi orbit depends only
+on its start's unordered pair, so p/q and its twin q/p have the same
+stopping time and the same recovered-word check: the phi sweep and phi
+recovery run only the starts p <= q, in sweep order, and build only
+those: their sieve's rows hold only the columns p <= q (`_lower_half`).
 Only 0/1 and 1/1 are their own twins.  The counts are the full sweep's,
 and each failed start's twin is added back to the failures, which are
 re-sorted in sweep order (`_with_twins`).  Both sweep reports are array
 code over the kernel's (steps, flags): one first-maximum helper gives the
 longest orbit, the first in sweep order, which for phi is a p <= q twin.
 The theta sweep's per-start rows stay those arrays up to the CSV writer,
-which renders them as digits with no per-row Python.  The stepwise forms on reduced pairs, `orbit` (which records each
-point as a `Fraction`), `orbit_pq` and `replay_word_pq`, and the start
-generator `reduced_fractions` are the reference paths the tests check the
-run and array forms against.
+which renders them as digits with no per-row Python.  The stepwise forms
+on reduced pairs, `orbit` (which records each point as a `Fraction`),
+`orbit_pq` and `replay_word_pq`, and the start generator
+`reduced_fractions` are the reference paths the tests check the run and
+array forms against.
 """
 
 from __future__ import annotations
@@ -78,10 +79,12 @@ PHI = "phi"
 
 DEFAULT_STEP_CAP = 10_000
 
-# the highest sweep height: its (p+q, p) triangle of H(H+1)/2 pairs, which
-# the start sieve holds at once, stays within 10^8.  A higher one is refused
-# before anything is allocated; at this one `theta_sweep_full` took 10.9 s
-# and peaked at 1.9 GB resident (2 vCPUs, x86-64 Linux, numpy 2.4)
+# the highest sweep height: its (p+q, p) triangle holds H(H+1)/2 pairs,
+# within 10^8, and the start sieve's mask of H rows holds H^2 bools (200 MB)
+# for the theta starts and H(H/2 + 1) (100 MB) for phi's half.  A higher
+# one is refused before anything is allocated.  At this one `sweep` took
+# 14-16 s and peaked at 1.89 GB resident, and `phi_monotonicity_sweep`
+# 2.5-3.1 s and 922 MB (2 vCPUs, x86-64 Linux, numpy 2.4)
 MAX_SWEEP_HEIGHT = 14_141
 
 
@@ -370,52 +373,43 @@ def reduced_fractions(height_bound: int) -> Iterator[tuple[int, int]]:
 def reduced_fraction_arrays(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
     """`reduced_fractions(height_bound)` as int64 arrays (ps, qs), same order.
 
-    The starts are the kept entries of the sieved triangle
-    (`_coprime_triangle`), turned back into pairs by `_triangle_pairs`.  A
-    bound over MAX_SWEEP_HEIGHT is refused with SizeLimitError.
+    The starts are the kept entries of the row sieve (`_sieve_pairs`).  A
+    bound over MAX_SWEEP_HEIGHT is refused with SizeLimitError, and one
+    below 1 gives empty arrays.
     """
-    return _triangle_pairs(_coprime_triangle(height_bound), height_bound)
+    return _sieve_pairs(height_bound, half=False)
 
 
-def _coprime_triangle(height_bound: int) -> np.ndarray:
-    """The flat triangle of every (s, p) with 0 <= p < s <= bound, where
-    (s, p) sits at index s(s-1)/2 + p, as a bool mask of the reduced p/(s-p).
+def _sieve_pairs(height_bound: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced (p, q) with p + q <= bound, and with p <= q when half,
+    as int64 arrays in (p+q, p) order.
 
-    A prime sieve: for each prime r <= bound, one fancy-index write strikes
-    every (s, p) that r divides both of, p = 0 included.  What is left is
-    gcd(p, s) = gcd(p, s - p) = 1, and 0/1.  A bound over MAX_SWEEP_HEIGHT
-    is refused before anything is allocated.
+    A prime sieve on a bool mask of one row per height s = p + q: row s - 1
+    holds p = 0..W-1, where W = bound for all starts and bound // 2 + 1 for
+    the half, and starts as p < s (or p <= s // 2, which is p <= q).  For
+    each prime r <= bound one strided write strikes every (s, p) that r
+    divides both of, p = 0 included, so what is left is gcd(p, s) =
+    gcd(p, s - p) = 1, and 0/1.  The mask's kept entries, in row-major
+    order, are the starts in sweep order: each row's count repeats its
+    base and its height, which turn the flat indices into p and q.  A bound
+    over MAX_SWEEP_HEIGHT is refused before anything is allocated.
     """
     if height_bound > MAX_SWEEP_HEIGHT:
         raise SizeLimitError(
             f"height {height_bound} is over the sweep height limit {MAX_SWEEP_HEIGHT}"
         )
-    sums = np.arange(1, height_bound + 1, dtype=np.int64)
-    bases = sums * (sums - 1) // 2
-    keep = np.ones(height_bound * (height_bound + 1) // 2, dtype=bool)
-    # int32 halves the transient index arrays; r = 2's has bound^2 / 8 entries
-    index = np.int32 if keep.size < 2**31 else np.int64
-    for r in _primes(height_bound).tolist():
-        # (s, p) = (r a, r b) for 0 <= b < a <= bound // r, row by row:
-        # entry j of row a is b = j - a(a-1)/2, at bases[r a - 1] + r b
-        a = np.arange(1, height_bound // r + 1, dtype=np.int64)
-        struck = np.repeat((bases[r * a - 1] - r * (a * (a - 1) // 2)).astype(index), a)
-        struck += r * np.arange(struck.size, dtype=index)
-        keep[struck] = False
-    return keep
-
-
-def _triangle_pairs(keep: np.ndarray, height_bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kept (s, p) of a flat triangle as int64 arrays (p, q = s - p), in
-    index order.  The kept indices are sorted, so a searchsorted of the row
-    bases counts each row's survivors, and repeats of the bases and sums
-    turn the indices back into p and q."""
-    sums = np.arange(1, height_bound + 1, dtype=np.int64)
-    bases = sums * (sums - 1) // 2
+    h = max(height_bound, 0)
+    width = h // 2 + 1 if half else h
+    # the limit's heights fit int16, which keeps the broadcast compare small
+    s = np.arange(1, h + 1, dtype=np.int16)
+    keep = np.arange(width, dtype=np.int16) <= (s >> 1 if half else s - 1)[:, None]
+    for r in _primes(h).tolist():
+        keep[r - 1::r, ::r] = False
+    counts = np.count_nonzero(keep, axis=1)
     p = np.flatnonzero(keep)
-    counts = np.diff(np.searchsorted(p, bases), append=p.size)
-    p -= np.repeat(bases, counts)
-    q = np.repeat(sums, counts)
+    del keep  # before the repeats: at the limit the mask is 200 MB
+    p -= np.repeat(width * np.arange(h, dtype=np.int64), counts)
+    q = np.repeat(np.arange(1, h + 1, dtype=np.int64), counts)
     q -= p
     return p, q
 
@@ -477,16 +471,12 @@ def _lower_half(height_bound: int) -> tuple[np.ndarray, np.ndarray]:
     {p/q, q/p}, as int64 arrays (ps, qs) in sweep order.
 
     A phi orbit depends only on its start's unordered pair, so a start's
-    twin q/p has its stopping time, flag and recovered-word check.  Row s of
-    the sieved triangle loses its entries p > s/2 before the triangle is
-    turned into pairs, so the half's arrays are all that is built.  0/1 and
-    1/1, the half's first two rows, are their own twins, so the sweep has
-    2n - 2 starts for a half of n.
+    twin q/p has its stopping time, flag and recovered-word check.  The row
+    sieve holds only the columns p <= s // 2, so the half's arrays are all
+    that is built.  0/1 and 1/1, the half's first two rows, are their own
+    twins, so the sweep has 2n - 2 starts for a half of n.
     """
-    keep = _coprime_triangle(height_bound)
-    for s in range(3, height_bound + 1):
-        keep[s * (s - 1) // 2 + s // 2 + 1:s * (s + 1) // 2] = False
-    return _triangle_pairs(keep, height_bound)
+    return _sieve_pairs(height_bound, half=True)
 
 
 def _with_twins(ps: np.ndarray, qs: np.ndarray) -> list[Fraction]:

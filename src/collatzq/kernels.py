@@ -8,7 +8,12 @@ ride along as compacted arrays (their row numbers, steps so far and orbit
 point), each wave advances all of them, and the rows that finish leave.
 Every compaction, of the live rows, the leaving rows and the table hits, is
 one np.flatnonzero of its mask and a take per array: a random mask costs
-several times a take per element.  Besides those arrays a kernel allocates
+several times a take per element.  A flatnonzero that keeps all n rows is
+arange(n), so then the arrays are used as they are, with no take
+(`_rows`), and a band that enters with no row live is not concatenated
+(`_join`).  In height order nearly every phi row leaves on its first
+wave: at H = 2,000, 35 of the phi sweep's 40 waves let every row leave,
+so they copy none of their rows.  Besides those arrays a kernel allocates
 only its outputs and its stopping-time table, so its working memory does
 not grow with the number of rows.
 
@@ -227,11 +232,7 @@ def _theta(ps, qs, cap, check):
             # a start below 1 inside the guard takes its first S run now
             low = np.flatnonzero((bp > 0) & (bp < bq) & (bq <= INT64_GUARD))
             ba[low], bp[low], bq[low] = run(band[low], bp[low], bq[low], False)
-            rows = np.concatenate((rows, band))
-            slot = np.concatenate((slot, at))
-            acc = np.concatenate((acc, ba))
-            p = np.concatenate((p, bp))
-            q = np.concatenate((q, bq))
+            rows, slot, acc, p, q = _join((rows, slot, acc, p, q), (band, at, ba, bp, bq))
         done = (p == 0) & (acc <= cap)
         if check:  # a word replays from 0/1, so any other end at 0 fails
             flags[rows[done & (q != 1)]] = FLAG_MISMATCH
@@ -247,9 +248,8 @@ def _theta(ps, qs, cap, check):
         # q >= 1, so 0 < p < h: below top, its point has a slot
         h = p + q
         near = np.flatnonzero((h < top) & ~out)
-        found = table.take(_slot(p.take(near), h.take(near)))
-        known = np.flatnonzero(found != _UNKNOWN)
-        near, found = near.take(known), found.take(known)
+        found = table.take(_slot(*_rows(near, out.size, p, h)))
+        near, found = _rows(np.flatnonzero(found != _UNKNOWN), found.size, near, found)
         total = acc.take(near) + np.maximum(found, 0)
         acc[near] = total
         lost = np.flatnonzero((total > cap) | (found < 0))
@@ -260,15 +260,15 @@ def _theta(ps, qs, cap, check):
         i = np.flatnonzero(out)
         if i.size:
             # every leaving start is final: enter it, unless it overflowed
-            gone, sl = rows.take(i), slot.take(i)
+            gone, sl, total = _rows(i, out.size, rows, slot, acc)
             f = flags[gone]
-            total = np.where(f == FLAG_CAP, cap, acc.take(i))
+            total = np.where(f == FLAG_CAP, cap, total)
             if not check:
                 steps[gone] = total
             put = np.flatnonzero((sl >= 0) & (f != FLAG_OVERFLOW))
-            f = f.take(put)
-            table[sl.take(put)] = np.where(f == FLAG_DONE, total.take(put), -1 - f)
-            live = np.flatnonzero(~out)
+            sl, f, total = _rows(put, sl.size, sl, f, total)
+            table[sl] = np.where(f == FLAG_DONE, total, -1 - f)
+            live = i[:0] if i.size == out.size else np.flatnonzero(~out)  # none stays
             rows, slot, acc, p, q = (a.take(live) for a in (rows, slot, acc, p, q))
         # the guard makes the run's arithmetic exact for every live row
         n_run, p, q = run(rows, p, q, r_wave)
@@ -340,14 +340,13 @@ def _phi(ps, qs, cap, check):
             go = np.flatnonzero(bp)  # 0/q is the end already: 0 steps
             if check:  # a replay starts from 0/1
                 flags[np.flatnonzero((bp == 0) & (bq != 1)) + entered] = FLAG_MISMATCH
-            bp, bq = bp.take(go), bq.take(go)
+            bp, bq = _rows(go, bp.size, bp, bq)
             bx, by = np.maximum(bp, bq), np.minimum(bp, bq)
             at, tabled = _phi_slot(by, bx + by, top)
-            rows = np.concatenate((rows, go + entered))
-            slot = np.concatenate((slot, np.where(tabled, at, -1)))
-            acc = np.concatenate((acc, np.zeros(go.size, dtype=np.int64)))
-            x = np.concatenate((x, bx))
-            y = np.concatenate((y, by))
+            rows, slot, acc, x, y = _join(
+                (rows, slot, acc, x, y),
+                (go + entered, np.where(tabled, at, -1), np.zeros(go.size, np.int64), bx, by),
+            )
             entered = band.stop
         quot, rem = np.divmod(x, y)
         acc += quot
@@ -361,13 +360,12 @@ def _phi(ps, qs, cap, check):
         out = bad | (rem == 0) | (found != _UNKNOWN)
         i = np.flatnonzero(out)
         if i.size:
-            gone, sl, found = rows.take(i), slot.take(i), found.take(i)
-            total = acc.take(i) + np.maximum(found, 0)
+            gone, sl, found, total, violated = _rows(i, out.size, rows, slot, found, acc, bad)
+            total = total + np.maximum(found, 0)
             if not check:
                 steps[gone] = total
             # the rows that leave flagged: violated, over the cap, or on a
             # flagged entry; the rest keep their flag, marked or done
-            violated = bad.take(i)
             lost = np.flatnonzero(violated | (found < _UNKNOWN) | (total > cap))
             f = np.where(total.take(lost) > cap, FLAG_CAP, -1 - found.take(lost))
             f[violated.take(lost)] = FLAG_VIOLATION
@@ -375,15 +373,33 @@ def _phi(ps, qs, cap, check):
             total[lost] = -1 - f  # now each row's table entry
             if check:
                 total[flags[gone] == FLAG_MISMATCH] = _MISMATCH
-            put = np.flatnonzero(sl >= 0)
-            table[sl.take(put)] = total.take(put)
-            live = np.flatnonzero(~out)
+            sl, total = _rows(np.flatnonzero(sl >= 0), sl.size, sl, total)
+            table[sl] = total
+            live = i[:0] if i.size == out.size else np.flatnonzero(~out)  # none stays
             rows, slot, acc, y, rem = (a.take(live) for a in (rows, slot, acc, y, rem))
         x, y = y, rem
     if not check:
         for b in bands:
             flags[b][steps[b] > p_in[b] + q_in[b]] = FLAG_VIOLATION
     return steps, flags
+
+
+def _rows(i, n, *arrays):
+    """The rows i of arrays of n rows, where i is the flatnonzero of a mask
+    over them.  i keeps all n rows only as arange(n), so then the arrays
+    are their own rows and are returned as they are, with nothing copied.
+    """
+    if i.size == n:
+        return arrays
+    return tuple(a.take(i) for a in arrays)
+
+
+def _join(live, band):
+    """The live rows' arrays with a band's rows appended: the band's own
+    arrays, with nothing copied, when no row is live."""
+    if live[0].size == 0:
+        return band
+    return tuple(np.concatenate(pair) for pair in zip(live, band))
 
 
 def _table_top(n: int) -> int:

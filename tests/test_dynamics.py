@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatzq.core import Mat2
 from collatzq.dynamics import (
@@ -19,6 +20,7 @@ from collatzq.dynamics import (
     phi_monotonicity_sweep,
     phi_runs,
     phi_step_pq,
+    reduced_fraction_arrays,
     reduced_fractions,
     replay_runs_pq,
     replay_theta_runs_pq,
@@ -320,6 +322,22 @@ class TestReducedFractions:
         assert ps.dtype == qs.dtype == np.int64
         assert list(zip(ps.tolist(), qs.tolist())) == [(p, q) for p, q in starts if p <= q]
         assert 2 * ps.size - 2 == len(starts)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(st.integers(-3, 200))
+    def test_lower_half_matches_the_starts_p_at_most_q_at_generated_heights(self, height):
+        ps, qs = _lower_half(height)
+        assert ps.dtype == qs.dtype == np.int64
+        half = [(p, q) for p, q in reduced_fractions(height) if p <= q]
+        assert list(zip(ps.tolist(), qs.tolist())) == half
+
+    @pytest.mark.parametrize("height", [-5, -1, 0])
+    def test_no_starts_below_height_one(self, height):
+        # as the start generator, which yields nothing there
+        assert list(reduced_fractions(height)) == []
+        for ps, qs in (reduced_fraction_arrays(height), _lower_half(height)):
+            assert ps.dtype == qs.dtype == np.int64
+            assert ps.size == qs.size == 0
 
 
 class TestSweeps:

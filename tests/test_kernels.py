@@ -101,6 +101,29 @@ def test_zero_start():
     assert steps[0] == 0 and flags[0] == FLAG_DONE
 
 
+def test_a_start_that_leaves_on_a_wave_of_its_own_enters_the_table():
+    # one row per band: 1/1 takes its R run to 0 and leaves alone, then 1/3
+    # enters with its S run to 1/1 taken and leaves on 1/1's entry, with
+    # 1 + 1 steps: two runs in all, where running 1/3 on to 0 takes three
+    ps = np.array([1, 1], dtype=np.int64)
+    qs = np.array([1, 3], dtype=np.int64)
+    real = kernels._theta_run
+    for cap in (10, None):
+        runs = []
+
+        def counted(p, q, r_wave):
+            runs.append(p.size)
+            return real(p, q, r_wave)
+
+        with mock.patch.object(kernels, "BAND_ROWS", 1), \
+                mock.patch.object(kernels, "_theta_run", counted):
+            if cap is None:
+                assert theta_recovery(ps, qs, 10).tolist() == [FLAG_DONE, FLAG_DONE]
+            else:
+                steps, flags = theta_sweep(ps, qs, cap)
+                assert steps.tolist() == [1, 2] and flags.tolist() == [FLAG_DONE, FLAG_DONE]
+        assert sum(runs) == 2
+
 def test_working_memory_is_bounded_by_the_band():
     # 304,192 starts against 4,096-row bands: one int64 array the size of
     # the rows would be 74 band arrays.  All four kernels keep a

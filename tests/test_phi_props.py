@@ -27,6 +27,7 @@ from sympy import totient
 from collatzq import kernels
 from collatzq.dynamics import (
     PHI,
+    PhiSweepReport,
     orbit_pq,
     phi_monotonicity_sweep,
     phi_runs,
@@ -412,3 +413,23 @@ def test_phi_report_matches_stepwise_first_maximum(height):
             best, argmax = steps, Fraction(p, q)
     assert (rep.max_stopping_time, rep.argmax) == (best, argmax)
     assert rep.violations == () and rep.total_tested == sum(1 for _ in reduced_fractions(height))
+
+
+def test_the_half_sweep_at_2000_is_the_full_sweeps_report():
+    # the report of the kernel over every start, twins included, built as
+    # the sweep builds it: first maximum in sweep order, flagged starts
+    ps, qs = reduced_fraction_arrays(2000)
+    steps, flags = phi_sweep(ps, qs)
+    steps[flags != FLAG_DONE] = -1
+    i = int(np.argmax(steps))
+    miss = steps < 0
+    full = PhiSweepReport(
+        height_bound=2000,
+        total_tested=int(ps.size),
+        max_stopping_time=int(steps[i]),
+        argmax=Fraction(int(ps[i]), int(qs[i])),
+        violations=tuple(map(Fraction, ps[miss].tolist(), qs[miss].tolist())),
+    )
+    assert phi_monotonicity_sweep(2000) == full
+    assert (full.total_tested, full.max_stopping_time) == (1_216_588, 1999)
+    assert full.argmax == Fraction(1, 1999) and full.all_monotone
