@@ -51,14 +51,16 @@ is exact.  A word goes through five stages, and only the last decides:
 The stages form a conjunction of tests, each of which every hit passes, so
 the order and the split of stage 2 do not change which words survive.
 A box whose largest exponent is at most a chunk gets power tables of
-every exponent; past that no chunk has tails, and each call's tables cover
-its own heads' exponents only, so memory follows the chunk, not the box.
-Sampled words are ``Random.randint``'s exponents, read in bulk as blocks
-of the generator's 32-bit words (``_draw_exponents``); they and a
-checkpoint's stored words are heads whose one tail word is empty, with the
-identity as its product.  The tests' oracle for the sieve is the
-plain one: every word of a block, multiplied out and given to
-``core.integer_eigenvalues``.
+every exponent, and one whose (top + 1)^2 exponent pairs fit a chunk also
+a pair table of left^a right^b, so that its heads multiply out two
+exponents at a time; past a chunk no chunk has tails, and each call's
+tables cover its own heads' exponents only, so memory follows the chunk,
+not the box.  Sampled words are ``Random.randint``'s exponents, read
+ahead in bulk as the generator's 32-bit words, and the generator is put
+back after the words used (``_draw_exponents``); they and a checkpoint's
+stored words are heads whose one tail word is empty, with the identity as
+its product.  The tests' oracle for the sieve is the plain one: every
+word of a block, multiplied out and given to ``core.integer_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -219,12 +221,32 @@ def _tail_product(
     return x
 
 
-def _head_products(tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray) -> np.ndarray:
+def _head_products(
+    tables: tuple[np.ndarray, np.ndarray], heads: np.ndarray, pairs: np.ndarray | None = None
+) -> np.ndarray:
     """Rows a, b, c, d, det mod m of the product of each row of ``heads``, a
-    (5, len(heads)) array; exponent i of a row indexes ``tables[i % 2]``."""
-    x = tables[0][:, heads[:, 0]]
-    for i in range(1, heads.shape[1]):
-        x = _times(x, tables[i % 2][:, heads[:, i]])
+    (5, len(heads)) array; exponent i of a row indexes ``tables[i % 2]``.
+
+    With ``pairs``, the products of ``tables[0]`` column a and
+    ``tables[1]`` column b at column a w + b, where w is the tables' width,
+    a row is multiplied out two exponents at a time, and an odd last one
+    from ``tables[0]``.
+    """
+    # take gives C-ordered columns; x[:, index] gives F-ordered ones, on
+    # which each _times is slower
+    n = heads.shape[1]
+    if pairs is None:
+        columns = [tables[i % 2].take(heads[:, i], axis=1) for i in range(n)]
+    else:
+        w = tables[0].shape[1]
+        columns = [
+            pairs.take(heads[:, i] * w + heads[:, i + 1], axis=1) for i in range(0, n - 1, 2)
+        ]
+        if n % 2:
+            columns.append(tables[0].take(heads[:, -1], axis=1))
+    x = columns[0]
+    for g in columns[1:]:
+        x = _times(x, g)
     return x
 
 
@@ -258,7 +280,8 @@ def _sieve(
     of R and S passes the congruence.
     """
     (q1, q2), (squares1, squares2) = SIEVE_FACTORS, _sieve_squares()
-    head = _head_products(tables, heads)
+    # the pair table is of the box's own power tables
+    head = _head_products(tables, heads, leaves.pairs if tables is leaves.tables else None)
     # 2a, every word in int32 mod q1: products below 2^25, tr1 below 2^27
     xa, xb, xc, xd, xdet = _reduce(head.astype(np.int32), q1)[:, :, None]
     ta, tb, tc, td, tdet = leaves.tail_q1[:, None, :]
@@ -294,10 +317,13 @@ class _Leaves:
     that stage applies, else None, and the threshold ``n`` of stage 4:
     n(k) for R and S, else the largest exponent, which drops nothing.
     With a largest exponent of at most a chunk the power tables cover the
-    exponents 0 up to it, and a table column is its exponent.  Past a
-    chunk every range of a box is longer than a chunk, so no word has tail
-    exponents, and each call builds tables for the exponents of its own
-    heads only.
+    exponents 0 up to it, and a table column is its exponent.  When heads
+    fix two exponents or more and the (top + 1)^2 pairs of exponents fit a
+    chunk, ``pairs`` holds left^a right^b at column a (top + 1) + b, so
+    that heads multiply out two exponents at a time (``_head_products``);
+    else it is None.  Past a chunk every range of a box is longer than a
+    chunk, so no word has tail exponents, and each call builds tables for
+    the exponents of its own heads only.
     """
 
     def __init__(self, left: PowerFn, right: PowerFn, ranges: list[range], p: int) -> None:
@@ -305,6 +331,10 @@ class _Leaves:
         self.generators = (left(1), right(1))
         self.tables = self._tables(np.arange(top + 1)) if top <= SIEVE_CHUNK_WORDS else None
         assert p == len(ranges) or self.tables is not None, "per-call tables cover heads only"
+        self.pairs = None
+        if p > 1 and (top + 1) ** 2 <= SIEVE_CHUNK_WORDS:
+            left_table, right_table = self.tables
+            self.pairs = _times(left_table[:, :, None], right_table[:, None, :]).reshape(5, -1)
         self.tail_ranges = ranges[p:]
         self.tail = _tail_product(self.tables, p, self.tail_ranges)
         self.tail_q1 = _reduce(self.tail.astype(np.int32), SIEVE_FACTORS[0])
@@ -411,12 +441,76 @@ def confirm_words(ranges: list[range], words: list[list[int]]) -> Iterator[Omega
 MAX_SAMPLED_M = 2**63 - 2
 
 
+# Words of MT19937's state: each twist makes a block of this many outputs
+MT_BLOCK = 624
+
+
+def _untemper(y: np.ndarray) -> np.ndarray:
+    """The MT19937 state words whose tempered outputs are the uint32 ``y``:
+    the tempering's four steps undone in reverse order."""
+    y = y ^ y >> 18
+    y ^= y << 15 & 0xEFC60000
+    x = y
+    for _ in range(4):
+        # each pass fixes seven more low bits
+        y = x ^ (y << 7 & 0x9D2C5680)
+    x = y
+    for _ in range(2):
+        y = x ^ y >> 11
+    return y
+
+
+class _Stream:
+    """The 32-bit outputs of a ``random.Random``, read ahead in bulk.
+
+    ``peek(n)`` gives the next n words not yet used, reading more from the
+    generator when it must; ``skip(n)`` marks them used.  ``close`` moves
+    the generator to just after the last word used, where reading the words
+    one by one would have left it; until then the generator is ahead and
+    must not be used.  The words are held from the block of the last word
+    used on: its state array ``key`` as ``getstate`` gave it, with the first
+    word at offset ``start`` of the block, or None, with ``start`` 0, when
+    the block was read from the generator and its state is the outputs
+    untempered.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+        _, state, self.gauss = rng.getstate()
+        self.key, self.start = state[:MT_BLOCK], state[MT_BLOCK]
+        self.words = np.empty(0, dtype=np.uint32)
+        self.used = 0
+
+    def peek(self, n: int) -> np.ndarray:
+        more = self.used + n - len(self.words)
+        if more > 0:
+            fresh = self.rng.getrandbits(32 * more).to_bytes(4 * more, "little")
+            self.words = np.concatenate([self.words, np.frombuffer(fresh, dtype="<u4")])
+        return self.words[self.used : self.used + n]
+
+    def skip(self, n: int) -> None:
+        self.used += n
+        # offset of the last used word's block from the start of block key
+        block = (self.start + self.used - 1) // MT_BLOCK * MT_BLOCK
+        if self.used and block:
+            drop = block - self.start
+            self.words, self.used = self.words[drop:], self.used - drop
+            self.key, self.start = None, 0
+
+    def close(self) -> None:
+        if self.key is None:
+            # the rest of the block of the last word used
+            self.peek(MT_BLOCK - self.used)
+            self.key = tuple(_untemper(self.words[:MT_BLOCK]).tolist())
+        self.rng.setstate((3, (*self.key, self.start + self.used), self.gauss))
+
+
 def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray:
     """``size`` words of the (k, M) box, one exponent row each: the exponents
     that ``rng.randint`` draws exponent by exponent, read from the stream in
     bulk, and ``rng`` left where those draws leave it.
 
-    Three facts of CPython 3.11's ``Random``, an MT19937 generator, make a
+    Four facts of CPython 3.11's ``Random``, an MT19937 generator, make a
     bulk read exact:
 
     - ``randint(lo, hi)`` is lo + r, where r is the first ``getrandbits(b)``
@@ -426,44 +520,72 @@ def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray
       significant first, and shifts the last right by 32 ceil(b/32) - b.
     - ``getrandbits(32 N).to_bytes(4 N, "little")`` holds N words in the
       order they were generated.
+    - A block of 624 outputs, the words that one twist makes, is its
+      state array tempered word by word, and tempering is a bijection on
+      32-bit words: with the tempering undone (``_untemper``), the block is
+      the state array that ``setstate`` takes, with the offset of the next
+      word in it.
+
+    So the words are read ahead (``_Stream``), only those up to the last
+    attempt taken count as used, and the generator is put back after them.
+    """
+    stream = _Stream(rng)
+    try:
+        return _draw(stream, k, M, size)
+    finally:
+        stream.close()
+
+
+def _draw(stream: _Stream, k: int, M: int, size: int) -> np.ndarray:
+    """``_draw_exponents`` from ``stream``, whose used words it skips.
 
     A box has two kinds of range: 0..M at both ends of a word and 1..M
-    inside it.  A round reads one attempt's words per missing exponent, up
-    to the first position whose attempts take another number of words (for
-    int64 exponents the kinds differ in it only at M + 1 = 2^32).  Every
-    missing exponent takes at least one attempt, so no round reads past the
-    words that the ``randint`` loop reads.  An attempt accepted at every
-    position of the round, or rejected at every one, is resolved in bulk;
-    one whose fate depends on its position is walked in order, carrying the
-    position.  The j-th accepted attempt of a round fills the j-th missing
-    position, so each value is lo + r of that position's kind, as arrays.
+    inside it.  A round reads the words that the missing exponents take on
+    average, at each kind's acceptance rate n / 2^b, and some slack; one
+    round nearly always fills them.  Where both kinds take attempts of
+    equal length, an attempt accepted at every kind, or rejected at every
+    one, is resolved in bulk; one whose fate depends on its position is
+    walked in order, carrying the position.  The j-th accepted attempt of a
+    round fills the j-th missing position, so each value is lo + r of that
+    position's kind, as arrays.  Only at M + 1 = 2^32 do the lengths differ
+    (for int64 exponents): there an attempt at the ends takes two words and
+    one inside takes one, and ``_walk`` reads the round one attempt at a
+    time.
     """
     ranges = _exponent_ranges(k, M)
     # 0..M, then 1..M for k > 1: kind i is the range that starts at i
     kinds = list(dict.fromkeys(ranges))
-    kind = [kinds.index(r) for r in ranges]
     bits = [len(r).bit_length() for r in kinds]
     words = [-(-b // 32) for b in bits]
     period, out = len(ranges), np.empty(size * len(ranges), dtype=np.int64)
     # the kinds of the missing positions, from any first one of the period
-    cycle = np.tile(np.array(kind, dtype=np.int8), size + 1)
+    cycle = np.tile(np.array([r.start for r in ranges], dtype=np.int8), size + 1)
     done = 0
     while done < len(out):
-        o = done % period
-        c = words[kind[o]]
-        change = (j for j in range(1, period) if words[kind[(o + j) % period]] != c)
-        attempts = min(next(change, len(out)), len(out) - done)
-        w = np.frombuffer(
-            rng.getrandbits(32 * c * attempts).to_bytes(4 * c * attempts, "little"), dtype="<u4"
-        ).reshape(attempts, c)
-        # r of every attempt at each kind of the round, and where it is taken
-        present = sorted(set(cycle[o : o + min(attempts, period)].tolist()))
+        o, missing = done % period, len(out) - done
+        at = cycle[o : o + missing]
+        inside = np.count_nonzero(at)
+        counts = [missing - inside, inside]
+        # the words that the missing exponents take on average, at each
+        # kind's rate, and several standard deviations of slack
+        need = 4 * math.isqrt(missing) + 8 + sum(
+            -(-(m * c << b) // len(r)) for m, c, b, r in zip(counts, words, bits, kinds)
+        )
+        if words[0] != words[-1]:
+            # words per attempt, the shift of its last word, n and lo, by kind
+            rules = [(c, 32 * c - b, len(r), r.start) for c, b, r in zip(words, bits, kinds)]
+            done += _walk(stream, rules, at, need, out[done:])
+            continue
+        c = words[0]
+        attempts = -(-need // c)
+        w = stream.peek(c * attempts).reshape(attempts, c)
+        # r of every attempt at each kind
         r = {}
-        for b in {bits[i] for i in present}:
+        for b in set(bits):
             r[b] = w[:, -1] >> (32 * c - b)
             for j in range(c - 2, -1, -1):
                 r[b] = r[b].astype(np.uint64) << 32 | w[:, j]
-        fate = [r[bits[i]] < len(kinds[i]) for i in present]
+        fate = [r[b] < len(kinds[i]) for i, b in enumerate(bits)]
         taken = fate[0] & fate[-1]
         walked = np.flatnonzero(fate[0] ^ fate[-1])
         if len(walked):
@@ -472,32 +594,71 @@ def _draw_exponents(rng: random.Random, k: int, M: int, size: int) -> np.ndarray
             # (e) by the walk; the table's half for its fate says, byte by
             # position mod period, whether the position takes it.
             span = period + len(walked)
-            inner = np.resize(np.array(kind, dtype=np.uint8), span)
+            inner = np.resize(cycle[:period].astype(np.uint8), span)
             table = np.concatenate([inner, 1 - inner]).tobytes()
-            x = (o + np.cumsum(taken)[walked]) % period + fate[0][walked] * span
+            x = (o + np.cumsum(taken, dtype=np.int32)[walked]) % period + fate[0][walked] * span
             e, seen = 0, []
             for i in x.tolist():
                 e += table[i + e]
                 seen.append(e)
             taken[walked] = np.diff(seen, prepend=0)
-        index = np.flatnonzero(taken)
-        at = cycle[o : o + len(index)]
-        first, last = r[bits[present[0]]], r[bits[present[-1]]]
+        index = np.flatnonzero(taken)[:missing]
+        at = at[: len(index)]
+        first, last = r[bits[0]], r[bits[-1]]
         got = first[index]
         if first is not last:
-            got = np.where(at == present[0], got, last[index])
+            got = np.where(at == 0, got, last[index])
         # lo + r, with lo the kind and taken r below 2^63
         np.add(got, at, out=out[done : done + len(index)], dtype=np.int64, casting="unsafe")
         done += len(index)
+        # the attempts up to the one that fills the last position
+        stream.skip(c * (int(index[-1]) + 1 if done == len(out) else attempts))
     return out.reshape(size, 2 * k)
+
+
+def _walk(
+    stream: _Stream, rules: list[tuple[int, int, int, int]], at: np.ndarray, need: int,
+    out: np.ndarray,
+) -> int:
+    """Fills ``out`` in order, at positions of kinds ``at``, from the next
+    ``need`` words of ``stream``, one attempt at a time, and skips the
+    words of every attempt made; returns the positions filled.  ``rules``
+    gives each kind's words per attempt (one or two), the right shift of
+    its last word, n and lo."""
+    w = stream.peek(need).tolist()
+    got, i = [], 0
+    for kind in at.tolist():
+        c, shift, n, lo = rules[kind]
+        r = n
+        while r >= n and i + c <= len(w):
+            r = w[i + c - 1] >> shift
+            if c == 2:
+                r = r << 32 | w[i]
+            i += c
+        if r >= n:
+            break
+        got.append(lo + r)
+    out[: len(got)] = got
+    stream.skip(i)
+    return len(got)
 
 
 def sample_hits(rng: random.Random, k: int, M: int, size: int) -> Iterator[OmegaMember]:
     """The members among ``size`` words of the (k, M) census box drawn with
-    ``rng``, in draw order."""
+    ``rng``, in draw order.
+
+    The draws of all batches are read ahead from one ``_Stream``.  When the
+    iteration ends, or the consumer closes it early, ``rng`` is where the
+    ``randint`` draws of the batches drawn leave it; until then it must not
+    be used.
+    """
     leaves = _Leaves(r_power, s_power, _exponent_ranges(k, M), 2 * k)
     # a batch of draws holds as many exponents as a chunk holds words
     batch = SIEVE_CHUNK_WORDS // (2 * k) or 1
-    for start in range(0, size, batch):
-        heads = _draw_exponents(rng, k, M, min(batch, size - start))
-        yield from leaves.hits(heads, 0, len(heads))
+    stream = _Stream(rng)
+    try:
+        for start in range(0, size, batch):
+            heads = _draw(stream, k, M, min(batch, size - start))
+            yield from leaves.hits(heads, 0, len(heads))
+    finally:
+        stream.close()

@@ -568,6 +568,53 @@ def test_traces_of_heads_with_tables_of_their_own_exponents(g, swap, k, data):
     assert list(zip(tr.tolist(), det.tolist())) == residues_by_oracle(left, right, heads, [])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("top", [126, 127, 128])
+@settings(PROPS, max_examples=10)
+@given(st.data())
+def test_head_products_two_exponents_at_a_time(k, top, data):
+    # a box of top 127 has 128^2 = a chunk of exponent pairs, and a pair
+    # table; one more exponent and it has none.  Heads of odd and even
+    # lengths, with and without the pair table, are products mod m.
+    m = sieve_mod.SIEVE_MODULUS
+    leaves = sieve_mod._Leaves(r_power, s_power, [range(top + 1)] * (2 * k), 2 * k)
+    assert (leaves.pairs is None) == (top == 128)
+    n = data.draw(st.integers(1, 2 * k))
+    row = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    heads = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=np.int64)
+    chain = sieve_mod._head_products(leaves.tables, heads)
+    paired = sieve_mod._head_products(leaves.tables, heads, leaves.pairs)
+    assert paired.tolist() == chain.tolist()
+    expected = []
+    for exponents in heads.tolist():
+        w = product(r_power, s_power, exponents)
+        expected.append([v % m for v in (*w.entries(), w.det())])
+    assert paired.T.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    # the default pair, and the other pairs of these tests
+    "g", [GeneratorPair(3, 1, 1, 2), GeneratorPair(2, 1, 1, 2), GeneratorPair(3, 2, 2, 3),
+          GeneratorPair(5, 3, 2, 7)]
+)
+@pytest.mark.parametrize("k,exp_max", [(2, 30), (3, 8)])
+def test_search_same_with_and_without_pair_tables(g, k, exp_max, monkeypatch):
+    # boxes whose heads fix two exponents, cut by the budget inside them
+    chain, paired = sieve_mod._head_products, []
+
+    def recording(tables, heads, pairs=None):
+        paired.append(pairs is not None and heads.shape[1] > 1)
+        return chain(tables, heads, pairs)
+
+    monkeypatch.setattr(sieve_mod, "_head_products", recording)
+    result = search_counterexamples(k, exp_max, g, 20_000)
+    assert any(paired)
+    monkeypatch.setattr(
+        sieve_mod, "_head_products", lambda tables, heads, pairs=None: chain(tables, heads)
+    )
+    assert search_counterexamples(k, exp_max, g, 20_000) == result
+
+
 def sieve_by_oracle(tables, heads, leaves):
     """Flat indices of the words of ``heads`` x ``leaves.tail_ranges`` that
     pass the square tests mod both factors and, unless ``leaves.mus`` is
@@ -814,6 +861,59 @@ def test_draws_match_randint(k, M, size, seed):
         ref.randint(r.start, r.stop - 1) for _ in range(size) for r in _exponent_ranges(k, M)
     ]
     assert drawn.ravel().tolist() == expected
+    assert rng.getstate() == ref.getstate()
+
+
+def randint_rows(rng, k, M, size):
+    """``size`` words of the (k, M) box drawn one ``randint`` at a time."""
+    return [rng.randint(r.start, r.stop - 1) for _ in range(size) for r in _exponent_ranges(k, M)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", [*DRAW_TOPS, 2**40])
+@settings(PROPS, max_examples=12)
+@given(
+    st.integers(0, 2**64),
+    st.one_of(st.sampled_from([0, 623, 624, 1247, 1248]), st.integers(0, 1300)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 600),
+)
+def test_draws_match_randint_from_any_stream_position(k, M, seed, advance, rewind, gauss, size):
+    # the generator first read for a while: its position in a 624-word
+    # block is anything from 0 to 624, with gauss's spare value set or not,
+    # and the draws read ahead across several blocks
+    rng, ref = random.Random(seed), random.Random(seed)
+    for r in (rng, ref):
+        r.getrandbits(32 * advance)
+        if rewind:
+            # the same block, from its first word
+            r.setstate((3, (*r.getstate()[1][:624], 0), None))
+        if gauss:
+            r.gauss(0.0, 1.0)
+    drawn = sieve_mod._draw_exponents(rng, k, M, size)
+    assert drawn.ravel().tolist() == randint_rows(ref, k, M, size)
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("M", [24, 31, 2**32 - 1])
+def test_sampled_batches_leave_the_generator_where_randint_does(M, monkeypatch):
+    # three batches; a consumer that stops after the first leaves the
+    # generator after that batch's draws, though the stream read ahead
+    k = 3
+    batch = sieve_mod.SIEVE_CHUNK_WORDS // (2 * k)
+    monkeypatch.setattr(sieve_mod._Leaves, "hits", lambda self, heads, lo, hi: iter([heads]))
+    ref = random.Random(M)
+    expected = [randint_rows(ref, k, M, batch) for _ in range(3)]
+    rng = random.Random(M)
+    drawn = sieve_mod.sample_hits(rng, k, M, 2 * batch + 1)
+    assert [h.ravel().tolist() for h in drawn] == [*expected[:2], expected[2][: 2 * k]]
+    rng = random.Random(M)
+    drawn = sieve_mod.sample_hits(rng, k, M, 2 * batch + 1)
+    assert next(drawn).ravel().tolist() == expected[0]
+    drawn.close()
+    ref = random.Random(M)
+    randint_rows(ref, k, M, batch)
     assert rng.getstate() == ref.getstate()
 
 
